@@ -10,91 +10,15 @@ profiles, and reproducible experiment harnesses with a CLI front end.
 """
 
 from .config import ConfigError, RunConfig, build_controls, build_params, build_problem, parse_config
-from .diagnostics import (
-    DiagnosticsRecord,
-    SupportMismatchError,
-    dissipation_terms,
-    l1_distance,
-    record,
-    relative_entropy,
-)
-from .grid import (
-    FaceData,
-    Field,
-    Grid,
-    divergence,
-    face_gradient,
-    integrate,
-    load_snapshot,
-    make_grid,
-    save_snapshot,
-)
+from .diagnostics import (DiagnosticsRecord, SupportMismatchError, dissipation_terms, l1_distance, record,
+                          relative_entropy)
+from .grid import (FaceData, Field, Grid, divergence, face_gradient, gradient_norm, integrate, load_snapshot,
+                   make_grid, save_snapshot)
 from .limiter import Params, face_flux, flux_deviation, limiter, monotone_gap, unclamped_gap
 from .profiles import gaussian_bump, poly_spike, uniform_field
 from .steady import SteadyProfileSpec, eikonal_residual, sample, stationarity_drift
-from .stepping import (
-    CflViolationError,
-    NumericalFailureError,
-    PicardDivergenceError,
-    StepControls,
-    Trajectory,
-    cfl_dt,
-    run,
-    step_explicit,
-    step_semi_implicit,
-)
+from .stepping import (CflViolationError, NumericalFailureError, PicardDivergenceError, StepControls, Trajectory,
+                       cfl_dt, march, run, run_batch, step_explicit, step_semi_implicit, time_mesh)
 from .studies import StudyReport, Verdict, contraction_study, monotonicity_test, smoothing_study, viscosity_study
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "RunConfig",
-    "parse_config",
-    "build_problem",
-    "build_params",
-    "build_controls",
-    "DiagnosticsRecord",
-    "SupportMismatchError",
-    "record",
-    "relative_entropy",
-    "dissipation_terms",
-    "l1_distance",
-    "Grid",
-    "Field",
-    "FaceData",
-    "make_grid",
-    "face_gradient",
-    "divergence",
-    "integrate",
-    "save_snapshot",
-    "load_snapshot",
-    "Params",
-    "limiter",
-    "face_flux",
-    "monotone_gap",
-    "unclamped_gap",
-    "flux_deviation",
-    "gaussian_bump",
-    "poly_spike",
-    "uniform_field",
-    "SteadyProfileSpec",
-    "sample",
-    "eikonal_residual",
-    "stationarity_drift",
-    "StepControls",
-    "Trajectory",
-    "cfl_dt",
-    "step_explicit",
-    "step_semi_implicit",
-    "run",
-    "CflViolationError",
-    "NumericalFailureError",
-    "PicardDivergenceError",
-    "StudyReport",
-    "Verdict",
-    "viscosity_study",
-    "contraction_study",
-    "smoothing_study",
-    "monotonicity_test",
-]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, build_controls, build_params, build_problem, parse_config
 from .diagnostics import csv_header, csv_row
-from .grid import cell_gradient, integrate, save_snapshot
+from .grid import gradient_norm, integrate, save_snapshot
 from .steady import eikonal_residual, stationarity_drift
 from .stepping import CflViolationError, NumericalFailureError, PicardDivergenceError, run
 from .studies import StudyReport, Verdict, contraction_study, monotonicity_test, smoothing_study, viscosity_study
@@ -42,8 +42,6 @@ def _load_config(path: str, args) -> RunConfig:
         overrides["out"] = args.out
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -81,9 +79,9 @@ def _study_exit(report: StudyReport) -> int:
     return 0 if report.all_pass else 3
 
 
-def _cmd_study_viscosity(args) -> int:
+def _cmd_study(args) -> int:
     cfg = _load_config(args.config, args)
-    report = viscosity_study(cfg)
+    report = {"viscosity": viscosity_study, "smoothing": smoothing_study}[args.study_kind](cfg)
     _write_report(_out_dir(cfg), report)
     return _study_exit(report)
 
@@ -96,13 +94,6 @@ def _cmd_study_contraction(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     _write_report(_out_dir(cfg1), report)
-    return _study_exit(report)
-
-
-def _cmd_study_smoothing(args) -> int:
-    cfg = _load_config(args.config, args)
-    report = smoothing_study(cfg)
-    _write_report(_out_dir(cfg), report)
     return _study_exit(report)
 
 
@@ -132,10 +123,7 @@ def _cmd_steady_check(args) -> int:
 
     sup = float(field.values.max())
     live = field.values > 1e-8 * sup
-    gn = np.zeros(grid.shape)
-    for comp in cell_gradient(field):
-        gn += comp * comp
-    gn = np.sqrt(gn)
+    gn = gradient_norm(field)
     grad_over_rho = np.zeros_like(field.values)
     np.divide(gn, field.values, out=grad_over_rho, where=live)
     worst_log_grad = float(grad_over_rho.max(initial=0.0))
@@ -170,7 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=config_required, help="path to key = value config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed recorded with outputs")
-        p.add_argument("--threads", type=int, default=None, help="worker threads for study runs")
 
     p_sim = sub.add_parser("simulate", help="run one configuration")
     common(p_sim)
@@ -180,14 +167,14 @@ def _build_parser() -> argparse.ArgumentParser:
     study_sub = p_study.add_subparsers(dest="study_kind", required=True)
     p_visc = study_sub.add_parser("viscosity")
     common(p_visc)
-    p_visc.set_defaults(func=_cmd_study_viscosity)
+    p_visc.set_defaults(func=_cmd_study)
     p_con = study_sub.add_parser("contraction")
     common(p_con)
     p_con.add_argument("--config2", default=None, help="second run (defaults to --config)")
     p_con.set_defaults(func=_cmd_study_contraction)
     p_smooth = study_sub.add_parser("smoothing")
     common(p_smooth)
-    p_smooth.set_defaults(func=_cmd_study_smoothing)
+    p_smooth.set_defaults(func=_cmd_study)
 
     p_check = sub.add_parser("check", help="randomized property checks")
     check_sub = p_check.add_subparsers(dest="check_kind", required=True)

@@ -8,7 +8,7 @@ fall back to a default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,11 +66,6 @@ class RunConfig:
     eps_list: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0)
     spike_widths: tuple[float, ...] = (0.8, 0.4, 0.2)
     study_p: float = 4.0
-    threads: int = 1
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw)
 
 
 def _parse_int(raw: str) -> int:
@@ -84,44 +79,39 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-def _parse_str(raw: str) -> str:
-    return raw
-
-
 _PARSERS = {
     "dim": _parse_int,
-    "box_halfwidth": _parse_float,
+    "box_halfwidth": float,
     "cells": _parse_int,
-    "chi": _parse_float,
-    "eps": _parse_float,
-    "scheme": _parse_str,
-    "dt": _parse_float,
-    "cfl_safety": _parse_float,
-    "picard_tol": _parse_float,
+    "chi": float,
+    "eps": float,
+    "scheme": str,
+    "dt": float,
+    "cfl_safety": float,
+    "picard_tol": float,
     "picard_max_iter": _parse_int,
-    "linear_solver_tol": _parse_float,
-    "t_end": _parse_float,
+    "linear_solver_tol": float,
+    "t_end": float,
     "diag_stride": _parse_int,
     "p_set": _parse_floats,
     "grad_p_set": _parse_floats,
-    "ic": _parse_str,
-    "ic_mass": _parse_float,
-    "ic_amplitude": _parse_float,
-    "ic_width": _parse_float,
+    "ic": str,
+    "ic_mass": float,
+    "ic_amplitude": float,
+    "ic_width": float,
     "ic_center": _parse_floats,
     "ic_centers": _parse_floats,
     "ic_amplitudes": _parse_floats,
-    "ic_p": _parse_float,
-    "ic_pnorm": _parse_float,
-    "ic_path": _parse_str,
-    "sigma_rel": _parse_float,
+    "ic_p": float,
+    "ic_pnorm": float,
+    "ic_path": str,
+    "sigma_rel": float,
     "seed": _parse_int,
-    "out": _parse_str,
+    "out": str,
     "snapshot_stride": _parse_int,
     "eps_list": _parse_floats,
     "spike_widths": _parse_floats,
-    "study_p": _parse_float,
-    "threads": _parse_int,
+    "study_p": float,
 }
 
 
@@ -155,12 +145,11 @@ def _validate(cfg: RunConfig) -> None:
         raise bad("t_end", "must be >= 0")
     if cfg.diag_stride < 1:
         raise bad("diag_stride", "must be >= 1")
-    for p in cfg.p_set:
-        if p < 1.0:
-            raise bad("p_set", f"exponents must be >= 1, got {p}")
-    for p in cfg.grad_p_set:
-        if p < 1.0:
-            raise bad("grad_p_set", f"exponents must be >= 1, got {p}")
+    for key in ("p_set", "grad_p_set"):
+        for p in getattr(cfg, key):
+            if not (np.isfinite(p) and p >= 1.0):
+                raise bad(key, f"exponents must be finite and >= 1 (the sup column "
+                               f"reports p = inf), got {p}")
     if cfg.ic not in _IC_KINDS:
         raise bad("ic", f"must be one of {_IC_KINDS}")
     if cfg.ic_mass is not None and not cfg.ic_mass > 0.0:
@@ -179,8 +168,6 @@ def _validate(cfg: RunConfig) -> None:
         raise bad("sigma_rel", "must be finite and >= 0")
     if cfg.snapshot_stride < 0:
         raise bad("snapshot_stride", "must be >= 0")
-    if cfg.threads < 1:
-        raise bad("threads", "must be >= 1")
     if cfg.ic == "snapshot" and not cfg.ic_path:
         raise bad("ic_path", "required when ic = snapshot")
     if cfg.ic == "multi_peak":
@@ -220,11 +207,6 @@ def parse_config(text: str) -> RunConfig:
     cfg = replace(RunConfig(), **seen)
     _validate(cfg)
     return cfg
-
-
-def config_keys() -> tuple[str, ...]:
-    """All recognized configuration keys (documented interface)."""
-    return tuple(f.name for f in fields(RunConfig))
 
 
 def build_params(cfg: RunConfig) -> Params:

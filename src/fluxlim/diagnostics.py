@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, cell_gradient, radius_squared
+from .grid import Field, cell_gradient, gradient_norm, radius_squared
 from .limiter import limiter
 
 __all__ = [
@@ -47,14 +47,6 @@ class DiagnosticsRecord:
     grad_lp: dict[float, float]
 
 
-def _gradient_norm(field: Field) -> np.ndarray:
-    comps = cell_gradient(field)
-    s = np.zeros(field.grid.shape)
-    for g in comps:
-        s = s + g * g
-    return np.sqrt(s)
-
-
 def record(field: Field, p_set=(2.0, 4.0), grad_p_set=(2.0,), time: float = 0.0) -> DiagnosticsRecord:
     """Evaluate every tracked functional of a nonnegative field.
 
@@ -78,7 +70,7 @@ def record(field: Field, p_set=(2.0, 4.0), grad_p_set=(2.0,), time: float = 0.0)
     entropy = float(np.sum(v * logv) * vol)
     entropy_abs = float(np.sum(v * np.abs(logv)) * vol)
 
-    gn = _gradient_norm(field)
+    gn = gradient_norm(field)
     fisher_cells = np.zeros_like(v)
     np.divide(gn * gn, v, out=fisher_cells, where=pos)
     fisher = float(np.sum(fisher_cells) * vol)
@@ -138,8 +130,8 @@ def dissipation_terms(u: Field, v: Field, chi: float) -> tuple[float, float]:
     b = v.values
     vol = u.grid.cell_volume
 
-    gnu = _gradient_norm(u)
-    gnv = _gradient_norm(v)
+    gnu = gradient_norm(u)
+    gnv = gradient_norm(v)
     au = np.where(a > 0.0, limiter(a, gnu, chi), 0.0)
     av = np.where(b > 0.0, limiter(b, gnv, chi), 0.0)
 

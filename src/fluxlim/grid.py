@@ -25,6 +25,7 @@ __all__ = [
     "Field",
     "FaceData",
     "make_grid",
+    "gradient_norm",
     "face_gradient",
     "divergence",
     "integrate",
@@ -192,6 +193,11 @@ def make_grid(dim: int, extent, cells) -> Grid:
     return Grid(dim=dim, shape=shape, spacing=spacing, origin=origin)
 
 
+def along(ndim: int, axis: int, index) -> tuple:
+    """Index taking ``index`` along one axis of an ndim-array and everything along the rest."""
+    return (slice(None),) * axis + (index,) + (slice(None),) * (ndim - axis - 1)
+
+
 def cell_gradient(field: Field) -> tuple[np.ndarray, ...]:
     """Cell-centered gradient by central differences (one-sided at the box edge).
 
@@ -203,6 +209,14 @@ def cell_gradient(field: Field) -> tuple[np.ndarray, ...]:
     if g.dim == 1:
         return (np.gradient(v, g.spacing[0], edge_order=2),)
     return tuple(np.gradient(v, g.spacing[k], axis=k, edge_order=2) for k in range(g.dim))
+
+
+def gradient_norm(field: Field) -> np.ndarray:
+    """Cellwise |grad rho| from the central differences of ``cell_gradient``."""
+    s = np.zeros(field.grid.shape)
+    for g in cell_gradient(field):
+        s = s + g * g
+    return np.sqrt(s)
 
 
 def face_gradient(field: Field) -> tuple[FaceData, ...]:
@@ -222,11 +236,7 @@ def face_gradient(field: Field) -> tuple[FaceData, ...]:
         normal = np.diff(v, axis=axis) / h
         tang = []
         if g.dim > 1:
-            lo = [slice(None)] * g.dim
-            hi = [slice(None)] * g.dim
-            lo[axis] = slice(None, -1)
-            hi[axis] = slice(1, None)
-            lo, hi = tuple(lo), tuple(hi)
+            lo, hi = along(g.dim, axis, slice(None, -1)), along(g.dim, axis, slice(1, None))
             for other in range(g.dim):
                 if other == axis:
                     continue
@@ -251,13 +261,9 @@ def divergence(fluxes) -> Field:
         if fd.grid is not g and fd.grid != g:
             raise ValueError("all fluxes must share one grid")
         h = g.spacing[fd.axis]
-        lo = [slice(None)] * g.dim
-        hi = [slice(None)] * g.dim
-        lo[fd.axis] = slice(None, -1)
-        hi[fd.axis] = slice(1, None)
         scaled = fd.normal / h
-        acc[tuple(lo)] += scaled
-        acc[tuple(hi)] -= scaled
+        acc[along(g.dim, fd.axis, slice(None, -1))] += scaled
+        acc[along(g.dim, fd.axis, slice(1, None))] -= scaled
     return Field(g, acc)
 
 

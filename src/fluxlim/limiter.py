@@ -47,26 +47,26 @@ class Params:
             raise ValueError("the limiter value at zero gradient is fixed to 0")
 
 
-def limiter(rho, grad_norm, chi: float):
+def limiter(rho, grad_norm, chi, out=None):
     """Diffusion coefficient (1 - chi*rho/grad_norm)_+ in [0, 1].
 
     Returns exactly 0.0 wherever grad_norm <= chi*rho (including
     grad_norm = 0), and a value < 1 whenever rho > 0.
-    Accepts scalars or broadcastable arrays.
+    Accepts scalars or broadcastable arrays (``chi`` too); ``out``, when
+    given, receives the result.
+
+    The quotient is taken everywhere and clamped by ``fmax``: where
+    grad_norm > chi*rho it is below 1, so 1 - q is the unclamped value;
+    elsewhere it is >= 1, +inf or NaN (0/0), and fmax gives exactly 0.0.
     """
-    r = np.asarray(rho, dtype=float)
     g = np.asarray(grad_norm, dtype=float)
-    thresh = chi * r
-    out = np.zeros(np.broadcast_shapes(r.shape, g.shape))
-    active = g > thresh
-    if out.ndim == 0:
-        if active:
-            return 1.0 - float(thresh) / float(g)
-        return 0.0
-    tb = np.broadcast_to(thresh, out.shape)
-    gb = np.broadcast_to(g, out.shape)
-    out[active] = 1.0 - tb[active] / gb[active]
-    return out
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(rho), g.shape, np.shape(chi)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(np.multiply(chi, rho, out=out), g, out=out)
+    np.subtract(1.0, out, out=out)
+    np.fmax(out, 0.0, out=out)
+    return float(out) if out.ndim == 0 else out
 
 
 def face_flux(rho_face, grad_vec, params: Params) -> np.ndarray:
@@ -82,11 +82,7 @@ def face_flux(rho_face, grad_vec, params: Params) -> np.ndarray:
 
 
 def _clamped_map(v: np.ndarray, c: float) -> np.ndarray:
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    coeff = np.zeros_like(n)
-    active = n > c
-    coeff[active] = 1.0 - c / n[active]
-    return coeff * v
+    return limiter(c, np.linalg.norm(v, axis=-1, keepdims=True), 1.0) * v
 
 
 def _unclamped_map(v: np.ndarray, c: float) -> np.ndarray:
@@ -96,16 +92,20 @@ def _unclamped_map(v: np.ndarray, c: float) -> np.ndarray:
     return coeff * v
 
 
+def _pairing(w, z, c: float, flux_map):
+    wv = np.atleast_2d(np.asarray(w, dtype=float))
+    zv = np.atleast_2d(np.asarray(z, dtype=float))
+    gap = np.sum((flux_map(wv, c) - flux_map(zv, c)) * (wv - zv), axis=-1)
+    return float(gap[0]) if np.asarray(w, dtype=float).ndim <= 1 else gap
+
+
 def monotone_gap(w, z, c: float):
     """[F(w) - F(z)] . (w - z) for the clamped map F(v) = (1 - c/|v|)_+ v.
 
     Mathematically >= 0 for every pair; F(0) = 0 by the limiter convention.
     Inputs carry vector components along the last axis; batches broadcast.
     """
-    wv = np.atleast_2d(np.asarray(w, dtype=float))
-    zv = np.atleast_2d(np.asarray(z, dtype=float))
-    gap = np.sum((_clamped_map(wv, c) - _clamped_map(zv, c)) * (wv - zv), axis=-1)
-    return float(gap[0]) if np.asarray(w, dtype=float).ndim <= 1 else gap
+    return _pairing(w, z, c, _clamped_map)
 
 
 def unclamped_gap(w, z, c: float):
@@ -114,10 +114,7 @@ def unclamped_gap(w, z, c: float):
     Counterexample: c = 1, w = (0.5, 0), z = (-0.25, 0) gives -0.9375.
     Kept out of the solver; only the monotonicity study calls it.
     """
-    wv = np.atleast_2d(np.asarray(w, dtype=float))
-    zv = np.atleast_2d(np.asarray(z, dtype=float))
-    gap = np.sum((_unclamped_map(wv, c) - _unclamped_map(zv, c)) * (wv - zv), axis=-1)
-    return float(gap[0]) if np.asarray(w, dtype=float).ndim <= 1 else gap
+    return _pairing(w, z, c, _unclamped_map)
 
 
 def flux_deviation(rho, grad_vec, chi: float):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import l1_distance
-from .grid import Field, Grid, cell_gradient, integrate
+from .grid import Field, Grid, gradient_norm, integrate
 from .limiter import Params
 from .stepping import StepControls, run
 
@@ -118,11 +118,7 @@ def eikonal_residual(field: Field, chi: float) -> Field:
     """
     if field.values.min(initial=0.0) < 0.0:
         raise ValueError("eikonal residual expects a nonnegative field")
-    comps = cell_gradient(field)
-    s = np.zeros(field.grid.shape)
-    for g in comps:
-        s = s + g * g
-    return Field(field.grid, np.abs(np.sqrt(s) - chi * field.values))
+    return Field(field.grid, np.abs(gradient_norm(field) - chi * field.values))
 
 
 def stationarity_drift(field: Field, params: Params, controls: StepControls, t_probe: float) -> float:

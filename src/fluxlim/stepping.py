@@ -11,20 +11,24 @@ Two steppers share one spatial discretization:
     slot), so every inner problem is a constant-coefficient SPD system
     solved by conjugate gradients. No step-size restriction.
 
-The boundary is the no-flux box of the grid module; the absorption term
--eps*rho makes the total mass follow the product law prod(1 - eps*dt_k).
+The explicit kernel (``march``) steps a batch of members on one grid at
+once, each with its own chi, eps, dt and step count; ``run`` and
+``step_explicit`` are its one-member callers. The boundary is the no-flux
+box of the grid module; the absorption term -eps*rho makes the total mass
+follow the product law prod(1 - eps*dt_k).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .diagnostics import DiagnosticsRecord, record
-from .grid import Field, Grid, face_gradient
+from .grid import Field, Grid, along
 from .limiter import Params, limiter
 
 __all__ = [
@@ -36,7 +40,10 @@ __all__ = [
     "cfl_dt",
     "step_explicit",
     "step_semi_implicit",
+    "march",
+    "time_mesh",
     "run",
+    "run_batch",
 ]
 
 
@@ -103,66 +110,169 @@ def cfl_dt(grid: Grid, eps: float, safety: float = 0.45) -> float:
     return safety * h_min * h_min / (2.0 * grid.dim * (1.0 + eps))
 
 
-def _face_coefficients(field: Field, params: Params) -> list[np.ndarray]:
+def time_mesh(t_end: float, dt_req: float) -> tuple[float, int]:
+    """Step and step count hitting ``t_end`` exactly: ``dt_req`` shrunk to a divisor."""
+    n_steps = max(1, math.ceil(t_end / dt_req - 1e-9))
+    return t_end / n_steps, n_steps
+
+
+@lru_cache(maxsize=None)
+def _stencil(grid: Grid) -> tuple[tuple[int, tuple, tuple, float], ...]:
+    """Per space axis of arrays with a leading member axis: the array axis, the
+    slices of the cells below and above each interior face, and the spacing."""
+    n = grid.dim + 1
+    return tuple((a, along(n, a, slice(None, -1)), along(n, a, slice(1, None)), grid.spacing[a - 1])
+                 for a in range(1, n))
+
+
+class _Workspace:
+    """Work buffers of one member batch: a cell-sized scratch array, whose
+    prefix doubles as the per-axis face densities, plus per axis a face-norm
+    and a coefficient array."""
+
+    def __init__(self, grid: Grid, size: int):
+        self.stencil = _stencil(grid)
+        self.cells = np.empty((size, *grid.shape))
+        shapes = [self.cells[lo].shape for _, lo, _, _ in self.stencil]
+        flat, norm = self.cells.reshape(-1), np.empty(max(math.prod(s) for s in shapes))
+        self.rho = [flat[: math.prod(s)].reshape(s) for s in shapes]
+        self.norm = [norm[: math.prod(s)].reshape(s) for s in shapes]
+        self.coef = [np.empty(s) for s in shapes]
+
+
+def _central_gradient(values: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
+    """Cell-centered derivative along one array axis, operation for operation
+    ``np.gradient(values, h, axis=axis, edge_order=2)``, written into ``out``."""
+    at = partial(along, values.ndim, axis)
+    inner = out[at(slice(1, -1))]
+    np.subtract(values[at(slice(2, None))], values[at(slice(None, -2))], out=inner)
+    np.divide(inner, 2.0 * h, out=inner)
+    out[at(0)] = (-1.5 / h) * values[at(0)] + (2.0 / h) * values[at(1)] + (-0.5 / h) * values[at(2)]
+    out[at(-1)] = (0.5 / h) * values[at(-3)] + (-2.0 / h) * values[at(-2)] + (1.5 / h) * values[at(-1)]
+    return out
+
+
+def _face_coefficients(values: np.ndarray, ws: _Workspace, chi, eps) -> list[np.ndarray]:
     """Limiter-plus-viscosity coefficient per interior face, one array per axis.
 
-    The limiter sees the face-mean density and the norm of the full
-    reconstructed gradient (normal and tangential parts).
+    ``values`` holds the members along its leading axis; ``chi`` and ``eps``
+    are scalars or per-member columns. The limiter sees the face-mean density
+    and the norm of the full reconstructed gradient (normal and tangential
+    parts, see ``grid.face_gradient``).
     """
-    v = field.values
-    g = field.grid
-    coeffs = []
-    for fd in face_gradient(field):
-        lo = [slice(None)] * g.dim
-        hi = [slice(None)] * g.dim
-        lo[fd.axis] = slice(None, -1)
-        hi[fd.axis] = slice(1, None)
-        rho_face = 0.5 * (v[tuple(lo)] + v[tuple(hi)])
-        coeffs.append(limiter(rho_face, fd.norm(), params.chi) + params.eps)
-    return coeffs
+    stencil = ws.stencil
+    for (axis, lo, hi, h), norm, rho, coef in zip(stencil, ws.norm, ws.rho, ws.coef):
+        np.subtract(values[hi], values[lo], out=norm)
+        np.divide(norm, h, out=norm)
+        np.multiply(norm, norm, out=norm)
+        for other, _, _, h_other in stencil:
+            if other != axis:
+                tang = _central_gradient(values, other, h_other, ws.cells)
+                np.add(tang[lo], tang[hi], out=coef)
+                np.multiply(coef, 0.5, out=coef)
+                np.multiply(coef, coef, out=coef)
+                np.add(norm, coef, out=norm)
+        np.sqrt(norm, out=norm)
+        np.add(values[lo], values[hi], out=rho)
+        np.multiply(rho, 0.5, out=rho)
+        np.add(limiter(rho, norm, chi, out=coef), eps, out=coef)
+    return ws.coef
 
 
-def _div_coeff_grad(values: np.ndarray, grid: Grid, coeffs: list[np.ndarray]) -> np.ndarray:
-    """div(a * grad u) with normal two-point face gradients and zero boundary flux."""
-    acc = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        h = grid.spacing[axis]
-        flux = coeffs[axis] * (np.diff(values, axis=axis) / h) / h
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        acc[tuple(lo)] += flux
-        acc[tuple(hi)] -= flux
-    return acc
+def _div_coeff_grad(values: np.ndarray, ws: _Workspace, coeffs: list[np.ndarray],
+                    out: np.ndarray) -> np.ndarray:
+    """div(a * grad u) per member with normal two-point face gradients and zero
+    boundary flux, written into ``out``."""
+    out.fill(0.0)
+    for (_, lo, hi, h), flux, coef in zip(ws.stencil, ws.norm, coeffs):
+        np.subtract(values[hi], values[lo], out=flux)
+        np.divide(flux, h, out=flux)
+        np.multiply(coef, flux, out=flux)
+        np.divide(flux, h, out=flux)
+        np.add(out[lo], flux, out=out[lo])
+        np.subtract(out[hi], flux, out=out[hi])
+    return out
 
 
-def _finalize(values: np.ndarray, grid: Grid, neg_tol: float) -> Field:
-    if not np.isfinite(values).all():
-        raise NumericalFailureError("non-finite value produced by a time step")
-    scale = max(float(np.max(np.abs(values))), 1e-300)
-    lowest = float(values.min())
-    if lowest < -neg_tol * scale:
-        raise NumericalFailureError(
-            f"negative density {lowest} beyond the roundoff floor {-neg_tol * scale}"
-        )
-    if lowest < 0.0:
-        values = np.maximum(values, 0.0)
-    return Field.density(grid, values)
+def _finalize(values: np.ndarray, neg_tol: float, step: int | None = None, members=None) -> np.ndarray:
+    """Check the raw output of a step, one member per leading row.
+
+    Non-finite values, and negative values beyond ``neg_tol`` times the
+    member's sup norm, raise ``NumericalFailureError`` naming the member and
+    step. Roundoff-level negatives are clamped to 0 in their own row of a
+    copy, which is returned; clean output is returned as it is.
+    """
+    if values.min() >= 0.0 and values.max() < math.inf:
+        return values
+    values = values.copy()
+    for row, vals in enumerate(values):
+        where = f"member {row if members is None else members[row]}" + (f", step {step}" if step else "")
+        lowest, highest = float(vals.min()), float(vals.max())
+        if not (math.isfinite(lowest) and math.isfinite(highest)):
+            raise NumericalFailureError(f"non-finite value produced by a time step ({where})")
+        floor = -neg_tol * max(highest, -lowest, 1e-300)
+        if lowest < floor:
+            raise NumericalFailureError(
+                f"negative density {lowest} beyond the roundoff floor {floor} ({where})"
+            )
+        if lowest < 0.0:
+            np.maximum(vals, 0.0, out=vals)
+    return values
+
+
+def march(initials, params, dts, n_steps, cfl_safety: float = 0.45, members=None):
+    """Advance member runs on one grid as one forward-Euler batch.
+
+    Member i takes ``n_steps[i]`` steps of ``dts[i]`` with ``params[i]``
+    (one update rho + dt*div((a+eps) grad rho) - dt*eps*rho per step); members
+    must come in non-increasing ``n_steps`` order. Yields ``(k, state)``
+    after every step k, where ``state`` stacks the members still running,
+    which are always a prefix; it is a work buffer that the next step
+    overwrites. Every step is checked for finiteness and negativity, and a
+    dt above any member's CFL ceiling raises ``CflViolationError`` up front;
+    errors name members by ``members`` (default: their positions).
+    """
+    if any(b > a for a, b in zip(n_steps, n_steps[1:])):
+        raise ValueError("members must come in non-increasing n_steps order")
+    grid = initials[0].grid
+    members = range(len(initials)) if members is None else members
+    for name, p, dt in zip(members, params, dts):
+        ceiling = cfl_dt(grid, p.eps, cfl_safety)
+        if dt > ceiling * (1.0 + 1e-9):
+            raise CflViolationError(f"dt = {dt} exceeds the CFL ceiling {ceiling} (member {name})")
+    col = (-1,) + (1,) * grid.dim
+    chi, eps, dt = (np.array(x, dtype=float).reshape(col)
+                    for x in ([p.chi for p in params], [p.eps for p in params], dts))
+    dt_eps, absorbs = dt * eps, bool(np.any(eps))
+    state = np.stack([f.values for f in initials])
+    k = 0
+    for live in range(len(n_steps), 0, -1):
+        if n_steps[live - 1] == k:
+            continue
+        ws = _Workspace(grid, live)
+        cur, nxt = state[:live], np.empty_like(state[:live])
+        c, e, d, de = chi[:live], eps[:live], dt[:live], dt_eps[:live]
+        while k < n_steps[live - 1]:
+            k += 1
+            coeffs = _face_coefficients(cur, ws, c, e)
+            _div_coeff_grad(cur, ws, coeffs, nxt)
+            # (rho + dt*div) - (dt*eps)*rho in this order, so every member is
+            # bitwise a lone run; with all eps = 0 the last term is +0.0, a no-op
+            np.multiply(d, nxt, out=nxt)
+            np.add(cur, nxt, out=nxt)
+            if absorbs:
+                np.subtract(nxt, np.multiply(de, cur, out=ws.cells), out=nxt)
+            cur, nxt = _finalize(nxt, 1e-13, k, members), cur
+            yield k, cur
+        state = cur
 
 
 def step_explicit(field: Field, params: Params, controls: StepControls) -> Field:
     """One forward-Euler step of rho' = rho + dt*div((a+eps) grad rho) - dt*eps*rho."""
     if controls.dt is None:
         raise ValueError("step_explicit needs controls.dt")
-    dt = controls.dt
-    ceiling = cfl_dt(field.grid, params.eps, controls.cfl_safety)
-    if dt > ceiling * (1.0 + 1e-9):
-        raise CflViolationError(f"dt = {dt} exceeds the CFL ceiling {ceiling}")
-    coeffs = _face_coefficients(field, params)
-    div = _div_coeff_grad(field.values, field.grid, coeffs)
-    new = field.values + dt * div - (dt * params.eps) * field.values
-    return _finalize(new, field.grid, neg_tol=1e-13)
+    ((_, state),) = march([field], [params], [controls.dt], [1], controls.cfl_safety)
+    return Field.density(field.grid, state[0])
 
 
 def step_semi_implicit(field: Field, params: Params, controls: StepControls, with_info: bool = False):
@@ -188,13 +298,15 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
     shape = grid.shape
     n_tot = int(np.prod(shape))
     rhs = field.values.ravel().copy()
+    ws = _Workspace(grid, 1)
 
     def picard_map(z: np.ndarray) -> tuple[np.ndarray, float]:
-        coeffs = _face_coefficients(Field(grid, z), params)
+        coeffs = _face_coefficients(z[None], ws, params.chi, params.eps)
 
         def matvec(u: np.ndarray) -> np.ndarray:
             uu = u.reshape(shape)
-            return ((1.0 + params.eps * dt) * uu - dt * _div_coeff_grad(uu, grid, coeffs)).ravel()
+            div = _div_coeff_grad(uu[None], ws, coeffs, ws.cells)[0]
+            return ((1.0 + params.eps * dt) * uu - dt * div).ravel()
 
         op = LinearOperator((n_tot, n_tot), matvec=matvec, dtype=float)
         sol, info = cg(op, rhs, x0=z.ravel(), rtol=controls.linear_solver_tol, atol=0.0)
@@ -212,7 +324,8 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
     theta = 1.0
     for _ in range(controls.picard_max_iter):
         if residual <= controls.picard_tol:
-            out = _finalize(mapped, grid, neg_tol=max(1e-13, 1e3 * controls.linear_solver_tol))
+            mapped = _finalize(mapped[None], neg_tol=max(1e-13, 1e3 * controls.linear_solver_tol))[0]
+            out = Field.density(grid, mapped)
             return (out, trace) if with_info else out
         theta = min(1.0, 1.5 * theta)  # remember the working relaxation level
         while True:
@@ -251,33 +364,64 @@ def run(
     ``snapshot_stride``-th step when that stride is positive. The run is
     deterministic given its inputs.
     """
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
-    if diag_stride < 1:
+    return run_batch([initial], [params], controls, [t_end], diag_stride, p_set=p_set,
+                     grad_p_set=grad_p_set, scheme=scheme, snapshot_stride=snapshot_stride)[0]
+
+
+def run_batch(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=(2.0, 4.0),
+              grad_p_set=(2.0,), scheme: str = "explicit", snapshot_stride: int = 0) -> list[Trajectory]:
+    """``run`` for several members on one grid, one trajectory per member.
+
+    Member i starts from ``initials[i]`` with ``params[i]`` and runs to
+    ``t_ends[i]``; ``diag_stride`` is one stride or one per member. Each
+    member gets the time mesh and outputs its own ``run`` would give; the
+    explicit scheme steps all members as one batch (see ``march``), the
+    semi-implicit one steps them in turn.
+    """
+    initials, t_ends = list(initials), [float(t) for t in t_ends]
+    strides = list(diag_stride) if np.ndim(diag_stride) else [diag_stride] * len(initials)
+    if not (len(initials) == len(params) == len(t_ends) == len(strides) > 0):
+        raise ValueError("run_batch needs one params, t_end and diag_stride per member")
+    if min(t_ends) < 0.0:
+        raise ValueError(f"t_end must be >= 0, got {min(t_ends)}")
+    if min(strides) < 1:
         raise ValueError("diag_stride must be >= 1")
     if scheme not in ("explicit", "semi_implicit"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if initial.values.min(initial=0.0) < 0.0:
+    grid = initials[0].grid
+    if any(f.grid != grid for f in initials):
+        raise ValueError("run_batch members must share one grid")
+    if any(f.values.min(initial=0.0) < 0.0 for f in initials):
         raise ValueError("initial data must be nonnegative")
 
-    rec0 = record(initial, p_set=p_set, grad_p_set=grad_p_set, time=0.0)
-    if t_end == 0.0:
-        return Trajectory(snapshots=((0.0, initial),), records=(rec0,))
+    records = [[record(f, p_set=p_set, grad_p_set=grad_p_set, time=0.0)] for f in initials]
+    snapshots = [[(0.0, f)] for f in initials]
+    meshes = [time_mesh(t, controls.dt or cfl_dt(grid, p.eps, controls.cfl_safety)) if t > 0.0
+              else (0.0, 0) for p, t in zip(params, t_ends)]
+    dts, ns = [dt for dt, _ in meshes], [n for _, n in meshes]
 
-    dt_req = controls.dt if controls.dt is not None else cfl_dt(initial.grid, params.eps, controls.cfl_safety)
-    n_steps = max(1, math.ceil(t_end / dt_req - 1e-9))
-    dt = t_end / n_steps
-    eff = replace(controls, dt=dt)
-    step = step_explicit if scheme == "explicit" else step_semi_implicit
+    def observe(i: int, k: int, values) -> None:
+        last = k == ns[i]
+        diag = last or k % strides[i] == 0
+        snap = last or (snapshot_stride > 0 and k % snapshot_stride == 0)
+        if diag or snap:
+            field = values if isinstance(values, Field) else Field.density(grid, values)
+            t = t_ends[i] if last else k * dts[i]
+            if diag:
+                records[i].append(record(field, p_set=p_set, grad_p_set=grad_p_set, time=t))
+            if snap:
+                snapshots[i].append((t, field))
 
-    field = initial
-    snapshots = [(0.0, initial)]
-    records = [rec0]
-    for k in range(1, n_steps + 1):
-        field = step(field, params, eff)
-        t = t_end if k == n_steps else k * dt
-        if k % diag_stride == 0 or k == n_steps:
-            records.append(record(field, p_set=p_set, grad_p_set=grad_p_set, time=t))
-        if k == n_steps or (snapshot_stride > 0 and k % snapshot_stride == 0):
-            snapshots.append((t, field))
-    return Trajectory(snapshots=tuple(snapshots), records=tuple(records))
+    order = [i for i in sorted(range(len(ns)), key=lambda i: -ns[i]) if ns[i] > 0]
+    if scheme == "explicit" and order:
+        batch = [[seq[i] for i in order] for seq in (initials, params, dts, ns)]
+        for k, state in march(*batch, controls.cfl_safety, members=order):
+            for i, values in zip(order, state):
+                observe(i, k, values)
+    else:
+        for i in order:
+            field, eff = initials[i], replace(controls, dt=dts[i])
+            for k in range(1, ns[i] + 1):
+                field = step_semi_implicit(field, params[i], eff)
+                observe(i, k, field)
+    return [Trajectory(snapshots=tuple(s), records=tuple(r)) for s, r in zip(snapshots, records)]

@@ -10,8 +10,6 @@ configuration and seed.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +19,7 @@ from .diagnostics import dissipation_terms, l1_distance, relative_entropy
 from .grid import Field
 from .limiter import monotone_gap, unclamped_gap
 from .profiles import poly_spike
-from .stepping import cfl_dt, run, step_explicit
+from .stepping import cfl_dt, march, run_batch, time_mesh
 
 __all__ = [
     "Verdict",
@@ -88,28 +86,20 @@ def _fmt_list(xs) -> str:
     return " ".join(repr(float(x)) for x in xs)
 
 
-def _run_many(jobs, threads: int):
-    if threads <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
-
-
 def _sigma_for(cfg: RunConfig, reference: Field) -> float:
     """Relative-entropy floor guarding vacuum cells: sigma_rel * sup(reference)."""
     return cfg.sigma_rel * float(reference.values.max(initial=0.0))
 
 
-def viscosity_study(base: RunConfig, eps_list=None, threads: int | None = None) -> StudyReport:
+def viscosity_study(base: RunConfig, eps_list=None) -> StudyReport:
     """Run one initial condition across a decreasing viscosity list and
     measure how fast the solutions become a Cauchy family.
 
     Reports the L1 distance and relative entropy of every pair at the final
     time and fits H(T) against eps + delta (affine least squares, plus the
-    through-origin slope). Verdicts: both pair metrics strictly decrease
-    along consecutive pairs; the affine fit has positive slope and an
-    intercept at most 10% of the largest H.
+    through-origin slope); the sweep runs as one batch. Verdicts: both pair
+    metrics strictly decrease along consecutive pairs; the affine fit has
+    positive slope and an intercept at most 10% of the largest H.
     """
     eps_list = tuple(float(e) for e in (base.eps_list if eps_list is None else eps_list))
     if len(eps_list) < 2:
@@ -118,21 +108,16 @@ def viscosity_study(base: RunConfig, eps_list=None, threads: int | None = None) 
         raise ValueError("viscosities must be finite and >= 0")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing (no duplicates)")
-    threads = base.threads if threads is None else threads
 
     grid, initial = build_problem(base)
     controls = build_controls(base)
     dt = controls.dt if controls.dt is not None else cfl_dt(grid, max(eps_list), controls.cfl_safety)
     shared = replace(controls, dt=dt)
 
-    def make_job(eps):
-        def job():
-            params = build_params(replace(base, eps=eps))
-            return run(initial, params, shared, base.t_end, diag_stride=base.diag_stride,
-                       p_set=base.p_set, grad_p_set=base.grad_p_set, scheme=base.scheme)
-        return job
-
-    trajectories = _run_many([make_job(e) for e in eps_list], threads)
+    trajectories = run_batch([initial] * len(eps_list),
+                             [build_params(replace(base, eps=e)) for e in eps_list],
+                             shared, [base.t_end] * len(eps_list), base.diag_stride,
+                             p_set=base.p_set, grad_p_set=base.grad_p_set, scheme=base.scheme)
     finals = [t.final for t in trajectories]
 
     rows = []
@@ -185,8 +170,8 @@ def viscosity_study(base: RunConfig, eps_list=None, threads: int | None = None) 
 
 def contraction_study(cfg1: RunConfig, cfg2: RunConfig,
                       h_slack_per_step: float = 1e-8) -> StudyReport:
-    """Advance two inviscid runs on one time mesh and track the relative
-    entropy between them together with its two dissipation integrals.
+    """Advance two inviscid runs on one time mesh, as one batch, and track the
+    relative entropy between them together with its two dissipation integrals.
 
     Verdicts: H never increases by more than ``h_slack_per_step * H(0)`` per
     time step; both dissipation terms stay nonnegative; and if the two
@@ -202,11 +187,8 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig,
         raise ValueError("contraction study requires strictly positive initial data")
 
     controls = build_controls(cfg1)
-    dt = controls.dt if controls.dt is not None else cfl_dt(grid1, 0.0, controls.cfl_safety)
     t_end = cfg1.t_end
-    n_steps = max(1, math.ceil(t_end / dt - 1e-9))
-    dt = t_end / n_steps
-    shared = replace(controls, dt=dt)
+    dt, n_steps = time_mesh(t_end, controls.dt or cfl_dt(grid1, 0.0, controls.cfl_safety))
     params1 = build_params(cfg1)
     params2 = build_params(cfg2)
     stride = cfg1.diag_stride
@@ -221,12 +203,11 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig,
     rows = [probe(0.0, u, v)]
     steps_between = [0]
     last_recorded = 0
-    for k in range(1, n_steps + 1):
-        u = step_explicit(u, params1, shared)
-        v = step_explicit(v, params2, shared)
+    for k, (a, b) in march([u, v], [params1, params2], [dt, dt], [n_steps] * 2,
+                           controls.cfl_safety):
         if k % stride == 0 or k == n_steps:
             t = t_end if k == n_steps else k * dt
-            rows.append(probe(t, u, v))
+            rows.append(probe(t, Field.density(grid1, a), Field.density(grid1, b)))
             steps_between.append(k - last_recorded)
             last_recorded = k
 
@@ -273,8 +254,7 @@ def _envelope(records, p_norm: float, exponent: float) -> float:
     return best
 
 
-def smoothing_study(base: RunConfig, p: float | None = None, spike_widths=None,
-                    threads: int | None = None) -> StudyReport:
+def smoothing_study(base: RunConfig, p: float | None = None, spike_widths=None) -> StudyReport:
     """Probe the sup-norm smoothing bound on an Lp-normalized spike family.
 
     Each spike (widths w, w/2, ... with equal Lp norm) runs inviscid; the
@@ -284,7 +264,7 @@ def smoothing_study(base: RunConfig, p: float | None = None, spike_widths=None,
     The pure-diffusion control (limiter pinned to 1 by chi = 0) reruns the
     family to width-matched probe times t = w^2, where the sup values follow
     the classical power law; the fitted log-log slope must land within 10%
-    of -d/(2p).
+    of -d/(2p). Both families run as one batch, each member to its own horizon.
     """
     p = float(base.study_p if p is None else p)
     widths = tuple(float(w) for w in (base.spike_widths if spike_widths is None else spike_widths))
@@ -292,7 +272,6 @@ def smoothing_study(base: RunConfig, p: float | None = None, spike_widths=None,
         raise ValueError("need at least two spike widths")
     if any(w2 >= w1 for w1, w2 in zip(widths, widths[1:])):
         raise ValueError("spike widths must be strictly decreasing")
-    threads = base.threads if threads is None else threads
     if base.eps != 0.0:
         raise ValueError("smoothing study runs with eps = 0")
 
@@ -306,23 +285,14 @@ def smoothing_study(base: RunConfig, p: float | None = None, spike_widths=None,
     shared = replace(controls, dt=dt)
     params = build_params(cfg)
 
-    def make_limited_job(w):
-        def job():
-            spike = poly_spike(grid, w, p, p_norm=cfg.ic_pnorm)
-            return run(spike, params, shared, cfg.t_end, diag_stride=cfg.diag_stride,
-                       p_set=cfg.p_set, grad_p_set=cfg.grad_p_set)
-        return job
-
-    def make_heat_job(w):
-        def job():
-            spike = poly_spike(grid, w, p, p_norm=cfg.ic_pnorm)
-            heat_params = build_params(replace(cfg, chi=0.0))
-            traj = run(spike, heat_params, shared, w * w, diag_stride=10**9)
-            return traj.records[-1]
-        return job
-
-    limited = _run_many([make_limited_job(w) for w in widths], threads)
-    heat = _run_many([make_heat_job(w) for w in widths], threads)
+    spikes = [poly_spike(grid, w, p, p_norm=cfg.ic_pnorm) for w in widths]
+    n = len(widths)
+    trajectories = run_batch(spikes * 2, [params] * n + [build_params(replace(cfg, chi=0.0))] * n,
+                             shared, [cfg.t_end] * n + [w * w for w in widths],
+                             [cfg.diag_stride] * n + [10**9] * n,
+                             p_set=cfg.p_set, grad_p_set=cfg.grad_p_set)
+    limited = trajectories[:n]
+    heat = [traj.records[-1] for traj in trajectories[n:]]
 
     rows = []
     c_main = []

@@ -1,7 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 BASE_CFG = """\
 dim = 1
@@ -19,8 +23,10 @@ seed = 7
 
 
 def cli(*args, cwd):
-    return subprocess.run([sys.executable, "-m", "fluxlim.cli", *args],
-                          cwd=cwd, capture_output=True, text=True)
+    # the child runs in a temporary cwd, so a relative PYTHONPATH would not find src
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "fluxlim.cli", *args], cwd=cwd,
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture()
@@ -61,6 +67,13 @@ class TestSimulate:
         res = cli("simulate", "--config", str(bad), cwd=tmp_path)
         assert res.returncode == 1
         assert "chi" in res.stderr
+
+    def test_non_finite_exponent_exit_1(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(BASE_CFG + "p_set = 2 inf\n")
+        res = cli("simulate", "--config", str(bad), cwd=tmp_path)
+        assert res.returncode == 1
+        assert res.stderr.startswith("config error:") and "p_set" in res.stderr
 
     def test_missing_config_exit_1(self, tmp_path):
         res = cli("simulate", "--config", str(tmp_path / "nope.cfg"), cwd=tmp_path)

@@ -46,8 +46,9 @@ class TestParseConfig:
         ("ic = wave", "ic"),
         ("t_end = -1", "t_end"),
         ("dim = 3", "dim"),
-        ("threads = 0", "threads"),
         ("p_set = 0.5", "p_set"),
+        ("p_set = 2 inf", "p_set"),
+        ("grad_p_set = inf", "grad_p_set"),
     ])
     def test_validation_names_key(self, line, key):
         with pytest.raises(ConfigError, match=key):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fluxlim.grid import Field, make_grid
+from fluxlim.grid import Field, face_gradient, make_grid
 from fluxlim.limiter import Params, limiter
 from fluxlim.profiles import gaussian_bump, uniform_field
+from fluxlim.steady import SteadyProfileSpec, sample
 from fluxlim.stepping import (
     CflViolationError,
     NumericalFailureError,
@@ -11,7 +14,9 @@ from fluxlim.stepping import (
     StepControls,
     _finalize,
     cfl_dt,
+    march,
     run,
+    run_batch,
     step_explicit,
     step_semi_implicit,
 )
@@ -117,19 +122,141 @@ class TestStepExplicit:
 
 class TestFinalizePolicy:
     def test_nan_raises(self):
-        g = make_grid(1, 1.0, 4)
         with pytest.raises(NumericalFailureError, match="non-finite"):
-            _finalize(np.array([1.0, np.nan, 0.0, 0.0]), g, neg_tol=1e-13)
+            _finalize(np.array([[1.0, np.nan, 0.0, 0.0]]), neg_tol=1e-13)
 
     def test_true_negativity_raises(self):
-        g = make_grid(1, 1.0, 4)
         with pytest.raises(NumericalFailureError, match="negative"):
-            _finalize(np.array([1.0, -0.5, 0.0, 0.0]), g, neg_tol=1e-13)
+            _finalize(np.array([[1.0, -0.5, 0.0, 0.0]]), neg_tol=1e-13)
 
     def test_roundoff_negativity_floored(self):
-        g = make_grid(1, 1.0, 4)
-        out = _finalize(np.array([1.0, -1e-16, 0.0, 0.0]), g, neg_tol=1e-13)
-        assert out.values.min() == 0.0
+        out = _finalize(np.array([[1.0, -1e-16, 0.0, 0.0]]), neg_tol=1e-13)
+        assert out.min() == 0.0
+
+
+def reference_step(field, params, dt):
+    """The explicit update written plainly, one member, in the kernel's operation order."""
+    v, g = field.values, field.grid
+    acc = np.zeros(g.shape)
+    for fd in face_gradient(field):
+        lo = [slice(None)] * g.dim
+        hi = [slice(None)] * g.dim
+        lo[fd.axis] = slice(None, -1)
+        hi[fd.axis] = slice(1, None)
+        lo, hi = tuple(lo), tuple(hi)
+        coeff = limiter(0.5 * (v[lo] + v[hi]), fd.norm(), params.chi) + params.eps
+        h = g.spacing[fd.axis]
+        flux = coeff * (np.diff(v, axis=fd.axis) / h) / h
+        acc[lo] += flux
+        acc[hi] -= flux
+    new = v + dt * acc - (dt * params.eps) * v
+    return np.maximum(new, 0.0) if new.min() < 0.0 else new
+
+
+@st.composite
+def batches(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    cells = draw(st.integers(3, 24 if dim == 1 else 9))
+    grid = make_grid(dim, draw(st.sampled_from([1.0, 3.0])), cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        vals = rng.uniform(0.0, 1.0, grid.shape)
+        vals[rng.uniform(size=grid.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+        params = Params(chi=draw(st.sampled_from([0.0, 0.4, 1.0, 3.0])),
+                        eps=draw(st.sampled_from([0.0, 0.1, 0.7])))
+        dt = cfl_dt(grid, params.eps) * draw(st.sampled_from([0.3, 1.0]))
+        members.append((Field.density(grid, vals), params, dt))
+    return members
+
+
+class TestBatchedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(batches())
+    def test_batch_rows_equal_single_member_steps(self, members):
+        fields, params, dts = zip(*members)
+        ((k, state),) = march(fields, params, dts, [1] * len(fields))
+        assert k == 1 and state.shape == (len(fields), *fields[0].grid.shape)
+        for row, f, p, dt in zip(state, fields, params, dts):
+            alone = step_explicit(f, p, StepControls(dt=dt))
+            assert np.array_equal(row, alone.values)
+            assert np.array_equal(row, reference_step(f, p, dt))
+
+    def test_2d_peak_fixed_beside_moving_gaussian(self):
+        grid = make_grid(2, 3.0, 24)
+        # half-rate single peak: every face sub-critical for chi = 1
+        peak = sample(SteadyProfileSpec("single_peak", 0.5, ((1.0, (0.0, 0.0)),)), grid)
+        bump = gaussian_bump(grid, 0.4, mass=1.0)
+        params = [Params(chi=1.0), Params(chi=1.0, eps=0.2)]
+        dts = [cfl_dt(grid, 0.2)] * 2
+        last = None
+        for k, state in march([peak, bump], params, dts, [20, 20]):
+            assert np.array_equal(state[0], peak.values)
+            last = state[1].copy()
+        assert not np.array_equal(last, bump.values)
+
+    def test_members_stop_at_their_own_step_count(self):
+        grid = make_grid(1, 5.0, 60)
+        f = gaussian_bump(grid, 1.0, mass=1.0)
+        dt = cfl_dt(grid, 0.0)
+        seen = [(k, len(state)) for k, state in march([f, f, f], [Params(chi=1.0)] * 3,
+                                                       [dt] * 3, [5, 3, 3])]
+        assert seen == [(1, 3), (2, 3), (3, 3), (4, 1), (5, 1)]
+
+    def test_run_batch_matches_runs(self):
+        grid = make_grid(1, 5.0, 80)
+        fields = [gaussian_bump(grid, w, mass=1.0) for w in (1.0, 0.5, 0.8)]
+        params = [Params(chi=1.0), Params(chi=0.0), Params(chi=2.0, eps=0.3)]
+        t_ends = [0.01, 0.03, 0.0]
+        trajs = run_batch(fields, params, StepControls(), t_ends, diag_stride=[4, 1000, 2])
+        for traj, f, p, t_end, stride in zip(trajs, fields, params, t_ends, [4, 1000, 2]):
+            alone = run(f, p, StepControls(), t_end, diag_stride=stride)
+            assert [r.time for r in traj.records] == [r.time for r in alone.records]
+            assert [r.sup_norm for r in traj.records] == [r.sup_norm for r in alone.records]
+            assert np.array_equal(traj.final.values, alone.final.values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_member_named(self, bad):
+        values = np.array([[1.0, 0.5, 0.0], [1.0, bad, 0.0], [0.2, 0.1, 0.0]])
+        with pytest.raises(NumericalFailureError, match=r"non-finite.*member 4, step 7"):
+            _finalize(values, 1e-13, step=7, members=[3, 4, 5])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_member_fails_with_its_step(self):
+        grid = make_grid(1, 1.0, 20)  # h = 0.1, so a 1e308 jump overflows the gradient
+        calm = gaussian_bump(grid, 0.3, mass=1.0)
+        wild = Field.density(grid, np.where(np.arange(20) == 10, 1e308, 0.0))
+        with pytest.raises(NumericalFailureError, match=r"non-finite.*member 1, step 1"):
+            run_batch([calm, wild], [Params(chi=1.0)] * 2, StepControls(), [0.01, 0.01])
+
+    def test_roundoff_negative_clamped_in_own_row_only(self):
+        values = np.array([[1.0, -1e-16, 0.5], [2.0, 0.25, 1e-300]])
+        out = _finalize(values, 1e-13, step=1)
+        assert np.array_equal(out[0], [1.0, 0.0, 0.5])
+        assert np.array_equal(out[1], values[1])
+        assert values[0, 1] == -1e-16  # the raw step output is left as it was
+
+    def test_negativity_floor_is_per_member(self):
+        # -1e-8 is roundoff beside 1e6 but not beside 1.0
+        values = np.array([[1e6, -1e-8], [1.0, -1e-12]])
+        with pytest.raises(NumericalFailureError, match=r"negative.*member 1, step 2"):
+            _finalize(values, 1e-13, step=2)
+
+    def test_cfl_violation_by_any_member(self):
+        grid = make_grid(1, 5.0, 50)
+        f = gaussian_bump(grid, 1.0, mass=1.0)
+        dt = cfl_dt(grid, 0.0)  # within the inviscid ceiling, above the viscous one
+        with pytest.raises(CflViolationError, match="member 1"):
+            next(march([f, f], [Params(chi=1.0), Params(chi=1.0, eps=1.0)], [dt, dt], [3, 3]))
+        with pytest.raises(CflViolationError):
+            run_batch([f, f], [Params(chi=1.0), Params(chi=1.0, eps=1.0)],
+                      StepControls(dt=dt), [0.01, 0.01])
+
+    def test_step_count_order_enforced(self):
+        grid = make_grid(1, 5.0, 50)
+        f = gaussian_bump(grid, 1.0, mass=1.0)
+        with pytest.raises(ValueError, match="non-increasing"):
+            next(march([f, f], [Params(chi=1.0)] * 2, [1e-4] * 2, [2, 3]))
 
 
 class TestStepSemiImplicit:

@@ -1,6 +1,10 @@
 import pytest
 
-from fluxlim.config import RunConfig
+from fluxlim.config import RunConfig, build_problem
+from fluxlim.diagnostics import l1_distance, relative_entropy
+from fluxlim.limiter import Params
+from fluxlim.profiles import poly_spike
+from fluxlim.stepping import StepControls, cfl_dt, run
 from fluxlim.studies import contraction_study, monotonicity_test, smoothing_study, viscosity_study
 
 
@@ -64,10 +68,23 @@ class TestViscosityStudy:
         for row in rep.rows:
             assert row[3] >= 0.0 and row[4] >= -1e-12
 
-    def test_threads_do_not_change_result(self):
-        a = viscosity_study(small_bump_cfg(), eps_list=(0.1, 0.05, 0.0), threads=1)
-        b = viscosity_study(small_bump_cfg(), eps_list=(0.1, 0.05, 0.0), threads=3)
-        assert a.to_csv() == b.to_csv()
+    def test_batch_matches_separate_runs(self):
+        # the batched sweep must report exactly what one run() per viscosity gives
+        cfg = small_bump_cfg()
+        eps_list = (0.1, 0.05, 0.0)
+        rep = viscosity_study(cfg, eps_list=eps_list)
+        grid, initial = build_problem(cfg)
+        controls = StepControls(dt=cfl_dt(grid, max(eps_list)))
+        finals = [run(initial, Params(chi=cfg.chi, eps=e), controls, cfg.t_end,
+                      diag_stride=cfg.diag_stride).final for e in eps_list]
+        rows = []
+        for i in range(len(eps_list)):
+            for j in range(i + 1, len(eps_list)):
+                sigma = cfg.sigma_rel * float(finals[j].values.max())
+                rows.append((eps_list[i], eps_list[j], eps_list[i] + eps_list[j],
+                             l1_distance(finals[i], finals[j]),
+                             relative_entropy(finals[i], finals[j], sigma=sigma)))
+        assert rep.rows == rows
 
 
 class TestContractionStudy:
@@ -102,6 +119,25 @@ class TestContractionStudy:
 
 
 class TestSmoothingStudy:
+    def test_batch_matches_separate_runs(self):
+        # both spike families step as one batch with per-member horizons and
+        # dt; every row must equal the one a separate run() gives
+        cfg = small_bump_cfg(cells=128, t_end=0.02, diag_stride=7)
+        widths = (0.8, 0.4)
+        rep = smoothing_study(cfg, p=4.0, spike_widths=widths)
+        grid, _ = build_problem(cfg)
+        controls = StepControls(dt=cfl_dt(grid, 0.0))
+        rows = []
+        for w in widths:
+            traj = run(poly_spike(grid, w, 4.0, p_norm=cfg.ic_pnorm), Params(chi=cfg.chi),
+                       controls, cfg.t_end, diag_stride=cfg.diag_stride)
+            rows += [("limited", w, rec.time, rec.sup_norm) for rec in traj.records]
+        for w in widths:
+            traj = run(poly_spike(grid, w, 4.0, p_norm=cfg.ic_pnorm), Params(chi=0.0),
+                       controls, w * w, diag_stride=10**9)
+            rows.append(("heat", w, traj.records[-1].time, traj.records[-1].sup_norm))
+        assert rep.rows == rows
+
     def test_width_order_enforced(self):
         with pytest.raises(ValueError, match="decreasing"):
             smoothing_study(small_bump_cfg(), spike_widths=(0.2, 0.4))
