@@ -25,7 +25,7 @@ from .config import ConfigError, RunConfig, build_controls, build_params, build_
 from .diagnostics import csv_header, csv_row
 from .grid import gradient_norm, integrate, save_snapshot
 from .steady import eikonal_residual, stationarity_drift
-from .stepping import CflViolationError, NumericalFailureError, PicardDivergenceError, run
+from .stepping import CflViolationError, NumericalFailureError, run
 from .studies import StudyReport, Verdict, contraction_study, monotonicity_test, smoothing_study, viscosity_study
 
 __all__ = ["main"]
@@ -201,7 +201,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1
-    except (NumericalFailureError, PicardDivergenceError, CflViolationError) as exc:
+    except (NumericalFailureError, CflViolationError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
 

@@ -16,7 +16,7 @@ from .grid import Field, Grid, load_snapshot, make_grid
 from .limiter import Params
 from .profiles import gaussian_bump, poly_spike, uniform_field
 from .steady import SteadyProfileSpec, sample
-from .stepping import StepControls
+from .stepping import StepControls, cfl_dt
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "build_problem",
            "build_params", "build_controls"]
@@ -121,8 +121,8 @@ def _validate(cfg: RunConfig) -> None:
 
     if cfg.dim not in (1, 2):
         raise bad("dim", f"must be 1 or 2, got {cfg.dim}")
-    if cfg.box_halfwidth is not None and not cfg.box_halfwidth > 0.0:
-        raise bad("box_halfwidth", "must be positive")
+    if not (cfg.box_halfwidth is None or np.isfinite(cfg.box_halfwidth) and cfg.box_halfwidth > 0.0):
+        raise bad("box_halfwidth", "must be finite and positive")
     if cfg.cells < 3:
         raise bad("cells", "need at least 3 cells per axis")
     if not (np.isfinite(cfg.chi) and cfg.chi >= 0.0):
@@ -131,8 +131,8 @@ def _validate(cfg: RunConfig) -> None:
         raise bad("eps", f"must be finite and >= 0, got {cfg.eps}")
     if cfg.scheme not in _SCHEMES:
         raise bad("scheme", f"must be one of {_SCHEMES}")
-    if cfg.dt is not None and not cfg.dt > 0.0:
-        raise bad("dt", "must be positive")
+    if cfg.dt is not None and not (np.isfinite(cfg.dt) and cfg.dt > 0.0):
+        raise bad("dt", "must be finite and positive")
     if not (0.0 < cfg.cfl_safety <= 1.0):
         raise bad("cfl_safety", "must lie in (0, 1]")
     if not cfg.picard_tol > 0.0:
@@ -141,8 +141,8 @@ def _validate(cfg: RunConfig) -> None:
         raise bad("picard_max_iter", "must be >= 1")
     if not cfg.linear_solver_tol > 0.0:
         raise bad("linear_solver_tol", "must be positive")
-    if not cfg.t_end >= 0.0:
-        raise bad("t_end", "must be >= 0")
+    if not (np.isfinite(cfg.t_end) and cfg.t_end >= 0.0):
+        raise bad("t_end", "must be finite and >= 0")
     if cfg.diag_stride < 1:
         raise bad("diag_stride", "must be >= 1")
     for key in ("p_set", "grad_p_set"):
@@ -233,7 +233,21 @@ def _center(cfg: RunConfig) -> tuple[float, ...]:
 
 
 def build_problem(cfg: RunConfig) -> tuple[Grid, Field]:
-    """Materialize the grid and initial field described by a config."""
+    """Materialize the grid and initial field described by a config; builder
+    failures (say, a missing snapshot) and a CFL step of 0 raise ``ConfigError``."""
+    try:
+        grid, field = _build_problem(cfg)
+    except ConfigError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot build the initial condition: {exc}") from None
+    if not cfl_dt(grid, cfg.eps, cfg.cfl_safety) > 0.0:
+        raise ConfigError(f"the CFL step safety*h^2/(2d(1+eps)) underflows to 0 "
+                          f"(h = {min(grid.spacing)}, eps = {cfg.eps})")
+    return grid, field
+
+
+def _build_problem(cfg: RunConfig) -> tuple[Grid, Field]:
     if cfg.ic == "snapshot":
         field = load_snapshot(cfg.ic_path)
         return field.grid, field

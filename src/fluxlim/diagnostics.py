@@ -130,15 +130,13 @@ def dissipation_terms(u: Field, v: Field, chi: float) -> tuple[float, float]:
     b = v.values
     vol = u.grid.cell_volume
 
-    gnu = gradient_norm(u)
-    gnv = gradient_norm(v)
-    au = np.where(a > 0.0, limiter(a, gnu, chi), 0.0)
-    av = np.where(b > 0.0, limiter(b, gnv, chi), 0.0)
+    gu = cell_gradient(u)
+    gv = cell_gradient(v)
+    au = np.where(a > 0.0, limiter(a, gradient_norm(u, gu), chi), 0.0)
+    av = np.where(b > 0.0, limiter(b, gradient_norm(v, gv), chi), 0.0)
 
     d1 = 0.5 * float(np.sum(a * (au - av) ** 2) * vol)
 
-    gu = cell_gradient(u)
-    gv = cell_gradient(v)
     dlog2 = np.zeros_like(a)
     for cu, cvv in zip(gu, gv):
         lu = np.zeros_like(a)

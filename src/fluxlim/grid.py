@@ -211,10 +211,11 @@ def cell_gradient(field: Field) -> tuple[np.ndarray, ...]:
     return tuple(np.gradient(v, g.spacing[k], axis=k, edge_order=2) for k in range(g.dim))
 
 
-def gradient_norm(field: Field) -> np.ndarray:
-    """Cellwise |grad rho| from the central differences of ``cell_gradient``."""
+def gradient_norm(field: Field, gradient=None) -> np.ndarray:
+    """Cellwise |grad rho| from the central differences of ``cell_gradient``;
+    pass that ``gradient`` when it is already at hand."""
     s = np.zeros(field.grid.shape)
-    for g in cell_gradient(field):
+    for g in cell_gradient(field) if gradient is None else gradient:
         s = s + g * g
     return np.sqrt(s)
 

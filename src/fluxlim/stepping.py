@@ -8,8 +8,10 @@ Two steppers share one spatial discretization:
     the continuous flow carry over exactly.
   * ``step_semi_implicit``: backward Euler with the nonlinear coefficient
     frozen at the previous Picard iterate (both the density and the gradient
-    slot), so every inner problem is a constant-coefficient SPD system
-    solved by conjugate gradients. No step-size restriction.
+    slot), so every inner problem is a constant-coefficient SPD system. In
+    1D that system is tridiagonal and solved exactly by LAPACK; in 2D it is
+    solved matrix-free by conjugate gradients. No step-size restriction.
+    scipy is imported by this step alone, so explicit runs never load it.
 
 The explicit kernel (``march``) steps a batch of members on one grid at
 once, each with its own chi, eps, dt and step count; ``run`` and
@@ -25,7 +27,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .diagnostics import DiagnosticsRecord, record
 from .grid import Field, Grid, along
@@ -52,15 +53,25 @@ class CflViolationError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A step produced non-finite or impossibly negative values."""
+    """A step produced non-finite or impossibly negative values; ``run_batch``
+    sets ``step`` and ``time`` of a failing semi-implicit step, which end the message."""
+
+    step: int | None = None
+    time: float | None = None
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.step is None else f"{text} at step {self.step}, t = {self.time!r}"
 
 
-class PicardDivergenceError(RuntimeError):
-    """Frozen-coefficient iteration failed to reach tolerance."""
+class PicardDivergenceError(NumericalFailureError):
+    """Frozen-coefficient iteration failed to reach tolerance; ``trace``
+    holds the fixed-point residual of every accepted sweep."""
 
-    def __init__(self, message: str, last_residual: float):
+    def __init__(self, message: str, last_residual: float, trace=()):
         super().__init__(message)
         self.last_residual = last_residual
+        self.trace = tuple(trace)
 
 
 @dataclass(frozen=True)
@@ -275,13 +286,33 @@ def step_explicit(field: Field, params: Params, controls: StepControls) -> Field
     return Field.density(field.grid, state[0])
 
 
+def _tridiagonal_solve(coef: np.ndarray, rhs: np.ndarray, dt: float, eps: float, h: float) -> np.ndarray:
+    """Exact solve of the 1D system (1 + eps*dt) u - dt*div(coef grad u) = rhs.
+
+    With zero boundary flux the matrix is a symmetric positive definite
+    tridiagonal M-matrix: diagonal 1 + eps*dt + dt/h^2 (c_{i-1/2} + c_{i+1/2})
+    (no boundary faces), off-diagonal -dt*c/h^2. LAPACK ``dptsv`` solves it.
+    """
+    from scipy.linalg.lapack import dptsv
+
+    off = coef * (-dt / (h * h))
+    diag = np.full(rhs.shape, 1.0 + eps * dt)
+    diag[:-1] -= off
+    diag[1:] -= off
+    _, _, sol, info = dptsv(diag, off, rhs, overwrite_d=True, overwrite_e=True)
+    if info != 0:
+        raise NumericalFailureError(f"tridiagonal solve failed (LAPACK dptsv info = {info})")
+    return sol
+
+
 def step_semi_implicit(field: Field, params: Params, controls: StepControls, with_info: bool = False):
     """One backward-Euler step via frozen-coefficient Picard iteration.
 
     Each pass freezes the limiter coefficient at the previous iterate
     (density and gradient slots alike) and solves the SPD system
-    (1 + eps*dt) u - dt*div(a grad u) = rho by conjugate gradients to
-    ``linear_solver_tol``. Convergence is measured by the fixed-point
+    (1 + eps*dt) u - dt*div(a grad u) = rho: exactly in 1D (see
+    ``_tridiagonal_solve``), by conjugate gradients to ``linear_solver_tol``
+    in 2D. Convergence is measured by the fixed-point
     residual |T(z) - z| / |T(z)| in L2. Updates are relaxed,
     z + theta (T(z) - z), and a candidate is only accepted once its residual
     drops below the current one, halving theta otherwise (down to 1/64).
@@ -296,22 +327,25 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
     dt = controls.dt
     grid = field.grid
     shape = grid.shape
-    n_tot = int(np.prod(shape))
     rhs = field.values.ravel().copy()
     ws = _Workspace(grid, 1)
 
+    def matvec(coeffs: list[np.ndarray], u: np.ndarray) -> np.ndarray:
+        uu = u.reshape(shape)
+        div = _div_coeff_grad(uu[None], ws, coeffs, ws.cells)[0]
+        return ((1.0 + params.eps * dt) * uu - dt * div).ravel()
+
     def picard_map(z: np.ndarray) -> tuple[np.ndarray, float]:
         coeffs = _face_coefficients(z[None], ws, params.chi, params.eps)
+        if grid.dim == 1:
+            sol = _tridiagonal_solve(coeffs[0][0], rhs, dt, params.eps, grid.spacing[0])
+        else:
+            from scipy.sparse.linalg import LinearOperator, cg
 
-        def matvec(u: np.ndarray) -> np.ndarray:
-            uu = u.reshape(shape)
-            div = _div_coeff_grad(uu[None], ws, coeffs, ws.cells)[0]
-            return ((1.0 + params.eps * dt) * uu - dt * div).ravel()
-
-        op = LinearOperator((n_tot, n_tot), matvec=matvec, dtype=float)
-        sol, info = cg(op, rhs, x0=z.ravel(), rtol=controls.linear_solver_tol, atol=0.0)
-        if info != 0:
-            raise NumericalFailureError(f"inner CG solve did not converge (info = {info})")
+            op = LinearOperator((rhs.size, rhs.size), matvec=partial(matvec, coeffs), dtype=float)
+            sol, info = cg(op, rhs, x0=z.ravel(), rtol=controls.linear_solver_tol, atol=0.0)
+            if info != 0:
+                raise NumericalFailureError(f"inner CG solve did not converge (info = {info})")
         if not np.isfinite(sol).all():
             raise NumericalFailureError("non-finite value produced by the implicit solve")
         mapped = sol.reshape(shape)
@@ -324,7 +358,9 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
     theta = 1.0
     for _ in range(controls.picard_max_iter):
         if residual <= controls.picard_tol:
-            mapped = _finalize(mapped[None], neg_tol=max(1e-13, 1e3 * controls.linear_solver_tol))[0]
+            # the exact 1D solve of an M-matrix leaves no solver-tolerance negatives
+            neg_tol = 1e-13 if grid.dim == 1 else max(1e-13, 1e3 * controls.linear_solver_tol)
+            mapped = _finalize(mapped[None], neg_tol)[0]
             out = Field.density(grid, mapped)
             return (out, trace) if with_info else out
         theta = min(1.0, 1.5 * theta)  # remember the working relaxation level
@@ -341,6 +377,7 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
         f"Picard iteration exceeded {controls.picard_max_iter} sweeps "
         f"(last fixed-point residual {residual})",
         last_residual=residual,
+        trace=trace,
     )
 
 
@@ -422,6 +459,10 @@ def run_batch(initials, params, controls: StepControls, t_ends, diag_stride=10, 
         for i in order:
             field, eff = initials[i], replace(controls, dt=dts[i])
             for k in range(1, ns[i] + 1):
-                field = step_semi_implicit(field, params[i], eff)
+                try:
+                    field = step_semi_implicit(field, params[i], eff)
+                except NumericalFailureError as exc:
+                    exc.step, exc.time = k, k * dts[i]
+                    raise
                 observe(i, k, field)
     return [Trajectory(snapshots=tuple(s), records=tuple(r)) for s, r in zip(snapshots, records)]

@@ -75,6 +75,23 @@ class TestSimulate:
         assert res.returncode == 1
         assert res.stderr.startswith("config error:") and "p_set" in res.stderr
 
+    @pytest.mark.parametrize("override", [
+        "box_halfwidth = inf",
+        "eps = 1e308",
+        "dt = inf",
+        "t_end = inf",
+        "ic = snapshot\nic_path = missing_snapshot.txt",
+        "ic = spike\nic_width = 0.01",  # narrower than one cell
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, override):
+        keys = {line.split("=")[0].strip() for line in override.splitlines()}
+        kept = [line for line in BASE_CFG.splitlines() if line.split("=")[0].strip() not in keys]
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("\n".join(kept) + "\n" + override + "\n")
+        res = cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert res.returncode == 1
+        assert res.stderr.startswith("config error:") and "Traceback" not in res.stderr
+
     def test_missing_config_exit_1(self, tmp_path):
         res = cli("simulate", "--config", str(tmp_path / "nope.cfg"), cwd=tmp_path)
         assert res.returncode == 1
@@ -85,6 +102,23 @@ class TestSimulate:
         res = cli("simulate", "--config", str(path), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert res.returncode == 2
         assert "numerical failure" in res.stderr
+
+
+    def test_picard_failure_names_step_and_time(self, tmp_path):
+        path = tmp_path / "imp.cfg"
+        path.write_text(BASE_CFG.replace("ic_width = 1.0", "ic_width = 0.3")
+                        + "scheme = semi_implicit\ndt = 0.002\npicard_max_iter = 1\n")
+        res = cli("simulate", "--config", str(path), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("numerical failure: Picard iteration exceeded 1 sweeps")
+        assert res.stderr.rstrip().endswith("at step 1, t = 0.002")
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        code = "import sys, fluxlim, fluxlim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
 
 
 class TestStudies:

@@ -5,14 +5,18 @@ from hypothesis import strategies as st
 
 from fluxlim.grid import Field, face_gradient, make_grid
 from fluxlim.limiter import Params, limiter
-from fluxlim.profiles import gaussian_bump, uniform_field
+from fluxlim.profiles import gaussian_bump, poly_spike, uniform_field
 from fluxlim.steady import SteadyProfileSpec, sample
 from fluxlim.stepping import (
     CflViolationError,
     NumericalFailureError,
     PicardDivergenceError,
     StepControls,
+    _div_coeff_grad,
+    _face_coefficients,
     _finalize,
+    _tridiagonal_solve,
+    _Workspace,
     cfl_dt,
     march,
     run,
@@ -300,6 +304,70 @@ class TestStepSemiImplicit:
         with pytest.raises(PicardDivergenceError) as err:
             step_semi_implicit(f, Params(chi=1.0), StepControls(dt=dt, picard_max_iter=1))
         assert err.value.last_residual > 0.0
+        assert err.value.trace[-1] == err.value.last_residual and len(err.value.trace) == 2
+        assert err.value.step is None
+
+    def test_run_locates_failure(self, grid1d):
+        f = gaussian_bump(grid1d, 0.5, mass=1.0)
+        dt = 10.0 * cfl_dt(grid1d, 0.0, 0.45)
+        with pytest.raises(PicardDivergenceError) as err:
+            run(f, Params(chi=1.0), StepControls(dt=dt, picard_max_iter=1), t_end=5 * dt,
+                scheme="semi_implicit")
+        exc = err.value
+        assert (exc.step, exc.time) == (1, pytest.approx(dt, rel=1e-12))
+        assert exc.last_residual > 0.0 and exc.trace[-1] == exc.last_residual
+        assert str(exc).endswith(f"at step 1, t = {exc.time!r}")
+        assert isinstance(exc, NumericalFailureError)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_tridiagonal_solve_is_exact(self, eps):
+        # the frozen backward-Euler operator, applied through the flux kernel, returns rho
+        grid = make_grid(1, 5.0, 400)
+        rho = gaussian_bump(grid, 0.5, mass=1.0).values
+        z = poly_spike(grid, 1.5, 2.0).values + 0.1 * rho  # freeze at another state
+        dt = 20.0 * cfl_dt(grid, eps, 0.45)
+        ws = _Workspace(grid, 1)
+        coeffs = _face_coefficients(z[None], ws, 1.0, eps)
+        u = _tridiagonal_solve(coeffs[0][0], rho, dt, eps, grid.spacing[0])
+        div = _div_coeff_grad(u[None], ws, coeffs, ws.cells)[0]
+        applied = (1.0 + eps * dt) * u - dt * div
+        assert np.abs(applied - rho).max() <= 1e-12 * np.abs(rho).max()
+
+    def test_tridiagonal_solve_rejects_indefinite_matrix(self):
+        with pytest.raises(NumericalFailureError, match="dptsv info = 1"):
+            _tridiagonal_solve(np.full(9, -10.0), np.ones(10), 1.0, 0.0, 1.0)
+
+    def test_1d_ignores_linear_solver_tol(self, grid1d):
+        # the 1D inner solve is exact, so the CG tolerance does not enter
+        f = gaussian_bump(grid1d, 0.5, mass=1.0)
+        dt = 10.0 * cfl_dt(grid1d, 0.0, 0.45)
+        a = step_semi_implicit(f, Params(chi=1.0), StepControls(dt=dt))
+        b = step_semi_implicit(f, Params(chi=1.0), StepControls(dt=dt, linear_solver_tol=1e-2))
+        assert np.array_equal(a.values, b.values)
+
+    def test_2d_uniform_in_y_matches_1d_rows(self):
+        # the CG path in 2D and the exact path in 1D reach one Picard fixed point
+        g1, g2 = make_grid(1, 5.0, 200), make_grid(2, 5.0, (200, 4))
+        f1 = gaussian_bump(g1, 0.5, mass=1.0)
+        f2 = Field.density(g2, np.repeat(f1.values[:, None], 4, axis=1))
+        ctr = StepControls(dt=10.0 * cfl_dt(g1, 0.1, 0.45))
+        u1 = step_semi_implicit(f1, Params(chi=1.0, eps=0.1), ctr).values
+        u2 = step_semi_implicit(f2, Params(chi=1.0, eps=0.1), ctr).values
+        for row in u2.T:
+            assert np.abs(row - u1).max() <= 10.0 * ctr.picard_tol * u1.max()
+
+    def test_spike_with_vacuum_stays_nonnegative(self):
+        # the 1D matrix is an M-matrix: the exact solve needs no negativity allowance
+        grid = make_grid(1, 5.0, 400)
+        spike = poly_spike(grid, 0.5, 2.0)
+        assert spike.values.min() == 0.0
+        dt = 20.0 * cfl_dt(grid, 0.0, 0.45)
+        ws = _Workspace(grid, 1)
+        coeffs = _face_coefficients(spike.values[None], ws, 1.0, 0.0)
+        assert _tridiagonal_solve(coeffs[0][0], spike.values, dt, 0.0, grid.spacing[0]).min() >= 0.0
+        out = step_semi_implicit(spike, Params(chi=1.0), StepControls(dt=dt))
+        assert out.values.min() >= 0.0
+        assert out.values.sum() == pytest.approx(spike.values.sum(), rel=1e-12)
 
 
 class TestRun:
