@@ -79,9 +79,21 @@ def _study_exit(report: StudyReport) -> int:
     return 0 if report.all_pass else 3
 
 
+def _study_report(study, *cfgs) -> StudyReport:
+    """Run a study; its input checks raise ValueError, reported as a config
+    error, while a CFL violation stays a numerical failure as in simulate."""
+    try:
+        return study(*cfgs)
+    except CflViolationError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _cmd_study(args) -> int:
     cfg = _load_config(args.config, args)
-    report = {"viscosity": viscosity_study, "smoothing": smoothing_study}[args.study_kind](cfg)
+    study = {"viscosity": viscosity_study, "smoothing": smoothing_study}[args.study_kind]
+    report = _study_report(study, cfg)
     _write_report(_out_dir(cfg), report)
     return _study_exit(report)
 
@@ -89,10 +101,7 @@ def _cmd_study(args) -> int:
 def _cmd_study_contraction(args) -> int:
     cfg1 = _load_config(args.config, args)
     cfg2 = _load_config(args.config2, args) if args.config2 else cfg1
-    try:
-        report = contraction_study(cfg1, cfg2)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    report = _study_report(contraction_study, cfg1, cfg2)
     _write_report(_out_dir(cfg1), report)
     return _study_exit(report)
 

@@ -24,6 +24,10 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "build_problem",
 _IC_KINDS = ("gaussian", "uniform", "spike", "single_peak", "multi_peak",
              "factorized", "snapshot")
 _SCHEMES = ("explicit", "semi_implicit")
+# Work-size guard, per run: 64x the cells of the largest shipped run (512^2)
+# and over 100x its cells x time steps (7.8e7).
+_MAX_CELLS = 4096**2
+_MAX_CELL_STEPS = 10**10
 
 
 class ConfigError(ValueError):
@@ -180,6 +184,14 @@ def _validate(cfg: RunConfig) -> None:
             raise bad("spike_widths", "widths must be positive")
     if cfg.study_p < 1.0:
         raise bad("study_p", "must be >= 1")
+    cells = cfg.cells**cfg.dim
+    if cells > _MAX_CELLS:
+        raise bad("cells", f"{cells} cells exceed the limit of {_MAX_CELLS} per run")
+    if cfg.ic != "snapshot":  # a snapshot brings its own grid
+        dt = cfg.dt or cfl_dt(make_grid(cfg.dim, _half_width(cfg), cfg.cells), cfg.eps, cfg.cfl_safety)
+        if dt > 0.0 and cells * (cfg.t_end / dt) > _MAX_CELL_STEPS:
+            raise bad("t_end", f"{cells} cells x {cfg.t_end / dt:.3g} time steps exceed the "
+                               f"budget of {_MAX_CELL_STEPS:.0e} cell-steps per run")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -247,13 +259,16 @@ def build_problem(cfg: RunConfig) -> tuple[Grid, Field]:
     return grid, field
 
 
+def _half_width(cfg: RunConfig) -> float:
+    return cfg.box_halfwidth if cfg.box_halfwidth is not None else 5.0 / max(cfg.chi, 1e-300)
+
+
 def _build_problem(cfg: RunConfig) -> tuple[Grid, Field]:
     if cfg.ic == "snapshot":
         field = load_snapshot(cfg.ic_path)
         return field.grid, field
 
-    half = cfg.box_halfwidth if cfg.box_halfwidth is not None else 5.0 / max(cfg.chi, 1e-300)
-    grid = make_grid(cfg.dim, half, cfg.cells)
+    grid = make_grid(cfg.dim, _half_width(cfg), cfg.cells)
     center = _center(cfg)
 
     if cfg.ic == "uniform":

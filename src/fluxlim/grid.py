@@ -287,10 +287,10 @@ def save_snapshot(field: Field, path) -> None:
     head += [str(n) for n in g.shape]
     head += [repr(float(h)) for h in g.spacing]
     head += [repr(float(o)) for o in g.origin]
-    lines = [" ".join(head)]
-    lines.extend(repr(float(x)) for x in field.values.ravel(order="C"))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(" ".join(head) + "\n")
+        for row in field.values.reshape(-1, g.shape[-1]).tolist():
+            fh.write("".join(f"{x!r}\n" for x in row))
 
 
 def load_snapshot(path) -> Field:

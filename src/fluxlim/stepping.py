@@ -6,11 +6,11 @@ Two steppers share one spatial discretization:
     The face coefficients lie in [0, 1 + eps], so each update is a convex
     combination plus an absorption factor; positivity and the Lp decay of
     the continuous flow carry over exactly.
-  * ``step_semi_implicit``: backward Euler with the nonlinear coefficient
-    frozen at the previous Picard iterate (both the density and the gradient
-    slot), so every inner problem is a constant-coefficient SPD system. In
-    1D that system is tridiagonal and solved exactly by LAPACK; in 2D it is
-    solved matrix-free by conjugate gradients. No step-size restriction.
+  * ``step_semi_implicit``: backward Euler by sweeps that linearize the flux
+    at the previous iterate: in 1D on the limiter's frozen active set and
+    gradient sign (semi-smooth Newton), solved exactly by LAPACK, in about
+    two sweeps; in 2D with the limiter coefficient frozen, solved by
+    conjugate gradients. No step-size restriction.
     scipy is imported by this step alone, so explicit runs never load it.
 
 The explicit kernel (``march``) steps a batch of members on one grid at
@@ -65,7 +65,7 @@ class NumericalFailureError(RuntimeError):
 
 
 class PicardDivergenceError(NumericalFailureError):
-    """Frozen-coefficient iteration failed to reach tolerance; ``trace``
+    """The semi-implicit sweeps failed to reach tolerance; ``trace``
     holds the fixed-point residual of every accepted sweep."""
 
     def __init__(self, message: str, last_residual: float, trace=()):
@@ -286,33 +286,38 @@ def step_explicit(field: Field, params: Params, controls: StepControls) -> Field
     return Field.density(field.grid, state[0])
 
 
-def _tridiagonal_solve(coef: np.ndarray, rhs: np.ndarray, dt: float, eps: float, h: float) -> np.ndarray:
-    """Exact solve of the 1D system (1 + eps*dt) u - dt*div(coef grad u) = rhs.
+def _active_set_solve(lim, z, rhs, chi: float, eps: float, dt: float, h: float) -> np.ndarray:
+    """Exact solve of the 1D backward-Euler system with the flux linearized at ``z``.
 
-    With zero boundary flux the matrix is a symmetric positive definite
-    tridiagonal M-matrix: diagonal 1 + eps*dt + dt/h^2 (c_{i-1/2} + c_{i+1/2})
-    (no boundary faces), off-diagonal -dt*c/h^2. LAPACK ``dptsv`` solves it.
+    On the active set, where ``lim`` (the limiter at ``z``) is positive, the face
+    flux is (1 + eps) g - chi s rho_face with s = sign(g(z)), elsewhere eps g.
+    With c = eps + [active], d = chi s [active] and P, Q = dt/h (+-c/h - d/2)
+    per face, (1 + eps*dt) u - dt*div F(u) = rhs is tridiagonal: diagonal
+    1 + eps*dt - Q_{i+1/2} + P_{i-1/2}, super-diagonal -P, sub-diagonal Q;
+    LAPACK ``dgtsv`` solves it.
     """
-    from scipy.linalg.lapack import dptsv
+    from scipy.linalg.lapack import dgtsv
 
-    off = coef * (-dt / (h * h))
+    on = lim > 0.0
+    c, half_d = eps + on, np.where(on, 0.5 * chi * np.sign(np.diff(z)), 0.0)
+    p, q = (c / h - half_d) * (dt / h), (-c / h - half_d) * (dt / h)
     diag = np.full(rhs.shape, 1.0 + eps * dt)
-    diag[:-1] -= off
-    diag[1:] -= off
-    _, _, sol, info = dptsv(diag, off, rhs, overwrite_d=True, overwrite_e=True)
+    diag[:-1] -= q
+    diag[1:] += p
+    *_, sol, info = dgtsv(q, diag, -p, rhs, overwrite_d=True)
     if info != 0:
-        raise NumericalFailureError(f"tridiagonal solve failed (LAPACK dptsv info = {info})")
+        raise NumericalFailureError(f"tridiagonal solve failed (LAPACK dgtsv info = {info})")
     return sol
 
 
 def step_semi_implicit(field: Field, params: Params, controls: StepControls, with_info: bool = False):
-    """One backward-Euler step via frozen-coefficient Picard iteration.
+    """One backward-Euler step (1 + eps*dt) u - dt*div F(u) = rho by sweeps.
 
-    Each pass freezes the limiter coefficient at the previous iterate
-    (density and gradient slots alike) and solves the SPD system
-    (1 + eps*dt) u - dt*div(a grad u) = rho: exactly in 1D (see
-    ``_tridiagonal_solve``), by conjugate gradients to ``linear_solver_tol``
-    in 2D. Convergence is measured by the fixed-point
+    Each sweep T linearizes the flux at the previous iterate and solves: in
+    1D exactly, freezing the limiter's active set and gradient sign (a
+    semi-smooth Newton step, see ``_active_set_solve``); in 2D by conjugate
+    gradients to ``linear_solver_tol``, freezing the limiter coefficient.
+    Fixed points of T solve the step. Convergence is measured by the fixed-point
     residual |T(z) - z| / |T(z)| in L2. Updates are relaxed,
     z + theta (T(z) - z), and a candidate is only accepted once its residual
     drops below the current one, halving theta otherwise (down to 1/64).
@@ -335,10 +340,11 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
         div = _div_coeff_grad(uu[None], ws, coeffs, ws.cells)[0]
         return ((1.0 + params.eps * dt) * uu - dt * div).ravel()
 
-    def picard_map(z: np.ndarray) -> tuple[np.ndarray, float]:
-        coeffs = _face_coefficients(z[None], ws, params.chi, params.eps)
+    def sweep(z: np.ndarray) -> tuple[np.ndarray, float]:
+        # in 1D, eps = 0 leaves the bare limiter, whose positive set is the active set
+        coeffs = _face_coefficients(z[None], ws, params.chi, params.eps if grid.dim > 1 else 0.0)
         if grid.dim == 1:
-            sol = _tridiagonal_solve(coeffs[0][0], rhs, dt, params.eps, grid.spacing[0])
+            sol = _active_set_solve(coeffs[0][0], z, rhs, params.chi, params.eps, dt, grid.spacing[0])
         else:
             from scipy.sparse.linalg import LinearOperator, cg
 
@@ -353,7 +359,7 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
         return mapped, float(np.linalg.norm(mapped - z)) / denom
 
     z = field.values
-    mapped, residual = picard_map(z)
+    mapped, residual = sweep(z)
     trace = [residual]
     theta = 1.0
     for _ in range(controls.picard_max_iter):
@@ -366,7 +372,7 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
         theta = min(1.0, 1.5 * theta)  # remember the working relaxation level
         while True:
             cand = z + theta * (mapped - z)
-            cand_mapped, cand_residual = picard_map(cand)
+            cand_mapped, cand_residual = sweep(cand)
             if cand_residual < residual or theta <= 1.0 / 64.0:
                 break
             theta *= 0.5

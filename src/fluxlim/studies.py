@@ -112,6 +112,8 @@ def viscosity_study(base: RunConfig, eps_list=None) -> StudyReport:
     grid, initial = build_problem(base)
     controls = build_controls(base)
     dt = controls.dt if controls.dt is not None else cfl_dt(grid, max(eps_list), controls.cfl_safety)
+    if not dt > 0.0:
+        raise ValueError(f"the CFL step for eps = {max(eps_list)!r} underflows to 0")
     shared = replace(controls, dt=dt)
 
     trajectories = run_batch([initial] * len(eps_list),

@@ -82,6 +82,8 @@ class TestSimulate:
         "t_end = inf",
         "ic = snapshot\nic_path = missing_snapshot.txt",
         "ic = spike\nic_width = 0.01",  # narrower than one cell
+        "cells = 100000000000",  # rejected by the work-size guard before allocating
+        "t_end = 1e300",
     ])
     def test_bad_value_is_config_error(self, tmp_path, override):
         keys = {line.split("=")[0].strip() for line in override.splitlines()}
@@ -174,6 +176,27 @@ study_p = 4
         text = (out / "report.txt").read_text()
         assert "VERDICT smoothing_envelope_stable" in text
         assert "VERDICT smoothing_heat_slope" in text
+
+    @pytest.mark.parametrize("kind,override", [
+        ("viscosity", "eps_list = 0.1"),
+        ("viscosity", "eps_list = 0.1 0.2"),
+        ("viscosity", "eps_list = 1e308 0"),  # the CFL step underflows to 0
+        ("smoothing", "spike_widths = 0.2 0.4"),
+    ])
+    def test_bad_study_input_is_config_error(self, tmp_path, kind, override):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(BASE_CFG + override + "\n")
+        res = cli("study", kind, "--config", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert res.returncode == 1
+        assert res.stderr.startswith("config error:") and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("kind", ["contraction", "viscosity"])
+    def test_cfl_violation_exit_2(self, tmp_path, kind):
+        path = tmp_path / "cfl.cfg"
+        path.write_text(BASE_CFG + "dt = 0.1\n")
+        res = cli("study", kind, "--config", str(path), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("numerical failure:") and "CFL ceiling" in res.stderr
 
     def test_report_grep_stable_verdicts(self, tmp_path):
         res = cli("check", "monotonicity", "--samples", "2000", "--seed", "1", cwd=tmp_path)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -49,10 +51,22 @@ class TestParseConfig:
         ("p_set = 0.5", "p_set"),
         ("p_set = 2 inf", "p_set"),
         ("grad_p_set = inf", "grad_p_set"),
+        ("cells = 100000000000", "cells"),
+        ("dim = 2\ncells = 5000", "cells"),
+        ("t_end = 1e300", "t_end"),
+        ("cells = 4000\nt_end = 1e4", "t_end"),
     ])
     def test_validation_names_key(self, line, key):
         with pytest.raises(ConfigError, match=key):
             parse_config(line + "\n")
+
+    @pytest.mark.parametrize("text", [
+        *(p.read_text() for p in sorted(Path(__file__).resolve().parents[1].glob("configs/*.cfg"))),
+        "dim = 2\nbox_halfwidth = 5\ncells = 512\nt_end = 0.008\n",  # 512^2 bump, 7e7 cell-steps
+        "dim = 2\nbox_halfwidth = 5\ncells = 4096\nt_end = 1e-5\n",  # at the cell limit
+    ])
+    def test_shipped_work_sizes_pass_the_guard(self, text):
+        parse_config(text)
 
     def test_float_lists(self):
         cfg = parse_config("eps_list = 0.2 0.1 0.05\np_set = 2, 3, 4\n")

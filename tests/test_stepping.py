@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxlim import stepping
 from fluxlim.grid import Field, face_gradient, make_grid
 from fluxlim.limiter import Params, limiter
 from fluxlim.profiles import gaussian_bump, poly_spike, uniform_field
@@ -15,8 +16,8 @@ from fluxlim.stepping import (
     _div_coeff_grad,
     _face_coefficients,
     _finalize,
-    _tridiagonal_solve,
     _Workspace,
+    _active_set_solve,
     cfl_dt,
     march,
     run,
@@ -321,21 +322,80 @@ class TestStepSemiImplicit:
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_tridiagonal_solve_is_exact(self, eps):
-        # the frozen backward-Euler operator, applied through the flux kernel, returns rho
+        # the backward-Euler operator linearized at z, applied face by face, returns rho
         grid = make_grid(1, 5.0, 400)
+        h, chi = grid.spacing[0], 1.0
         rho = gaussian_bump(grid, 0.5, mass=1.0).values
-        z = poly_spike(grid, 1.5, 2.0).values + 0.1 * rho  # freeze at another state
+        z = poly_spike(grid, 1.5, 2.0).values + 0.1 * rho  # linearize at another state
         dt = 20.0 * cfl_dt(grid, eps, 0.45)
         ws = _Workspace(grid, 1)
-        coeffs = _face_coefficients(z[None], ws, 1.0, eps)
-        u = _tridiagonal_solve(coeffs[0][0], rho, dt, eps, grid.spacing[0])
-        div = _div_coeff_grad(u[None], ws, coeffs, ws.cells)[0]
+        (lim,) = _face_coefficients(z[None], ws, chi, 0.0)
+        active = lim[0] > 0.0
+        assert 0 < active.sum() < active.size
+        u = _active_set_solve(lim[0], z, rho, chi, eps, dt, h)
+        g, rho_face = np.diff(u) / h, 0.5 * (u[1:] + u[:-1])
+        flux = np.where(active, (1.0 + eps) * g - chi * np.sign(np.diff(z)) * rho_face, eps * g)
+        div = np.diff(flux, prepend=0.0, append=0.0) / h
         applied = (1.0 + eps * dt) * u - dt * div
         assert np.abs(applied - rho).max() <= 1e-12 * np.abs(rho).max()
 
     def test_tridiagonal_solve_rejects_indefinite_matrix(self):
-        with pytest.raises(NumericalFailureError, match="dptsv info = 1"):
-            _tridiagonal_solve(np.full(9, -10.0), np.ones(10), 1.0, 0.0, 1.0)
+        # eps = -1/2 on three cells: eigenvalues 0.5, 0 and -1, exact in floating point
+        with pytest.raises(NumericalFailureError, match=r"dgtsv info = \d"):
+            _active_set_solve(np.zeros(2), np.ones(3), np.ones(3), 1.0, -0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_converged_step_is_exact_nonlinear_solve(self, eps):
+        # a fixed point of the active-set sweep solves the nonlinear equation itself
+        grid = make_grid(1, 5.0, 400)
+        rho = gaussian_bump(grid, 0.5, mass=1.0).values
+        dt = 20.0 * cfl_dt(grid, eps, 0.45)
+        u = step_semi_implicit(Field.density(grid, rho), Params(chi=1.0, eps=eps),
+                               StepControls(dt=dt)).values
+        ws = _Workspace(grid, 1)
+        coeffs = _face_coefficients(u[None], ws, 1.0, eps)
+        div = _div_coeff_grad(u[None], ws, coeffs, ws.cells)[0]
+        applied = (1.0 + eps * dt) * u - dt * div
+        assert np.abs(applied - rho).max() <= 1e-12 * np.abs(rho).max()
+
+    @pytest.mark.parametrize("multiple", [50, 100, 1000])
+    def test_large_dt_converges(self, multiple):
+        # the frozen-coefficient Picard iteration stalled above tolerance at all three
+        grid = make_grid(1, 5.0, 1000)
+        f = gaussian_bump(grid, 1.0, mass=1.0)
+        ctr = StepControls(dt=multiple * cfl_dt(grid, 0.0, 0.45))
+        out, trace = step_semi_implicit(f, Params(chi=1.0), ctr, with_info=True)
+        assert trace[-1] <= ctr.picard_tol and len(trace) <= 30
+        assert out.values.min() >= 0.0
+        assert out.values.sum() == pytest.approx(f.values.sum(), rel=1e-12)
+
+    def test_few_sweeps_per_step(self, monkeypatch):
+        # 2000 cells at 10x CFL to t = 0.01: 178 steps
+        solves = []
+
+        def counted(*args):
+            solves.append(1)
+            return _active_set_solve(*args)
+
+        monkeypatch.setattr(stepping, "_active_set_solve", counted)
+        grid = make_grid(1, 5.0, 2000)
+        dt = 10.0 * cfl_dt(grid, 0.0, 0.45)
+        run(gaussian_bump(grid, 1.0, mass=1.0), Params(chi=1.0), StepControls(dt=dt), t_end=0.01,
+            diag_stride=10**9, scheme="semi_implicit")
+        assert len(solves) <= 4 * 178
+
+    def test_coarse_grid_stays_nonnegative(self):
+        # chi*h = 3 > 2: no face of a nonnegative state can be active
+        grid = make_grid(1, 5.0, 10)
+        rng = np.random.default_rng(3)
+        for eps in (0.0, 0.1):
+            for _ in range(10):
+                vals = rng.uniform(0.0, 1.0, grid.shape) * (rng.uniform(size=grid.shape) < 0.5)
+                f = Field.density(grid, vals)
+                for multiple in (1.0, 100.0, 1000.0):
+                    dt = multiple * cfl_dt(grid, eps, 0.45)
+                    out = step_semi_implicit(f, Params(chi=3.0, eps=eps), StepControls(dt=dt))
+                    assert out.values.min() >= 0.0
 
     def test_1d_ignores_linear_solver_tol(self, grid1d):
         # the 1D inner solve is exact, so the CG tolerance does not enter
@@ -363,11 +423,34 @@ class TestStepSemiImplicit:
         assert spike.values.min() == 0.0
         dt = 20.0 * cfl_dt(grid, 0.0, 0.45)
         ws = _Workspace(grid, 1)
-        coeffs = _face_coefficients(spike.values[None], ws, 1.0, 0.0)
-        assert _tridiagonal_solve(coeffs[0][0], spike.values, dt, 0.0, grid.spacing[0]).min() >= 0.0
+        (lim,) = _face_coefficients(spike.values[None], ws, 1.0, 0.0)
+        v = spike.values
+        assert _active_set_solve(lim[0], v, v, 1.0, 0.0, dt, grid.spacing[0]).min() >= 0.0
         out = step_semi_implicit(spike, Params(chi=1.0), StepControls(dt=dt))
         assert out.values.min() >= 0.0
         assert out.values.sum() == pytest.approx(spike.values.sum(), rel=1e-12)
+
+
+@st.composite
+def implicit_steps(draw):
+    grid = make_grid(1, draw(st.sampled_from([1.0, 5.0, 20.0])), draw(st.integers(10, 200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.uniform(0.0, 1.0, grid.shape) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    vals[rng.uniform(size=grid.shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    params = Params(chi=draw(st.floats(0.0, 10.0)), eps=draw(st.sampled_from([0.0, 0.1, 0.7])))
+    dt = cfl_dt(grid, params.eps, 0.45) * draw(st.floats(1.0, 1000.0))
+    return Field.density(grid, vals), params, dt
+
+
+@settings(max_examples=60, deadline=None)
+@given(implicit_steps())
+def test_semi_implicit_1d_structure(case):
+    # mass follows 1/(1 + eps dt), positivity, and L2 never increases
+    f, params, dt = case
+    out = step_semi_implicit(f, params, StepControls(dt=dt)).values
+    assert out.min() >= 0.0
+    assert out.sum() == pytest.approx(f.values.sum() / (1.0 + params.eps * dt), rel=1e-12)
+    assert np.sum(out**2) <= np.sum(f.values**2) * (1.0 + 1e-9)
 
 
 class TestRun:
