@@ -19,7 +19,7 @@ from .steady import SteadyProfileSpec, sample
 from .stepping import StepControls, cfl_dt
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "build_problem",
-           "build_params", "build_controls"]
+           "build_params", "build_controls", "check_cell_steps"]
 
 _IC_KINDS = ("gaussian", "uniform", "spike", "single_peak", "multi_peak",
              "factorized", "snapshot")
@@ -187,11 +187,16 @@ def _validate(cfg: RunConfig) -> None:
     cells = cfg.cells**cfg.dim
     if cells > _MAX_CELLS:
         raise bad("cells", f"{cells} cells exceed the limit of {_MAX_CELLS} per run")
-    if cfg.ic != "snapshot":  # a snapshot brings its own grid
+    if cfg.ic != "snapshot":  # a snapshot brings its own grid, checked by build_problem
         dt = cfg.dt or cfl_dt(make_grid(cfg.dim, _half_width(cfg), cfg.cells), cfg.eps, cfg.cfl_safety)
-        if dt > 0.0 and cells * (cfg.t_end / dt) > _MAX_CELL_STEPS:
-            raise bad("t_end", f"{cells} cells x {cfg.t_end / dt:.3g} time steps exceed the "
-                               f"budget of {_MAX_CELL_STEPS:.0e} cell-steps per run")
+        check_cell_steps(cells, cfg.t_end, dt)
+
+
+def check_cell_steps(cells: int, t_end: float, dt: float, runs: int = 1) -> None:
+    """Raise ``ConfigError`` if ``runs`` runs of ``cells`` cells to ``t_end`` by ``dt`` exceed the budget."""
+    if dt > 0.0 and runs * cells * (t_end / dt) > _MAX_CELL_STEPS:
+        raise ConfigError(f"invalid value for 't_end': {runs} x {cells} cells x {t_end / dt:.3g} time "
+                          f"steps exceed the budget of {_MAX_CELL_STEPS:.0e} cell-steps")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -245,17 +250,19 @@ def _center(cfg: RunConfig) -> tuple[float, ...]:
 
 
 def build_problem(cfg: RunConfig) -> tuple[Grid, Field]:
-    """Materialize the grid and initial field described by a config; builder
-    failures (say, a missing snapshot) and a CFL step of 0 raise ``ConfigError``."""
+    """Materialize the grid and initial field described by a config; builder failures (say,
+    a missing snapshot), a CFL step of 0 and work over the cell-step budget raise ``ConfigError``."""
     try:
         grid, field = _build_problem(cfg)
     except ConfigError:
         raise
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot build the initial condition: {exc}") from None
-    if not cfl_dt(grid, cfg.eps, cfg.cfl_safety) > 0.0:
+    ceiling = cfl_dt(grid, cfg.eps, cfg.cfl_safety)
+    if not ceiling > 0.0:
         raise ConfigError(f"the CFL step safety*h^2/(2d(1+eps)) underflows to 0 "
                           f"(h = {min(grid.spacing)}, eps = {cfg.eps})")
+    check_cell_steps(field.values.size, cfg.t_end, cfg.dt or ceiling)
     return grid, field
 
 

@@ -5,6 +5,12 @@ Vacuum conventions used throughout: rho*log(rho) = 0 and |grad rho|^2/rho = 0
 wherever rho = 0, and the limiter coefficient is taken as 0 on vacuum cells.
 Diagnostic gradients are cell-centered central differences (second order),
 distinct from the face differences driving the fluxes.
+
+The pair functionals H, D1 and D2 come from one array kernel, ``pair_terms``,
+that probes a block of K pairs (K, 2, *grid.shape) per call and reduces over
+the grid axes only, so each row is bitwise its single-pair value. The
+contraction study probes its recorded states in such blocks;
+``relative_entropy`` and ``dissipation_terms`` are its K = 1 wrappers.
 """
 
 from __future__ import annotations
@@ -13,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, cell_gradient, gradient_norm, radius_squared
+from .grid import Field, Grid, central_gradient, gradient_norm, radius_squared
 from .limiter import limiter
 
 __all__ = [
     "DiagnosticsRecord",
     "SupportMismatchError",
     "record",
+    "pair_terms",
     "relative_entropy",
     "dissipation_terms",
     "l1_distance",
@@ -89,6 +96,36 @@ def record(field: Field, p_set=(2.0, 4.0), grad_p_set=(2.0,), time: float = 0.0)
     )
 
 
+def pair_terms(pairs: np.ndarray, grid: Grid, sigma: float | None, chi: float):
+    """(H, D1, D2) of every row (u, v) of ``pairs``, shaped (K, 2, *grid.shape), as
+    length-K arrays. ``sigma = None`` skips H (returned as None); with sigma = 0,
+    a row with u > 0 where v = 0 raises ``SupportMismatchError``."""
+    a, b = pairs[:, 0], pairs[:, 1]
+    axes = tuple(range(1, a.ndim))
+    vol = grid.cell_volume
+    h = None
+    if sigma == 0.0:
+        if np.any((a > 0.0) & (b == 0.0)):
+            raise SupportMismatchError("u > 0 on a cell where v = 0 with sigma = 0")
+        ratio = np.ones_like(a)  # a * log(1) = 0 keeps the 0*log(0) = 0 convention
+        np.divide(a, b, out=ratio, where=a > 0.0)
+        h = np.sum(a * np.log(ratio) - a + b, axis=axes) * vol
+    elif sigma is not None:
+        h = np.sum((a + sigma) * np.log((a + sigma) / (b + sigma)) - a + b, axis=axes) * vol
+
+    grads = [central_gradient(pairs, k + 2, dx) for k, dx in enumerate(grid.spacing)]
+    live = pairs > 0.0
+    coef = np.where(live, limiter(pairs, np.sqrt(sum(g * g for g in grads)), chi), 0.0)
+    d1 = 0.5 * (np.sum(a * (coef[:, 0] - coef[:, 1]) ** 2, axis=axes) * vol)
+    dlog2 = 0.0
+    for g in grads:
+        logs = np.zeros_like(pairs)
+        np.divide(g, pairs, out=logs, where=live)
+        dlog2 = dlog2 + (logs[:, 0] - logs[:, 1]) ** 2
+    d2 = 0.5 * (np.sum(a * dlog2 * (coef[:, 0] + coef[:, 1]), axis=axes) * vol)
+    return h, d1, d2
+
+
 def relative_entropy(u: Field, v: Field, sigma: float = 0.0) -> float:
     """Boltzmann relative entropy integral((u+s)*log((u+s)/(v+s)) - u + v).
 
@@ -99,20 +136,7 @@ def relative_entropy(u: Field, v: Field, sigma: float = 0.0) -> float:
         raise ValueError("relative entropy needs both fields on one grid")
     if not (np.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    a = u.values
-    b = v.values
-    if sigma == 0.0:
-        if np.any((a > 0.0) & (b == 0.0)):
-            raise SupportMismatchError("u > 0 on a cell where v = 0 with sigma = 0")
-        pos = a > 0.0
-        ratio = np.ones_like(a)
-        np.divide(a, b, out=ratio, where=pos)
-        term = np.zeros_like(a)
-        np.multiply(a, np.log(ratio, where=pos, out=np.zeros_like(a)), out=term, where=pos)
-        integrand = term - a + b
-    else:
-        integrand = (a + sigma) * np.log((a + sigma) / (b + sigma)) - a + b
-    return float(np.sum(integrand) * u.grid.cell_volume)
+    return float(pair_terms(np.stack([u.values, v.values])[None], u.grid, sigma, 0.0)[0][0])
 
 
 def dissipation_terms(u: Field, v: Field, chi: float) -> tuple[float, float]:
@@ -126,26 +150,8 @@ def dissipation_terms(u: Field, v: Field, chi: float) -> tuple[float, float]:
     """
     if u.grid != v.grid:
         raise ValueError("dissipation terms need both fields on one grid")
-    a = u.values
-    b = v.values
-    vol = u.grid.cell_volume
-
-    gu = cell_gradient(u)
-    gv = cell_gradient(v)
-    au = np.where(a > 0.0, limiter(a, gradient_norm(u, gu), chi), 0.0)
-    av = np.where(b > 0.0, limiter(b, gradient_norm(v, gv), chi), 0.0)
-
-    d1 = 0.5 * float(np.sum(a * (au - av) ** 2) * vol)
-
-    dlog2 = np.zeros_like(a)
-    for cu, cvv in zip(gu, gv):
-        lu = np.zeros_like(a)
-        np.divide(cu, a, out=lu, where=a > 0.0)
-        lv = np.zeros_like(b)
-        np.divide(cvv, b, out=lv, where=b > 0.0)
-        dlog2 = dlog2 + (lu - lv) ** 2
-    d2 = 0.5 * float(np.sum(a * dlog2 * (au + av)) * vol)
-    return d1, d2
+    _, d1, d2 = pair_terms(np.stack([u.values, v.values])[None], u.grid, None, chi)
+    return float(d1[0]), float(d2[0])
 
 
 def l1_distance(u: Field, v: Field) -> float:

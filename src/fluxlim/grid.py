@@ -16,7 +16,7 @@ Layout conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -198,26 +198,32 @@ def along(ndim: int, axis: int, index) -> tuple:
     return (slice(None),) * axis + (index,) + (slice(None),) * (ndim - axis - 1)
 
 
+def central_gradient(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Cell-centered derivative along one array axis of any stack of fields,
+    operation for operation ``np.gradient(values, h, axis=axis, edge_order=2)``;
+    written into ``out`` when given."""
+    out = np.empty_like(values) if out is None else out
+    at = partial(along, values.ndim, axis)
+    inner = out[at(slice(1, -1))]
+    np.subtract(values[at(slice(2, None))], values[at(slice(None, -2))], out=inner)
+    np.divide(inner, 2.0 * h, out=inner)
+    out[at(0)] = (-1.5 / h) * values[at(0)] + (2.0 / h) * values[at(1)] + (-0.5 / h) * values[at(2)]
+    out[at(-1)] = (0.5 / h) * values[at(-3)] + (-2.0 / h) * values[at(-2)] + (1.5 / h) * values[at(-1)]
+    return out
+
+
 def cell_gradient(field: Field) -> tuple[np.ndarray, ...]:
     """Cell-centered gradient by central differences (one-sided at the box edge).
 
     This is the stencil used by the diagnostics; fluxes use face differences
     instead (see ``face_gradient``). Exact for affine data everywhere.
     """
-    v = field.values
-    g = field.grid
-    if g.dim == 1:
-        return (np.gradient(v, g.spacing[0], edge_order=2),)
-    return tuple(np.gradient(v, g.spacing[k], axis=k, edge_order=2) for k in range(g.dim))
+    return tuple(central_gradient(field.values, k, h) for k, h in enumerate(field.grid.spacing))
 
 
-def gradient_norm(field: Field, gradient=None) -> np.ndarray:
-    """Cellwise |grad rho| from the central differences of ``cell_gradient``;
-    pass that ``gradient`` when it is already at hand."""
-    s = np.zeros(field.grid.shape)
-    for g in cell_gradient(field) if gradient is None else gradient:
-        s = s + g * g
-    return np.sqrt(s)
+def gradient_norm(field: Field) -> np.ndarray:
+    """Cellwise |grad rho| from the central differences of ``cell_gradient``."""
+    return np.sqrt(sum(g * g for g in cell_gradient(field)))
 
 
 def face_gradient(field: Field) -> tuple[FaceData, ...]:

@@ -29,7 +29,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, record
-from .grid import Field, Grid, along
+from .grid import Field, Grid, along, central_gradient
 from .limiter import Params, limiter
 
 __all__ = [
@@ -151,18 +151,6 @@ class _Workspace:
         self.coef = [np.empty(s) for s in shapes]
 
 
-def _central_gradient(values: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
-    """Cell-centered derivative along one array axis, operation for operation
-    ``np.gradient(values, h, axis=axis, edge_order=2)``, written into ``out``."""
-    at = partial(along, values.ndim, axis)
-    inner = out[at(slice(1, -1))]
-    np.subtract(values[at(slice(2, None))], values[at(slice(None, -2))], out=inner)
-    np.divide(inner, 2.0 * h, out=inner)
-    out[at(0)] = (-1.5 / h) * values[at(0)] + (2.0 / h) * values[at(1)] + (-0.5 / h) * values[at(2)]
-    out[at(-1)] = (0.5 / h) * values[at(-3)] + (-2.0 / h) * values[at(-2)] + (1.5 / h) * values[at(-1)]
-    return out
-
-
 def _face_coefficients(values: np.ndarray, ws: _Workspace, chi, eps) -> list[np.ndarray]:
     """Limiter-plus-viscosity coefficient per interior face, one array per axis.
 
@@ -178,7 +166,7 @@ def _face_coefficients(values: np.ndarray, ws: _Workspace, chi, eps) -> list[np.
         np.multiply(norm, norm, out=norm)
         for other, _, _, h_other in stencil:
             if other != axis:
-                tang = _central_gradient(values, other, h_other, ws.cells)
+                tang = central_gradient(values, other, h_other, ws.cells)
                 np.add(tang[lo], tang[hi], out=coef)
                 np.multiply(coef, 0.5, out=coef)
                 np.multiply(coef, coef, out=coef)

@@ -11,11 +11,12 @@ configuration and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
-from .config import RunConfig, build_controls, build_params, build_problem
-from .diagnostics import dissipation_terms, l1_distance, relative_entropy
+from .config import RunConfig, build_controls, build_params, build_problem, check_cell_steps
+from .diagnostics import l1_distance, pair_terms, relative_entropy
 from .grid import Field
 from .limiter import monotone_gap, unclamped_gap
 from .profiles import poly_spike
@@ -29,6 +30,10 @@ __all__ = [
     "smoothing_study",
     "monotonicity_test",
 ]
+
+
+# Bytes of recorded states per contraction probe: 16 pairs of 400 cells, one pair of 57^2 or more
+_PROBE_BLOCK_BYTES = 100 * 2**10
 
 
 @dataclass(frozen=True)
@@ -114,6 +119,7 @@ def viscosity_study(base: RunConfig, eps_list=None) -> StudyReport:
     dt = controls.dt if controls.dt is not None else cfl_dt(grid, max(eps_list), controls.cfl_safety)
     if not dt > 0.0:
         raise ValueError(f"the CFL step for eps = {max(eps_list)!r} underflows to 0")
+    check_cell_steps(initial.values.size, base.t_end, dt, runs=len(eps_list))
     shared = replace(controls, dt=dt)
 
     trajectories = run_batch([initial] * len(eps_list),
@@ -197,21 +203,21 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig,
     sigma = _sigma_for(cfg1, v)
     identical = bool(np.array_equal(u.values, v.values))
 
-    def probe(t, a, b):
-        h = relative_entropy(a, b, sigma=sigma)
-        d1, d2 = dissipation_terms(a, b, chi=cfg1.chi)
-        return (t, h, d1, d2)
-
-    rows = [probe(0.0, u, v)]
-    steps_between = [0]
+    # the initial and every recorded state go into a block, probed when it fills
+    block = np.empty((max(1, _PROBE_BLOCK_BYTES // (2 * u.values.nbytes)), 2, *grid1.shape))
+    times, rows, steps_between = [], [], []
     last_recorded = 0
-    for k, (a, b) in march([u, v], [params1, params2], [dt, dt], [n_steps] * 2,
-                           controls.cfl_safety):
+    for k, state in chain([(0, (u.values, v.values))],
+                          march([u, v], [params1, params2], [dt, dt], [n_steps] * 2, controls.cfl_safety)):
         if k % stride == 0 or k == n_steps:
-            t = t_end if k == n_steps else k * dt
-            rows.append(probe(t, Field.density(grid1, a), Field.density(grid1, b)))
+            block[len(times)] = state
+            times.append(t_end if k == n_steps else k * dt)
             steps_between.append(k - last_recorded)
             last_recorded = k
+            if len(times) == len(block) or k == n_steps:
+                terms = pair_terms(block[:len(times)], grid1, sigma, cfg1.chi)
+                rows += zip(times, *(x.tolist() for x in terms))
+                times = []
 
     h0 = rows[0][1]
     slack = h_slack_per_step * h0

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -93,6 +94,16 @@ class TestSimulate:
         res = cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert res.returncode == 1
         assert res.stderr.startswith("config error:") and "Traceback" not in res.stderr
+
+    def test_snapshot_over_budget_is_config_error(self, tmp_path):
+        from fluxlim.grid import Field, make_grid, save_snapshot
+
+        save_snapshot(Field(make_grid(1, 5.0, 400), np.ones(400)), tmp_path / "snap.txt")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("ic = snapshot\nic_path = snap.txt\nt_end = 1e300\n")
+        res = cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert res.returncode == 1
+        assert res.stderr.startswith("config error:") and "cell-steps" in res.stderr
 
     def test_missing_config_exit_1(self, tmp_path):
         res = cli("simulate", "--config", str(tmp_path / "nope.cfg"), cwd=tmp_path)
@@ -189,6 +200,22 @@ study_p = 4
         res = cli("study", kind, "--config", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert res.returncode == 1
         assert res.stderr.startswith("config error:") and "Traceback" not in res.stderr
+
+    def test_viscosity_sweep_over_budget_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # eps = 10000 sets the sweep's CFL step: 2 runs x 400 cells x 2.5e7 steps
+        from fluxlim import cli as cli_module, studies
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the sweep started stepping")
+
+        monkeypatch.setattr(studies, "run_batch", no_stepping)
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(Path(__file__).resolve().parents[1].joinpath("configs", "viscosity.cfg").read_text()
+                       .replace("eps_list = 0.1 0.05 0.025 0", "eps_list = 10000 0"))
+        code = cli_module.main(["study", "viscosity", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "cell-steps" in err
 
     @pytest.mark.parametrize("kind", ["contraction", "viscosity"])
     def test_cfl_violation_exit_2(self, tmp_path, kind):

@@ -9,10 +9,12 @@ from fluxlim.diagnostics import (
     csv_row,
     dissipation_terms,
     l1_distance,
+    pair_terms,
     record,
     relative_entropy,
 )
 from fluxlim.grid import Field, Grid, make_grid
+from fluxlim.limiter import limiter
 from fluxlim.steady import SteadyProfileSpec, sample
 
 
@@ -224,6 +226,89 @@ class TestDissipationTerms:
             o2 += 0.5 * a[i] * (lu - lv) ** 2 * (au + av) * h
         assert d1 == pytest.approx(o1, rel=1e-12)
         assert d2 == pytest.approx(o2, rel=1e-12)
+
+
+
+def reference_relative_entropy(u, v, sigma):
+    """The single-pair relative entropy before the block kernel, kept as the oracle."""
+    a, b = u.values, v.values
+    if sigma == 0.0:
+        pos = a > 0.0
+        ratio = np.ones_like(a)
+        np.divide(a, b, out=ratio, where=pos)
+        term = np.zeros_like(a)
+        np.multiply(a, np.log(ratio, where=pos, out=np.zeros_like(a)), out=term, where=pos)
+        integrand = term - a + b
+    else:
+        integrand = (a + sigma) * np.log((a + sigma) / (b + sigma)) - a + b
+    return float(np.sum(integrand) * u.grid.cell_volume)
+
+
+def reference_dissipation_terms(u, v, chi):
+    """The single-pair dissipation integrals before the block kernel, on np.gradient."""
+    a, b, g = u.values, v.values, u.grid
+
+    def grad(w):
+        if g.dim == 1:
+            return (np.gradient(w, g.spacing[0], edge_order=2),)
+        return tuple(np.gradient(w, g.spacing[k], axis=k, edge_order=2) for k in range(g.dim))
+
+    def norm(gs):
+        s = np.zeros(g.shape)
+        for c in gs:
+            s = s + c * c
+        return np.sqrt(s)
+
+    gu, gv = grad(a), grad(b)
+    au = np.where(a > 0.0, limiter(a, norm(gu), chi), 0.0)
+    av = np.where(b > 0.0, limiter(b, norm(gv), chi), 0.0)
+    d1 = 0.5 * float(np.sum(a * (au - av) ** 2) * g.cell_volume)
+    dlog2 = np.zeros_like(a)
+    for cu, cv in zip(gu, gv):
+        lu = np.zeros_like(a)
+        np.divide(cu, a, out=lu, where=a > 0.0)
+        lv = np.zeros_like(b)
+        np.divide(cv, b, out=lv, where=b > 0.0)
+        dlog2 = dlog2 + (lu - lv) ** 2
+    d2 = 0.5 * float(np.sum(a * dlog2 * (au + av)) * g.cell_volume)
+    return d1, d2
+
+
+def bits(xs):
+    return np.asarray(xs, dtype=float).tobytes()
+
+
+class TestPairTerms:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(3, 24), st.integers(3, 24),
+           st.integers(1, 8), st.sampled_from([0.0, 0.5, 3.0]), st.sampled_from([0.0, 1e-9]))
+    def test_rows_bitwise_equal_single_pair_reference(self, seed, dim, n1, n2, k, chi, sigma):
+        rng = np.random.default_rng(seed)
+        grid = make_grid(dim, 3.0, (n1, n2)[:dim])
+        pairs = rng.uniform(0.0, 2.0, (k, 2, *grid.shape))
+        pairs[rng.random(pairs.shape) < 0.2] = 0.0  # scattered vacuum cells
+        lo = rng.integers(0, n1)
+        pairs[:, :, lo : lo + rng.integers(0, n1)] = 0.0  # vacuum patches
+        if sigma == 0.0:  # v may vanish only where u does
+            pairs[:, 1] = np.where((pairs[:, 1] == 0.0) & (pairs[:, 0] > 0.0), 0.5, pairs[:, 1])
+        h, d1, d2 = pair_terms(pairs, grid, sigma, chi)
+        for row, (a, b) in enumerate(pairs):
+            u, v = Field.density(grid, a), Field.density(grid, b)
+            assert bits(h[row]) == bits(reference_relative_entropy(u, v, sigma))
+            assert bits([d1[row], d2[row]]) == bits(reference_dissipation_terms(u, v, chi))
+            assert bits(relative_entropy(u, v, sigma)) == bits(h[row])
+            assert bits(dissipation_terms(u, v, chi)) == bits([d1[row], d2[row]])
+
+    def test_support_mismatch_in_any_row_raises(self):
+        grid = make_grid(1, 1.0, 8)
+        pairs = np.ones((3, 2, 8))
+        pairs[2, 1, 5] = 0.0
+        with pytest.raises(SupportMismatchError):
+            pair_terms(pairs, grid, 0.0, 1.0)
+        with pytest.raises(SupportMismatchError):
+            relative_entropy(Field(grid, pairs[2, 0]), Field(grid, pairs[2, 1]), 0.0)
+        assert np.isfinite(pair_terms(pairs, grid, 1e-9, 1.0)[0]).all()
+        assert pair_terms(pairs, grid, None, 1.0)[0] is None
 
 
 class TestL1Distance:

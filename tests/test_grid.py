@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fluxlim.grid import (
     FaceData,
     Field,
+    cell_gradient,
     divergence,
     face_gradient,
     integrate,
@@ -119,6 +120,22 @@ class TestFaceGradient:
         X, Y = g.centers()
         fds = face_gradient(Field(g, 3.0 * X + 4.0 * Y))
         assert np.allclose(fds[0].norm(), 5.0, atol=1e-12)
+
+
+class TestCellGradient:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.integers(3, 40))
+    def test_bitwise_np_gradient(self, seed, n1, n2):
+        rng = np.random.default_rng(seed)
+        g1 = make_grid(1, 2.5, n1)
+        v1 = rng.normal(size=n1)
+        (d,) = cell_gradient(Field(g1, v1))
+        assert d.tobytes() == np.gradient(v1, g1.spacing[0], edge_order=2).tobytes()
+        g2 = make_grid(2, (2.5, 1.5), (n1, n2))
+        v2 = rng.normal(size=(n1, n2))
+        for axis, d in enumerate(cell_gradient(Field(g2, v2))):
+            ref = np.gradient(v2, g2.spacing[axis], axis=axis, edge_order=2)
+            assert d.tobytes() == ref.tobytes()
 
 
 class TestDivergence:

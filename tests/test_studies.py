@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 
 from fluxlim.config import RunConfig, build_problem
-from fluxlim.diagnostics import l1_distance, relative_entropy
+from fluxlim.diagnostics import dissipation_terms, l1_distance, relative_entropy
+from fluxlim.grid import Field
 from fluxlim.limiter import Params
 from fluxlim.profiles import poly_spike
-from fluxlim.stepping import StepControls, cfl_dt, run
+from fluxlim.stepping import StepControls, cfl_dt, march, run, time_mesh
 from fluxlim.studies import contraction_study, monotonicity_test, smoothing_study, viscosity_study
 
 
@@ -106,6 +108,34 @@ class TestContractionStudy:
         rep = contraction_study(cfg, cfg)
         assert rep.verdict("contraction_identity").passed
         assert max(r[1] for r in rep.rows) == 0.0
+
+    @pytest.mark.parametrize("dim,cells,t_end,stride", [
+        (1, 400, 0.05, 1),  # 357 rows: 22 blocks of 16 and one of 5
+        (1, 400, 0.05, 3),
+        (2, 20, 1.5, 1),  # 16 pairs per block, as in 1D
+        (2, 60, 0.3, 2),  # one pair per block
+    ])
+    def test_rows_match_per_step_probes(self, dim, cells, t_end, stride):
+        c1 = small_bump_cfg(dim=dim, cells=cells, t_end=t_end, diag_stride=stride,
+                            ic_center=(-0.7,), ic_width=1.2)
+        c2 = small_bump_cfg(dim=dim, cells=cells, t_end=t_end, diag_stride=stride, ic_center=(0.7,))
+        rep = contraction_study(c1, c2)
+        # the per-step loop: a Field pair built and probed at every recorded step
+        grid, u = build_problem(c1)
+        _, v = build_problem(c2)
+        dt, n = time_mesh(t_end, cfl_dt(grid, 0.0))
+        sigma = c1.sigma_rel * float(v.values.max())
+
+        def probe(t, a, b):
+            return (t, relative_entropy(a, b, sigma), *dissipation_terms(a, b, c1.chi))
+
+        rows = [probe(0.0, u, v)]
+        for k, (a, b) in march([u, v], [Params(chi=c1.chi)] * 2, [dt, dt], [n, n]):
+            if k % stride == 0 or k == n:
+                rows.append(probe(t_end if k == n else k * dt,
+                                  Field.density(grid, a), Field.density(grid, b)))
+        assert len(rep.rows) == len(rows) == 2 + (n - 1) // stride
+        assert np.array(rep.rows).tobytes() == np.array(rows).tobytes()
 
     def test_distinct_bumps_all_verdicts(self):
         c1 = small_bump_cfg(ic_center=(-0.7,), ic_width=1.2, diag_stride=1, t_end=0.005)
