@@ -12,9 +12,8 @@ profiles, and reproducible experiment harnesses with a CLI front end.
 from .config import ConfigError, RunConfig, build_controls, build_params, build_problem, parse_config
 from .diagnostics import (DiagnosticsRecord, SupportMismatchError, dissipation_terms, l1_distance, record,
                           relative_entropy)
-from .grid import (FaceData, Field, Grid, divergence, face_gradient, gradient_norm, integrate, load_snapshot,
-                   make_grid, save_snapshot)
-from .limiter import Params, face_flux, flux_deviation, limiter, monotone_gap, unclamped_gap
+from .grid import Field, Grid, gradient_norm, integrate, load_snapshot, make_grid, save_snapshot
+from .limiter import Params, limiter, monotone_gap, unclamped_gap
 from .profiles import gaussian_bump, poly_spike, uniform_field
 from .steady import SteadyProfileSpec, eikonal_residual, sample, stationarity_drift
 from .stepping import (CflViolationError, NumericalFailureError, PicardDivergenceError, StepControls, Trajectory,

@@ -166,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="path to key = value config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="seed recorded with outputs")
+        p.add_argument("--seed", type=int, default=None, help="overrides the seed key, which no run reads")
 
     p_sim = sub.add_parser("simulate", help="run one configuration")
     common(p_sim)

@@ -48,7 +48,6 @@ class RunConfig:
     cfl_safety: float = 0.45
     picard_tol: float = 1e-10
     picard_max_iter: int = 200
-    linear_solver_tol: float = 1e-12
     t_end: float = 1.0
     diag_stride: int = 10
     p_set: tuple[float, ...] = (2.0, 4.0)
@@ -94,7 +93,6 @@ _PARSERS = {
     "cfl_safety": float,
     "picard_tol": float,
     "picard_max_iter": _parse_int,
-    "linear_solver_tol": float,
     "t_end": float,
     "diag_stride": _parse_int,
     "p_set": _parse_floats,
@@ -125,12 +123,12 @@ def _validate(cfg: RunConfig) -> None:
 
     if cfg.dim not in (1, 2):
         raise bad("dim", f"must be 1 or 2, got {cfg.dim}")
-    if not (cfg.box_halfwidth is None or np.isfinite(cfg.box_halfwidth) and cfg.box_halfwidth > 0.0):
-        raise bad("box_halfwidth", "must be finite and positive")
     if cfg.cells < 3:
         raise bad("cells", "need at least 3 cells per axis")
     if not (np.isfinite(cfg.chi) and cfg.chi >= 0.0):
         raise bad("chi", f"must be finite and >= 0, got {cfg.chi}")
+    if not 0.0 < 2.0 * _half_width(cfg) / cfg.cells < np.inf:
+        raise bad("box_halfwidth", "must be positive, with a finite cell width 2*box_halfwidth/cells")
     if not (np.isfinite(cfg.eps) and cfg.eps >= 0.0):
         raise bad("eps", f"must be finite and >= 0, got {cfg.eps}")
     if cfg.scheme not in _SCHEMES:
@@ -143,8 +141,6 @@ def _validate(cfg: RunConfig) -> None:
         raise bad("picard_tol", "must be positive")
     if cfg.picard_max_iter < 1:
         raise bad("picard_max_iter", "must be >= 1")
-    if not cfg.linear_solver_tol > 0.0:
-        raise bad("linear_solver_tol", "must be positive")
     if not (np.isfinite(cfg.t_end) and cfg.t_end >= 0.0):
         raise bad("t_end", "must be finite and >= 0")
     if cfg.diag_stride < 1:
@@ -236,7 +232,6 @@ def build_controls(cfg: RunConfig) -> StepControls:
         cfl_safety=cfg.cfl_safety,
         picard_tol=cfg.picard_tol,
         picard_max_iter=cfg.picard_max_iter,
-        linear_solver_tol=cfg.linear_solver_tol,
     )
 
 
@@ -251,13 +246,16 @@ def _center(cfg: RunConfig) -> tuple[float, ...]:
 
 def build_problem(cfg: RunConfig) -> tuple[Grid, Field]:
     """Materialize the grid and initial field described by a config; builder failures (say,
-    a missing snapshot), a CFL step of 0 and work over the cell-step budget raise ``ConfigError``."""
+    a missing snapshot), the semi-implicit scheme on a 2D grid, a CFL step of 0 and work over
+    the cell-step budget raise ``ConfigError``."""
     try:
         grid, field = _build_problem(cfg)
     except ConfigError:
         raise
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot build the initial condition: {exc}") from None
+    if cfg.scheme == "semi_implicit" and grid.dim != 1:
+        raise ConfigError(f"invalid value for 'scheme': semi_implicit is 1D only, the grid is {grid.dim}D")
     ceiling = cfl_dt(grid, cfg.eps, cfg.cfl_safety)
     if not ceiling > 0.0:
         raise ConfigError(f"the CFL step safety*h^2/(2d(1+eps)) underflows to 0 "

@@ -1,4 +1,4 @@
-"""Uniform Cartesian grids, cell-centered fields, and face-based operators.
+"""Uniform Cartesian grids, cell-centered fields, and the central-difference stencil.
 
 The solver works on a centered box [-L, L]^d (d = 1 or 2) with a no-flux
 boundary, used as a truncation of free space: every profile of interest here
@@ -23,11 +23,8 @@ import numpy as np
 __all__ = [
     "Grid",
     "Field",
-    "FaceData",
     "make_grid",
     "gradient_norm",
-    "face_gradient",
-    "divergence",
     "integrate",
     "save_snapshot",
     "load_snapshot",
@@ -136,38 +133,6 @@ class Field:
         return f
 
 
-@dataclass(frozen=True)
-class FaceData:
-    """Per-face data for the interior faces normal to one axis.
-
-    ``normal`` holds the component along the face normal, ``tangential`` the
-    remaining d-1 components of the reconstructed gradient vector. Boundary
-    faces are implicit and carry zero flux.
-    """
-
-    grid: Grid
-    axis: int
-    normal: np.ndarray
-    tangential: tuple[np.ndarray, ...] = ()
-
-    def __post_init__(self) -> None:
-        expected = list(self.grid.shape)
-        expected[self.axis] -= 1
-        expected = tuple(expected)
-        if self.normal.shape != expected:
-            raise ValueError(f"normal face array must have shape {expected}")
-        for t in self.tangential:
-            if t.shape != expected:
-                raise ValueError(f"tangential face arrays must have shape {expected}")
-
-    def norm(self) -> np.ndarray:
-        """Euclidean norm of the full reconstructed gradient per face."""
-        s = self.normal * self.normal
-        for t in self.tangential:
-            s = s + t * t
-        return np.sqrt(s)
-
-
 def make_grid(dim: int, extent, cells) -> Grid:
     """Build a centered box [-L, L]^d tiled by uniform cells.
 
@@ -215,8 +180,10 @@ def central_gradient(values: np.ndarray, axis: int, h: float, out: np.ndarray | 
 def cell_gradient(field: Field) -> tuple[np.ndarray, ...]:
     """Cell-centered gradient by central differences (one-sided at the box edge).
 
-    This is the stencil used by the diagnostics; fluxes use face differences
-    instead (see ``face_gradient``). Exact for affine data everywhere.
+    This is the stencil used by the diagnostics; fluxes use two-point face
+    differences instead (see ``stepping._face_coefficients``), with this stencil
+    only for the tangential part of a 2D face gradient. Exact for affine data
+    everywhere.
     """
     return tuple(central_gradient(field.values, k, h) for k, h in enumerate(field.grid.spacing))
 
@@ -224,54 +191,6 @@ def cell_gradient(field: Field) -> tuple[np.ndarray, ...]:
 def gradient_norm(field: Field) -> np.ndarray:
     """Cellwise |grad rho| from the central differences of ``cell_gradient``."""
     return np.sqrt(sum(g * g for g in cell_gradient(field)))
-
-
-def face_gradient(field: Field) -> tuple[FaceData, ...]:
-    """Reconstructed gradient on interior faces, one FaceData per axis.
-
-    The normal component at the face between cells i and i+1 is the two-point
-    difference (rho_{i+1} - rho_i)/h. Tangential components average the two
-    adjacent cell-centered central differences; this reconstruction is first
-    order but supplies the full gradient vector needed by the flux limiter.
-    """
-    g = field.grid
-    v = field.values
-    cg = cell_gradient(field) if g.dim > 1 else None
-    out = []
-    for axis in range(g.dim):
-        h = g.spacing[axis]
-        normal = np.diff(v, axis=axis) / h
-        tang = []
-        if g.dim > 1:
-            lo, hi = along(g.dim, axis, slice(None, -1)), along(g.dim, axis, slice(1, None))
-            for other in range(g.dim):
-                if other == axis:
-                    continue
-                gc = cg[other]
-                tang.append(0.5 * (gc[lo] + gc[hi]))
-        out.append(FaceData(grid=g, axis=axis, normal=normal, tangential=tuple(tang)))
-    return tuple(out)
-
-
-def divergence(fluxes) -> Field:
-    """Discrete divergence of per-axis face fluxes (normal components only).
-
-    Boundary faces are zero, so the cell sum of divergence times volume
-    telescopes to zero exactly in exact arithmetic.
-    """
-    fluxes = tuple(fluxes)
-    if not fluxes:
-        raise ValueError("divergence needs at least one FaceData")
-    g = fluxes[0].grid
-    acc = np.zeros(g.shape)
-    for fd in fluxes:
-        if fd.grid is not g and fd.grid != g:
-            raise ValueError("all fluxes must share one grid")
-        h = g.spacing[fd.axis]
-        scaled = fd.normal / h
-        acc[along(g.dim, fd.axis, slice(None, -1))] += scaled
-        acc[along(g.dim, fd.axis, slice(1, None))] -= scaled
-    return Field(g, acc)
 
 
 def integrate(field: Field, weight=None) -> float:

@@ -1,9 +1,11 @@
 """Pointwise flux-limited diffusion coefficient and its monotonicity probes.
 
 The flux is (1 - chi*rho/|grad|)_+ * grad plus an optional viscous part
-eps*grad. The positive part kills the flux wherever |grad| <= chi*rho, which
-is what makes the underlying vector map monotone; removing the clamp breaks
-monotonicity, and ``unclamped_gap`` exists only to demonstrate that.
+eps*grad; the steppers assemble it face by face from ``limiter`` (see
+``stepping._face_coefficients``). The positive part kills the flux wherever
+|grad| <= chi*rho, which is what makes the underlying vector map monotone;
+removing the clamp breaks monotonicity, and ``unclamped_gap`` exists only to
+demonstrate that.
 
 Conventions: the coefficient is exactly 0.0 (bitwise) on the clamped set,
 including |grad| = 0, so degenerate regions freeze and vacuum stays vacuum.
@@ -18,10 +20,8 @@ import numpy as np
 __all__ = [
     "Params",
     "limiter",
-    "face_flux",
     "monotone_gap",
     "unclamped_gap",
-    "flux_deviation",
 ]
 
 
@@ -36,15 +36,12 @@ class Params:
 
     chi: float
     eps: float = 0.0
-    limiter_floor: float = 0.0  # value taken at |grad| = 0; fixed convention
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.chi) and self.chi >= 0.0):
             raise ValueError(f"chi must be finite and >= 0, got {self.chi}")
         if not (np.isfinite(self.eps) and self.eps >= 0.0):
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
-        if self.limiter_floor != 0.0:
-            raise ValueError("the limiter value at zero gradient is fixed to 0")
 
 
 def limiter(rho, grad_norm, chi, out=None):
@@ -67,18 +64,6 @@ def limiter(rho, grad_norm, chi, out=None):
     np.subtract(1.0, out, out=out)
     np.fmax(out, 0.0, out=out)
     return float(out) if out.ndim == 0 else out
-
-
-def face_flux(rho_face, grad_vec, params: Params) -> np.ndarray:
-    """Flux vector (limiter(rho, |grad|) + eps) * grad at one or more faces.
-
-    ``grad_vec`` carries the components along its last axis; ``rho_face`` is
-    the arithmetic mean of the two adjacent cell densities.
-    """
-    gvec = np.asarray(grad_vec, dtype=float)
-    gnorm = np.linalg.norm(gvec, axis=-1)
-    coeff = limiter(rho_face, gnorm, params.chi) + params.eps
-    return np.asarray(coeff)[..., None] * gvec
 
 
 def _clamped_map(v: np.ndarray, c: float) -> np.ndarray:
@@ -115,16 +100,3 @@ def unclamped_gap(w, z, c: float):
     Kept out of the solver; only the monotonicity study calls it.
     """
     return _pairing(w, z, c, _unclamped_map)
-
-
-def flux_deviation(rho, grad_vec, chi: float):
-    """|limiter * grad - grad|: how far the limited flux sits from pure diffusion.
-
-    Bounded by chi*rho: equal to chi*rho where the limiter is active, and to
-    |grad| <= chi*rho where it is clamped.
-    """
-    gvec = np.asarray(grad_vec, dtype=float)
-    gnorm = np.linalg.norm(gvec, axis=-1)
-    coeff = limiter(rho, gnorm, chi)
-    dev = (1.0 - np.asarray(coeff)) * gnorm
-    return float(dev) if dev.ndim == 0 else dev

@@ -24,7 +24,9 @@ def gaussian_bump(grid: Grid, width: float, center=None, mass: float | None = No
     """Gaussian exp(-r^2 / (2 width^2)), strictly positive on the whole box.
 
     Exactly one of ``mass`` (discrete integral) or ``amplitude`` fixes the
-    scale; ``mass`` is matched by discrete rescaling.
+    scale; ``mass`` is matched by discrete rescaling, which needs a discrete
+    integral that is positive and finite (the bump must not underflow to 0
+    on every cell center).
     """
     if width <= 0.0:
         raise ValueError("width must be positive")
@@ -34,8 +36,10 @@ def gaussian_bump(grid: Grid, width: float, center=None, mass: float | None = No
     vals = np.exp(-_squared_distance(grid, center) / (2.0 * width * width))
     if amplitude is not None:
         return Field.density(grid, amplitude * vals)
-    f = Field.density(grid, vals)
-    return Field.density(grid, vals * (mass / integrate(f)))
+    total = integrate(Field.density(grid, vals))
+    if not 0.0 < total < np.inf:
+        raise ValueError(f"the Gaussian's discrete integral is {total}; widen it or shrink the box")
+    return Field.density(grid, vals * (mass / total))
 
 
 def poly_spike(grid: Grid, width: float, p: float, center=None, p_norm: float = 1.0) -> Field:

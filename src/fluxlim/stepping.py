@@ -6,12 +6,11 @@ Two steppers share one spatial discretization:
     The face coefficients lie in [0, 1 + eps], so each update is a convex
     combination plus an absorption factor; positivity and the Lp decay of
     the continuous flow carry over exactly.
-  * ``step_semi_implicit``: backward Euler by sweeps that linearize the flux
-    at the previous iterate: in 1D on the limiter's frozen active set and
-    gradient sign (semi-smooth Newton), solved exactly by LAPACK, in about
-    two sweeps; in 2D with the limiter coefficient frozen, solved by
-    conjugate gradients. No step-size restriction.
-    scipy is imported by this step alone, so explicit runs never load it.
+  * ``step_semi_implicit``: backward Euler in 1D by sweeps that linearize
+    the flux at the previous iterate on the limiter's frozen active set and
+    gradient sign (semi-smooth Newton), each solved exactly by LAPACK, in
+    about two sweeps. No step-size restriction. scipy is imported by this
+    step alone, so explicit runs never load it.
 
 The explicit kernel (``march``) steps a batch of members on one grid at
 once, each with its own chi, eps, dt and step count; ``run`` and
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,15 +81,14 @@ class StepControls:
     cfl_safety: float = 0.45
     picard_tol: float = 1e-10
     picard_max_iter: int = 200
-    linear_solver_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
-        if not (self.picard_tol > 0.0 and self.linear_solver_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not self.picard_tol > 0.0:
+            raise ValueError("picard_tol must be positive")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be >= 1")
 
@@ -156,8 +154,9 @@ def _face_coefficients(values: np.ndarray, ws: _Workspace, chi, eps) -> list[np.
 
     ``values`` holds the members along its leading axis; ``chi`` and ``eps``
     are scalars or per-member columns. The limiter sees the face-mean density
-    and the norm of the full reconstructed gradient (normal and tangential
-    parts, see ``grid.face_gradient``).
+    and the norm of the reconstructed face gradient: the two-point difference
+    across the face, plus in 2D the mean of the two adjacent central
+    differences along the face. Those norms are left in ``ws.norm``.
     """
     stencil = ws.stencil
     for (axis, lo, hi, h), norm, rho, coef in zip(stencil, ws.norm, ws.rho, ws.coef):
@@ -299,16 +298,15 @@ def _active_set_solve(lim, z, rhs, chi: float, eps: float, dt: float, h: float) 
 
 
 def step_semi_implicit(field: Field, params: Params, controls: StepControls, with_info: bool = False):
-    """One backward-Euler step (1 + eps*dt) u - dt*div F(u) = rho by sweeps.
+    """One backward-Euler step (1 + eps*dt) u - dt*div F(u) = rho by sweeps, 1D only.
 
-    Each sweep T linearizes the flux at the previous iterate and solves: in
-    1D exactly, freezing the limiter's active set and gradient sign (a
-    semi-smooth Newton step, see ``_active_set_solve``); in 2D by conjugate
-    gradients to ``linear_solver_tol``, freezing the limiter coefficient.
-    Fixed points of T solve the step. Convergence is measured by the fixed-point
-    residual |T(z) - z| / |T(z)| in L2. Updates are relaxed,
-    z + theta (T(z) - z), and a candidate is only accepted once its residual
-    drops below the current one, halving theta otherwise (down to 1/64).
+    Each sweep T linearizes the flux at the previous iterate, freezing the
+    limiter's active set and gradient sign, and solves exactly (a semi-smooth
+    Newton step, see ``_active_set_solve``). Fixed points of T solve the step.
+    Convergence is measured by the fixed-point residual |T(z) - z| / |T(z)|
+    in L2. Updates are relaxed, z + theta (T(z) - z), and a candidate is only
+    accepted once its residual drops below the current one, halving theta
+    otherwise (down to 1/64).
     The backtracking guards against threshold flicker (faces hopping across
     the limiter cutoff between sweeps) at large dt; it never moves the fixed
     point, and theta stays at 1 whenever plain iteration contracts.
@@ -317,34 +315,20 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
     """
     if controls.dt is None:
         raise ValueError("step_semi_implicit needs controls.dt")
-    dt = controls.dt
     grid = field.grid
-    shape = grid.shape
-    rhs = field.values.ravel().copy()
+    if grid.dim != 1:
+        raise ValueError(f"the semi-implicit scheme is 1D only, got a {grid.dim}D field")
+    dt, rhs = controls.dt, field.values
     ws = _Workspace(grid, 1)
 
-    def matvec(coeffs: list[np.ndarray], u: np.ndarray) -> np.ndarray:
-        uu = u.reshape(shape)
-        div = _div_coeff_grad(uu[None], ws, coeffs, ws.cells)[0]
-        return ((1.0 + params.eps * dt) * uu - dt * div).ravel()
-
     def sweep(z: np.ndarray) -> tuple[np.ndarray, float]:
-        # in 1D, eps = 0 leaves the bare limiter, whose positive set is the active set
-        coeffs = _face_coefficients(z[None], ws, params.chi, params.eps if grid.dim > 1 else 0.0)
-        if grid.dim == 1:
-            sol = _active_set_solve(coeffs[0][0], z, rhs, params.chi, params.eps, dt, grid.spacing[0])
-        else:
-            from scipy.sparse.linalg import LinearOperator, cg
-
-            op = LinearOperator((rhs.size, rhs.size), matvec=partial(matvec, coeffs), dtype=float)
-            sol, info = cg(op, rhs, x0=z.ravel(), rtol=controls.linear_solver_tol, atol=0.0)
-            if info != 0:
-                raise NumericalFailureError(f"inner CG solve did not converge (info = {info})")
+        # eps = 0 leaves the bare limiter, whose positive set is the active set
+        (lim,) = _face_coefficients(z[None], ws, params.chi, 0.0)
+        sol = _active_set_solve(lim[0], z, rhs, params.chi, params.eps, dt, grid.spacing[0])
         if not np.isfinite(sol).all():
             raise NumericalFailureError("non-finite value produced by the implicit solve")
-        mapped = sol.reshape(shape)
-        denom = max(float(np.linalg.norm(mapped)), 1e-300)
-        return mapped, float(np.linalg.norm(mapped - z)) / denom
+        denom = max(float(np.linalg.norm(sol)), 1e-300)
+        return sol, float(np.linalg.norm(sol - z)) / denom
 
     z = field.values
     mapped, residual = sweep(z)
@@ -352,9 +336,8 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
     theta = 1.0
     for _ in range(controls.picard_max_iter):
         if residual <= controls.picard_tol:
-            # the exact 1D solve of an M-matrix leaves no solver-tolerance negatives
-            neg_tol = 1e-13 if grid.dim == 1 else max(1e-13, 1e3 * controls.linear_solver_tol)
-            mapped = _finalize(mapped[None], neg_tol)[0]
+            # the exact solve of an M-matrix leaves no solver-tolerance negatives
+            mapped = _finalize(mapped[None], 1e-13)[0]
             out = Field.density(grid, mapped)
             return (out, trace) if with_info else out
         theta = min(1.0, 1.5 * theta)  # remember the working relaxation level
@@ -407,7 +390,7 @@ def run_batch(initials, params, controls: StepControls, t_ends, diag_stride=10, 
     ``t_ends[i]``; ``diag_stride`` is one stride or one per member. Each
     member gets the time mesh and outputs its own ``run`` would give; the
     explicit scheme steps all members as one batch (see ``march``), the
-    semi-implicit one steps them in turn.
+    semi-implicit one (1D only) steps them in turn.
     """
     initials, t_ends = list(initials), [float(t) for t in t_ends]
     strides = list(diag_stride) if np.ndim(diag_stride) else [diag_stride] * len(initials)

@@ -91,6 +91,11 @@ def _fmt_list(xs) -> str:
     return " ".join(repr(float(x)) for x in xs)
 
 
+def _explicit_only(study: str, *cfgs: RunConfig) -> None:
+    if any(cfg.scheme != "explicit" for cfg in cfgs):
+        raise ValueError(f"invalid value for 'scheme': the {study} study steps explicitly only")
+
+
 def _sigma_for(cfg: RunConfig, reference: Field) -> float:
     """Relative-entropy floor guarding vacuum cells: sigma_rel * sup(reference)."""
     return cfg.sigma_rel * float(reference.values.max(initial=0.0))
@@ -185,6 +190,7 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig,
     time step; both dissipation terms stay nonnegative; and if the two
     initial fields coincide, H stays below 1e-12 throughout.
     """
+    _explicit_only("contraction", cfg1, cfg2)
     if cfg1.eps != 0.0 or cfg2.eps != 0.0:
         raise ValueError("contraction study requires eps = 0 in both runs")
     grid1, u = build_problem(cfg1)
@@ -274,6 +280,7 @@ def smoothing_study(base: RunConfig, p: float | None = None, spike_widths=None) 
     the classical power law; the fitted log-log slope must land within 10%
     of -d/(2p). Both families run as one batch, each member to its own horizon.
     """
+    _explicit_only("smoothing", base)
     p = float(base.study_p if p is None else p)
     widths = tuple(float(w) for w in (base.spike_widths if spike_widths is None else spike_widths))
     if len(widths) < 2:
@@ -284,7 +291,7 @@ def smoothing_study(base: RunConfig, p: float | None = None, spike_widths=None) 
         raise ValueError("smoothing study runs with eps = 0")
 
     cfg = replace(base, ic="spike", ic_p=p)
-    grid, _ = build_problem(cfg)
+    grid, spike = build_problem(cfg)
     d = grid.dim
     exp_main = d / (2.0 * p)
     exp_alt = (d + 2.0) / (2.0 * p)
@@ -292,12 +299,13 @@ def smoothing_study(base: RunConfig, p: float | None = None, spike_widths=None) 
     dt = controls.dt if controls.dt is not None else cfl_dt(grid, 0.0, controls.cfl_safety)
     shared = replace(controls, dt=dt)
     params = build_params(cfg)
+    n = len(widths)
+    t_ends = [cfg.t_end] * n + [w * w for w in widths]
+    check_cell_steps(spike.values.size, sum(t_ends), dt)  # all 2n members, one budget
 
     spikes = [poly_spike(grid, w, p, p_norm=cfg.ic_pnorm) for w in widths]
-    n = len(widths)
     trajectories = run_batch(spikes * 2, [params] * n + [build_params(replace(cfg, chi=0.0))] * n,
-                             shared, [cfg.t_end] * n + [w * w for w in widths],
-                             [cfg.diag_stride] * n + [10**9] * n,
+                             shared, t_ends, [cfg.diag_stride] * n + [10**9] * n,
                              p_set=cfg.p_set, grad_p_set=cfg.grad_p_set)
     limited = trajectories[:n]
     heat = [traj.records[-1] for traj in trajectories[n:]]

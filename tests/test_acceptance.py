@@ -5,9 +5,11 @@ as they happen. Tolerances are fixed here, never tuned at runtime; study
 configurations were frozen after a grid-refinement calibration pass.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,13 +196,16 @@ def test_criterion_10_determinism(tmp_path):
         "t_end = 0.01\ndiag_stride = 5\nic = gaussian\nic_width = 1.0\n"
         "ic_mass = 1.0\nseed = 42\n"
     )
+    # the child needs src on its own path: pytest's pythonpath setting reaches only this process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
         res = subprocess.run(
             [sys.executable, "-m", "fluxlim.cli", "simulate", "--config", str(cfg),
              "--out", str(out), "--seed", "42"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
         outs.append(out)
     same_csv = (outs[0] / "diagnostics.csv").read_bytes() == (outs[1] / "diagnostics.csv").read_bytes()

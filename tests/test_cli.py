@@ -85,6 +85,9 @@ class TestSimulate:
         "ic = spike\nic_width = 0.01",  # narrower than one cell
         "cells = 100000000000",  # rejected by the work-size guard before allocating
         "t_end = 1e300",
+        "box_halfwidth = 1e308\ncells = 60",  # the cell width overflows to inf
+        "box_halfwidth = 1e9\ncells = 60",  # the Gaussian underflows to 0 on every cell
+        "dim = 2\ncells = 20\nscheme = semi_implicit\ndt = 0.01",  # the scheme is 1D only
     ])
     def test_bad_value_is_config_error(self, tmp_path, override):
         keys = {line.split("=")[0].strip() for line in override.splitlines()}
@@ -104,6 +107,17 @@ class TestSimulate:
         res = cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert res.returncode == 1
         assert res.stderr.startswith("config error:") and "cell-steps" in res.stderr
+
+    def test_semi_implicit_on_2d_snapshot_is_config_error(self, tmp_path):
+        # the grid comes from the file, so the default dim = 1 does not describe it
+        from fluxlim.grid import Field, make_grid, save_snapshot
+
+        save_snapshot(Field(make_grid(2, 5.0, 12), np.ones((12, 12))), tmp_path / "snap.txt")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("ic = snapshot\nic_path = snap.txt\nscheme = semi_implicit\ndt = 0.01\n")
+        res = cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert res.returncode == 1
+        assert res.stderr.startswith("config error:") and "1D only" in res.stderr
 
     def test_missing_config_exit_1(self, tmp_path):
         res = cli("simulate", "--config", str(tmp_path / "nope.cfg"), cwd=tmp_path)
@@ -193,6 +207,8 @@ study_p = 4
         ("viscosity", "eps_list = 0.1 0.2"),
         ("viscosity", "eps_list = 1e308 0"),  # the CFL step underflows to 0
         ("smoothing", "spike_widths = 0.2 0.4"),
+        ("contraction", "scheme = semi_implicit"),  # both studies step explicitly only
+        ("smoothing", "scheme = semi_implicit"),
     ])
     def test_bad_study_input_is_config_error(self, tmp_path, kind, override):
         bad = tmp_path / "bad.cfg"
@@ -213,6 +229,22 @@ study_p = 4
         cfg.write_text(Path(__file__).resolve().parents[1].joinpath("configs", "viscosity.cfg").read_text()
                        .replace("eps_list = 0.1 0.05 0.025 0", "eps_list = 10000 0"))
         code = cli_module.main(["study", "viscosity", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "cell-steps" in err
+
+    def test_smoothing_family_over_budget_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # the heat controls run to t = w^2: 1024 cells x 4e8 steps at the CFL step
+        from fluxlim import cli as cli_module, studies
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the smoothing study started stepping")
+
+        monkeypatch.setattr(studies, "run_batch", no_stepping)
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(Path(__file__).resolve().parents[1].joinpath("configs", "smoothing.cfg").read_text()
+                       .replace("spike_widths = 0.8 0.4 0.2", "spike_widths = 100 50"))
+        code = cli_module.main(["study", "smoothing", "--config", str(cfg), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error:") and "cell-steps" in err

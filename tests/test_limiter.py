@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxlim.limiter import Params, face_flux, flux_deviation, limiter, monotone_gap, unclamped_gap
+from fluxlim.limiter import Params, limiter, monotone_gap, unclamped_gap
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -11,7 +11,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 class TestParams:
     def test_valid(self):
         p = Params(chi=1.5, eps=0.25)
-        assert p.chi == 1.5 and p.eps == 0.25 and p.limiter_floor == 0.0
+        assert p.chi == 1.5 and p.eps == 0.25
 
     def test_chi_zero_allowed_for_heat_control(self):
         Params(chi=0.0)
@@ -20,10 +20,6 @@ class TestParams:
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
             Params(**kw)
-
-    def test_floor_fixed(self):
-        with pytest.raises(ValueError, match="fixed"):
-            Params(chi=1.0, limiter_floor=0.1)
 
 
 class TestLimiter:
@@ -66,21 +62,22 @@ class TestLimiter:
 
 
 class TestFaceFlux:
+    # the face flux is (limiter(rho_face, |g|, chi) + eps) * g
     def test_limited_flux_vector(self):
-        out = face_flux(2.0, (3.0, 4.0), Params(chi=1.0))
-        assert np.allclose(out, (1.8, 2.4), atol=1e-14)
+        g = np.array([3.0, 4.0])
+        assert np.allclose((limiter(2.0, 5.0, 1.0) + 0.0) * g, (1.8, 2.4), atol=1e-14)
 
     def test_zero_gradient_zero_flux(self):
-        out = face_flux(5.0, (0.0, 0.0), Params(chi=1.0, eps=3.0))
-        assert np.all(out == 0.0)
+        coef = limiter(5.0, 0.0, 1.0) + 3.0
+        assert coef == 3.0 and np.all(coef * np.zeros(2) == 0.0)
 
     def test_viscous_term_survives_clamp(self):
-        out = face_flux(1.0, (0.5,), Params(chi=1.0, eps=0.25))
-        assert np.allclose(out, (0.125,), atol=1e-16)
+        coef = limiter(1.0, 0.5, 1.0) + 0.25
+        assert coef == 0.25 and coef * 0.5 == pytest.approx(0.125, abs=1e-16)
 
     def test_batched_faces(self):
         grads = np.array([[3.0, 4.0], [0.0, 0.0]])
-        out = face_flux(np.array([2.0, 2.0]), grads, Params(chi=1.0))
+        out = (limiter(np.array([2.0, 2.0]), np.linalg.norm(grads, axis=-1), 1.0) + 0.0)[:, None] * grads
         assert np.allclose(out[0], (1.8, 2.4))
         assert np.all(out[1] == 0.0)
 
@@ -123,15 +120,17 @@ class TestMonotoneGap:
 
 
 class TestFluxDeviation:
+    # (1 - limiter) * |g|, the distance of the limited flux from pure diffusion, is
+    # bounded by chi*rho: equal to it where the limiter is active, and to |g| where clamped
     def test_active_region_equals_threshold(self):
         # g = 2 > chi*rho = 1: deviation is exactly chi*rho
-        assert flux_deviation(1.0, (2.0,), 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert (1.0 - limiter(1.0, 2.0, 1.0)) * 2.0 == pytest.approx(1.0, abs=1e-15)
 
     def test_clamped_region_equals_gradient(self):
-        assert flux_deviation(2.0, (0.5,), 1.0) == pytest.approx(0.5)
+        assert (1.0 - limiter(2.0, 0.5, 1.0)) * 0.5 == pytest.approx(0.5)
 
     def test_vacuum(self):
-        assert flux_deviation(0.0, (3.0,), 1.0) == 0.0
+        assert (1.0 - limiter(0.0, 3.0, 1.0)) * 3.0 == 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0, 100), st.lists(st.floats(-50, 50), min_size=1, max_size=3), st.floats(1e-3, 10))
@@ -139,11 +138,11 @@ class TestFluxDeviation:
         # slack scales with the gradient: the active branch reconstructs
         # chi*rho/g from 1 - limiter, which carries one ulp of 1.0 times g
         gnorm = float(np.linalg.norm(grad))
-        assert flux_deviation(rho, np.array(grad), chi) <= chi * rho + 1e-15 * (1.0 + gnorm)
+        assert (1.0 - limiter(rho, gnorm, chi)) * gnorm <= chi * rho + 1e-15 * (1.0 + gnorm)
 
     def test_unit_scale_slack(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
             rho = rng.uniform(0, 2)
-            grad = rng.uniform(-1, 1, 2)
-            assert flux_deviation(rho, grad, 1.0) <= rho + 1e-15
+            gnorm = float(np.linalg.norm(rng.uniform(-1, 1, 2)))
+            assert (1.0 - limiter(rho, gnorm, 1.0)) * gnorm <= rho + 1e-15
