@@ -8,10 +8,11 @@ fall back to a default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .diagnostics import csv_header, csv_row, record
 from .grid import Field, Grid, load_snapshot, make_grid
 from .limiter import Params
 from .profiles import gaussian_bump, poly_spike, uniform_field
@@ -63,16 +64,11 @@ class RunConfig:
     ic_pnorm: float = 1.0
     ic_path: str | None = None
     sigma_rel: float = 1e-12
-    seed: int = 0
     out: str = "out"
     snapshot_stride: int = 0
     eps_list: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0)
     spike_widths: tuple[float, ...] = (0.8, 0.4, 0.2)
     study_p: float = 4.0
-
-
-def _parse_int(raw: str) -> int:
-    return int(raw, 10)
 
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
@@ -82,39 +78,9 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-_PARSERS = {
-    "dim": _parse_int,
-    "box_halfwidth": float,
-    "cells": _parse_int,
-    "chi": float,
-    "eps": float,
-    "scheme": str,
-    "dt": float,
-    "cfl_safety": float,
-    "picard_tol": float,
-    "picard_max_iter": _parse_int,
-    "t_end": float,
-    "diag_stride": _parse_int,
-    "p_set": _parse_floats,
-    "grad_p_set": _parse_floats,
-    "ic": str,
-    "ic_mass": float,
-    "ic_amplitude": float,
-    "ic_width": float,
-    "ic_center": _parse_floats,
-    "ic_centers": _parse_floats,
-    "ic_amplitudes": _parse_floats,
-    "ic_p": float,
-    "ic_pnorm": float,
-    "ic_path": str,
-    "sigma_rel": float,
-    "seed": _parse_int,
-    "out": str,
-    "snapshot_stride": _parse_int,
-    "eps_list": _parse_floats,
-    "spike_widths": _parse_floats,
-    "study_p": float,
-}
+# The keys are the RunConfig fields, each parsed by its annotated type (optional or not)
+_TYPE_PARSERS = {"int": int, "float": float, "str": str, "tuple[float, ...]": _parse_floats}
+_PARSERS = {f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -246,10 +212,12 @@ def _center(cfg: RunConfig) -> tuple[float, ...]:
 
 def build_problem(cfg: RunConfig) -> tuple[Grid, Field]:
     """Materialize the grid and initial field described by a config; builder failures (say,
-    a missing snapshot), the semi-implicit scheme on a 2D grid, a CFL step of 0 and work over
-    the cell-step budget raise ``ConfigError``."""
+    a missing snapshot), the semi-implicit scheme on a 2D grid, a CFL step of 0, work over
+    the cell-step budget and initial diagnostics that overflow raise ``ConfigError``."""
     try:
-        grid, field = _build_problem(cfg)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            grid, field = _build_problem(cfg)
+            initial = record(field, cfg.p_set, cfg.grad_p_set)
     except ConfigError:
         raise
     except (OSError, ValueError) as exc:
@@ -261,6 +229,11 @@ def build_problem(cfg: RunConfig) -> tuple[Grid, Field]:
         raise ConfigError(f"the CFL step safety*h^2/(2d(1+eps)) underflows to 0 "
                           f"(h = {min(grid.spacing)}, eps = {cfg.eps})")
     check_cell_steps(field.values.size, cfg.t_end, cfg.dt or ceiling)
+    names, values = csv_header(cfg.p_set, cfg.grad_p_set).split(","), csv_row(initial).split(",")
+    overflow = [name for name, value in zip(names, values) if not np.isfinite(float(value))]
+    if overflow:
+        raise ConfigError(f"initial diagnostics are not finite ({', '.join(overflow)}); "
+                          "shrink the box, the mass or the amplitude")
     return grid, field
 
 

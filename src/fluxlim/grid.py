@@ -24,6 +24,7 @@ __all__ = [
     "Grid",
     "Field",
     "make_grid",
+    "squared_distance",
     "gradient_norm",
     "integrate",
     "save_snapshot",
@@ -74,10 +75,6 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
-    def total_measure(self) -> float:
-        return self.cell_volume * float(np.prod(self.shape))
-
     def axis_centers(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
         n, h, o = self.shape[axis], self.spacing[axis], self.origin[axis]
@@ -91,17 +88,21 @@ class Grid:
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
 
-@lru_cache(maxsize=None)
-def _radius_squared(grid: Grid) -> np.ndarray:
+def squared_distance(grid: Grid, center) -> np.ndarray:
+    """|x - center|^2 sampled at cell centers; ``center`` has one coordinate per axis."""
+    cc = np.atleast_1d(np.asarray(center, dtype=float))
+    if cc.shape != (grid.dim,):
+        raise ValueError(f"center {center!r} does not match grid dimension {grid.dim}")
     r2 = np.zeros(grid.shape)
-    for c in grid.centers():
-        r2 = r2 + c * c
-    return _frozen(r2)
+    for k, ax in enumerate(grid.centers()):
+        r2 = r2 + (ax - cc[k]) ** 2
+    return r2
 
 
+@lru_cache(maxsize=None)
 def radius_squared(grid: Grid) -> np.ndarray:
-    """|x|^2 sampled at cell centers (cached per grid)."""
-    return _radius_squared(grid)
+    """|x|^2 sampled at cell centers (cached per grid, read-only)."""
+    return _frozen(squared_distance(grid, (0.0,) * grid.dim))
 
 
 @dataclass(frozen=True)
@@ -193,12 +194,9 @@ def gradient_norm(field: Field) -> np.ndarray:
     return np.sqrt(sum(g * g for g in cell_gradient(field)))
 
 
-def integrate(field: Field, weight=None) -> float:
-    """Midpoint-rule integral of the field, optionally against a weight array."""
-    if weight is None:
-        return float(np.sum(field.values) * field.grid.cell_volume)
-    w = np.asarray(weight, dtype=float)
-    return float(np.sum(field.values * w) * field.grid.cell_volume)
+def integrate(field: Field) -> float:
+    """Midpoint-rule integral of the field."""
+    return float(np.sum(field.values) * field.grid.cell_volume)
 
 
 def save_snapshot(field: Field, path) -> None:

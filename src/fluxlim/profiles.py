@@ -4,19 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, Grid, integrate
+from .grid import Field, Grid, integrate, squared_distance
 
 __all__ = ["gaussian_bump", "poly_spike", "uniform_field"]
-
-
-def _squared_distance(grid: Grid, center) -> np.ndarray:
-    cc = np.atleast_1d(np.asarray(center, dtype=float))
-    if cc.shape != (grid.dim,):
-        raise ValueError(f"center {center!r} does not match grid dimension {grid.dim}")
-    r2 = np.zeros(grid.shape)
-    for k, ax in enumerate(grid.centers()):
-        r2 = r2 + (ax - cc[k]) ** 2
-    return r2
 
 
 def gaussian_bump(grid: Grid, width: float, center=None, mass: float | None = None,
@@ -33,7 +23,7 @@ def gaussian_bump(grid: Grid, width: float, center=None, mass: float | None = No
     if (mass is None) == (amplitude is None):
         raise ValueError("give exactly one of mass or amplitude")
     center = np.zeros(grid.dim) if center is None else center
-    vals = np.exp(-_squared_distance(grid, center) / (2.0 * width * width))
+    vals = np.exp(-squared_distance(grid, center) / (2.0 * width * width))
     if amplitude is not None:
         return Field.density(grid, amplitude * vals)
     total = integrate(Field.density(grid, vals))
@@ -53,7 +43,7 @@ def poly_spike(grid: Grid, width: float, p: float, center=None, p_norm: float = 
     if p < 1.0:
         raise ValueError("p must be >= 1")
     center = np.zeros(grid.dim) if center is None else center
-    z = 1.0 - _squared_distance(grid, center) / (width * width)
+    z = 1.0 - squared_distance(grid, center) / (width * width)
     vals = np.where(z > 0.0, z, 0.0) ** 2
     norm = float(np.sum(vals**p) * grid.cell_volume) ** (1.0 / p)
     if norm <= 0.0:

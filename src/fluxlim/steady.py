@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import l1_distance
-from .grid import Field, Grid, gradient_norm, integrate
+from .grid import Field, Grid, gradient_norm, integrate, squared_distance
 from .limiter import Params
 from .stepping import StepControls, run
 
@@ -40,7 +40,6 @@ class SteadyProfileSpec:
     chi: float
     peaks: tuple
     target_mass: float | None = None
-    snap_centers: bool = True  # put kinks on cell centers; disable for robustness tests
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -56,12 +55,11 @@ class SteadyProfileSpec:
             raise ValueError("target_mass must be positive when set")
 
 
-def _center_coords(center, grid: Grid, snap: bool) -> np.ndarray:
+def _center_coords(center, grid: Grid) -> np.ndarray:
+    """The cell center nearest to ``center`` along each axis, so the kink sits on a cell."""
     c = np.atleast_1d(np.asarray(center, dtype=float))
     if c.shape != (grid.dim,):
         raise ValueError(f"peak center {center!r} does not match grid dimension {grid.dim}")
-    if not snap:
-        return c
     snapped = np.empty(grid.dim)
     for k in range(grid.dim):
         h, o, n = grid.spacing[k], grid.origin[k], grid.shape[k]
@@ -72,32 +70,27 @@ def _center_coords(center, grid: Grid, snap: bool) -> np.ndarray:
 
 def sample(spec: SteadyProfileSpec, grid: Grid) -> Field:
     """Sample the profile at cell centers, rescaling to ``target_mass`` if set."""
-    centers = grid.centers()
-    snap = spec.snap_centers
     if spec.kind == "multi_peak":
         if grid.dim != 1:
             raise ValueError("multi_peak profiles are one-dimensional")
-        x = centers[0]
-        stack = [amp * np.exp(-spec.chi * np.abs(x - _center_coords(c, grid, snap)[0]))
+        x = grid.axis_centers(0)
+        stack = [amp * np.exp(-spec.chi * np.abs(x - _center_coords(c, grid)[0]))
                  for amp, c in spec.peaks]
         vals = np.max(np.stack(stack), axis=0)
     elif spec.kind == "single_peak":
         if len(spec.peaks) != 1:
             raise ValueError("single_peak takes exactly one peak")
         amp, c = spec.peaks[0]
-        cc = _center_coords(c, grid, snap)
-        r = np.zeros(grid.shape)
-        for k, ax in enumerate(centers):
-            r = r + (ax - cc[k]) ** 2
-        vals = amp * np.exp(-spec.chi * np.sqrt(r))
+        r2 = squared_distance(grid, _center_coords(c, grid))
+        vals = amp * np.exp(-spec.chi * np.sqrt(r2))
     else:  # factorized
         if len(spec.peaks) != 1:
             raise ValueError("factorized takes exactly one peak")
         amp, c = spec.peaks[0]
-        cc = _center_coords(c, grid, snap)
+        cc = _center_coords(c, grid)
         rate = spec.chi / np.sqrt(grid.dim)
         s = np.zeros(grid.shape)
-        for k, ax in enumerate(centers):
+        for k, ax in enumerate(grid.centers()):
             s = s + np.abs(ax - cc[k])
         vals = amp * np.exp(-rate * s)
 

@@ -1,11 +1,12 @@
 """Experiment harnesses: viscosity sweep, entropy contraction, sup-norm
-smoothing, and the randomized monotonicity probe.
+smoothing, the stationary-profile check, and the randomized monotonicity probe.
 
 Each study returns a ``StudyReport`` carrying a result table, named
 verdicts, and enough inputs to reproduce the run. Reports render to a
 human-readable text block (with grep-stable ``VERDICT <name> PASS|FAIL``
 lines) and to CSV; both renderings are byte-deterministic for a fixed
-configuration and seed.
+configuration (and, for the monotonicity probe, seed). Input checks raise
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import numpy as np
 
 from .config import RunConfig, build_controls, build_params, build_problem, check_cell_steps
 from .diagnostics import l1_distance, pair_terms, relative_entropy
-from .grid import Field
+from .grid import Field, gradient_norm, integrate
 from .limiter import monotone_gap, unclamped_gap
 from .profiles import poly_spike
+from .steady import eikonal_residual, stationarity_drift
 from .stepping import cfl_dt, march, run_batch, time_mesh
 
 __all__ = [
@@ -28,12 +30,18 @@ __all__ = [
     "viscosity_study",
     "contraction_study",
     "smoothing_study",
+    "steady_study",
     "monotonicity_test",
 ]
 
 
 # Bytes of recorded states per contraction probe: 16 pairs of 400 cells, one pair of 57^2 or more
 _PROBE_BLOCK_BYTES = 100 * 2**10
+# Allowed rise of the relative entropy per time step, relative to H(0)
+_H_SLACK_PER_STEP = 1e-8
+# Dimensions and thresholds the monotonicity probe samples
+_MONOTONE_DIMS = (1, 2, 3)
+_MONOTONE_C = (0.1, 1.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -101,9 +109,9 @@ def _sigma_for(cfg: RunConfig, reference: Field) -> float:
     return cfg.sigma_rel * float(reference.values.max(initial=0.0))
 
 
-def viscosity_study(base: RunConfig, eps_list=None) -> StudyReport:
-    """Run one initial condition across a decreasing viscosity list and
-    measure how fast the solutions become a Cauchy family.
+def viscosity_study(base: RunConfig) -> StudyReport:
+    """Run one initial condition across the decreasing viscosity list
+    ``eps_list`` and measure how fast the solutions become a Cauchy family.
 
     Reports the L1 distance and relative entropy of every pair at the final
     time and fits H(T) against eps + delta (affine least squares, plus the
@@ -111,7 +119,7 @@ def viscosity_study(base: RunConfig, eps_list=None) -> StudyReport:
     metrics strictly decrease along consecutive pairs; the affine fit has
     positive slope and an intercept at most 10% of the largest H.
     """
-    eps_list = tuple(float(e) for e in (base.eps_list if eps_list is None else eps_list))
+    eps_list = tuple(float(e) for e in base.eps_list)
     if len(eps_list) < 2:
         raise ValueError("eps_list needs at least two entries")
     if any(not (np.isfinite(e) and e >= 0.0) for e in eps_list):
@@ -181,12 +189,11 @@ def viscosity_study(base: RunConfig, eps_list=None) -> StudyReport:
     )
 
 
-def contraction_study(cfg1: RunConfig, cfg2: RunConfig,
-                      h_slack_per_step: float = 1e-8) -> StudyReport:
+def contraction_study(cfg1: RunConfig, cfg2: RunConfig) -> StudyReport:
     """Advance two inviscid runs on one time mesh, as one batch, and track the
     relative entropy between them together with its two dissipation integrals.
 
-    Verdicts: H never increases by more than ``h_slack_per_step * H(0)`` per
+    Verdicts: H never increases by more than ``_H_SLACK_PER_STEP * H(0)`` per
     time step; both dissipation terms stay nonnegative; and if the two
     initial fields coincide, H stays below 1e-12 throughout.
     """
@@ -226,7 +233,7 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig,
                 times = []
 
     h0 = rows[0][1]
-    slack = h_slack_per_step * h0
+    slack = _H_SLACK_PER_STEP * h0
     mono_ok = True
     worst = 0.0
     for idx in range(1, len(rows)):
@@ -268,12 +275,13 @@ def _envelope(records, p_norm: float, exponent: float) -> float:
     return best
 
 
-def smoothing_study(base: RunConfig, p: float | None = None, spike_widths=None) -> StudyReport:
+def smoothing_study(base: RunConfig) -> StudyReport:
     """Probe the sup-norm smoothing bound on an Lp-normalized spike family.
 
-    Each spike (widths w, w/2, ... with equal Lp norm) runs inviscid; the
-    envelope constant C_hat = max_t sup(t) / (|rho_in|_p (1 + t^{-d/2p}))
-    must be stable (within a factor 2) across the family. A second envelope
+    Each spike (widths ``spike_widths``, all with equal Lp norm for p =
+    ``study_p``) runs inviscid; the envelope constant
+    C_hat = max_t sup(t) / (|rho_in|_p (1 + t^{-d/2p})) must be stable
+    (within a factor 2) across the family. A second envelope
     with the alternative exponent (d+2)/(2p) is reported without a verdict.
     The pure-diffusion control (limiter pinned to 1 by chi = 0) reruns the
     family to width-matched probe times t = w^2, where the sup values follow
@@ -281,8 +289,7 @@ def smoothing_study(base: RunConfig, p: float | None = None, spike_widths=None) 
     of -d/(2p). Both families run as one batch, each member to its own horizon.
     """
     _explicit_only("smoothing", base)
-    p = float(base.study_p if p is None else p)
-    widths = tuple(float(w) for w in (base.spike_widths if spike_widths is None else spike_widths))
+    p, widths = float(base.study_p), tuple(float(w) for w in base.spike_widths)
     if len(widths) < 2:
         raise ValueError("need at least two spike widths")
     if any(w2 >= w1 for w1, w2 in zip(widths, widths[1:])):
@@ -347,8 +354,48 @@ def smoothing_study(base: RunConfig, p: float | None = None, spike_widths=None) 
     )
 
 
-def monotonicity_test(samples: int = 100_000, dims=(1, 2, 3), c_list=(0.1, 1.0, 10.0),
-                      seed: int = 0) -> StudyReport:
+def steady_study(cfg: RunConfig) -> StudyReport:
+    """Check that a sampled stationary profile stays put: L1 drift per unit time to
+    min(t_end, 0.05) at most chi*mass*h (or 1e-14), and |grad rho|/rho within
+    chi (1 + (chi h)^2) above 1e-8 of the sup; the eikonal residual is reported."""
+    if cfg.ic not in ("single_peak", "multi_peak", "factorized"):
+        raise ValueError("invalid value for 'ic': steady check needs a stationary profile kind")
+    if cfg.eps != 0.0:
+        raise ValueError("invalid value for 'eps': steady check runs inviscid")
+    grid, field = build_problem(cfg)
+    h = max(grid.spacing)
+    mass = integrate(field)
+    resid = eikonal_residual(field, cfg.chi).values
+    drift = stationarity_drift(field, build_params(cfg), build_controls(cfg),
+                               t_probe=min(cfg.t_end, 0.05) if cfg.t_end > 0 else 0.05)
+
+    sup = float(field.values.max())
+    live = field.values > 1e-8 * sup
+    grad_over_rho = np.zeros_like(field.values)
+    np.divide(gradient_norm(field), field.values, out=grad_over_rho, where=live)
+    worst_log_grad = float(grad_over_rho.max(initial=0.0))
+    log_bound = cfg.chi * (1.0 + (cfg.chi * h) ** 2)
+    allowance = max(cfg.chi * mass * h, 1e-14)
+
+    verdicts = [
+        Verdict("steady_drift_small", drift <= allowance,
+                f"drift per unit time {drift!r} allowance {allowance!r}"),
+        Verdict("steady_subcharacterization", worst_log_grad <= log_bound,
+                f"max |grad rho|/rho {worst_log_grad!r} bound {log_bound!r}"),
+    ]
+    return StudyReport(
+        kind="steady_check",
+        inputs=[("ic", cfg.ic), ("chi", repr(cfg.chi)), ("cells", str(cfg.cells)),
+                ("mass", repr(mass))],
+        columns=("quantity", "value"),
+        rows=[("drift_rate", drift), ("residual_max", float(resid.max())),
+              ("residual_median", float(np.median(resid))), ("mass", mass)],
+        verdicts=verdicts,
+        notes=[],
+    )
+
+
+def monotonicity_test(samples: int = 100_000, seed: int = 0) -> StudyReport:
     """Seeded sampling oracle for the flux-map pairing inequality.
 
     For every (dimension, threshold) combination the clamped map must give a
@@ -362,8 +409,8 @@ def monotonicity_test(samples: int = 100_000, dims=(1, 2, 3), c_list=(0.1, 1.0, 
     rows = []
     worst_clamped = np.inf
     worst_unclamped = np.inf
-    for c in c_list:
-        for d in dims:
+    for c in _MONOTONE_C:
+        for d in _MONOTONE_DIMS:
             w = rng.uniform(-10.0, 10.0, size=(samples, d))
             z = rng.uniform(-10.0, 10.0, size=(samples, d))
             g_c = float(np.min(monotone_gap(w, z, c)))
@@ -379,8 +426,8 @@ def monotonicity_test(samples: int = 100_000, dims=(1, 2, 3), c_list=(0.1, 1.0, 
     ]
     return StudyReport(
         kind="monotonicity",
-        inputs=[("samples", str(samples)), ("dims", " ".join(str(d) for d in dims)),
-                ("c_list", _fmt_list(c_list)), ("seed", str(seed))],
+        inputs=[("samples", str(samples)), ("dims", " ".join(str(d) for d in _MONOTONE_DIMS)),
+                ("c_list", _fmt_list(_MONOTONE_C)), ("seed", str(seed))],
         columns=("dim", "c", "min_gap_clamped", "min_gap_unclamped"),
         rows=rows,
         verdicts=verdicts,

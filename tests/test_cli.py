@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fluxlim import cli as cli_module
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 BASE_CFG = """\
@@ -19,7 +21,6 @@ diag_stride = 10
 ic = gaussian
 ic_width = 1.0
 ic_mass = 1.0
-seed = 7
 """
 
 
@@ -88,6 +89,9 @@ class TestSimulate:
         "box_halfwidth = 1e308\ncells = 60",  # the cell width overflows to inf
         "box_halfwidth = 1e9\ncells = 60",  # the Gaussian underflows to 0 on every cell
         "dim = 2\ncells = 20\nscheme = semi_implicit\ndt = 0.01",  # the scheme is 1D only
+        "dim = 2\nbox_halfwidth = 1e200\ncells = 10\nic = uniform",  # the cell volume overflows
+        "ic_mass = 1e308",  # the Lp norms and gradient norms overflow
+        "box_halfwidth = 1e200\nic = single_peak",  # 0 * |x|^2 = nan in the second moment
     ])
     def test_bad_value_is_config_error(self, tmp_path, override):
         keys = {line.split("=")[0].strip() for line in override.splitlines()}
@@ -146,6 +150,25 @@ class TestSimulate:
                              env={**os.environ, "PYTHONPATH": SRC})
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+
+class TestArgumentErrors:
+    # exit 2 means numerical failure, so a bad command line is a configuration error
+    @pytest.mark.parametrize("argv", [
+        ["check", "monotonicity", "--samples", "0"],  # rejected by the probe itself
+        ["check", "monotonicity", "--samples", "abc"],
+        ["simulate", "--config", "CFG", "--seed", "3"],  # an unknown flag: --seed is gone
+        ["study", "smoothing", "--config", "CFG", "--seed", "3"],
+        ["steady", "check", "--out", "OUT"],  # --config is required
+        ["study"],
+    ])
+    def test_exit_1_with_config_error(self, tmp_path, cfg_file, capsys, argv):
+        argv = [{"CFG": str(cfg_file), "OUT": str(tmp_path / "o")}.get(a, a) for a in argv]
+        code = cli_module.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestStudies:

@@ -1,9 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fluxlim.config import ConfigError, build_controls, build_params, build_problem, parse_config
+from fluxlim import cli
+from fluxlim.config import ConfigError, RunConfig, build_controls, build_params, build_problem, parse_config
 from fluxlim.grid import integrate, save_snapshot
 
 
@@ -76,6 +82,46 @@ class TestParseConfig:
     def test_multi_peak_requires_centers(self):
         with pytest.raises(ConfigError, match="ic_centers"):
             parse_config("ic = multi_peak\n")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# a valid non-default value per annotated type; the fields whose checks reject it get their own
+SAMPLE_BY_TYPE = {"int": "3", "float": "1.5", "str": "results", "tuple[float, ...]": "3 5"}
+SAMPLE_BY_KEY = {"dim": "2", "cfl_safety": "0.5", "scheme": "semi_implicit", "ic": "spike"}
+
+
+class TestKeyTable:
+    @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+    def test_every_field_parses_to_its_annotated_type(self, field):
+        kind = field.type.removesuffix(" | None")
+        raw = SAMPLE_BY_KEY.get(field.name, SAMPLE_BY_TYPE[kind])
+        value = getattr(parse_config(f"{field.name} = {raw}\n"), field.name)
+        if kind == "tuple[float, ...]":
+            assert type(value) is tuple and all(type(x) is float for x in value)
+            assert value == tuple(float(x) for x in raw.split())
+        else:
+            assert type(value).__name__ == kind
+            assert value == {"int": int, "float": float, "str": str}[kind](raw)
+        assert value != getattr(RunConfig(), field.name)
+
+    def test_seed_key_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("cells = 40\nt_end = 0.001\nseed = 0\n")
+        code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: line 3: unknown key 'seed'\n"
+
+
+def test_setup_probe_reads_the_shipped_configs(tmp_path):
+    # perfbench's set-up probe reaches parse_config and build_problem through the package namespace
+    configs = sorted(str(p) for p in (ROOT / "configs").glob("*.cfg"))
+    res = subprocess.run([sys.executable, str(ROOT / "perfbench" / "setup_probe.py"), *configs],
+                         cwd=tmp_path, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert res.returncode == 0, res.stderr
+    times = json.loads(res.stdout)
+    assert set(times) == {"import_s", "parse_config_s", "build_problem_s"}
+    assert all(t > 0.0 for t in times.values())
 
 
 class TestBuildProblem:

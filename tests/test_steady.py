@@ -86,11 +86,6 @@ class TestSample:
         f = sample(peak_spec(mass=None, amp=2.0), g)
         assert f.values.max() == 2.0
 
-    def test_center_snapping_disabled(self):
-        g = make_grid(1, 5.0, 200)
-        f = sample(peak_spec(mass=None, amp=2.0, snap_centers=False), g)
-        assert f.values.max() == pytest.approx(2.0 * np.exp(-0.5 * g.spacing[0]), rel=1e-12)
-
     def test_snapshot_roundtrip(self, tmp_path):
         g = make_grid(1, 5.0, 64)
         f = sample(peak_spec(), g)

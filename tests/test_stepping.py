@@ -449,6 +449,49 @@ def test_semi_implicit_1d_structure(case):
     assert np.sum(out**2) <= np.sum(f.values**2) * (1.0 + 1e-9)
 
 
+@st.composite
+def ordered_pairs(draw):
+    # u <= v on a 1D grid with chi*h <= 2, where the face flux sign(g)(|g| - chi rho_face)_+
+    # is monotone in both cells; vacuum patches of u alone and of both fields
+    grid = make_grid(1, 5.0, draw(st.integers(10, 200)))
+    n = grid.shape[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniform(0.0, 1.0, n)
+    gap = rng.uniform(0.0, 1.0, n) * draw(st.sampled_from([1e-3, 1.0]))
+    for vals in (u, u, gap):
+        start = rng.integers(n)
+        vals[start:start + rng.integers(n // 2 + 1)] = 0.0
+    both = rng.integers(n)
+    u[both:both + n // 5] = gap[both:both + n // 5] = 0.0
+    params = Params(chi=draw(st.floats(0.0, 2.0)) / grid.spacing[0], eps=draw(st.sampled_from([0.0, 0.1])))
+    return Field.density(grid, u), Field.density(grid, u + gap), params
+
+
+class TestComparisonPrinciple:
+    @settings(max_examples=100, deadline=None)
+    @given(ordered_pairs())
+    def test_explicit_step_is_ordered_l1_contraction(self, case):
+        u, v, params = case
+        controls = StepControls(dt=cfl_dt(u.grid, params.eps))
+        big_u, big_v = (step_explicit(f, params, controls).values for f in (u, v))
+        roundoff = 1e-13 * (u.values.sum() + v.values.sum())
+        assert np.all(big_u <= big_v + 1e-14 * v.values.max())
+        factor = 1.0 - params.eps * controls.dt
+        assert np.abs(big_v - big_u).sum() <= factor * np.abs(v.values - u.values).sum() + roundoff
+
+    @settings(max_examples=60, deadline=None)
+    @given(ordered_pairs())
+    def test_semi_implicit_step_is_ordered_l1_contraction(self, case):
+        # 20x the CFL step; each step is solved to picard_tol in the relative L2 residual
+        u, v, params = case
+        controls = StepControls(dt=20.0 * cfl_dt(u.grid, params.eps))
+        big_u, big_v = (step_semi_implicit(f, params, controls).values for f in (u, v))
+        slack = controls.picard_tol * (np.linalg.norm(big_u) + np.linalg.norm(big_v))
+        assert np.all(big_u <= big_v + slack)
+        factor = 1.0 / (1.0 + params.eps * controls.dt)
+        assert np.abs(big_v - big_u).sum() <= factor * np.abs(v.values - u.values).sum() + slack * len(big_u)
+
+
 class TestRun:
     def test_zero_horizon(self, grid1d):
         f = gaussian_bump(grid1d, 1.0, mass=1.0)

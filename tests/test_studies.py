@@ -7,7 +7,7 @@ from fluxlim.grid import Field
 from fluxlim.limiter import Params
 from fluxlim.profiles import poly_spike
 from fluxlim.stepping import StepControls, cfl_dt, march, run, time_mesh
-from fluxlim.studies import contraction_study, monotonicity_test, smoothing_study, viscosity_study
+from fluxlim.studies import contraction_study, monotonicity_test, smoothing_study, steady_study, viscosity_study
 
 
 def small_bump_cfg(**kw):
@@ -46,22 +46,22 @@ class TestMonotonicityTest:
 class TestViscosityStudy:
     def test_duplicate_eps_rejected(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
-            viscosity_study(small_bump_cfg(), eps_list=(0.1, 0.1, 0.05))
+            viscosity_study(small_bump_cfg(eps_list=(0.1, 0.1, 0.05)))
 
     def test_increasing_eps_rejected(self):
         with pytest.raises(ValueError, match="strictly decreasing"):
-            viscosity_study(small_bump_cfg(), eps_list=(0.05, 0.1))
+            viscosity_study(small_bump_cfg(eps_list=(0.05, 0.1)))
 
     def test_single_entry_rejected(self):
         with pytest.raises(ValueError, match="two entries"):
-            viscosity_study(small_bump_cfg(), eps_list=(0.1,))
+            viscosity_study(small_bump_cfg(eps_list=(0.1,)))
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            viscosity_study(small_bump_cfg(), eps_list=(0.1, -0.1))
+            viscosity_study(small_bump_cfg(eps_list=(0.1, -0.1)))
 
     def test_report_structure(self):
-        rep = viscosity_study(small_bump_cfg(), eps_list=(0.1, 0.05, 0.0))
+        rep = viscosity_study(small_bump_cfg(eps_list=(0.1, 0.05, 0.0)))
         assert rep.columns == ("eps_a", "eps_b", "eps_sum", "l1", "H")
         assert len(rep.rows) == 3  # all pairs of three runs
         names = {v.name for v in rep.verdicts}
@@ -72,9 +72,9 @@ class TestViscosityStudy:
 
     def test_batch_matches_separate_runs(self):
         # the batched sweep must report exactly what one run() per viscosity gives
-        cfg = small_bump_cfg()
         eps_list = (0.1, 0.05, 0.0)
-        rep = viscosity_study(cfg, eps_list=eps_list)
+        cfg = small_bump_cfg(eps_list=eps_list)
+        rep = viscosity_study(cfg)
         grid, initial = build_problem(cfg)
         controls = StepControls(dt=cfl_dt(grid, max(eps_list)))
         finals = [run(initial, Params(chi=cfg.chi, eps=e), controls, cfg.t_end,
@@ -152,9 +152,9 @@ class TestSmoothingStudy:
     def test_batch_matches_separate_runs(self):
         # both spike families step as one batch with per-member horizons and
         # dt; every row must equal the one a separate run() gives
-        cfg = small_bump_cfg(cells=128, t_end=0.02, diag_stride=7)
         widths = (0.8, 0.4)
-        rep = smoothing_study(cfg, p=4.0, spike_widths=widths)
+        cfg = small_bump_cfg(cells=128, t_end=0.02, diag_stride=7, study_p=4.0, spike_widths=widths)
+        rep = smoothing_study(cfg)
         grid, _ = build_problem(cfg)
         controls = StepControls(dt=cfl_dt(grid, 0.0))
         rows = []
@@ -170,19 +170,19 @@ class TestSmoothingStudy:
 
     def test_width_order_enforced(self):
         with pytest.raises(ValueError, match="decreasing"):
-            smoothing_study(small_bump_cfg(), spike_widths=(0.2, 0.4))
+            smoothing_study(small_bump_cfg(spike_widths=(0.2, 0.4)))
 
     def test_needs_two_widths(self):
         with pytest.raises(ValueError, match="two"):
-            smoothing_study(small_bump_cfg(), spike_widths=(0.4,))
+            smoothing_study(small_bump_cfg(spike_widths=(0.4,)))
 
     def test_requires_inviscid(self):
         with pytest.raises(ValueError, match="eps"):
             smoothing_study(small_bump_cfg(eps=0.1))
 
     def test_report_structure_small(self):
-        cfg = small_bump_cfg(cells=256, t_end=0.05, diag_stride=50)
-        rep = smoothing_study(cfg, p=4.0, spike_widths=(0.8, 0.4))
+        cfg = small_bump_cfg(cells=256, t_end=0.05, diag_stride=50, study_p=4.0, spike_widths=(0.8, 0.4))
+        rep = smoothing_study(cfg)
         phases = {row[0] for row in rep.rows}
         assert phases == {"limited", "heat"}
         heat_rows = [r for r in rep.rows if r[0] == "heat"]
@@ -192,3 +192,16 @@ class TestSmoothingStudy:
         names = {v.name for v in rep.verdicts}
         assert names == {"smoothing_envelope_stable", "smoothing_heat_slope"}
         assert any("alternative" in n for n in rep.notes)
+
+
+class TestSteadyStudy:
+    def test_sampled_peak_is_stationary(self):
+        rep = steady_study(small_bump_cfg(ic="single_peak", cells=300, t_end=0.05))
+        assert rep.all_pass
+        assert [row[0] for row in rep.rows] == ["drift_rate", "residual_max", "residual_median", "mass"]
+        assert rep.rows[0][1] == 0.0  # a sampled peak is an exact fixed point
+
+    @pytest.mark.parametrize("kw,key", [({"ic": "gaussian"}, "'ic'"), ({"ic": "single_peak", "eps": 0.1}, "'eps'")])
+    def test_rejects_non_steady_input(self, kw, key):
+        with pytest.raises(ValueError, match=key):
+            steady_study(small_bump_cfg(**kw))
