@@ -1,8 +1,11 @@
 """Pointwise flux-limited diffusion coefficient and its monotonicity probes.
 
 The flux is (1 - chi*rho/|grad|)_+ * grad plus an optional viscous part
-eps*grad; the steppers assemble it face by face from ``limiter`` (see
-``stepping._face_coefficients``). The positive part kills the flux wherever
+eps*grad. The 2D stepper assembles it face by face from ``limiter`` (see
+``stepping._face_coefficients``), and the dissipation terms of
+``diagnostics`` use it too. In 1D the flux equals sign(grad) * (|grad| -
+chi*rho)_+, which ``stepping._face_flux`` evaluates without the division.
+The positive part kills the flux wherever
 |grad| <= chi*rho, which is what makes the underlying vector map monotone;
 removing the clamp breaks monotonicity, and ``unclamped_gap`` exists only to
 demonstrate that.

@@ -6,9 +6,9 @@ Three families are provided: a single exponential peak, a one-dimensional
 maximum of peaks, and a separable product profile for d = 2.
 
 A discrete curiosity worth knowing: sampling an exponential peak on any
-uniform grid gives face difference quotients strictly below the threshold
-(tanh(u) < u), so the sampled profiles are exact fixed points of the solver,
-not merely O(h)-approximate ones.
+uniform 1D grid gives face difference quotients strictly below the threshold
+(tanh(u) < u), so the sampled 1D profiles are exact fixed points of the
+solver; in 2D the tangential part of the face gradient leaves them O(h)-stationary.
 """
 
 from __future__ import annotations

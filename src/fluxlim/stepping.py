@@ -1,16 +1,20 @@
 """Time advancement of the viscous flux-limited diffusion equation.
 
-Two steppers share one spatial discretization:
+One spatial discretization: in 1D the face flux in excess form,
+sign(D) (|D|/h - chi rho_face)_+ + eps D/h for the cell difference D
+(``_face_flux``); in 2D a limiter coefficient per face from the reconstructed
+gradient norm (``_face_coefficients``) times the normal difference
+(``_div_coeff_grad``). Both feed one divergence (``_divergence``).
 
   * ``step_explicit``: forward Euler under the diffusive CFL restriction.
-    The face coefficients lie in [0, 1 + eps], so each update is a convex
-    combination plus an absorption factor; positivity and the Lp decay of
-    the continuous flow carry over exactly.
+    The effective face coefficients lie in [0, 1 + eps], so each update is a
+    convex combination plus an absorption factor; positivity and the Lp
+    decay of the continuous flow carry over exactly.
   * ``step_semi_implicit``: backward Euler in 1D by sweeps that linearize
-    the flux at the previous iterate on the limiter's frozen active set and
-    gradient sign (semi-smooth Newton), each solved exactly by LAPACK, in
-    about two sweeps. No step-size restriction. scipy is imported by this
-    step alone, so explicit runs never load it.
+    the flux at the previous iterate on the active set (positive excess) and
+    gradient sign of ``_face_flux`` (semi-smooth Newton), each solved exactly
+    by LAPACK, in about two sweeps. No step-size restriction. scipy is
+    imported by this step alone, so explicit runs never load it.
 
 The explicit kernel (``march``) steps a batch of members on one grid at
 once, each with its own chi, eps, dt and step count; ``run`` and
@@ -177,19 +181,50 @@ def _face_coefficients(values: np.ndarray, ws: _Workspace, chi, eps) -> list[np.
     return ws.coef
 
 
-def _div_coeff_grad(values: np.ndarray, ws: _Workspace, coeffs: list[np.ndarray],
-                    out: np.ndarray) -> np.ndarray:
-    """div(a * grad u) per member with normal two-point face gradients and zero
-    boundary flux, written into ``out``."""
+def _face_flux(values: np.ndarray, half_chi_h, eps, out) -> np.ndarray:
+    """h times the 1D face flux of every member row, in excess form.
+
+    For the cell difference D and g = D/h, h ((1 - chi rho_face/|g|)_+ + eps) g
+    = sign(D) (|D| - chi h rho_face)_+ + eps D, which needs no square, root or
+    division. ``half_chi_h`` (chi h/2) and ``eps`` (None: no viscous term) are
+    scalars or per-member columns. ``out`` is the (cells, D, excess, flux)
+    buffers; D and the clamped excess (positive on the limiter's active set)
+    stay in theirs. The threshold is summed from scaled cells, so it overflows
+    only where it exceeds every finite |D|; the clamp passes NaN on to ``_finalize``.
+    """
+    cells, diff, excess, flux = out
+    np.multiply(values, half_chi_h, out=cells)
+    np.add(cells[..., :-1], cells[..., 1:], out=flux)
+    np.subtract(values[..., 1:], values[..., :-1], out=diff)
+    np.abs(diff, out=excess)
+    np.subtract(excess, flux, out=excess)
+    np.maximum(excess, 0.0, out=excess)
+    if eps is None:
+        return np.copysign(excess, diff, out=flux)
+    # sign(D) excess + eps D, rounded as sign(D) (excess + eps |D|)
+    np.multiply(np.abs(diff, out=flux), eps, out=flux)
+    return np.copysign(np.add(excess, flux, out=flux), diff, out=flux)
+
+
+def _divergence(stencil, fluxes, out: np.ndarray) -> np.ndarray:
+    """Per-axis face fluxes summed into ``out``, out of the cell below and into the one above."""
     out.fill(0.0)
-    for (_, lo, hi, h), flux, coef in zip(ws.stencil, ws.norm, coeffs):
-        np.subtract(values[hi], values[lo], out=flux)
-        np.divide(flux, h, out=flux)
-        np.multiply(coef, flux, out=flux)
-        np.divide(flux, h, out=flux)
+    for (_, lo, hi, _), flux in zip(stencil, fluxes):
         np.add(out[lo], flux, out=out[lo])
         np.subtract(out[hi], flux, out=out[hi])
     return out
+
+
+def _div_coeff_grad(values: np.ndarray, ws: _Workspace, coeffs: list[np.ndarray],
+                    out: np.ndarray) -> np.ndarray:
+    """div(a * grad u) per member with normal two-point face gradients and zero
+    boundary flux, written into ``out``; the face fluxes a * grad u / h overwrite ``coeffs``."""
+    for (_, lo, hi, h), grad, coef in zip(ws.stencil, ws.norm, coeffs):
+        np.subtract(values[hi], values[lo], out=grad)
+        np.divide(grad, h, out=grad)
+        np.multiply(coef, grad, out=coef)
+        np.divide(coef, h, out=coef)
+    return _divergence(ws.stencil, coeffs, out)
 
 
 def _finalize(values: np.ndarray, neg_tol: float, step: int | None = None, members=None) -> np.ndarray:
@@ -210,9 +245,7 @@ def _finalize(values: np.ndarray, neg_tol: float, step: int | None = None, membe
             raise NumericalFailureError(f"non-finite value produced by a time step ({where})")
         floor = -neg_tol * max(highest, -lowest, 1e-300)
         if lowest < floor:
-            raise NumericalFailureError(
-                f"negative density {lowest} beyond the roundoff floor {floor} ({where})"
-            )
+            raise NumericalFailureError(f"negative density {lowest} beyond the roundoff floor {floor} ({where})")
         if lowest < 0.0:
             np.maximum(vals, 0.0, out=vals)
     return values
@@ -242,18 +275,24 @@ def march(initials, params, dts, n_steps, cfl_safety: float = 0.45, members=None
     chi, eps, dt = (np.array(x, dtype=float).reshape(col)
                     for x in ([p.chi for p in params], [p.eps for p in params], dts))
     dt_eps, absorbs = dt * eps, bool(np.any(eps))
+    # 1D fluxes come h times too large (see _face_flux), so their divergence is scaled by dt/h^2
+    one_d, h = grid.dim == 1, grid.spacing[0]
+    rate, scale = (0.5 * h * chi, dt / (h * h)) if one_d else (chi, dt)
     state = np.stack([f.values for f in initials])
     k = 0
     for live in range(len(n_steps), 0, -1):
         if n_steps[live - 1] == k:
             continue
         ws = _Workspace(grid, live)
+        faces = (ws.cells, ws.norm[0], ws.rho[0], ws.coef[0])
         cur, nxt = state[:live], np.empty_like(state[:live])
-        c, e, d, de = chi[:live], eps[:live], dt[:live], dt_eps[:live]
+        c, e, d, de = rate[:live], eps[:live], scale[:live], dt_eps[:live]
         while k < n_steps[live - 1]:
             k += 1
-            coeffs = _face_coefficients(cur, ws, c, e)
-            _div_coeff_grad(cur, ws, coeffs, nxt)
+            if one_d:
+                _divergence(ws.stencil, [_face_flux(cur, c, e if absorbs else None, faces)], nxt)
+            else:
+                _div_coeff_grad(cur, ws, _face_coefficients(cur, ws, c, e), nxt)
             # (rho + dt*div) - (dt*eps)*rho in this order, so every member is
             # bitwise a lone run; with all eps = 0 the last term is +0.0, a no-op
             np.multiply(d, nxt, out=nxt)
@@ -273,11 +312,12 @@ def step_explicit(field: Field, params: Params, controls: StepControls) -> Field
     return Field.density(field.grid, state[0])
 
 
-def _active_set_solve(lim, z, rhs, chi: float, eps: float, dt: float, h: float) -> np.ndarray:
-    """Exact solve of the 1D backward-Euler system with the flux linearized at ``z``.
+def _active_set_solve(excess, diff, rhs, chi: float, eps: float, dt: float, h: float) -> np.ndarray:
+    """Exact solve of the 1D backward-Euler system with the flux linearized at a state z.
 
-    On the active set, where ``lim`` (the limiter at ``z``) is positive, the face
-    flux is (1 + eps) g - chi s rho_face with s = sign(g(z)), elsewhere eps g.
+    ``excess`` and ``diff`` are what ``_face_flux`` leaves for z. On the active
+    set, where the excess is positive, the face flux is (1 + eps) g - chi s rho_face
+    with s = sign(diff), elsewhere eps g.
     With c = eps + [active], d = chi s [active] and P, Q = dt/h (+-c/h - d/2)
     per face, (1 + eps*dt) u - dt*div F(u) = rhs is tridiagonal: diagonal
     1 + eps*dt - Q_{i+1/2} + P_{i-1/2}, super-diagonal -P, sub-diagonal Q;
@@ -285,8 +325,8 @@ def _active_set_solve(lim, z, rhs, chi: float, eps: float, dt: float, h: float) 
     """
     from scipy.linalg.lapack import dgtsv
 
-    on = lim > 0.0
-    c, half_d = eps + on, np.where(on, 0.5 * chi * np.sign(np.diff(z)), 0.0)
+    on = excess > 0.0
+    c, half_d = eps + on, np.where(on, 0.5 * chi * np.sign(diff), 0.0)
     p, q = (c / h - half_d) * (dt / h), (-c / h - half_d) * (dt / h)
     diag = np.full(rhs.shape, 1.0 + eps * dt)
     diag[:-1] -= q
@@ -306,10 +346,8 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
     Convergence is measured by the fixed-point residual |T(z) - z| / |T(z)|
     in L2. Updates are relaxed, z + theta (T(z) - z), and a candidate is only
     accepted once its residual drops below the current one, halving theta
-    otherwise (down to 1/64).
-    The backtracking guards against threshold flicker (faces hopping across
-    the limiter cutoff between sweeps) at large dt; it never moves the fixed
-    point, and theta stays at 1 whenever plain iteration contracts.
+    otherwise (down to 1/64). This guards against faces hopping across the
+    limiter cutoff between sweeps at large dt, and never moves the fixed point.
 
     Returns the converged field, plus the residual trace if ``with_info``.
     """
@@ -318,13 +356,12 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
     grid = field.grid
     if grid.dim != 1:
         raise ValueError(f"the semi-implicit scheme is 1D only, got a {grid.dim}D field")
-    dt, rhs = controls.dt, field.values
-    ws = _Workspace(grid, 1)
+    dt, rhs, h = controls.dt, field.values, grid.spacing[0]
+    bufs = (np.empty(rhs.size), *np.empty((3, rhs.size - 1)))  # cells, D, excess, flux
 
     def sweep(z: np.ndarray) -> tuple[np.ndarray, float]:
-        # eps = 0 leaves the bare limiter, whose positive set is the active set
-        (lim,) = _face_coefficients(z[None], ws, params.chi, 0.0)
-        sol = _active_set_solve(lim[0], z, rhs, params.chi, params.eps, dt, grid.spacing[0])
+        _face_flux(z, 0.5 * h * params.chi, None, bufs)
+        sol = _active_set_solve(bufs[2], bufs[1], rhs, params.chi, params.eps, dt, h)
         if not np.isfinite(sol).all():
             raise NumericalFailureError("non-finite value produced by the implicit solve")
         denom = max(float(np.linalg.norm(sol)), 1e-300)

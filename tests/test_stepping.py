@@ -138,8 +138,8 @@ class TestFinalizePolicy:
         assert out.min() == 0.0
 
 
-def reference_step(field, params, dt):
-    """The explicit update written plainly, one member, in the kernel's operation order.
+def coefficient_step(field, params, dt):
+    """The explicit update in coefficient form, one member, in the 2D kernel's operation order.
 
     The limiter sees the face-mean density and the face gradient norm: the two-point
     difference across the face and, in 2D, the mean of the two adjacent central
@@ -163,6 +163,30 @@ def reference_step(field, params, dt):
         acc[lo] += flux
         acc[hi] -= flux
     new = v + dt * acc - (dt * params.eps) * v
+    return np.maximum(new, 0.0) if new.min() < 0.0 else new
+
+
+def excess_flux(v, chi, eps, h):
+    """h times the 1D face flux in excess form, sign(D) (|D| - chi h rho_face)_+ + eps D, with
+    the threshold summed from cells scaled by chi h/2; returns it with the clamped excess."""
+    d = v[1:] - v[:-1]
+    scaled = (0.5 * h * chi) * v
+    excess = np.maximum(np.abs(d) - (scaled[:-1] + scaled[1:]), 0.0)
+    return np.copysign(excess + eps * np.abs(d), d), excess
+
+
+def reference_step(field, params, dt):
+    """The explicit update written plainly, one member, in the kernel's operation order:
+    in 1D the excess-form flux, whose divergence is scaled by dt/h^2; in 2D the coefficient form."""
+    v, g = field.values, field.grid
+    if g.dim != 1:
+        return coefficient_step(field, params, dt)
+    h = g.spacing[0]
+    flux, _ = excess_flux(v, params.chi, params.eps, h)
+    acc = np.zeros(g.shape)
+    acc[:-1] += flux
+    acc[1:] -= flux
+    new = v + (dt / (h * h)) * acc - (dt * params.eps) * v
     return np.maximum(new, 0.0) if new.min() < 0.0 else new
 
 
@@ -194,6 +218,9 @@ class TestBatchedKernel:
             alone = step_explicit(f, p, StepControls(dt=dt))
             assert np.array_equal(row, alone.values)
             assert np.array_equal(row, reference_step(f, p, dt))
+            # the 1D excess form reorders the coefficient form's arithmetic, nothing more
+            coef = coefficient_step(f, p, dt)
+            assert np.abs(row - coef).max() <= 1e-13 * np.abs(coef).max()
 
     def test_2d_peak_fixed_beside_moving_gaussian(self):
         grid = make_grid(2, 3.0, 24)
@@ -236,11 +263,43 @@ class TestBatchedKernel:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_member_fails_with_its_step(self):
-        grid = make_grid(1, 1.0, 20)  # h = 0.1, so a 1e308 jump overflows the gradient
+        grid = make_grid(1, 1.0, 20)  # h = 0.1: the spike's two face fluxes sum past 1.8e308
         calm = gaussian_bump(grid, 0.3, mass=1.0)
         wild = Field.density(grid, np.where(np.arange(20) == 10, 1e308, 0.0))
         with pytest.raises(NumericalFailureError, match=r"non-finite.*member 1, step 1"):
             run_batch([calm, wild], [Params(chi=1.0)] * 2, StepControls(), [0.01, 0.01])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_with_chi_zero_fails_with_its_step(self):
+        # 1e308 beside 1.5e308 with chi = 0: the face mean overflows and the threshold must not
+        # become inf*0 = NaN clamped to a zero flux; the overflowing cell sum fails the step
+        grid = make_grid(1, 1.0, 20)
+        calm = gaussian_bump(grid, 0.3, mass=1.0)
+        vals = np.zeros(20)
+        vals[9:11] = 1e308, 1.5e308
+        with pytest.raises(NumericalFailureError, match=r"non-finite.*member 1, step 1"):
+            run_batch([calm, Field.density(grid, vals)], [Params(chi=0.0)] * 2, StepControls(), [0.01, 0.01])
+
+    @pytest.mark.parametrize("chi", [0.0, 0.5])
+    def test_huge_neighbours_keep_their_flux(self, chi):
+        # every face mean overflows, but the threshold is summed from scaled cells, so with
+        # chi = 0 it is 0 (not inf*0 = NaN, which a NaN-dropping clamp turns into a zero flux);
+        # scaling by a power of two commutes with every rounding of the step
+        grid = make_grid(1, 1.0, 4)
+        vals, scale = np.array([1e308, 1.5e308, 1.5e308, 1e308]), 2.0**-1000
+        dt = cfl_dt(grid, 0.0)
+        (_, big), = march([Field.density(grid, vals)], [Params(chi=chi)], [dt], [1])
+        (_, small), = march([Field.density(grid, vals * scale)], [Params(chi=chi)], [dt], [1])
+        assert np.all(np.isfinite(big)) and big[0, 0] > vals[0]
+        assert np.array_equal(big * scale, small)
+
+    def test_non_finite_threshold_is_not_clamped_away(self):
+        # chi = 0 beside an inf cell makes the threshold inf*0 = NaN; the clamp keeps it
+        vals = np.array([[1.0, np.inf, 0.0]])
+        bufs = (np.empty((1, 3)), *np.empty((3, 1, 2)))
+        with np.errstate(invalid="ignore"):
+            flux = stepping._face_flux(vals, 0.0, None, bufs)
+        assert np.isnan(flux).all() and np.isnan(bufs[2]).all()
 
     def test_roundoff_negative_clamped_in_own_row_only(self):
         values = np.array([[1.0, -1e-16, 0.5], [2.0, 0.25, 1e-300]])
@@ -270,6 +329,62 @@ class TestBatchedKernel:
         f = gaussian_bump(grid, 1.0, mass=1.0)
         with pytest.raises(ValueError, match="non-increasing"):
             next(march([f, f], [Params(chi=1.0)] * 2, [1e-4] * 2, [2, 3]))
+
+
+def face_terms(z, chi, h):
+    """The clamped excess and the cell difference that ``_face_flux`` leaves for one state."""
+    bufs = (np.empty(z.size), *np.empty((3, z.size - 1)))
+    stepping._face_flux(z, 0.5 * h * chi, None, bufs)
+    return bufs[2], bufs[1]
+
+
+@pytest.mark.parametrize("chi_h", [1e-3, 0.01, 0.1, 1.0, 1.9])
+@pytest.mark.parametrize("kind,peaks", [("single_peak", ((1.0, 0.3),)),
+                                        ("multi_peak", ((1.0, -1.5), (0.6, 1.2)))])
+def test_sampled_1d_peaks_stay_bitwise_fixed(kind, peaks, chi_h):
+    # every face of a sampled peak is sub-critical (2 tanh(chi h/2) < chi h), so the excess is <= 0
+    grid = make_grid(1, 5.0, 400)
+    chi = chi_h / grid.spacing[0]
+    peak = sample(SteadyProfileSpec(kind, chi, peaks), grid)
+    for _, state in march([peak], [Params(chi=chi)], [cfl_dt(grid, 0.0)], [50]):
+        assert np.array_equal(state[0], peak.values)
+
+
+@pytest.mark.parametrize("chi", [0.3, 1.0, 4.0])
+@pytest.mark.parametrize("kind", ["single_peak", "factorized"])
+def test_sampled_2d_peaks_stay_bitwise_fixed(kind, chi):
+    # the 2D face gradient adds the averaged tangential differences, so a sample at the full
+    # rate is stationary only to O(h) (the steady check's allowance); at 0.9 of it every face
+    # is sub-critical
+    grid = make_grid(2, 3.0, 32)
+    peak = sample(SteadyProfileSpec(kind, 0.9 * chi, ((1.0, (0.2, -0.4)),)), grid)
+    for _, state in march([peak], [Params(chi=chi)], [cfl_dt(grid, 0.0)], [50]):
+        assert np.array_equal(state[0], peak.values)
+
+
+@st.composite
+def fields_2d(draw):
+    grid = make_grid(2, draw(st.sampled_from([1.0, 3.0])), (draw(st.integers(3, 32)), draw(st.integers(3, 32))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.uniform(0.0, 1.0, grid.shape) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    vals[rng.uniform(size=grid.shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    params = Params(chi=draw(st.floats(0.0, 30.0)), eps=draw(st.sampled_from([0.0, 0.1])))
+    dt = cfl_dt(grid, params.eps) * draw(st.sampled_from([0.5, 1.0]))
+    return Field.density(grid, vals), params, dt
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields_2d())
+def test_explicit_2d_structure(case):
+    # positivity, the 1 - eps dt mass law, and per-step L2, L4 and sup non-increase
+    f, params, dt = case
+    v = f.values
+    out = step_explicit(f, params, StepControls(dt=dt)).values
+    assert out.min() >= 0.0
+    assert out.sum() == pytest.approx((1.0 - params.eps * dt) * v.sum(), rel=1e-13, abs=1e-300)
+    for p in (2, 4):
+        assert np.sum(out**p) <= np.sum(v**p) * (1.0 + 1e-12)
+    assert out.max() <= v.max() * (1.0 + 1e-14)
 
 
 class TestStepSemiImplicit:
@@ -336,11 +451,10 @@ class TestStepSemiImplicit:
         rho = gaussian_bump(grid, 0.5, mass=1.0).values
         z = poly_spike(grid, 1.5, 2.0).values + 0.1 * rho  # linearize at another state
         dt = 20.0 * cfl_dt(grid, eps, 0.45)
-        ws = _Workspace(grid, 1)
-        (lim,) = _face_coefficients(z[None], ws, chi, 0.0)
-        active = lim[0] > 0.0
+        excess, diff = face_terms(z, chi, h)
+        active = excess > 0.0
         assert 0 < active.sum() < active.size
-        u = _active_set_solve(lim[0], z, rho, chi, eps, dt, h)
+        u = _active_set_solve(excess, diff, rho, chi, eps, dt, h)
         g, rho_face = np.diff(u) / h, 0.5 * (u[1:] + u[:-1])
         flux = np.where(active, (1.0 + eps) * g - chi * np.sign(np.diff(z)) * rho_face, eps * g)
         div = np.diff(flux, prepend=0.0, append=0.0) / h
@@ -350,7 +464,7 @@ class TestStepSemiImplicit:
     def test_tridiagonal_solve_rejects_indefinite_matrix(self):
         # eps = -1/2 on three cells: eigenvalues 0.5, 0 and -1, exact in floating point
         with pytest.raises(NumericalFailureError, match=r"dgtsv info = \d"):
-            _active_set_solve(np.zeros(2), np.ones(3), np.ones(3), 1.0, -0.5, 1.0, 1.0)
+            _active_set_solve(np.zeros(2), np.zeros(2), np.ones(3), 1.0, -0.5, 1.0, 1.0)
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_converged_step_is_exact_nonlinear_solve(self, eps):
@@ -405,6 +519,35 @@ class TestStepSemiImplicit:
                     out = step_semi_implicit(f, Params(chi=3.0, eps=eps), StepControls(dt=dt))
                     assert out.values.min() >= 0.0
 
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_sweep_active_set_is_positive_excess(self, eps, monkeypatch):
+        # every solve sees the faces where the excess |D| - chi h rho_face is positive at the iterate
+        grid = make_grid(1, 5.0, 400)
+        h, chi = grid.spacing[0], 1.0
+        iterates, solves, face_flux = [], [], stepping._face_flux
+
+        def flux(values, *args):
+            iterates.append(values.copy())
+            return face_flux(values, *args)
+
+        def solve(excess, diff, *args):
+            solves.append((excess > 0.0, np.sign(diff)))
+            return _active_set_solve(excess, diff, *args)
+
+        monkeypatch.setattr(stepping, "_face_flux", flux)
+        monkeypatch.setattr(stepping, "_active_set_solve", solve)
+        f = gaussian_bump(grid, 0.5, mass=1.0)
+        step_semi_implicit(f, Params(chi=chi, eps=eps), StepControls(dt=20.0 * cfl_dt(grid, eps)))
+        assert len(solves) == len(iterates) >= 2
+        for z, (active, sign) in zip(iterates, solves):
+            _, excess = excess_flux(z, chi, 0.0, h)
+            assert np.array_equal(active, excess > 0.0) and 0 < active.sum() < active.size
+            assert np.array_equal(sign, np.sign(np.diff(z)))
+            # and, away from roundoff, the limiter's positive set
+            lim = limiter(0.5 * (z[1:] + z[:-1]), np.abs(np.diff(z)) / h, chi)
+            clear = np.abs(np.abs(np.diff(z)) / h - chi * 0.5 * (z[1:] + z[:-1])) > 1e-12
+            assert np.array_equal(active[clear], lim[clear] > 0.0)
+
     def test_2d_field_rejected(self):
         f = gaussian_bump(make_grid(2, 5.0, 20), 0.5, mass=1.0)
         with pytest.raises(ValueError, match="1D only"):
@@ -418,10 +561,9 @@ class TestStepSemiImplicit:
         spike = poly_spike(grid, 0.5, 2.0)
         assert spike.values.min() == 0.0
         dt = 20.0 * cfl_dt(grid, 0.0, 0.45)
-        ws = _Workspace(grid, 1)
-        (lim,) = _face_coefficients(spike.values[None], ws, 1.0, 0.0)
         v = spike.values
-        assert _active_set_solve(lim[0], v, v, 1.0, 0.0, dt, grid.spacing[0]).min() >= 0.0
+        excess, diff = face_terms(v, 1.0, grid.spacing[0])
+        assert _active_set_solve(excess, diff, v, 1.0, 0.0, dt, grid.spacing[0]).min() >= 0.0
         out = step_semi_implicit(spike, Params(chi=1.0), StepControls(dt=dt))
         assert out.values.min() >= 0.0
         assert out.values.sum() == pytest.approx(spike.values.sum(), rel=1e-12)
