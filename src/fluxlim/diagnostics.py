@@ -6,9 +6,10 @@ wherever rho = 0, and the limiter coefficient is taken as 0 on vacuum cells.
 Diagnostic gradients are cell-centered central differences (second order),
 distinct from the face differences driving the fluxes.
 
-The pair functionals H, D1 and D2 come from one array kernel, ``pair_terms``,
-that probes a block of K pairs (K, 2, *grid.shape) per call and reduces over
-the grid axes only, so each row is bitwise its single-pair value. The
+The pair functionals H, D1, D2 and the L1 distance come from one array
+kernel, ``pair_terms``, that probes a block of K pairs (K, 2, *grid.shape) per
+call and reduces over the grid axes only, so each row is bitwise its
+single-pair value. The
 contraction study probes its recorded states in such blocks;
 ``relative_entropy`` and ``dissipation_terms`` are its K = 1 wrappers.
 """
@@ -97,8 +98,8 @@ def record(field: Field, p_set=(2.0, 4.0), grad_p_set=(2.0,), time: float = 0.0)
 
 
 def pair_terms(pairs: np.ndarray, grid: Grid, sigma: float | None, chi: float):
-    """(H, D1, D2) of every row (u, v) of ``pairs``, shaped (K, 2, *grid.shape), as
-    length-K arrays. ``sigma = None`` skips H (returned as None); with sigma = 0,
+    """(H, D1, D2, L1 distance) of every row (u, v) of ``pairs``, shaped (K, 2,
+    *grid.shape), as length-K arrays. ``sigma = None`` skips H (returned as None); with sigma = 0,
     a row with u > 0 where v = 0 raises ``SupportMismatchError``."""
     a, b = pairs[:, 0], pairs[:, 1]
     axes = tuple(range(1, a.ndim))
@@ -123,7 +124,7 @@ def pair_terms(pairs: np.ndarray, grid: Grid, sigma: float | None, chi: float):
         np.divide(g, pairs, out=logs, where=live)
         dlog2 = dlog2 + (logs[:, 0] - logs[:, 1]) ** 2
     d2 = 0.5 * (np.sum(a * dlog2 * (coef[:, 0] + coef[:, 1]), axis=axes) * vol)
-    return h, d1, d2
+    return h, d1, d2, np.sum(np.abs(a - b), axis=axes) * vol
 
 
 def relative_entropy(u: Field, v: Field, sigma: float = 0.0) -> float:
@@ -150,7 +151,7 @@ def dissipation_terms(u: Field, v: Field, chi: float) -> tuple[float, float]:
     """
     if u.grid != v.grid:
         raise ValueError("dissipation terms need both fields on one grid")
-    _, d1, d2 = pair_terms(np.stack([u.values, v.values])[None], u.grid, None, chi)
+    _, d1, d2, _ = pair_terms(np.stack([u.values, v.values])[None], u.grid, None, chi)
     return float(d1[0]), float(d2[0])
 
 

@@ -207,7 +207,8 @@ def _face_flux(values: np.ndarray, half_chi_h, eps, out) -> np.ndarray:
 
 
 def _divergence(stencil, fluxes, out: np.ndarray) -> np.ndarray:
-    """Per-axis face fluxes summed into ``out``, out of the cell below and into the one above."""
+    """Per-axis face fluxes, taken one axis at a time, summed into ``out``: out of
+    the cell below each face and into the one above."""
     out.fill(0.0)
     for (_, lo, hi, _), flux in zip(stencil, fluxes):
         np.add(out[lo], flux, out=out[lo])
@@ -218,13 +219,17 @@ def _divergence(stencil, fluxes, out: np.ndarray) -> np.ndarray:
 def _div_coeff_grad(values: np.ndarray, ws: _Workspace, coeffs: list[np.ndarray],
                     out: np.ndarray) -> np.ndarray:
     """div(a * grad u) per member with normal two-point face gradients and zero
-    boundary flux, written into ``out``; the face fluxes a * grad u / h overwrite ``coeffs``."""
-    for (_, lo, hi, h), grad, coef in zip(ws.stencil, ws.norm, coeffs):
-        np.subtract(values[hi], values[lo], out=grad)
-        np.divide(grad, h, out=grad)
-        np.multiply(coef, grad, out=coef)
-        np.divide(coef, h, out=coef)
-    return _divergence(ws.stencil, coeffs, out)
+    boundary flux, written into ``out``; ``coeffs`` are left as they are."""
+
+    def fluxes():
+        # the axes share the ws.norm buffer, so each flux is summed before the next is built
+        for (_, lo, hi, h), flux, coef in zip(ws.stencil, ws.norm, coeffs):
+            np.subtract(values[hi], values[lo], out=flux)
+            np.divide(flux, h, out=flux)
+            np.multiply(coef, flux, out=flux)
+            yield np.divide(flux, h, out=flux)
+
+    return _divergence(ws.stencil, fluxes(), out)
 
 
 def _finalize(values: np.ndarray, neg_tol: float, step: int | None = None, members=None) -> np.ndarray:
@@ -245,7 +250,9 @@ def _finalize(values: np.ndarray, neg_tol: float, step: int | None = None, membe
             raise NumericalFailureError(f"non-finite value produced by a time step ({where})")
         floor = -neg_tol * max(highest, -lowest, 1e-300)
         if lowest < floor:
-            raise NumericalFailureError(f"negative density {lowest} beyond the roundoff floor {floor} ({where})")
+            raise NumericalFailureError(
+                f"negative density {lowest} beyond the roundoff floor {floor} ({where})"
+            )
         if lowest < 0.0:
             np.maximum(vals, 0.0, out=vals)
     return values
@@ -346,8 +353,10 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
     Convergence is measured by the fixed-point residual |T(z) - z| / |T(z)|
     in L2. Updates are relaxed, z + theta (T(z) - z), and a candidate is only
     accepted once its residual drops below the current one, halving theta
-    otherwise (down to 1/64). This guards against faces hopping across the
-    limiter cutoff between sweeps at large dt, and never moves the fixed point.
+    otherwise (down to 1/64).
+    The backtracking guards against threshold flicker (faces hopping across
+    the limiter cutoff between sweeps) at large dt; it never moves the fixed
+    point, and theta stays at 1 whenever plain iteration contracts.
 
     Returns the converged field, plus the residual trace if ``with_info``.
     """

@@ -291,13 +291,14 @@ class TestPairTerms:
         pairs[:, :, lo : lo + rng.integers(0, n1)] = 0.0  # vacuum patches
         if sigma == 0.0:  # v may vanish only where u does
             pairs[:, 1] = np.where((pairs[:, 1] == 0.0) & (pairs[:, 0] > 0.0), 0.5, pairs[:, 1])
-        h, d1, d2 = pair_terms(pairs, grid, sigma, chi)
+        h, d1, d2, l1 = pair_terms(pairs, grid, sigma, chi)
         for row, (a, b) in enumerate(pairs):
             u, v = Field.density(grid, a), Field.density(grid, b)
             assert bits(h[row]) == bits(reference_relative_entropy(u, v, sigma))
             assert bits([d1[row], d2[row]]) == bits(reference_dissipation_terms(u, v, chi))
             assert bits(relative_entropy(u, v, sigma)) == bits(h[row])
             assert bits(dissipation_terms(u, v, chi)) == bits([d1[row], d2[row]])
+            assert bits(l1_distance(u, v)) == bits(l1[row])
 
     def test_support_mismatch_in_any_row_raises(self):
         grid = make_grid(1, 1.0, 8)

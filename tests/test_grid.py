@@ -171,6 +171,14 @@ class TestDivergence:
         scale = np.sum(np.abs(cx * np.diff(u, axis=0))) + np.sum(np.abs(cy * np.diff(u, axis=1)))
         assert abs(total) <= 1e-12 * max(scale, 1.0)
 
+    def test_coefficients_left_untouched(self):
+        g = make_grid(2, 2.0, 6)
+        rng = np.random.default_rng(3)
+        coeffs = [rng.uniform(0, 2, (5, 6)), rng.uniform(0, 2, (6, 5))]
+        kept = [c.copy() for c in coeffs]
+        divergence(rng.uniform(-5, 5, (6, 6)), g, coeffs)
+        assert all(np.array_equal(c, k) for c, k in zip(coeffs, kept))
+
     def test_heat_stencil_sign(self):
         # a peak must decay: div of the gradient flux is negative at the peak
         g = make_grid(1, 1.5, 3)

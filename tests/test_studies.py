@@ -176,13 +176,18 @@ class TestContractionL1:
         assert max(b - a for a, b in zip(l1, l1[1:])) <= 1e-15 * l1[0]
 
     def test_smooth_2d_pair(self):
+        # the 2D step is not monotone, so its L1 distance gets a note, not a verdict
         c1 = small_bump_cfg(dim=2, cells=32, t_end=0.05, diag_stride=2, ic_center=(-0.4,))
         c2 = small_bump_cfg(dim=2, cells=32, t_end=0.05, diag_stride=2, ic_center=(0.5,), ic_width=0.8)
-        assert contraction_study(c1, c2).verdict("contraction_L1_nonincreasing").passed
+        rep = contraction_study(c1, c2)
+        with pytest.raises(KeyError):
+            rep.verdict("contraction_L1_nonincreasing")
+        assert any(n.startswith("L1 distance, no verdict") and "worst rise beyond slack 0.0 " in n
+                   for n in rep.notes)
         l1 = l1_series(c1, c2, 2)
         assert all(b <= a for a, b in zip(l1, l1[1:]))
 
-    def test_rough_2d_pair_fails(self, tmp_path):
+    def test_rough_2d_pair_rise_is_a_note(self, tmp_path):
         # the 2D step is not order-preserving on rough data: its tangential-gradient
         # reconstruction lets the L1 distance of this 8^2 pair grow by about 1% in one step
         grid = make_grid(2, 1.0, 8)
@@ -195,9 +200,13 @@ class TestContractionL1:
             cfgs.append(small_bump_cfg(dim=2, t_end=0.01, diag_stride=1, ic="snapshot",
                                        ic_path=str(tmp_path / name)))
         l1 = l1_series(*cfgs, 1)
-        assert max(b - a for a, b in zip(l1, l1[1:])) > 1e-3 * l1[0]
-        verdict = contraction_study(*cfgs).verdict("contraction_L1_nonincreasing")
-        assert not verdict.passed
+        rise = max(b - a for a, b in zip(l1, l1[1:]))
+        assert rise > 1e-3 * l1[0]
+        rep = contraction_study(*cfgs)
+        (note,) = [n for n in rep.notes if n.startswith("L1 distance, no verdict")]
+        worst = float(note.split("worst rise beyond slack ")[1].split()[0])
+        assert worst == pytest.approx(rise, rel=1e-6)
+        assert "contraction_L1_nonincreasing" not in {v.name for v in rep.verdicts}
 
 
 class TestSmoothingStudy:
