@@ -111,11 +111,11 @@ def _validate(cfg: RunConfig) -> None:
         raise bad("t_end", "must be finite and >= 0")
     if cfg.diag_stride < 1:
         raise bad("diag_stride", "must be >= 1")
-    for key in ("p_set", "grad_p_set"):
-        for p in getattr(cfg, key):
+    # no p = inf: the sup column is always reported, and a spike's Lp norm would read 0**0 = 1
+    for key in ("p_set", "grad_p_set", "ic_p", "study_p"):
+        for p in np.atleast_1d(getattr(cfg, key)):
             if not (np.isfinite(p) and p >= 1.0):
-                raise bad(key, f"exponents must be finite and >= 1 (the sup column "
-                               f"reports p = inf), got {p}")
+                raise bad(key, f"exponents must be finite and >= 1, got {p}")
     if cfg.ic not in _IC_KINDS:
         raise bad("ic", f"must be one of {_IC_KINDS}")
     if cfg.ic_mass is not None and not cfg.ic_mass > 0.0:
@@ -126,8 +126,6 @@ def _validate(cfg: RunConfig) -> None:
         raise bad("ic_amplitude", "must be >= 0 for a uniform field")
     if not cfg.ic_width > 0.0:
         raise bad("ic_width", "must be positive")
-    if cfg.ic_p < 1.0:
-        raise bad("ic_p", "must be >= 1")
     if not cfg.ic_pnorm > 0.0:
         raise bad("ic_pnorm", "must be positive")
     if not (np.isfinite(cfg.sigma_rel) and cfg.sigma_rel >= 0.0):
@@ -144,8 +142,6 @@ def _validate(cfg: RunConfig) -> None:
     for w in cfg.spike_widths:
         if not w > 0.0:
             raise bad("spike_widths", "widths must be positive")
-    if cfg.study_p < 1.0:
-        raise bad("study_p", "must be >= 1")
     cells = cfg.cells**cfg.dim
     if cells > _MAX_CELLS:
         raise bad("cells", f"{cells} cells exceed the limit of {_MAX_CELLS} per run")

@@ -182,7 +182,7 @@ def cell_gradient(field: Field) -> tuple[np.ndarray, ...]:
     """Cell-centered gradient by central differences (one-sided at the box edge).
 
     This is the stencil used by the diagnostics; fluxes use two-point face
-    differences instead (see ``stepping._face_coefficients``), with this stencil
+    differences instead (see ``stepping._coefficient_fluxes``), with this stencil
     only for the tangential part of a 2D face gradient. Exact for affine data
     everywhere.
     """

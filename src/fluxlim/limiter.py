@@ -2,7 +2,7 @@
 
 The flux is (1 - chi*rho/|grad|)_+ * grad plus an optional viscous part
 eps*grad. The 2D stepper assembles it face by face from ``limiter`` (see
-``stepping._face_coefficients``), and the dissipation terms of
+``stepping._coefficient_fluxes``), and the dissipation terms of
 ``diagnostics`` use it too. In 1D the flux equals sign(grad) * (|grad| -
 chi*rho)_+, which ``stepping._face_flux`` evaluates without the division.
 The positive part kills the flux wherever

@@ -3,8 +3,8 @@
 One spatial discretization: in 1D the face flux in excess form,
 sign(D) (|D|/h - chi rho_face)_+ + eps D/h for the cell difference D
 (``_face_flux``); in 2D a limiter coefficient per face from the reconstructed
-gradient norm (``_face_coefficients``) times the normal difference
-(``_div_coeff_grad``). Both feed one divergence (``_divergence``).
+gradient norm times the normal difference quotient (``_coefficient_fluxes``).
+Both work in the buffers of ``_buffers`` and feed one divergence (``_divergence``).
 
   * ``step_explicit``: forward Euler under the diffusive CFL restriction.
     The effective face coefficients lie in [0, 1 + eps], so each update is a
@@ -49,6 +49,9 @@ __all__ = [
     "run",
     "run_batch",
 ]
+
+
+_NEG_TOL = 1e-13  # roundoff allowance of a step's negatives, relative to the member's sup norm
 
 
 class CflViolationError(ValueError):
@@ -138,47 +141,39 @@ def _stencil(grid: Grid) -> tuple[tuple[int, tuple, tuple, float], ...]:
                  for a in range(1, n))
 
 
-class _Workspace:
-    """Work buffers of one member batch: a cell-sized scratch array, whose
-    prefix doubles as the per-axis face densities, plus per axis a face-norm
-    and a coefficient array."""
-
-    def __init__(self, grid: Grid, size: int):
-        self.stencil = _stencil(grid)
-        self.cells = np.empty((size, *grid.shape))
-        shapes = [self.cells[lo].shape for _, lo, _, _ in self.stencil]
-        flat, norm = self.cells.reshape(-1), np.empty(max(math.prod(s) for s in shapes))
-        self.rho = [flat[: math.prod(s)].reshape(s) for s in shapes]
-        self.norm = [norm[: math.prod(s)].reshape(s) for s in shapes]
-        self.coef = [np.empty(s) for s in shapes]
+def _buffers(grid: Grid, size: int) -> list[tuple[np.ndarray, ...]]:
+    """Work buffers of a batch of ``size`` members, per space axis: a cell-sized scratch
+    array and three face-sized arrays. The axes share them (the face arrays are sized for
+    the longest axis), so an axis's fluxes must be used before the next axis's are built."""
+    cells = np.empty((size, *grid.shape))
+    shapes = [cells[lo].shape for _, lo, _, _ in _stencil(grid)]
+    faces = np.empty((3, max(math.prod(s) for s in shapes)))
+    return [(cells, *(f[: math.prod(s)].reshape(s) for f in faces)) for s in shapes]
 
 
-def _face_coefficients(values: np.ndarray, ws: _Workspace, chi, eps) -> list[np.ndarray]:
-    """Limiter-plus-viscosity coefficient per interior face, one array per axis.
-
-    ``values`` holds the members along its leading axis; ``chi`` and ``eps``
-    are scalars or per-member columns. The limiter sees the face-mean density
-    and the norm of the reconstructed face gradient: the two-point difference
-    across the face, plus in 2D the mean of the two adjacent central
-    differences along the face. Those norms are left in ``ws.norm``.
+def _coefficient_fluxes(values: np.ndarray, stencil, chi, eps, bufs):
+    """Yield the 2D face flux ((1 - chi rho_face/N)_+ + eps) g/h of every member, one axis
+    at a time: g is the normal difference quotient, and N the norm of the face gradient
+    whose tangential part is the mean of the two adjacent central differences along the
+    face. ``chi`` and ``eps`` are scalars or per-member columns; g and N stay in ``bufs``.
     """
-    stencil = ws.stencil
-    for (axis, lo, hi, h), norm, rho, coef in zip(stencil, ws.norm, ws.rho, ws.coef):
-        np.subtract(values[hi], values[lo], out=norm)
-        np.divide(norm, h, out=norm)
-        np.multiply(norm, norm, out=norm)
+    for (axis, lo, hi, h), (cells, grad, norm, flux) in zip(stencil, bufs):
+        np.subtract(values[hi], values[lo], out=grad)
+        np.divide(grad, h, out=grad)
+        np.multiply(grad, grad, out=norm)
         for other, _, _, h_other in stencil:
             if other != axis:
-                tang = central_gradient(values, other, h_other, ws.cells)
-                np.add(tang[lo], tang[hi], out=coef)
-                np.multiply(coef, 0.5, out=coef)
-                np.multiply(coef, coef, out=coef)
-                np.add(norm, coef, out=norm)
+                tang = central_gradient(values, other, h_other, cells)
+                np.add(tang[lo], tang[hi], out=flux)
+                np.multiply(flux, 0.5, out=flux)
+                np.multiply(flux, flux, out=flux)
+                np.add(norm, flux, out=norm)
         np.sqrt(norm, out=norm)
-        np.add(values[lo], values[hi], out=rho)
-        np.multiply(rho, 0.5, out=rho)
-        np.add(limiter(rho, norm, chi, out=coef), eps, out=coef)
-    return ws.coef
+        np.add(values[lo], values[hi], out=flux)
+        np.multiply(flux, 0.5, out=flux)
+        np.add(limiter(flux, norm, chi, out=flux), eps, out=flux)
+        np.multiply(flux, grad, out=flux)
+        yield np.divide(flux, h, out=flux)
 
 
 def _face_flux(values: np.ndarray, half_chi_h, eps, out) -> np.ndarray:
@@ -187,9 +182,9 @@ def _face_flux(values: np.ndarray, half_chi_h, eps, out) -> np.ndarray:
     For the cell difference D and g = D/h, h ((1 - chi rho_face/|g|)_+ + eps) g
     = sign(D) (|D| - chi h rho_face)_+ + eps D, which needs no square, root or
     division. ``half_chi_h`` (chi h/2) and ``eps`` (None: no viscous term) are
-    scalars or per-member columns. ``out`` is the (cells, D, excess, flux)
-    buffers; D and the clamped excess (positive on the limiter's active set)
-    stay in theirs. The threshold is summed from scaled cells, so it overflows
+    scalars or per-member columns. ``out`` is the (cells, D, excess, flux) of
+    the one axis of ``_buffers``; D and the clamped excess (positive on the
+    limiter's active set) stay in theirs. The threshold is summed from scaled cells, so it overflows
     only where it exceeds every finite |D|; the clamp passes NaN on to ``_finalize``.
     """
     cells, diff, excess, flux = out
@@ -216,26 +211,10 @@ def _divergence(stencil, fluxes, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _div_coeff_grad(values: np.ndarray, ws: _Workspace, coeffs: list[np.ndarray],
-                    out: np.ndarray) -> np.ndarray:
-    """div(a * grad u) per member with normal two-point face gradients and zero
-    boundary flux, written into ``out``; ``coeffs`` are left as they are."""
-
-    def fluxes():
-        # the axes share the ws.norm buffer, so each flux is summed before the next is built
-        for (_, lo, hi, h), flux, coef in zip(ws.stencil, ws.norm, coeffs):
-            np.subtract(values[hi], values[lo], out=flux)
-            np.divide(flux, h, out=flux)
-            np.multiply(coef, flux, out=flux)
-            yield np.divide(flux, h, out=flux)
-
-    return _divergence(ws.stencil, fluxes(), out)
-
-
-def _finalize(values: np.ndarray, neg_tol: float, step: int | None = None, members=None) -> np.ndarray:
+def _finalize(values: np.ndarray, step: int | None = None, members=None) -> np.ndarray:
     """Check the raw output of a step, one member per leading row.
 
-    Non-finite values, and negative values beyond ``neg_tol`` times the
+    Non-finite values, and negative values beyond ``_NEG_TOL`` times the
     member's sup norm, raise ``NumericalFailureError`` naming the member and
     step. Roundoff-level negatives are clamped to 0 in their own row of a
     copy, which is returned; clean output is returned as it is.
@@ -248,7 +227,7 @@ def _finalize(values: np.ndarray, neg_tol: float, step: int | None = None, membe
         lowest, highest = float(vals.min()), float(vals.max())
         if not (math.isfinite(lowest) and math.isfinite(highest)):
             raise NumericalFailureError(f"non-finite value produced by a time step ({where})")
-        floor = -neg_tol * max(highest, -lowest, 1e-300)
+        floor = -_NEG_TOL * max(highest, -lowest, 1e-300)
         if lowest < floor:
             raise NumericalFailureError(
                 f"negative density {lowest} beyond the roundoff floor {floor} ({where})"
@@ -285,28 +264,28 @@ def march(initials, params, dts, n_steps, cfl_safety: float = 0.45, members=None
     # 1D fluxes come h times too large (see _face_flux), so their divergence is scaled by dt/h^2
     one_d, h = grid.dim == 1, grid.spacing[0]
     rate, scale = (0.5 * h * chi, dt / (h * h)) if one_d else (chi, dt)
-    state = np.stack([f.values for f in initials])
+    state, stencil = np.stack([f.values for f in initials]), _stencil(grid)
     k = 0
     for live in range(len(n_steps), 0, -1):
         if n_steps[live - 1] == k:
             continue
-        ws = _Workspace(grid, live)
-        faces = (ws.cells, ws.norm[0], ws.rho[0], ws.coef[0])
+        bufs = _buffers(grid, live)
         cur, nxt = state[:live], np.empty_like(state[:live])
         c, e, d, de = rate[:live], eps[:live], scale[:live], dt_eps[:live]
+        if one_d:
+            fluxes = lambda v: (_face_flux(v, c, e if absorbs else None, bufs[0]),)
+        else:
+            fluxes = lambda v: _coefficient_fluxes(v, stencil, c, e, bufs)
         while k < n_steps[live - 1]:
             k += 1
-            if one_d:
-                _divergence(ws.stencil, [_face_flux(cur, c, e if absorbs else None, faces)], nxt)
-            else:
-                _div_coeff_grad(cur, ws, _face_coefficients(cur, ws, c, e), nxt)
+            _divergence(stencil, fluxes(cur), nxt)
             # (rho + dt*div) - (dt*eps)*rho in this order, so every member is
             # bitwise a lone run; with all eps = 0 the last term is +0.0, a no-op
             np.multiply(d, nxt, out=nxt)
             np.add(cur, nxt, out=nxt)
             if absorbs:
-                np.subtract(nxt, np.multiply(de, cur, out=ws.cells), out=nxt)
-            cur, nxt = _finalize(nxt, 1e-13, k, members), cur
+                np.subtract(nxt, np.multiply(de, cur, out=bufs[0][0]), out=nxt)
+            cur, nxt = _finalize(nxt, k, members), cur
             yield k, cur
         state = cur
 
@@ -366,7 +345,7 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
     if grid.dim != 1:
         raise ValueError(f"the semi-implicit scheme is 1D only, got a {grid.dim}D field")
     dt, rhs, h = controls.dt, field.values, grid.spacing[0]
-    bufs = (np.empty(rhs.size), *np.empty((3, rhs.size - 1)))  # cells, D, excess, flux
+    bufs = [b[0] for b in _buffers(grid, 1)[0]]  # one member, without the member axis
 
     def sweep(z: np.ndarray) -> tuple[np.ndarray, float]:
         _face_flux(z, 0.5 * h * params.chi, None, bufs)
@@ -383,7 +362,7 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
     for _ in range(controls.picard_max_iter):
         if residual <= controls.picard_tol:
             # the exact solve of an M-matrix leaves no solver-tolerance negatives
-            mapped = _finalize(mapped[None], 1e-13)[0]
+            mapped = _finalize(mapped[None])[0]
             out = Field.density(grid, mapped)
             return (out, trace) if with_info else out
         theta = min(1.0, 1.5 * theta)  # remember the working relaxation level

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fluxlim import cli as cli_module
+from fluxlim.config import RunConfig
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -76,6 +78,16 @@ class TestSimulate:
         res = cli("simulate", "--config", str(bad), cwd=tmp_path)
         assert res.returncode == 1
         assert res.stderr.startswith("config error:") and "p_set" in res.stderr
+
+    @pytest.mark.parametrize("command,key", [(["simulate"], "ic_p"), (["study", "smoothing"], "study_p")])
+    def test_infinite_spike_exponent_exit_1(self, tmp_path, capsys, command, key):
+        # ic_p = inf left the spike unnormalized (exit 0); study_p = inf divided by zero
+        cfg = tmp_path / "spike.cfg"
+        cfg.write_text(BASE_CFG.replace("ic = gaussian", "ic = spike") + f"{key} = inf\n")
+        code = cli_module.main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and key in err
 
     @pytest.mark.parametrize("override", [
         "box_halfwidth = inf",
@@ -314,3 +326,33 @@ ic_mass = 1.0
         cfg.write_text(BASE_CFG)
         res = cli("steady", "check", "--config", str(cfg), cwd=tmp_path)
         assert res.returncode == 1
+
+
+class TestConfigFuzz:
+    # one to three known keys of a small working config get extreme, non-finite or
+    # malformed values; every command must answer with an exit code, never an exception
+    VALUES = ["0", "-1", "1e308", "-1e308", "5e-324", "nan", "inf", "-inf", "", "text", "0.5 2"]
+    BASES = {
+        ("simulate",): "",
+        ("study", "viscosity"): "eps_list = 0.1 0.05 0.025 0",
+        ("study", "contraction"): "",
+        ("study", "smoothing"): "ic = spike\nspike_widths = 2 1",
+        ("steady", "check"): "ic = single_peak",
+    }
+
+    def test_exit_codes(self, tmp_path, capsys):
+        keys = [f.name for f in fields(RunConfig)]
+        rng = np.random.default_rng(2026)
+        commands, small = list(self.BASES), BASE_CFG.replace("cells = 120", "cells = 16")
+        for case in range(150):
+            command = commands[case % len(commands)]
+            entries = dict(line.split(" = ") for line in (small + self.BASES[command]).splitlines())
+            for key in rng.choice(keys, size=rng.integers(1, 4), replace=False):
+                entries[key] = self.VALUES[rng.integers(len(self.VALUES))]
+            text = "".join(f"{key} = {value}\n" for key, value in entries.items())
+            cfg = tmp_path / f"fuzz{case}.cfg"
+            cfg.write_text(text)
+            code = cli_module.main([*command, "--config", str(cfg), "--out", str(tmp_path / f"o{case}")])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (command, text)
+            assert code != 1 or err.startswith("config error:"), (command, text, err)
