@@ -12,14 +12,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .diagnostics import csv_header, csv_row, record
+from .diagnostics import DiagnosticsRecord, csv_header, csv_row, record
 from .grid import Field, Grid, load_snapshot, make_grid
 from .limiter import Params
 from .profiles import gaussian_bump, poly_spike, uniform_field
 from .steady import SteadyProfileSpec, sample
 from .stepping import StepControls, cfl_dt
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "build_problem",
+__all__ = ["ConfigError", "RunConfig", "parse_config", "build_problem", "build_initial",
            "build_params", "build_controls", "check_cell_steps"]
 
 _IC_KINDS = ("gaussian", "uniform", "spike", "single_peak", "multi_peak",
@@ -210,6 +210,12 @@ def build_problem(cfg: RunConfig) -> tuple[Grid, Field]:
     """Materialize the grid and initial field described by a config; builder failures (say,
     a missing snapshot), the semi-implicit scheme on a 2D grid, a CFL step of 0, work over
     the cell-step budget and initial diagnostics that overflow raise ``ConfigError``."""
+    grid, field, _ = build_initial(cfg)
+    return grid, field
+
+
+def build_initial(cfg: RunConfig) -> tuple[Grid, Field, DiagnosticsRecord]:
+    """``build_problem`` plus the t = 0 diagnostics record that it checks."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             grid, field = _build_problem(cfg)
@@ -230,7 +236,7 @@ def build_problem(cfg: RunConfig) -> tuple[Grid, Field]:
     if overflow:
         raise ConfigError(f"initial diagnostics are not finite ({', '.join(overflow)}); "
                           "shrink the box, the mass or the amplitude")
-    return grid, field
+    return grid, field, initial
 
 
 def _half_width(cfg: RunConfig) -> float:

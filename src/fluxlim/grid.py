@@ -9,12 +9,15 @@ Layout conventions:
   * cell values are stored row-major with one array axis per space axis;
   * interior faces along axis k sit between consecutive cells of that axis,
     so face arrays are one element shorter along k;
-  * boundary faces always carry zero flux and are not stored;
+  * boundary faces always carry zero flux; the steppers store them as the
+    zeros of a padded face array, so that a divergence is one subtraction
+    per axis;
   * every integral is a midpoint sum, matching the cell-centered layout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -167,11 +170,16 @@ def along(ndim: int, axis: int, index) -> tuple:
 def central_gradient(values: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Cell-centered derivative along one array axis of any stack of fields,
     operation for operation ``np.gradient(values, h, axis=axis, edge_order=2)``;
-    written into ``out`` when given."""
-    out = np.empty_like(values) if out is None else out
+    written into ``out``, which must be C-ordered, when given."""
+    out = np.empty(values.shape) if out is None else out
+    if not out.flags.c_contiguous:
+        raise ValueError("central_gradient writes into C-ordered arrays only")
     at = partial(along, values.ndim, axis)
-    inner = out[at(slice(1, -1))]
-    np.subtract(values[at(slice(2, None))], values[at(slice(None, -2))], out=inner)
+    # the interior differences are one run over the flattened arrays, with neighbours along
+    # the axis ``step`` entries apart; where the run wraps around it writes edges, set below
+    step = math.prod(values.shape[axis + 1:])
+    flat, inner = values.reshape(-1), out.reshape(-1)[step:-step]
+    np.subtract(flat[2 * step:], flat[: -2 * step], out=inner)
     np.divide(inner, 2.0 * h, out=inner)
     out[at(0)] = (-1.5 / h) * values[at(0)] + (2.0 / h) * values[at(1)] + (-0.5 / h) * values[at(2)]
     out[at(-1)] = (0.5 / h) * values[at(-3)] + (-2.0 / h) * values[at(-2)] + (1.5 / h) * values[at(-1)]
@@ -183,8 +191,9 @@ def cell_gradient(field: Field) -> tuple[np.ndarray, ...]:
 
     This is the stencil used by the diagnostics; fluxes use two-point face
     differences instead (see ``stepping._coefficient_fluxes``), with this stencil
-    only for the tangential part of a 2D face gradient. Exact for affine data
-    everywhere.
+    only for the tangential part of a 2D face gradient: applied to the sum of the
+    two cells of each face, at spacing 2 h_other/h, it gives h times the face mean
+    of their central differences. Exact for affine data everywhere.
     """
     return tuple(central_gradient(field.values, k, h) for k, h in enumerate(field.grid.spacing))
 

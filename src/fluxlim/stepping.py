@@ -2,9 +2,11 @@
 
 One spatial discretization: in 1D the face flux in excess form,
 sign(D) (|D|/h - chi rho_face)_+ + eps D/h for the cell difference D
-(``_face_flux``); in 2D a limiter coefficient per face from the reconstructed
-gradient norm times the normal difference quotient (``_coefficient_fluxes``).
-Both work in the buffers of ``_buffers`` and feed one divergence (``_divergence``).
+(``_face_flux``); in 2D a limiter coefficient per face, from the cell difference
+and sum across the face, times the normal difference quotient
+(``_coefficient_fluxes``). Both come scaled by the spacing, in the buffers of
+``_buffers``, whose zero-padded face arrays make the divergence one subtraction
+per axis (``_divergence``).
 
   * ``step_explicit``: forward Euler under the diffusive CFL restriction.
     The effective face coefficients lie in [0, 1 + eps], so each update is a
@@ -35,20 +37,9 @@ from .diagnostics import DiagnosticsRecord, record
 from .grid import Field, Grid, along, central_gradient
 from .limiter import Params, limiter
 
-__all__ = [
-    "StepControls",
-    "Trajectory",
-    "CflViolationError",
-    "NumericalFailureError",
-    "PicardDivergenceError",
-    "cfl_dt",
-    "step_explicit",
-    "step_semi_implicit",
-    "march",
-    "time_mesh",
-    "run",
-    "run_batch",
-]
+__all__ = ["StepControls", "Trajectory", "CflViolationError", "NumericalFailureError",
+           "PicardDivergenceError", "cfl_dt", "step_explicit", "step_semi_implicit", "march",
+           "time_mesh", "run", "run_batch"]
 
 
 _NEG_TOL = 1e-13  # roundoff allowance of a step's negatives, relative to the member's sup norm
@@ -143,37 +134,52 @@ def _stencil(grid: Grid) -> tuple[tuple[int, tuple, tuple, float], ...]:
 
 def _buffers(grid: Grid, size: int) -> list[tuple[np.ndarray, ...]]:
     """Work buffers of a batch of ``size`` members, per space axis: a cell-sized scratch
-    array and three face-sized arrays. The axes share them (the face arrays are sized for
-    the longest axis), so an axis's fluxes must be used before the next axis's are built."""
+    array, two face-sized arrays, the axis's flux, and the fluxes through every cell's
+    upper and lower face. The last two are cell-sized views, one cell apart along the
+    axis, of one zero-padded array; the flux is the interior of the upper one, and the
+    rest reads the boundary faces' zero flux. The axes share the buffers, so an axis's
+    fluxes must be used before the next axis's are built."""
     cells = np.empty((size, *grid.shape))
-    shapes = [cells[lo].shape for _, lo, _, _ in _stencil(grid)]
-    faces = np.empty((3, max(math.prod(s) for s in shapes)))
-    return [(cells, *(f[: math.prod(s)].reshape(s) for f in faces)) for s in shapes]
+    stride = [math.prod(grid.shape[a:]) for a in range(1, grid.dim + 1)]  # one cell along each axis
+    store = np.zeros(stride[0] + cells.size)
+    upper = store[stride[0]:].reshape(cells.shape)
+    faces = np.empty((2, max(cells[lo].size for _, lo, _, _ in _stencil(grid))))
+    bufs = []
+    for (_, lo, _, _), step in zip(_stencil(grid), stride):
+        shape, lower = upper[lo].shape, store[stride[0] - step:][: cells.size].reshape(cells.shape)
+        bufs.append((cells, *(f[: math.prod(shape)].reshape(shape) for f in faces), upper[lo], upper, lower))
+    return bufs
 
 
-def _coefficient_fluxes(values: np.ndarray, stencil, chi, eps, bufs):
-    """Yield the 2D face flux ((1 - chi rho_face/N)_+ + eps) g/h of every member, one axis
-    at a time: g is the normal difference quotient, and N the norm of the face gradient
-    whose tangential part is the mean of the two adjacent central differences along the
-    face. ``chi`` and ``eps`` are scalars or per-member columns; g and N stay in ``bufs``.
-    """
-    for (axis, lo, hi, h), (cells, grad, norm, flux) in zip(stencil, bufs):
-        np.subtract(values[hi], values[lo], out=grad)
-        np.divide(grad, h, out=grad)
-        np.multiply(grad, grad, out=norm)
-        for other, _, _, h_other in stencil:
-            if other != axis:
-                tang = central_gradient(values, other, h_other, cells)
-                np.add(tang[lo], tang[hi], out=flux)
-                np.multiply(flux, 0.5, out=flux)
-                np.multiply(flux, flux, out=flux)
-                np.add(norm, flux, out=norm)
+def _coefficient_fluxes(values: np.ndarray, stencil, half_chi_h, eps, bufs):
+    """Yield the (upper, lower) face fluxes (see ``_buffers``) of every 2D axis in turn,
+    h_0^2/h times the flux ((1 - chi rho_face/|g|)_+ + eps) g_normal, h_0 the first spacing.
+
+    With D and P the difference and the sum of the two cells of a face, D is h g_normal
+    and h times the tangential part of g (the face mean of the two adjacent central
+    differences) is, by linearity, T = ``central_gradient(P, other, 2 h_other/h)``. So
+    N = sqrt(T^2 + D^2) is h |g| and the flux is (``limiter(P, N, chi h/2)`` + eps) D.
+    ``half_chi_h`` (chi h/2 per axis) and ``eps`` (None: no viscous term) are scalars or
+    per-member columns. T, N and D^2 use face-shaped views of the cell scratch and of the
+    upper fluxes, whose boundary faces are reset to 0 afterwards."""
+    h_0 = stencil[0][3]
+    for (axis, lo, hi, h), (cells, diff, pair, flux, upper, lower), rate in zip(stencil, bufs, half_chi_h):
+        (other, h_other), = ((o, ho) for o, _, _, ho in stencil if o != axis)
+        norm, square = (a.reshape(-1)[: diff.size].reshape(diff.shape) for a in (cells, upper))
+        np.subtract(values[hi], values[lo], out=diff)
+        np.add(values[lo], values[hi], out=pair)
+        central_gradient(pair, other, 2.0 * h_other / h, out=norm)
+        np.multiply(norm, norm, out=norm)
+        np.add(norm, np.multiply(diff, diff, out=square), out=norm)
         np.sqrt(norm, out=norm)
-        np.add(values[lo], values[hi], out=flux)
-        np.multiply(flux, 0.5, out=flux)
-        np.add(limiter(flux, norm, chi, out=flux), eps, out=flux)
-        np.multiply(flux, grad, out=flux)
-        yield np.divide(flux, h, out=flux)
+        limiter(pair, norm, rate, out=pair)
+        if eps is not None:
+            np.add(pair, eps, out=pair)
+        np.multiply(pair, diff, out=flux)
+        if h != h_0:
+            np.multiply(flux, (h_0 / h) ** 2, out=flux)
+        upper[along(upper.ndim, axis, -1)] = 0.0
+        yield upper, lower
 
 
 def _face_flux(values: np.ndarray, half_chi_h, eps, out) -> np.ndarray:
@@ -182,12 +188,12 @@ def _face_flux(values: np.ndarray, half_chi_h, eps, out) -> np.ndarray:
     For the cell difference D and g = D/h, h ((1 - chi rho_face/|g|)_+ + eps) g
     = sign(D) (|D| - chi h rho_face)_+ + eps D, which needs no square, root or
     division. ``half_chi_h`` (chi h/2) and ``eps`` (None: no viscous term) are
-    scalars or per-member columns. ``out`` is the (cells, D, excess, flux) of
+    scalars or per-member columns. ``out`` opens with the (cells, D, excess, flux) of
     the one axis of ``_buffers``; D and the clamped excess (positive on the
     limiter's active set) stay in theirs. The threshold is summed from scaled cells, so it overflows
     only where it exceeds every finite |D|; the clamp passes NaN on to ``_finalize``.
     """
-    cells, diff, excess, flux = out
+    cells, diff, excess, flux = out[:4]
     np.multiply(values, half_chi_h, out=cells)
     np.add(cells[..., :-1], cells[..., 1:], out=flux)
     np.subtract(values[..., 1:], values[..., :-1], out=diff)
@@ -201,13 +207,13 @@ def _face_flux(values: np.ndarray, half_chi_h, eps, out) -> np.ndarray:
     return np.copysign(np.add(excess, flux, out=flux), diff, out=flux)
 
 
-def _divergence(stencil, fluxes, out: np.ndarray) -> np.ndarray:
-    """Per-axis face fluxes, taken one axis at a time, summed into ``out``: out of
-    the cell below each face and into the one above."""
-    out.fill(0.0)
-    for (_, lo, hi, _), flux in zip(stencil, fluxes):
-        np.add(out[lo], flux, out=out[lo])
-        np.subtract(out[hi], flux, out=out[hi])
+def _divergence(fluxes, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Per-axis (upper, lower) face fluxes of the cells, taken one axis at a time, summed
+    into ``out`` by one subtraction per axis (into the cell-sized ``scratch`` after the first)."""
+    for k, (upper, lower) in enumerate(fluxes):
+        np.subtract(upper, lower, out=scratch if k else out)
+        if k:
+            np.add(out, scratch, out=out)
     return out
 
 
@@ -261,9 +267,10 @@ def march(initials, params, dts, n_steps, cfl_safety: float = 0.45, members=None
     chi, eps, dt = (np.array(x, dtype=float).reshape(col)
                     for x in ([p.chi for p in params], [p.eps for p in params], dts))
     dt_eps, absorbs = dt * eps, bool(np.any(eps))
-    # 1D fluxes come h times too large (see _face_flux), so their divergence is scaled by dt/h^2
-    one_d, h = grid.dim == 1, grid.spacing[0]
-    rate, scale = (0.5 * h * chi, dt / (h * h)) if one_d else (chi, dt)
+    # the fluxes come h_0^2/h times too large (see _face_flux and _coefficient_fluxes), so
+    # their divergence is scaled by dt/h_0^2, h_0 the first axis's spacing
+    h = grid.spacing[0]
+    rates, scale = [0.5 * s * chi for s in grid.spacing], dt / (h * h)
     state, stencil = np.stack([f.values for f in initials]), _stencil(grid)
     k = 0
     for live in range(len(n_steps), 0, -1):
@@ -271,14 +278,17 @@ def march(initials, params, dts, n_steps, cfl_safety: float = 0.45, members=None
             continue
         bufs = _buffers(grid, live)
         cur, nxt = state[:live], np.empty_like(state[:live])
-        c, e, d, de = rate[:live], eps[:live], scale[:live], dt_eps[:live]
-        if one_d:
-            fluxes = lambda v: (_face_flux(v, c, e if absorbs else None, bufs[0]),)
+        c, e = [r[:live] for r in rates], eps[:live] if absorbs else None
+        d, de = scale[:live], dt_eps[:live]
+        if grid.dim == 1:
+            def fluxes(v):
+                _face_flux(v, c[0], e, bufs[0])
+                return (bufs[0][4:],)
         else:
             fluxes = lambda v: _coefficient_fluxes(v, stencil, c, e, bufs)
         while k < n_steps[live - 1]:
             k += 1
-            _divergence(stencil, fluxes(cur), nxt)
+            _divergence(fluxes(cur), nxt, bufs[0][0])
             # (rho + dt*div) - (dt*eps)*rho in this order, so every member is
             # bitwise a lone run; with all eps = 0 the last term is +0.0, a no-op
             np.multiply(d, nxt, out=nxt)
@@ -329,13 +339,12 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
     Each sweep T linearizes the flux at the previous iterate, freezing the
     limiter's active set and gradient sign, and solves exactly (a semi-smooth
     Newton step, see ``_active_set_solve``). Fixed points of T solve the step.
-    Convergence is measured by the fixed-point residual |T(z) - z| / |T(z)|
-    in L2. Updates are relaxed, z + theta (T(z) - z), and a candidate is only
-    accepted once its residual drops below the current one, halving theta
-    otherwise (down to 1/64).
-    The backtracking guards against threshold flicker (faces hopping across
-    the limiter cutoff between sweeps) at large dt; it never moves the fixed
-    point, and theta stays at 1 whenever plain iteration contracts.
+    Convergence is measured by the fixed-point residual |T(z) - z| / |T(z)| in L2.
+    Updates are relaxed, z + theta (T(z) - z), and a candidate is only accepted once
+    its residual drops below the current one, halving theta otherwise (down to 1/64).
+    The backtracking guards against threshold flicker (faces hopping across the
+    limiter cutoff between sweeps) at large dt; it never moves the fixed point, and
+    theta stays at 1 whenever plain iteration contracts.
 
     Returns the converged field, plus the residual trace if ``with_info``.
     """
@@ -362,8 +371,7 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
     for _ in range(controls.picard_max_iter):
         if residual <= controls.picard_tol:
             # the exact solve of an M-matrix leaves no solver-tolerance negatives
-            mapped = _finalize(mapped[None])[0]
-            out = Field.density(grid, mapped)
+            out = Field.density(grid, _finalize(mapped[None])[0])
             return (out, trace) if with_info else out
         theta = min(1.0, 1.5 * theta)  # remember the working relaxation level
         while True:
@@ -375,25 +383,13 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
         z, mapped, residual = cand, cand_mapped, cand_residual
         trace.append(residual)
 
-    raise PicardDivergenceError(
-        f"Picard iteration exceeded {controls.picard_max_iter} sweeps "
-        f"(last fixed-point residual {residual})",
-        last_residual=residual,
-        trace=trace,
-    )
+    raise PicardDivergenceError(f"Picard iteration exceeded {controls.picard_max_iter} sweeps "
+                                f"(last fixed-point residual {residual})", residual, trace)
 
 
-def run(
-    initial: Field,
-    params: Params,
-    controls: StepControls,
-    t_end: float,
-    diag_stride: int = 10,
-    p_set=(2.0, 4.0),
-    grad_p_set=(2.0,),
-    scheme: str = "explicit",
-    snapshot_stride: int = 0,
-) -> Trajectory:
+def run(initial: Field, params: Params, controls: StepControls, t_end: float, diag_stride: int = 10,
+        p_set=(2.0, 4.0), grad_p_set=(2.0,), scheme: str = "explicit", snapshot_stride: int = 0,
+        initial_record: DiagnosticsRecord | None = None) -> Trajectory:
     """Advance to ``t_end`` with a fixed step, recording diagnostics.
 
     The requested dt (or the CFL step when unset) is shrunk to the nearest
@@ -401,21 +397,24 @@ def run(
     recorded at t = 0, every ``diag_stride`` steps, and at the final step;
     snapshots keep the initial and final states plus every
     ``snapshot_stride``-th step when that stride is positive. The run is
-    deterministic given its inputs.
+    deterministic given its inputs. A given ``initial_record`` is the t = 0 record.
     """
     return run_batch([initial], [params], controls, [t_end], diag_stride, p_set=p_set,
-                     grad_p_set=grad_p_set, scheme=scheme, snapshot_stride=snapshot_stride)[0]
+                     grad_p_set=grad_p_set, scheme=scheme, snapshot_stride=snapshot_stride,
+                     initial_records=None if initial_record is None else [initial_record])[0]
 
 
 def run_batch(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=(2.0, 4.0),
-              grad_p_set=(2.0,), scheme: str = "explicit", snapshot_stride: int = 0) -> list[Trajectory]:
+              grad_p_set=(2.0,), scheme: str = "explicit", snapshot_stride: int = 0,
+              initial_records=None) -> list[Trajectory]:
     """``run`` for several members on one grid, one trajectory per member.
 
     Member i starts from ``initials[i]`` with ``params[i]`` and runs to
     ``t_ends[i]``; ``diag_stride`` is one stride or one per member. Each
     member gets the time mesh and outputs its own ``run`` would give; the
     explicit scheme steps all members as one batch (see ``march``), the
-    semi-implicit one (1D only) steps them in turn.
+    semi-implicit one (1D only) steps them in turn. ``initial_records``, when
+    given, are the members' t = 0 records, which are then not computed again.
     """
     initials, t_ends = list(initials), [float(t) for t in t_ends]
     strides = list(diag_stride) if np.ndim(diag_stride) else [diag_stride] * len(initials)
@@ -433,7 +432,8 @@ def run_batch(initials, params, controls: StepControls, t_ends, diag_stride=10, 
     if any(f.values.min(initial=0.0) < 0.0 for f in initials):
         raise ValueError("initial data must be nonnegative")
 
-    records = [[record(f, p_set=p_set, grad_p_set=grad_p_set, time=0.0)] for f in initials]
+    records = [[rec] for rec in initial_records
+               or [record(f, p_set=p_set, grad_p_set=grad_p_set, time=0.0) for f in initials]]
     snapshots = [[(0.0, f)] for f in initials]
     meshes = [time_mesh(t, controls.dt or cfl_dt(grid, p.eps, controls.cfl_safety)) if t > 0.0
               else (0.0, 0) for p, t in zip(params, t_ends)]

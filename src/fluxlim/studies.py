@@ -308,6 +308,8 @@ def smoothing_study(base: RunConfig) -> StudyReport:
         raise ValueError("spike widths must be strictly decreasing")
     if base.eps != 0.0:
         raise ValueError("smoothing study runs with eps = 0")
+    if not base.t_end > 0.0:
+        raise ValueError("invalid value for 't_end': the smoothing study needs t_end > 0")
 
     cfg = replace(base, ic="spike", ic_p=p)
     grid, spike = build_problem(cfg)
@@ -376,6 +378,10 @@ def steady_study(cfg: RunConfig) -> StudyReport:
         raise ValueError("invalid value for 'eps': steady check runs inviscid")
     grid, field = build_problem(cfg)
     h = max(grid.spacing)
+    log_bound = cfg.chi * (1.0 + (cfg.chi * h) * (cfg.chi * h))
+    if not np.isfinite(log_bound):
+        raise ValueError(f"invalid value for 'chi': the bound chi (1 + (chi h)^2) on |grad rho|/rho "
+                         f"overflows (chi = {cfg.chi!r}, h = {h!r})")
     mass = integrate(field)
     resid = eikonal_residual(field, cfg.chi).values
     drift = stationarity_drift(field, build_params(cfg), build_controls(cfg),
@@ -386,7 +392,6 @@ def steady_study(cfg: RunConfig) -> StudyReport:
     grad_over_rho = np.zeros_like(field.values)
     np.divide(gradient_norm(field), field.values, out=grad_over_rho, where=live)
     worst_log_grad = float(grad_over_rho.max(initial=0.0))
-    log_bound = cfg.chi * (1.0 + (cfg.chi * h) ** 2)
     allowance = max(cfg.chi * mass * h, 1e-14)
 
     verdicts = [

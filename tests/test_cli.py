@@ -9,6 +9,7 @@ import pytest
 
 from fluxlim import cli as cli_module
 from fluxlim.config import RunConfig
+from fluxlim.diagnostics import record
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -164,6 +165,25 @@ class TestSimulate:
         assert res.stdout.strip() == "[]"
 
 
+    def test_initial_record_computed_once(self, tmp_path, capsys, monkeypatch):
+        # build_problem checks the t = 0 record and the run writes it: one record per row
+        from fluxlim import config, stepping
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("time", 0.0))
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(config, "record", counted)
+        monkeypatch.setattr(stepping, "record", counted)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG.replace("diag_stride = 10", "diag_stride = 2"))
+        assert cli_module.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "diagnostics.csv").read_text().splitlines()[1:]
+        assert len(calls) == len(rows) > 2 and calls.count(0.0) == 1
+
+
 class TestArgumentErrors:
     # exit 2 means numerical failure, so a bad command line is a configuration error
     @pytest.mark.parametrize("argv", [
@@ -284,6 +304,22 @@ study_p = 4
         assert code == 1
         assert err.startswith("config error:") and "cell-steps" in err
 
+    def test_smoothing_with_zero_horizon_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # every envelope constant was 0 at t_end = 0, and their ratio divided by zero
+        from fluxlim import studies
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the smoothing study started stepping")
+
+        monkeypatch.setattr(studies, "run_batch", no_stepping)
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(BASE_CFG.replace("cells = 120", "cells = 16").replace("t_end = 0.01", "t_end = 0")
+                       .replace("ic = gaussian", "ic = spike") + "spike_widths = 2 1\n")
+        code = cli_module.main(["study", "smoothing", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "t_end" in err
+
     @pytest.mark.parametrize("kind", ["contraction", "viscosity"])
     def test_cfl_violation_exit_2(self, tmp_path, kind):
         path = tmp_path / "cfl.cfg"
@@ -321,6 +357,16 @@ ic_mass = 1.0
         assert "VERDICT steady_drift_small PASS" in text
         assert "VERDICT steady_subcharacterization PASS" in text
 
+    def test_overflowing_bound_is_config_error(self, tmp_path, capsys):
+        # chi (1 + (chi h)^2) overflowed a Python float power into an OverflowError
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(BASE_CFG.replace("cells = 120", "cells = 16").replace("chi = 1.0", "chi = 1e308")
+                       .replace("ic = gaussian", "ic = single_peak"))
+        code = cli_module.main(["steady", "check", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "chi" in err
+
     def test_rejects_non_steady_ic(self, tmp_path):
         cfg = tmp_path / "g.cfg"
         cfg.write_text(BASE_CFG)
@@ -332,21 +378,24 @@ class TestConfigFuzz:
     # one to three known keys of a small working config get extreme, non-finite or
     # malformed values; every command must answer with an exit code, never an exception
     VALUES = ["0", "-1", "1e308", "-1e308", "5e-324", "nan", "inf", "-inf", "", "text", "0.5 2"]
-    BASES = {
-        ("simulate",): "",
-        ("study", "viscosity"): "eps_list = 0.1 0.05 0.025 0",
-        ("study", "contraction"): "",
-        ("study", "smoothing"): "ic = spike\nspike_widths = 2 1",
-        ("steady", "check"): "ic = single_peak",
-    }
+    # the 2D bases (8x8 cells) take hostile values into the 2D step kernel
+    BASES = [
+        (("simulate",), ""),
+        (("study", "viscosity"), "eps_list = 0.1 0.05 0.025 0"),
+        (("study", "contraction"), ""),
+        (("study", "smoothing"), "ic = spike\nspike_widths = 2 1"),
+        (("steady", "check"), "ic = single_peak"),
+        (("simulate",), "dim = 2\ncells = 8"),
+        (("study", "contraction"), "dim = 2\ncells = 8"),
+    ]
 
     def test_exit_codes(self, tmp_path, capsys):
         keys = [f.name for f in fields(RunConfig)]
         rng = np.random.default_rng(2026)
-        commands, small = list(self.BASES), BASE_CFG.replace("cells = 120", "cells = 16")
-        for case in range(150):
-            command = commands[case % len(commands)]
-            entries = dict(line.split(" = ") for line in (small + self.BASES[command]).splitlines())
+        small = BASE_CFG.replace("cells = 120", "cells = 16")
+        for case in range(210):
+            command, base = self.BASES[case % len(self.BASES)]
+            entries = dict(line.split(" = ") for line in (small + base).splitlines())
             for key in rng.choice(keys, size=rng.integers(1, 4), replace=False):
                 entries[key] = self.VALUES[rng.integers(len(self.VALUES))]
             text = "".join(f"{key} = {value}\n" for key, value in entries.items())

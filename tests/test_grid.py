@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxlim import stepping
 from fluxlim.diagnostics import record
-from fluxlim.grid import Field, cell_gradient, integrate, load_snapshot, make_grid, save_snapshot
+from fluxlim.grid import (Field, cell_gradient, central_gradient, integrate, load_snapshot, make_grid,
+                          save_snapshot)
+from fluxlim.limiter import limiter
 from fluxlim.stepping import _buffers, _coefficient_fluxes, _divergence, _face_flux, _stencil
 
 
@@ -70,16 +75,23 @@ class TestField:
 
 
 def face_norms(field):
-    """The face-gradient norms of the step kernels, one array per axis: in 2D the norm that
-    ``_coefficient_fluxes`` leaves in its buffers, in 1D D/h from the D that ``_face_flux`` leaves."""
+    """The face-gradient norms of the step kernels, one array per axis: in 2D N/h for the
+    h-scaled norm N that ``_coefficient_fluxes`` hands the limiter, in 1D D/h from the D
+    that ``_face_flux`` leaves."""
     grid, values, bufs = field.grid, field.values[None], _buffers(field.grid, 1)
     if grid.dim == 1:
-        _, diff, _, _ = bufs[0]
         _face_flux(values, 0.0, None, bufs[0])
-        return [diff[0] / grid.spacing[0]]
-    # the axes share the buffers, so each norm is copied before the next axis is built
-    fluxes = _coefficient_fluxes(values, _stencil(grid), 1.0, 0.0, bufs)
-    return [norm[0].copy() for _, (_, _, norm, _) in zip(fluxes, bufs)]
+        return [bufs[0][1][0] / grid.spacing[0]]
+    norms = []
+
+    def spy(rho, grad_norm, chi, out=None):
+        norms.append(grad_norm[0] / grid.spacing[len(norms)])
+        return limiter(rho, grad_norm, chi, out=out)
+
+    with mock.patch.object(stepping, "limiter", spy):
+        for _ in _coefficient_fluxes(values, _stencil(grid), (0.5, 0.5), None, bufs):
+            pass
+    return norms
 
 
 class TestFaceGradient:
@@ -133,13 +145,28 @@ class TestCellGradient:
             ref = np.gradient(v2, g2.spacing[axis], axis=axis, edge_order=2)
             assert d.tobytes() == ref.tobytes()
 
+    def test_strided_input_and_ordered_output(self):
+        # the interior differences run over the flattened arrays: a strided input is read
+        # through a copy, and an output that is not C-ordered is refused
+        v = np.random.default_rng(3).normal(size=(9, 14))[:, ::2]
+        for axis in (0, 1):
+            ref = np.gradient(v, 0.3, axis=axis, edge_order=2)
+            assert central_gradient(v, axis, 0.3).tobytes() == ref.tobytes()
+        with pytest.raises(ValueError, match="C-ordered"):
+            central_gradient(v, 0, 0.3, out=np.empty((7, 9)).T)
+
 
 def divergence(values, grid, coeffs):
     """div(a grad u) for one field with face coefficients ``coeffs``: the face fluxes a D/h^2
-    of the cell differences D, summed by the steppers' ``_divergence``."""
-    u, stencil = np.asarray(values, dtype=float)[None], _stencil(grid)
-    fluxes = [c[None] * ((u[hi] - u[lo]) / h) / h for c, (_, lo, hi, h) in zip(coeffs, stencil)]
-    return _divergence(stencil, fluxes, np.empty_like(u))[0]
+    of the cell differences D, padded by a zero boundary flux into the fluxes through each
+    cell's upper and lower face, and summed by the steppers' ``_divergence``."""
+    u = np.asarray(values, dtype=float)[None]
+    pairs = []
+    for c, (a, lo, hi, h) in zip(coeffs, _stencil(grid)):
+        flux = c[None] * ((u[hi] - u[lo]) / h) / h
+        pad = [(0, 0)] * u.ndim
+        pairs.append(tuple(np.pad(flux, pad[:a] + [side] + pad[a + 1:]) for side in ((0, 1), (1, 0))))
+    return _divergence(pairs, np.empty_like(u), np.empty_like(u))[0]
 
 
 class TestDivergence:

@@ -136,8 +136,8 @@ class TestFinalizePolicy:
 
 
 def coefficient_divergence(v, g, chi, eps):
-    """div(((1 - chi rho/|grad|)_+ + eps) grad v) in coefficient form, one member, in the 2D
-    kernel's operation order.
+    """div(((1 - chi rho/|grad|)_+ + eps) grad v) in coefficient form, one member, written
+    plainly from the difference quotients (the kernels reorder its arithmetic).
 
     The limiter sees the face-mean density and the face gradient norm: the two-point
     difference across the face and, in 2D, the mean of the two adjacent central
@@ -163,7 +163,7 @@ def coefficient_divergence(v, g, chi, eps):
 
 
 def coefficient_step(field, params, dt):
-    """The explicit update in coefficient form, one member, in the 2D kernel's operation order."""
+    """The explicit update in coefficient form, one member (see ``coefficient_divergence``)."""
     v = field.values
     new = v + dt * coefficient_divergence(v, field.grid, params.chi, params.eps) - (dt * params.eps) * v
     return np.maximum(new, 0.0) if new.min() < 0.0 else new
@@ -178,17 +178,43 @@ def excess_flux(v, chi, eps, h):
     return np.copysign(excess + eps * np.abs(d), d), excess
 
 
+def lean_2d_divergence(v, g, chi, eps):
+    """h_0^2 times the 2D divergence of the face fluxes, in the kernel's operation order.
+
+    Per axis of spacing h, with D and P the difference and the sum of the two cells of a
+    face: h times the tangential part is the central difference of P at spacing
+    2 h_other/h, N = sqrt(T^2 + D^2) is h |g|, and the flux limiter(P, N, chi h/2) + eps
+    times D comes weighted by (h_0/h)^2; a face array padded by zero boundary fluxes gives
+    the divergence by one difference per axis."""
+    h0, acc = g.spacing[0], None
+    for axis, h in enumerate(g.spacing):
+        other = 1 - axis
+        lo = (slice(None, -1), slice(None)) if axis == 0 else (slice(None), slice(None, -1))
+        hi = (slice(1, None), slice(None)) if axis == 0 else (slice(None), slice(1, None))
+        diff, pair = v[hi] - v[lo], v[lo] + v[hi]
+        tang = np.gradient(pair, 2.0 * g.spacing[other] / h, axis=other, edge_order=2)
+        coeff = limiter(pair, np.sqrt(tang * tang + diff * diff), 0.5 * h * chi) + eps
+        flux = coeff * diff
+        if h != h0:
+            flux = flux * (h0 / h) ** 2
+        part = np.diff(np.pad(flux, [(1, 1) if k == axis else (0, 0) for k in range(2)]), axis=axis)
+        acc = part if acc is None else acc + part
+    return acc
+
+
 def reference_step(field, params, dt):
     """The explicit update written plainly, one member, in the kernel's operation order:
-    in 1D the excess-form flux, whose divergence is scaled by dt/h^2; in 2D the coefficient form."""
+    face fluxes h_0^2/h times too large (in 1D the excess form, in 2D those of
+    ``lean_2d_divergence``), whose divergence is scaled by dt/h_0^2."""
     v, g = field.values, field.grid
-    if g.dim != 1:
-        return coefficient_step(field, params, dt)
     h = g.spacing[0]
-    flux, _ = excess_flux(v, params.chi, params.eps, h)
-    acc = np.zeros(g.shape)
-    acc[:-1] += flux
-    acc[1:] -= flux
+    if g.dim == 1:
+        flux, _ = excess_flux(v, params.chi, params.eps, h)
+        acc = np.zeros(g.shape)
+        acc[:-1] += flux
+        acc[1:] -= flux
+    else:
+        acc = lean_2d_divergence(v, g, params.chi, params.eps)
     new = v + (dt / (h * h)) * acc - (dt * params.eps) * v
     return np.maximum(new, 0.0) if new.min() < 0.0 else new
 
@@ -221,9 +247,26 @@ class TestBatchedKernel:
             alone = step_explicit(f, p, StepControls(dt=dt))
             assert np.array_equal(row, alone.values)
             assert np.array_equal(row, reference_step(f, p, dt))
-            # the 1D excess form reorders the coefficient form's arithmetic, nothing more
+            # both kernels reorder the coefficient form's arithmetic, nothing more
             coef = coefficient_step(f, p, dt)
             assert np.abs(row - coef).max() <= 1e-13 * np.abs(coef).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 12), st.integers(3, 12), st.integers(0, 2**32 - 1))
+    def test_2d_unequal_spacings(self, n1, n2, seed):
+        # a snapshot can give hx != hy: the kernel weighs the second axis's flux by (hx/hy)^2
+        grid = make_grid(2, (2.5, 1.5), (n1, n2))
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.0, 1.0, (3, *grid.shape))
+        values[rng.uniform(size=values.shape) < 0.3] = 0.0
+        fields = [Field.density(grid, v) for v in values]
+        params = [Params(chi=0.0), Params(chi=1.0, eps=0.1), Params(chi=3.0)]
+        dts = [cfl_dt(grid, p.eps) for p in params]
+        ((_, state),) = march(fields, params, dts, [1, 1, 1])
+        for row, f, p, dt in zip(state, fields, params, dts):
+            coef = coefficient_step(f, p, dt)
+            assert np.abs(row - coef).max() <= 1e-13 * np.abs(coef).max()
+            assert np.array_equal(row, reference_step(f, p, dt))
 
     def test_2d_peak_fixed_beside_moving_gaussian(self):
         grid = make_grid(2, 3.0, 24)
