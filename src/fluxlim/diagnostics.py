@@ -9,9 +9,8 @@ distinct from the face differences driving the fluxes.
 The pair functionals H, D1, D2 and the L1 distance come from one array
 kernel, ``pair_terms``, that probes a block of K pairs (K, 2, *grid.shape) per
 call and reduces over the grid axes only, so each row is bitwise its
-single-pair value. The
-contraction study probes its recorded states in such blocks;
-``relative_entropy`` and ``dissipation_terms`` are its K = 1 wrappers.
+single-pair value. The contraction study probes its recorded states in such
+blocks, the viscosity study its final states.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ __all__ = [
     "SupportMismatchError",
     "record",
     "pair_terms",
-    "relative_entropy",
-    "dissipation_terms",
     "l1_distance",
     "csv_header",
     "csv_row",
@@ -97,21 +94,31 @@ def record(field: Field, p_set=(2.0, 4.0), grad_p_set=(2.0,), time: float = 0.0)
     )
 
 
-def pair_terms(pairs: np.ndarray, grid: Grid, sigma: float | None, chi: float):
+def pair_terms(pairs: np.ndarray, grid: Grid, sigma: float, chi: float):
     """(H, D1, D2, L1 distance) of every row (u, v) of ``pairs``, shaped (K, 2,
-    *grid.shape), as length-K arrays. ``sigma = None`` skips H (returned as None); with sigma = 0,
-    a row with u > 0 where v = 0 raises ``SupportMismatchError``."""
+    *grid.shape), as length-K arrays.
+
+    H = integral((u+s)*log((u+s)/(v+s)) - u + v) is the relative entropy with
+    floor s = ``sigma``; with sigma = 0 it uses the 0*log(0) = 0 convention, and
+    a row with u > 0 where v = 0 raises ``SupportMismatchError``. The dissipation
+    integrals are
+
+    D1 = 1/2 * integral( u * (a_u - a_v)^2 )
+    D2 = 1/2 * integral( u * |grad log(u/v)|^2 * (a_u + a_v) )
+
+    with a_w = limiter(w, |grad w|) on {w > 0} and 0 on vacuum cells; the
+    log-gradient of each field is likewise taken as 0 where it vanishes.
+    """
     a, b = pairs[:, 0], pairs[:, 1]
     axes = tuple(range(1, a.ndim))
     vol = grid.cell_volume
-    h = None
     if sigma == 0.0:
         if np.any((a > 0.0) & (b == 0.0)):
             raise SupportMismatchError("u > 0 on a cell where v = 0 with sigma = 0")
         ratio = np.ones_like(a)  # a * log(1) = 0 keeps the 0*log(0) = 0 convention
         np.divide(a, b, out=ratio, where=a > 0.0)
         h = np.sum(a * np.log(ratio) - a + b, axis=axes) * vol
-    elif sigma is not None:
+    else:
         h = np.sum((a + sigma) * np.log((a + sigma) / (b + sigma)) - a + b, axis=axes) * vol
 
     grads = [central_gradient(pairs, k + 2, dx) for k, dx in enumerate(grid.spacing)]
@@ -125,34 +132,6 @@ def pair_terms(pairs: np.ndarray, grid: Grid, sigma: float | None, chi: float):
         dlog2 = dlog2 + (logs[:, 0] - logs[:, 1]) ** 2
     d2 = 0.5 * (np.sum(a * dlog2 * (coef[:, 0] + coef[:, 1]), axis=axes) * vol)
     return h, d1, d2, np.sum(np.abs(a - b), axis=axes) * vol
-
-
-def relative_entropy(u: Field, v: Field, sigma: float = 0.0) -> float:
-    """Boltzmann relative entropy integral((u+s)*log((u+s)/(v+s)) - u + v).
-
-    Nonnegative for sigma = 0, where it uses the 0*log(0) = 0 convention and
-    raises ``SupportMismatchError`` if u > 0 somewhere v vanishes.
-    """
-    if u.grid != v.grid:
-        raise ValueError("relative entropy needs both fields on one grid")
-    if not (np.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    return float(pair_terms(np.stack([u.values, v.values])[None], u.grid, sigma, 0.0)[0][0])
-
-
-def dissipation_terms(u: Field, v: Field, chi: float) -> tuple[float, float]:
-    """The two nonnegative entropy-dissipation integrals for a solution pair.
-
-    D1 = 1/2 * integral( u * (a_u - a_v)^2 )
-    D2 = 1/2 * integral( u * |grad log(u/v)|^2 * (a_u + a_v) )
-
-    with a_w = limiter(w, |grad w|) on {w > 0} and 0 on vacuum cells; the
-    log-gradient of each field is likewise taken as 0 where it vanishes.
-    """
-    if u.grid != v.grid:
-        raise ValueError("dissipation terms need both fields on one grid")
-    _, d1, d2, _ = pair_terms(np.stack([u.values, v.values])[None], u.grid, None, chi)
-    return float(d1[0]), float(d2[0])
 
 
 def l1_distance(u: Field, v: Field) -> float:

@@ -85,10 +85,7 @@ class Grid:
 
     def centers(self) -> tuple[np.ndarray, ...]:
         """Full cell-center coordinate arrays, one per axis (ij indexing)."""
-        axes = [self.axis_centers(k) for k in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        return tuple(np.meshgrid(*(self.axis_centers(k) for k in range(self.dim)), indexing="ij"))
 
 
 def squared_distance(grid: Grid, center) -> np.ndarray:
@@ -186,21 +183,13 @@ def central_gradient(values: np.ndarray, axis: int, h: float, out: np.ndarray | 
     return out
 
 
-def cell_gradient(field: Field) -> tuple[np.ndarray, ...]:
-    """Cell-centered gradient by central differences (one-sided at the box edge).
-
-    This is the stencil used by the diagnostics; fluxes use two-point face
-    differences instead (see ``stepping._coefficient_fluxes``), with this stencil
-    only for the tangential part of a 2D face gradient: applied to the sum of the
-    two cells of each face, at spacing 2 h_other/h, it gives h times the face mean
-    of their central differences. Exact for affine data everywhere.
-    """
-    return tuple(central_gradient(field.values, k, h) for k, h in enumerate(field.grid.spacing))
-
-
 def gradient_norm(field: Field) -> np.ndarray:
-    """Cellwise |grad rho| from the central differences of ``cell_gradient``."""
-    return np.sqrt(sum(g * g for g in cell_gradient(field)))
+    """Cellwise |grad rho| from ``central_gradient`` along every axis (one-sided at the
+    box edge). This is the stencil of the diagnostics; the fluxes use two-point face
+    differences instead (see ``stepping._coefficient_fluxes``), and this stencil only
+    for the tangential part of a 2D face gradient. Exact for affine data everywhere."""
+    grads = (central_gradient(field.values, k, h) for k, h in enumerate(field.grid.spacing))
+    return np.sqrt(sum(g * g for g in grads))
 
 
 def integrate(field: Field) -> float:

@@ -3,8 +3,9 @@
 The flux is (1 - chi*rho/|grad|)_+ * grad plus an optional viscous part
 eps*grad. The 2D stepper assembles it face by face from ``limiter`` (see
 ``stepping._coefficient_fluxes``), and the dissipation terms of
-``diagnostics`` use it too. In 1D the flux equals sign(grad) * (|grad| -
-chi*rho)_+, which ``stepping._face_flux`` evaluates without the division.
+``diagnostics.pair_terms`` use it too. In 1D the flux equals sign(grad) *
+(|grad| - chi*rho)_+, which ``stepping._face_flux`` evaluates without the
+division.
 The positive part kills the flux wherever
 |grad| <= chi*rho, which is what makes the underlying vector map monotone;
 removing the clamp breaks monotonicity, and ``unclamped_gap`` exists only to

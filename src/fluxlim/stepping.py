@@ -8,21 +8,20 @@ and sum across the face, times the normal difference quotient
 ``_buffers``, whose zero-padded face arrays make the divergence one subtraction
 per axis (``_divergence``).
 
-  * ``step_explicit``: forward Euler under the diffusive CFL restriction.
-    The effective face coefficients lie in [0, 1 + eps], so each update is a
-    convex combination plus an absorption factor; positivity and the Lp
-    decay of the continuous flow carry over exactly.
+  * ``march``: forward Euler under the diffusive CFL restriction, for a batch
+    of members on one grid at once, each with its own chi, eps, dt and step
+    count; ``run`` and ``run_batch`` step through it. The effective face
+    coefficients lie in [0, 1 + eps], so each update is a convex combination
+    plus an absorption factor; positivity and the Lp decay of the continuous
+    flow carry over exactly.
   * ``step_semi_implicit``: backward Euler in 1D by sweeps that linearize
     the flux at the previous iterate on the active set (positive excess) and
     gradient sign of ``_face_flux`` (semi-smooth Newton), each solved exactly
     by LAPACK, in about two sweeps. No step-size restriction. scipy is
     imported by this step alone, so explicit runs never load it.
 
-The explicit kernel (``march``) steps a batch of members on one grid at
-once, each with its own chi, eps, dt and step count; ``run`` and
-``step_explicit`` are its one-member callers. The boundary is the no-flux
-box of the grid module; the absorption term -eps*rho makes the total mass
-follow the product law prod(1 - eps*dt_k).
+The boundary is the no-flux box of the grid module; the absorption term
+-eps*rho makes the total mass follow the product law prod(1 - eps*dt_k).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .grid import Field, Grid, along, central_gradient
 from .limiter import Params, limiter
 
 __all__ = ["StepControls", "Trajectory", "CflViolationError", "NumericalFailureError",
-           "PicardDivergenceError", "cfl_dt", "step_explicit", "step_semi_implicit", "march",
+           "PicardDivergenceError", "cfl_dt", "step_semi_implicit", "march",
            "time_mesh", "run", "run_batch"]
 
 
@@ -298,14 +297,6 @@ def march(initials, params, dts, n_steps, cfl_safety: float = 0.45, members=None
             cur, nxt = _finalize(nxt, k, members), cur
             yield k, cur
         state = cur
-
-
-def step_explicit(field: Field, params: Params, controls: StepControls) -> Field:
-    """One forward-Euler step of rho' = rho + dt*div((a+eps) grad rho) - dt*eps*rho."""
-    if controls.dt is None:
-        raise ValueError("step_explicit needs controls.dt")
-    ((_, state),) = march([field], [params], [controls.dt], [1], controls.cfl_safety)
-    return Field.density(field.grid, state[0])
 
 
 def _active_set_solve(excess, diff, rhs, chi: float, eps: float, dt: float, h: float) -> np.ndarray:

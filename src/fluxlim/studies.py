@@ -12,12 +12,12 @@ configuration (and, for the monotonicity probe, seed). Input checks raise
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
 from .config import RunConfig, build_controls, build_params, build_problem, check_cell_steps
-from .diagnostics import l1_distance, pair_terms, relative_entropy
+from .diagnostics import pair_terms
 from .grid import Field, gradient_norm, integrate
 from .limiter import monotone_gap, unclamped_gap
 from .profiles import poly_spike
@@ -108,7 +108,10 @@ def _explicit_only(study: str, *cfgs: RunConfig) -> None:
 
 def _sigma_for(cfg: RunConfig, reference: Field) -> float:
     """Relative-entropy floor guarding vacuum cells: sigma_rel * sup(reference)."""
-    return cfg.sigma_rel * float(reference.values.max(initial=0.0))
+    sigma = cfg.sigma_rel * float(reference.values.max(initial=0.0))
+    if not np.isfinite(sigma):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    return sigma
 
 
 def viscosity_study(base: RunConfig) -> StudyReport:
@@ -143,27 +146,20 @@ def viscosity_study(base: RunConfig) -> StudyReport:
                              p_set=base.p_set, grad_p_set=base.grad_p_set, scheme=base.scheme)
     finals = [t.final for t in trajectories]
 
-    rows = []
-    consecutive_l1 = []
-    consecutive_h = []
-    fit_s = []
-    fit_h = []
-    for i in range(len(eps_list)):
-        for j in range(i + 1, len(eps_list)):
-            sig = _sigma_for(base, finals[j])
-            d_l1 = l1_distance(finals[i], finals[j])
-            h = relative_entropy(finals[i], finals[j], sigma=sig)
-            rows.append((eps_list[i], eps_list[j], eps_list[i] + eps_list[j], d_l1, h))
-            if j == i + 1:
-                consecutive_l1.append(d_l1)
-                consecutive_h.append(h)
-                fit_s.append(eps_list[i] + eps_list[j])
-                fit_h.append(h)
+    # the pairs (i, j) of one j share the floor sigma_j, so each j is one probe block
+    terms = {}
+    for j in range(1, len(eps_list)):
+        block = np.stack([np.stack([f.values, finals[j].values]) for f in finals[:j]])
+        h, _, _, l1 = pair_terms(block, grid, _sigma_for(base, finals[j]), base.chi)
+        terms.update(((i, j), (float(l1[i]), float(h[i]))) for i in range(j))
+    rows = [(eps_list[i], eps_list[j], eps_list[i] + eps_list[j], *terms[i, j])
+            for i, j in combinations(range(len(eps_list)), 2)]
 
     # fit over the consecutive pairs: mixing all pairs would put several
     # widely different eps gaps at the same eps sum
-    s = np.asarray(fit_s)
-    hv = np.asarray(fit_h)
+    consecutive_l1, consecutive_h = zip(*(terms[i, i + 1] for i in range(len(eps_list) - 1)))
+    s = np.add(eps_list[:-1], eps_list[1:])
+    hv = np.asarray(consecutive_h)
     slope, intercept = (float(c) for c in np.polyfit(s, hv, 1))
     origin_slope = float(np.dot(s, hv) / np.dot(s, s))
     h_max = float(hv.max())

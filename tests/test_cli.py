@@ -272,6 +272,16 @@ study_p = 4
         assert res.returncode == 1
         assert res.stderr.startswith("config error:") and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("kind", ["viscosity", "contraction"])
+    def test_overflowing_entropy_floor_is_config_error(self, tmp_path, kind):
+        # sigma = sigma_rel * sup(v) overflows to inf, where H would read nan
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(BASE_CFG.replace("ic_mass = 1.0", "ic_mass = 10.0")
+                       + "sigma_rel = 1e308\neps_list = 0.1 0\n")
+        res = cli("study", kind, "--config", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert res.returncode == 1
+        assert res.stderr == "config error: sigma must be finite and >= 0, got inf\n"
+
     def test_viscosity_sweep_over_budget_is_config_error(self, tmp_path, monkeypatch, capsys):
         # eps = 10000 sets the sweep's CFL step: 2 runs x 400 cells x 2.5e7 steps
         from fluxlim import cli as cli_module, studies

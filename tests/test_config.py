@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -122,6 +123,24 @@ def test_setup_probe_reads_the_shipped_configs(tmp_path):
     times = json.loads(res.stdout)
     assert set(times) == {"import_s", "parse_config_s", "build_problem_s"}
     assert all(t > 0.0 for t in times.values())
+
+
+def test_every_public_name_is_used_in_the_package():
+    # a public name that only tests call is a parallel implementation: its callers belong on
+    # the kernel underneath. Every name in a module's __all__ must be referenced somewhere in
+    # the package outside its own definition (an import counts).
+    exported, used = {}, set()
+    for path in sorted((ROOT / "src" / "fluxlim").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets):
+                exported[path.stem] = ast.literal_eval(stmt.value)
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]
+                names += [a.name for a in getattr(node, "names", ()) if isinstance(a, ast.alias)]
+                used.update(n for n in names if n is not None and n != own)
+    assert exported
+    assert [f"{m}.{n}" for m, names in exported.items() for n in names if n not in used] == []
 
 
 class TestBuildProblem:

@@ -7,11 +7,9 @@ from fluxlim.diagnostics import (
     SupportMismatchError,
     csv_header,
     csv_row,
-    dissipation_terms,
     l1_distance,
     pair_terms,
     record,
-    relative_entropy,
 )
 from fluxlim.grid import Field, Grid, make_grid
 from fluxlim.limiter import limiter
@@ -103,55 +101,43 @@ class TestRecord:
 
 
 class TestRelativeEntropy:
-    def test_identity_zero_exact(self):
+    def test_identity_zero_exact(self, pair_probe):
         g = unit_measure_grid(16)
         f = Field(g, np.linspace(0.1, 2.0, 16))
-        assert relative_entropy(f, f, 0.0) == 0.0
-        assert relative_entropy(f, f, 1e-9) == 0.0
+        assert pair_probe(f, f, 0.0)[0] == 0.0
+        assert pair_probe(f, f, 1e-9)[0] == 0.0
 
-    def test_constant_pair_closed_form(self):
+    def test_constant_pair_closed_form(self, pair_probe):
         g = unit_measure_grid(64)
         u = Field(g, np.full(64, 2.0))
         v = Field(g, np.ones(64))
-        assert relative_entropy(u, v, 0.0) == pytest.approx(2 * np.log(2) - 1, rel=1e-12)
+        assert pair_probe(u, v, 0.0)[0] == pytest.approx(2 * np.log(2) - 1, rel=1e-12)
 
-    def test_support_mismatch(self):
+    def test_support_mismatch(self, pair_probe):
         g = unit_measure_grid(4)
         u = Field(g, np.array([1.0, 0.0, 0.0, 0.0]))
         v = Field(g, np.array([0.0, 1.0, 1.0, 1.0]))
         with pytest.raises(SupportMismatchError):
-            relative_entropy(u, v, 0.0)
-        assert np.isfinite(relative_entropy(u, v, 1e-8))
+            pair_probe(u, v, 0.0)
+        assert np.isfinite(pair_probe(u, v, 1e-8)[0])
 
-    def test_vacuum_in_first_argument_ok(self):
+    def test_vacuum_in_first_argument_ok(self, pair_probe):
         g = unit_measure_grid(4)
         u = Field(g, np.array([0.0, 1.0, 1.0, 0.0]))
         v = Field(g, np.ones(4))
         # cells with u = 0 contribute +v
-        assert relative_entropy(u, v, 0.0) >= 0.0
+        assert pair_probe(u, v, 0.0)[0] >= 0.0
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1))
-    def test_nonnegative_random_pairs(self, seed):
+    def test_nonnegative_random_pairs(self, pair_probe, seed):
         rng = np.random.default_rng(seed)
         g = unit_measure_grid(32)
         u = Field.density(g, rng.uniform(0, 2, 32))
         v = Field.density(g, rng.uniform(0.01, 2, 32))
-        assert relative_entropy(u, v, 0.0) >= -1e-12
+        assert pair_probe(u, v, 0.0)[0] >= -1e-12
 
-    def test_grid_mismatch(self):
-        u = Field(make_grid(1, 1.0, 8), np.ones(8))
-        v = Field(make_grid(1, 1.0, 9), np.ones(9))
-        with pytest.raises(ValueError, match="grid"):
-            relative_entropy(u, v)
-
-    def test_negative_sigma_rejected(self):
-        g = unit_measure_grid(8)
-        f = Field(g, np.ones(8))
-        with pytest.raises(ValueError, match="sigma"):
-            relative_entropy(f, f, sigma=-1e-3)
-
-    def test_l1_controlled_by_entropy(self):
+    def test_l1_controlled_by_entropy(self, pair_probe):
         # Pinsker-form heuristic at C = 2 on mass-normalized pairs
         rng = np.random.default_rng(42)
         g = make_grid(1, 5.0, 64)
@@ -161,31 +147,31 @@ class TestRelativeEntropy:
             u = Field.density(g, a / (a.sum() * g.cell_volume))
             v = Field.density(g, b / (b.sum() * g.cell_volume))
             d = l1_distance(u, v)
-            h = relative_entropy(u, v, 0.0)
+            h = pair_probe(u, v, 0.0)[0]
             assert d * d <= 2.0 * h * 1.0 + 1e-12
 
 
 class TestDissipationTerms:
-    def test_identity_pair_exact_zero(self):
+    def test_identity_pair_exact_zero(self, pair_probe):
         g = unit_measure_grid(32)
         f = Field(g, np.linspace(0.2, 1.0, 32))
-        assert dissipation_terms(f, f, 1.0) == (0.0, 0.0)
+        assert pair_probe(f, f, chi=1.0)[1:3] == (0.0, 0.0)
 
-    def test_subcritical_pair_exact_zero(self):
+    def test_subcritical_pair_exact_zero(self, pair_probe):
         # both limiters vanish identically for half-rate exponentials
         g = make_grid(1, 5.0, 200)
         x, = g.centers()
         u = Field.density(g, np.exp(-0.5 * np.abs(x)))
         v = Field.density(g, np.exp(-0.5 * np.abs(x - 1.0)))
-        assert dissipation_terms(u, v, 1.0) == (0.0, 0.0)
+        assert pair_probe(u, v, chi=1.0)[1:3] == (0.0, 0.0)
 
-    def test_shifted_peaks_regression(self):
+    def test_shifted_peaks_regression(self, pair_probe):
         # frozen at n = 500 (values are O(h^4) and O(h^2) respectively: the
         # continuum dissipation of an exact steady pair vanishes)
         g = make_grid(1, 5.0, 500)
         u = sample(SteadyProfileSpec("single_peak", 1.0, ((1.0, (0.0,)),), 1.0), g)
         v = sample(SteadyProfileSpec("single_peak", 1.0, ((1.0, (1.0,)),), 1.0), g)
-        d1, d2 = dissipation_terms(u, v, 1.0)
+        d1, d2 = pair_probe(u, v, chi=1.0)[1:3]
         assert d1 > 0.0 and d2 > 0.0
         assert d1 == pytest.approx(3.059964972644724e-11, rel=1e-6)
         assert d2 == pytest.approx(8.348460839234288e-05, rel=1e-6)
@@ -193,17 +179,17 @@ class TestDissipationTerms:
         g2 = make_grid(1, 5.0, 1000)
         u2 = sample(SteadyProfileSpec("single_peak", 1.0, ((1.0, (0.0,)),), 1.0), g2)
         v2 = sample(SteadyProfileSpec("single_peak", 1.0, ((1.0, (1.0,)),), 1.0), g2)
-        e1, e2 = dissipation_terms(u2, v2, 1.0)
+        e1, e2 = pair_probe(u2, v2, chi=1.0)[1:3]
         assert 0.2 <= e2 / d2 <= 0.32
         assert e1 / d1 <= 0.1
 
-    def test_brute_force_quadrature_oracle(self):
+    def test_brute_force_quadrature_oracle(self, pair_probe):
         # independent per-cell evaluation of the same integrals
         chi = 1.0
         g = make_grid(1, 5.0, 120)
         u = sample(SteadyProfileSpec("single_peak", chi, ((1.0, (0.0,)),), 1.0), g)
         v = sample(SteadyProfileSpec("single_peak", chi, ((1.0, (1.0,)),), 1.0), g)
-        d1, d2 = dissipation_terms(u, v, chi)
+        d1, d2 = pair_probe(u, v, chi=chi)[1:3]
         h = g.spacing[0]
         a, b = u.values, v.values
         n = len(a)
@@ -282,7 +268,7 @@ class TestPairTerms:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.integers(3, 24), st.integers(3, 24),
            st.integers(1, 8), st.sampled_from([0.0, 0.5, 3.0]), st.sampled_from([0.0, 1e-9]))
-    def test_rows_bitwise_equal_single_pair_reference(self, seed, dim, n1, n2, k, chi, sigma):
+    def test_rows_bitwise_equal_single_pair_reference(self, pair_probe, seed, dim, n1, n2, k, chi, sigma):
         rng = np.random.default_rng(seed)
         grid = make_grid(dim, 3.0, (n1, n2)[:dim])
         pairs = rng.uniform(0.0, 2.0, (k, 2, *grid.shape))
@@ -296,20 +282,18 @@ class TestPairTerms:
             u, v = Field.density(grid, a), Field.density(grid, b)
             assert bits(h[row]) == bits(reference_relative_entropy(u, v, sigma))
             assert bits([d1[row], d2[row]]) == bits(reference_dissipation_terms(u, v, chi))
-            assert bits(relative_entropy(u, v, sigma)) == bits(h[row])
-            assert bits(dissipation_terms(u, v, chi)) == bits([d1[row], d2[row]])
+            assert bits(pair_probe(u, v, sigma, chi)) == bits([h[row], d1[row], d2[row], l1[row]])
             assert bits(l1_distance(u, v)) == bits(l1[row])
 
-    def test_support_mismatch_in_any_row_raises(self):
+    def test_support_mismatch_in_any_row_raises(self, pair_probe):
         grid = make_grid(1, 1.0, 8)
         pairs = np.ones((3, 2, 8))
         pairs[2, 1, 5] = 0.0
         with pytest.raises(SupportMismatchError):
             pair_terms(pairs, grid, 0.0, 1.0)
         with pytest.raises(SupportMismatchError):
-            relative_entropy(Field(grid, pairs[2, 0]), Field(grid, pairs[2, 1]), 0.0)
+            pair_probe(Field(grid, pairs[2, 0]), Field(grid, pairs[2, 1]), 0.0)
         assert np.isfinite(pair_terms(pairs, grid, 1e-9, 1.0)[0]).all()
-        assert pair_terms(pairs, grid, None, 1.0)[0] is None
 
 
 class TestL1Distance:

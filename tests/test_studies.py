@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fluxlim.config import RunConfig, build_problem, parse_config
-from fluxlim.diagnostics import dissipation_terms, l1_distance, relative_entropy
+from fluxlim.diagnostics import l1_distance
 from fluxlim.grid import Field, make_grid, save_snapshot
 from fluxlim.limiter import Params
 from fluxlim.profiles import poly_spike
@@ -72,7 +72,7 @@ class TestViscosityStudy:
         for row in rep.rows:
             assert row[3] >= 0.0 and row[4] >= -1e-12
 
-    def test_batch_matches_separate_runs(self):
+    def test_batch_matches_separate_runs(self, pair_probe):
         # the batched sweep must report exactly what one run() per viscosity gives
         eps_list = (0.1, 0.05, 0.0)
         cfg = small_bump_cfg(eps_list=eps_list)
@@ -87,7 +87,7 @@ class TestViscosityStudy:
                 sigma = cfg.sigma_rel * float(finals[j].values.max())
                 rows.append((eps_list[i], eps_list[j], eps_list[i] + eps_list[j],
                              l1_distance(finals[i], finals[j]),
-                             relative_entropy(finals[i], finals[j], sigma=sigma)))
+                             pair_probe(finals[i], finals[j], sigma)[0]))
         assert rep.rows == rows
 
 
@@ -117,7 +117,7 @@ class TestContractionStudy:
         (2, 20, 1.5, 1),  # 16 pairs per block, as in 1D
         (2, 60, 0.3, 2),  # one pair per block
     ])
-    def test_rows_match_per_step_probes(self, dim, cells, t_end, stride):
+    def test_rows_match_per_step_probes(self, pair_probe, dim, cells, t_end, stride):
         c1 = small_bump_cfg(dim=dim, cells=cells, t_end=t_end, diag_stride=stride,
                             ic_center=(-0.7,), ic_width=1.2)
         c2 = small_bump_cfg(dim=dim, cells=cells, t_end=t_end, diag_stride=stride, ic_center=(0.7,))
@@ -129,7 +129,7 @@ class TestContractionStudy:
         sigma = c1.sigma_rel * float(v.values.max())
 
         def probe(t, a, b):
-            return (t, relative_entropy(a, b, sigma), *dissipation_terms(a, b, c1.chi))
+            return (t, *pair_probe(a, b, sigma, c1.chi)[:3])
 
         rows = [probe(0.0, u, v)]
         for k, (a, b) in march([u, v], [Params(chi=c1.chi)] * 2, [dt, dt], [n, n]):
@@ -210,7 +210,7 @@ class TestContractionL1:
 
 
 class TestSmoothingStudy:
-    def test_batch_matches_separate_runs(self):
+    def test_batch_matches_separate_runs(self, pair_probe):
         # both spike families step as one batch with per-member horizons and
         # dt; every row must equal the one a separate run() gives
         widths = (0.8, 0.4)
