@@ -12,7 +12,7 @@ points of a script: parse and build a config, run it, read and write
 snapshots; everything else lives in its module.
 """
 
-from .config import ConfigError, RunConfig, build_controls, build_params, build_problem, parse_config
+from .config import ConfigError, RunConfig, build_controls, build_problem, parse_config
 from .grid import Field, load_snapshot, make_grid, save_snapshot
 from .stepping import run
 

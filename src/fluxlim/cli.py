@@ -24,9 +24,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, build_controls, build_initial, build_params, parse_config
+from .config import ConfigError, RunConfig, build_controls, build_problem, parse_config
 from .diagnostics import csv_header, csv_row
 from .grid import save_snapshot
+from .limiter import Params
 from .stepping import CflViolationError, NumericalFailureError, run
 from .studies import contraction_study, monotonicity_test, smoothing_study, steady_study, viscosity_study
 
@@ -72,10 +73,10 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, args)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    _, initial, first = build_initial(cfg)
-    traj = run(initial, build_params(cfg), build_controls(cfg), cfg.t_end,
-               diag_stride=cfg.diag_stride, p_set=cfg.p_set, grad_p_set=cfg.grad_p_set,
-               scheme=cfg.scheme, snapshot_stride=cfg.snapshot_stride, initial_record=first)
+    _, initial, first = build_problem(cfg)
+    traj, = run([initial], [Params(cfg.chi, cfg.eps)], build_controls(cfg), [cfg.t_end],
+                diag_stride=cfg.diag_stride, p_set=cfg.p_set, grad_p_set=cfg.grad_p_set,
+                scheme=cfg.scheme, snapshot_stride=cfg.snapshot_stride, initial_records=[first])
     lines = [csv_header(cfg.p_set, cfg.grad_p_set)]
     lines += [csv_row(rec) for rec in traj.records]
     (out / "diagnostics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -14,13 +14,12 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, csv_header, csv_row, record
 from .grid import Field, Grid, load_snapshot, make_grid
-from .limiter import Params
 from .profiles import gaussian_bump, poly_spike, uniform_field
 from .steady import SteadyProfileSpec, sample
 from .stepping import StepControls, cfl_dt
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "build_problem", "build_initial",
-           "build_params", "build_controls", "check_cell_steps"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "build_problem", "build_controls",
+           "check_cell_steps"]
 
 _IC_KINDS = ("gaussian", "uniform", "spike", "single_peak", "multi_peak",
              "factorized", "snapshot")
@@ -184,10 +183,6 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def build_params(cfg: RunConfig) -> Params:
-    return Params(chi=cfg.chi, eps=cfg.eps)
-
-
 def build_controls(cfg: RunConfig) -> StepControls:
     return StepControls(
         dt=cfg.dt,
@@ -206,16 +201,11 @@ def _center(cfg: RunConfig) -> tuple[float, ...]:
     return c
 
 
-def build_problem(cfg: RunConfig) -> tuple[Grid, Field]:
-    """Materialize the grid and initial field described by a config; builder failures (say,
-    a missing snapshot), the semi-implicit scheme on a 2D grid, a CFL step of 0, work over
-    the cell-step budget and initial diagnostics that overflow raise ``ConfigError``."""
-    grid, field, _ = build_initial(cfg)
-    return grid, field
-
-
-def build_initial(cfg: RunConfig) -> tuple[Grid, Field, DiagnosticsRecord]:
-    """``build_problem`` plus the t = 0 diagnostics record that it checks."""
+def build_problem(cfg: RunConfig) -> tuple[Grid, Field, DiagnosticsRecord]:
+    """Materialize the grid and initial field described by a config, with the t = 0
+    diagnostics record that it checks. Builder failures (say, a missing snapshot), the
+    semi-implicit scheme on a 2D grid, a CFL step of 0, work over the cell-step budget
+    and initial diagnostics that overflow raise ``ConfigError``."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             grid, field = _build_problem(cfg)

@@ -124,5 +124,5 @@ def stationarity_drift(field: Field, params: Params, controls: StepControls, t_p
         raise ValueError("stationarity drift is defined for eps = 0")
     if t_probe <= 0.0:
         raise ValueError("t_probe must be positive")
-    traj = run(field, params, controls, t_end=t_probe, diag_stride=10**9)
+    traj, = run([field], [params], controls, [t_probe], diag_stride=10**9)
     return l1_distance(traj.final, field) / t_probe

@@ -10,10 +10,9 @@ per axis (``_divergence``).
 
   * ``march``: forward Euler under the diffusive CFL restriction, for a batch
     of members on one grid at once, each with its own chi, eps, dt and step
-    count; ``run`` and ``run_batch`` step through it. The effective face
-    coefficients lie in [0, 1 + eps], so each update is a convex combination
-    plus an absorption factor; positivity and the Lp decay of the continuous
-    flow carry over exactly.
+    count; ``run`` steps through it. The effective face coefficients lie in
+    [0, 1 + eps], so each update is a convex combination plus an absorption
+    factor; positivity and the Lp decay of the continuous flow carry over exactly.
   * ``step_semi_implicit``: backward Euler in 1D by sweeps that linearize
     the flux at the previous iterate on the active set (positive excess) and
     gradient sign of ``_face_flux`` (semi-smooth Newton), each solved exactly
@@ -38,7 +37,7 @@ from .limiter import Params, limiter
 
 __all__ = ["StepControls", "Trajectory", "CflViolationError", "NumericalFailureError",
            "PicardDivergenceError", "cfl_dt", "step_semi_implicit", "march",
-           "time_mesh", "run", "run_batch"]
+           "time_mesh", "run"]
 
 
 _NEG_TOL = 1e-13  # roundoff allowance of a step's negatives, relative to the member's sup norm
@@ -49,7 +48,7 @@ class CflViolationError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A step produced non-finite or impossibly negative values; ``run_batch``
+    """A step produced non-finite or impossibly negative values; ``run``
     sets ``step`` and ``time`` of a failing semi-implicit step, which end the message."""
 
     step: int | None = None
@@ -378,39 +377,26 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
                                 f"(last fixed-point residual {residual})", residual, trace)
 
 
-def run(initial: Field, params: Params, controls: StepControls, t_end: float, diag_stride: int = 10,
-        p_set=(2.0, 4.0), grad_p_set=(2.0,), scheme: str = "explicit", snapshot_stride: int = 0,
-        initial_record: DiagnosticsRecord | None = None) -> Trajectory:
-    """Advance to ``t_end`` with a fixed step, recording diagnostics.
+def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=(2.0, 4.0),
+        grad_p_set=(2.0,), scheme: str = "explicit", snapshot_stride: int = 0,
+        initial_records=None) -> list[Trajectory]:
+    """Advance members on one grid to their ``t_ends`` with fixed steps, recording
+    diagnostics; one trajectory per member, whose outputs do not depend on the others.
 
-    The requested dt (or the CFL step when unset) is shrunk to the nearest
-    divisor of ``t_end`` so the final time is hit exactly. Diagnostics are
-    recorded at t = 0, every ``diag_stride`` steps, and at the final step;
-    snapshots keep the initial and final states plus every
-    ``snapshot_stride``-th step when that stride is positive. The run is
-    deterministic given its inputs. A given ``initial_record`` is the t = 0 record.
-    """
-    return run_batch([initial], [params], controls, [t_end], diag_stride, p_set=p_set,
-                     grad_p_set=grad_p_set, scheme=scheme, snapshot_stride=snapshot_stride,
-                     initial_records=None if initial_record is None else [initial_record])[0]
-
-
-def run_batch(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=(2.0, 4.0),
-              grad_p_set=(2.0,), scheme: str = "explicit", snapshot_stride: int = 0,
-              initial_records=None) -> list[Trajectory]:
-    """``run`` for several members on one grid, one trajectory per member.
-
-    Member i starts from ``initials[i]`` with ``params[i]`` and runs to
-    ``t_ends[i]``; ``diag_stride`` is one stride or one per member. Each
-    member gets the time mesh and outputs its own ``run`` would give; the
-    explicit scheme steps all members as one batch (see ``march``), the
-    semi-implicit one (1D only) steps them in turn. ``initial_records``, when
-    given, are the members' t = 0 records, which are then not computed again.
+    Member i starts from ``initials[i]`` with ``params[i]``; ``diag_stride`` is
+    one stride or one per member. The requested dt (or the member's CFL step when
+    unset) is shrunk to the nearest divisor of its t_end, so that time is hit
+    exactly. Diagnostics are recorded at t = 0, every ``diag_stride`` steps, and
+    at the final step; snapshots keep the initial and final states plus every
+    ``snapshot_stride``-th step when that stride is positive. The explicit scheme
+    steps all members as one batch (see ``march``), the semi-implicit one (1D
+    only) steps them in turn. ``initial_records``, when given, are the members'
+    t = 0 records, which are then not computed again. Deterministic given its inputs.
     """
     initials, t_ends = list(initials), [float(t) for t in t_ends]
     strides = list(diag_stride) if np.ndim(diag_stride) else [diag_stride] * len(initials)
     if not (len(initials) == len(params) == len(t_ends) == len(strides) > 0):
-        raise ValueError("run_batch needs one params, t_end and diag_stride per member")
+        raise ValueError("run needs one params, t_end and diag_stride per member")
     if min(t_ends) < 0.0:
         raise ValueError(f"t_end must be >= 0, got {min(t_ends)}")
     if min(strides) < 1:
@@ -419,7 +405,7 @@ def run_batch(initials, params, controls: StepControls, t_ends, diag_stride=10, 
         raise ValueError(f"unknown scheme {scheme!r}")
     grid = initials[0].grid
     if any(f.grid != grid for f in initials):
-        raise ValueError("run_batch members must share one grid")
+        raise ValueError("run members must share one grid")
     if any(f.values.min(initial=0.0) < 0.0 for f in initials):
         raise ValueError("initial data must be nonnegative")
 

@@ -16,13 +16,13 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .config import RunConfig, build_controls, build_params, build_problem, check_cell_steps
+from .config import RunConfig, build_controls, build_problem, check_cell_steps
 from .diagnostics import pair_terms
 from .grid import Field, gradient_norm, integrate
-from .limiter import monotone_gap, unclamped_gap
+from .limiter import Params, monotone_gap, unclamped_gap
 from .profiles import poly_spike
 from .steady import eikonal_residual, stationarity_drift
-from .stepping import cfl_dt, march, run_batch, time_mesh
+from .stepping import cfl_dt, march, run, time_mesh
 
 __all__ = [
     "Verdict",
@@ -41,9 +41,13 @@ _PROBE_BLOCK_BYTES = 100 * 2**10
 # L1 distance, relative to the summed masses
 _H_SLACK_PER_STEP = 1e-8
 _L1_SLACK_PER_STEP = 1e-13
-# Dimensions and thresholds the monotonicity probe samples
+# Dimensions and thresholds the monotonicity probe samples, and its most samples per
+# combination: 100x the CLI default, about 0.5 GB per sampled array pair in 3D
 _MONOTONE_DIMS = (1, 2, 3)
 _MONOTONE_C = (0.1, 1.0, 10.0)
+_MAX_SAMPLES = 10**7
+# Most viscosities of one sweep: the pair table grows with the square of their number
+_MAX_EPS_LIST = 100
 
 
 @dataclass(frozen=True)
@@ -67,12 +71,6 @@ class StudyReport:
     @property
     def all_pass(self) -> bool:
         return all(v.passed for v in self.verdicts)
-
-    def verdict(self, name: str) -> Verdict:
-        for v in self.verdicts:
-            if v.name == name:
-                return v
-        raise KeyError(name)
 
     def to_text(self) -> str:
         lines = [f"study {self.kind}"]
@@ -125,39 +123,40 @@ def viscosity_study(base: RunConfig) -> StudyReport:
     positive slope and an intercept at most 10% of the largest H.
     """
     eps_list = tuple(float(e) for e in base.eps_list)
-    if len(eps_list) < 2:
-        raise ValueError("eps_list needs at least two entries")
+    n = len(eps_list)
+    if not 2 <= n <= _MAX_EPS_LIST:
+        raise ValueError(f"invalid value for 'eps_list': needs at least two entries and at most "
+                         f"{_MAX_EPS_LIST} ({_MAX_EPS_LIST * (_MAX_EPS_LIST - 1) // 2} pairs), got {n}")
     if any(not (np.isfinite(e) and e >= 0.0) for e in eps_list):
         raise ValueError("viscosities must be finite and >= 0")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing (no duplicates)")
 
-    grid, initial = build_problem(base)
+    grid, initial, first = build_problem(base)
     controls = build_controls(base)
     dt = controls.dt if controls.dt is not None else cfl_dt(grid, max(eps_list), controls.cfl_safety)
     if not dt > 0.0:
         raise ValueError(f"the CFL step for eps = {max(eps_list)!r} underflows to 0")
-    check_cell_steps(initial.values.size, base.t_end, dt, runs=len(eps_list))
+    check_cell_steps(initial.values.size, base.t_end, dt, runs=n)
     shared = replace(controls, dt=dt)
 
-    trajectories = run_batch([initial] * len(eps_list),
-                             [build_params(replace(base, eps=e)) for e in eps_list],
-                             shared, [base.t_end] * len(eps_list), base.diag_stride,
-                             p_set=base.p_set, grad_p_set=base.grad_p_set, scheme=base.scheme)
+    trajectories = run([initial] * n, [Params(base.chi, e) for e in eps_list], shared,
+                       [base.t_end] * n, base.diag_stride, p_set=base.p_set,
+                       grad_p_set=base.grad_p_set, scheme=base.scheme, initial_records=[first] * n)
     finals = [t.final for t in trajectories]
 
     # the pairs (i, j) of one j share the floor sigma_j, so each j is one probe block
     terms = {}
-    for j in range(1, len(eps_list)):
+    for j in range(1, n):
         block = np.stack([np.stack([f.values, finals[j].values]) for f in finals[:j]])
         h, _, _, l1 = pair_terms(block, grid, _sigma_for(base, finals[j]), base.chi)
         terms.update(((i, j), (float(l1[i]), float(h[i]))) for i in range(j))
     rows = [(eps_list[i], eps_list[j], eps_list[i] + eps_list[j], *terms[i, j])
-            for i, j in combinations(range(len(eps_list)), 2)]
+            for i, j in combinations(range(n), 2)]
 
     # fit over the consecutive pairs: mixing all pairs would put several
     # widely different eps gaps at the same eps sum
-    consecutive_l1, consecutive_h = zip(*(terms[i, i + 1] for i in range(len(eps_list) - 1)))
+    consecutive_l1, consecutive_h = zip(*(terms[i, i + 1] for i in range(n - 1)))
     s = np.add(eps_list[:-1], eps_list[1:])
     hv = np.asarray(consecutive_h)
     slope, intercept = (float(c) for c in np.polyfit(s, hv, 1))
@@ -202,8 +201,8 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig) -> StudyReport:
     _explicit_only("contraction", cfg1, cfg2)
     if cfg1.eps != 0.0 or cfg2.eps != 0.0:
         raise ValueError("contraction study requires eps = 0 in both runs")
-    grid1, u = build_problem(cfg1)
-    grid2, v = build_problem(cfg2)
+    grid1, u, _ = build_problem(cfg1)
+    grid2, v, _ = build_problem(cfg2)
     if grid1 != grid2:
         raise ValueError("contraction study requires a shared grid")
     if u.values.min() <= 0.0 or v.values.min() <= 0.0:
@@ -212,8 +211,8 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig) -> StudyReport:
     controls = build_controls(cfg1)
     t_end = cfg1.t_end
     dt, n_steps = time_mesh(t_end, controls.dt or cfl_dt(grid1, 0.0, controls.cfl_safety))
-    params1 = build_params(cfg1)
-    params2 = build_params(cfg2)
+    params1 = Params(cfg1.chi, cfg1.eps)
+    params2 = Params(cfg2.chi, cfg2.eps)
     stride = cfg1.diag_stride
     sigma = _sigma_for(cfg1, v)
     identical = bool(np.array_equal(u.values, v.values))
@@ -308,22 +307,20 @@ def smoothing_study(base: RunConfig) -> StudyReport:
         raise ValueError("invalid value for 't_end': the smoothing study needs t_end > 0")
 
     cfg = replace(base, ic="spike", ic_p=p)
-    grid, spike = build_problem(cfg)
+    grid, spike, _ = build_problem(cfg)
     d = grid.dim
     exp_main = d / (2.0 * p)
     exp_alt = (d + 2.0) / (2.0 * p)
     controls = build_controls(base)
     dt = controls.dt if controls.dt is not None else cfl_dt(grid, 0.0, controls.cfl_safety)
     shared = replace(controls, dt=dt)
-    params = build_params(cfg)
     n = len(widths)
     t_ends = [cfg.t_end] * n + [w * w for w in widths]
     check_cell_steps(spike.values.size, sum(t_ends), dt)  # all 2n members, one budget
 
     spikes = [poly_spike(grid, w, p, p_norm=cfg.ic_pnorm) for w in widths]
-    trajectories = run_batch(spikes * 2, [params] * n + [build_params(replace(cfg, chi=0.0))] * n,
-                             shared, t_ends, [cfg.diag_stride] * n + [10**9] * n,
-                             p_set=cfg.p_set, grad_p_set=cfg.grad_p_set)
+    trajectories = run(spikes * 2, [Params(cfg.chi)] * n + [Params(0.0)] * n, shared, t_ends,
+                       [cfg.diag_stride] * n + [10**9] * n, p_set=cfg.p_set, grad_p_set=cfg.grad_p_set)
     limited = trajectories[:n]
     heat = [traj.records[-1] for traj in trajectories[n:]]
 
@@ -372,7 +369,7 @@ def steady_study(cfg: RunConfig) -> StudyReport:
         raise ValueError("invalid value for 'ic': steady check needs a stationary profile kind")
     if cfg.eps != 0.0:
         raise ValueError("invalid value for 'eps': steady check runs inviscid")
-    grid, field = build_problem(cfg)
+    grid, field, _ = build_problem(cfg)
     h = max(grid.spacing)
     log_bound = cfg.chi * (1.0 + (cfg.chi * h) * (cfg.chi * h))
     if not np.isfinite(log_bound):
@@ -380,7 +377,7 @@ def steady_study(cfg: RunConfig) -> StudyReport:
                          f"overflows (chi = {cfg.chi!r}, h = {h!r})")
     mass = integrate(field)
     resid = eikonal_residual(field, cfg.chi).values
-    drift = stationarity_drift(field, build_params(cfg), build_controls(cfg),
+    drift = stationarity_drift(field, Params(cfg.chi, cfg.eps), build_controls(cfg),
                                t_probe=min(cfg.t_end, 0.05) if cfg.t_end > 0 else 0.05)
 
     sup = float(field.values.max())
@@ -416,8 +413,8 @@ def monotonicity_test(samples: int = 100_000, seed: int = 0) -> StudyReport:
     sampling through the non-clamped map must exhibit a clearly negative
     gap, demonstrating that the positive part is what buys monotonicity.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not 1 <= samples <= _MAX_SAMPLES:
+        raise ValueError(f"samples must lie in [1, {_MAX_SAMPLES}], got {samples}")
     rng = np.random.default_rng(seed)
     rows = []
     worst_clamped = np.inf

@@ -38,8 +38,8 @@ def inviscid_bump_run():
     bump = gaussian_bump(grid, 1.0, mass=1.0)
     dt = cfl_dt(grid, 0.0, 0.45)
     t0 = time.perf_counter()
-    traj = run(bump, Params(chi=1.0), StepControls(dt=dt), t_end=10_000 * dt,
-               diag_stride=100, p_set=(2.0, 4.0))
+    traj, = run([bump], [Params(chi=1.0)], StepControls(dt=dt), [10_000 * dt],
+                diag_stride=100, p_set=(2.0, 4.0))
     elapsed = time.perf_counter() - t0
     return traj, elapsed
 
@@ -54,8 +54,8 @@ def test_criterion_01_mass_law(inviscid_bump_run):
     eps, t_end = 0.5, 2.0
     errs = {}
     for dt in (1e-3, 5e-4):
-        t = run(bump, Params(chi=1.0, eps=eps), StepControls(dt=dt), t_end=t_end,
-                diag_stride=10**9)
+        t, = run([bump], [Params(chi=1.0, eps=eps)], StepControls(dt=dt), [t_end],
+                 diag_stride=10**9)
         errs[dt] = abs(t.records[-1].mass / t.records[0].mass - np.exp(-1.0))
     halving = errs[5e-4] / errs[1e-3]
 
@@ -122,7 +122,7 @@ def test_criterion_05_entropy_fisher_bound():
     chi, t_end = 1.0, 1.0
     grid = make_grid(1, 10.0, 500)
     bump = gaussian_bump(grid, 2.0, mass=1.0)
-    traj = run(bump, Params(chi=chi), StepControls(), t_end=t_end, diag_stride=1)
+    traj, = run([bump], [Params(chi=chi)], StepControls(), [t_end], diag_stride=1)
     times = np.array([r.time for r in traj.records])
     fisher = np.array([r.fisher for r in traj.records])
     e0 = traj.records[0].entropy
@@ -142,14 +142,15 @@ def _contraction_cfg(center, width):
 
 def test_criterion_06_relative_entropy_contraction():
     rep = contraction_study(_contraction_cfg(-0.7, 1.2), _contraction_cfg(0.7, 1.0))
-    distinct_ok = (rep.verdict("contraction_H_nonincreasing").passed
-                   and rep.verdict("contraction_dissipation_nonneg").passed)
+    verdicts = {v.name: v for v in rep.verdicts}
+    distinct_ok = (verdicts["contraction_H_nonincreasing"].passed
+                   and verdicts["contraction_dissipation_nonneg"].passed)
     same = contraction_study(_contraction_cfg(0.0, 1.0), _contraction_cfg(0.0, 1.0))
-    ident_ok = same.verdict("contraction_identity").passed
+    ident_ok = {v.name: v.passed for v in same.verdicts}["contraction_identity"]
     h_max_ident = max(r[1] for r in same.rows)
     ok = distinct_ok and ident_ok and h_max_ident <= 1e-12
     _verdict(6, "relative-entropy-contraction", ok,
-             f"{rep.verdict('contraction_H_nonincreasing').detail}; "
+             f"{verdicts['contraction_H_nonincreasing'].detail}; "
              f"identical-data max H {h_max_ident!r}")
 
 
@@ -178,7 +179,7 @@ def test_criterion_09_moment_growth():
     for n in (400, 800):
         grid = make_grid(1, 8.0, n)
         bump = gaussian_bump(grid, 1.0, mass=1.0)
-        traj = run(bump, Params(chi=1.0), StepControls(), t_end=2.0, diag_stride=50)
+        traj, = run([bump], [Params(chi=1.0)], StepControls(), [2.0], diag_stride=50)
         m0 = traj.records[0].second_moment
         fitted[n] = max(np.log(r.second_moment / m0) / r.time
                         for r in traj.records if r.time > 0.0)

@@ -193,6 +193,7 @@ class TestArgumentErrors:
         ["study", "smoothing", "--config", "CFG", "--seed", "3"],
         ["steady", "check", "--out", "OUT"],  # --config is required
         ["study"],
+        ["check", "monotonicity", "--samples", "10000000000000"],  # over the cap: no allocation
     ])
     def test_exit_1_with_config_error(self, tmp_path, cfg_file, capsys, argv):
         argv = [{"CFG": str(cfg_file), "OUT": str(tmp_path / "o")}.get(a, a) for a in argv]
@@ -282,6 +283,17 @@ study_p = 4
         assert res.returncode == 1
         assert res.stderr == "config error: sigma must be finite and >= 0, got inf\n"
 
+    def test_long_viscosity_list_is_config_error(self, tmp_path, capsys):
+        # the pair table grows with the square of len(eps_list): 101 entries are 5,050 pairs
+        cfg = tmp_path / "v.cfg"
+        eps_list = " ".join(repr(e / 1000) for e in range(100, -1, -1))
+        cfg.write_text(BASE_CFG.replace("cells = 120", "cells = 16") + f"eps_list = {eps_list}\n")
+        code = cli_module.main(["study", "viscosity", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: invalid value for 'eps_list'") and "got 101" in err
+        assert not (tmp_path / "o").exists()
+
     def test_viscosity_sweep_over_budget_is_config_error(self, tmp_path, monkeypatch, capsys):
         # eps = 10000 sets the sweep's CFL step: 2 runs x 400 cells x 2.5e7 steps
         from fluxlim import cli as cli_module, studies
@@ -289,7 +301,7 @@ study_p = 4
         def no_stepping(*args, **kwargs):
             raise AssertionError("the sweep started stepping")
 
-        monkeypatch.setattr(studies, "run_batch", no_stepping)
+        monkeypatch.setattr(studies, "run", no_stepping)
         cfg = tmp_path / "v.cfg"
         cfg.write_text(Path(__file__).resolve().parents[1].joinpath("configs", "viscosity.cfg").read_text()
                        .replace("eps_list = 0.1 0.05 0.025 0", "eps_list = 10000 0"))
@@ -305,7 +317,7 @@ study_p = 4
         def no_stepping(*args, **kwargs):
             raise AssertionError("the smoothing study started stepping")
 
-        monkeypatch.setattr(studies, "run_batch", no_stepping)
+        monkeypatch.setattr(studies, "run", no_stepping)
         cfg = tmp_path / "s.cfg"
         cfg.write_text(Path(__file__).resolve().parents[1].joinpath("configs", "smoothing.cfg").read_text()
                        .replace("spike_widths = 0.8 0.4 0.2", "spike_widths = 100 50"))
@@ -321,7 +333,7 @@ study_p = 4
         def no_stepping(*args, **kwargs):
             raise AssertionError("the smoothing study started stepping")
 
-        monkeypatch.setattr(studies, "run_batch", no_stepping)
+        monkeypatch.setattr(studies, "run", no_stepping)
         cfg = tmp_path / "s.cfg"
         cfg.write_text(BASE_CFG.replace("cells = 120", "cells = 16").replace("t_end = 0.01", "t_end = 0")
                        .replace("ic = gaussian", "ic = spike") + "spike_widths = 2 1\n")
@@ -397,13 +409,15 @@ class TestConfigFuzz:
         (("steady", "check"), "ic = single_peak"),
         (("simulate",), "dim = 2\ncells = 8"),
         (("study", "contraction"), "dim = 2\ncells = 8"),
+        (("simulate",), "scheme = semi_implicit\ndt = 0.002"),
+        (("steady", "check"), "dim = 2\ncells = 8\nic = single_peak"),
     ]
 
     def test_exit_codes(self, tmp_path, capsys):
         keys = [f.name for f in fields(RunConfig)]
         rng = np.random.default_rng(2026)
         small = BASE_CFG.replace("cells = 120", "cells = 16")
-        for case in range(210):
+        for case in range(270):
             command, base = self.BASES[case % len(self.BASES)]
             entries = dict(line.split(" = ") for line in (small + base).splitlines())
             for key in rng.choice(keys, size=rng.integers(1, 4), replace=False):

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from fluxlim import cli
-from fluxlim.config import ConfigError, RunConfig, build_controls, build_params, build_problem, parse_config
+from fluxlim.config import ConfigError, RunConfig, build_controls, build_problem, parse_config
+from fluxlim.diagnostics import record
 from fluxlim.grid import integrate, save_snapshot
+from fluxlim.limiter import Params
 
 
 class TestParseConfig:
@@ -127,60 +129,74 @@ def test_setup_probe_reads_the_shipped_configs(tmp_path):
 
 def test_every_public_name_is_used_in_the_package():
     # a public name that only tests call is a parallel implementation: its callers belong on
-    # the kernel underneath. Every name in a module's __all__ must be referenced somewhere in
-    # the package outside its own definition (an import counts).
-    exported, used = {}, set()
+    # the kernel underneath. Every name in a module's __all__, and every public method and
+    # property of such a class, must be referenced somewhere in the package outside its own
+    # definition (an import counts).
+    exported, methods, used = {}, [], set()
+
+    def collect(node, own=()):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = (*own, node.name)
+        names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        names += [a.name for a in getattr(node, "names", ()) if isinstance(a, ast.alias)]
+        used.update(n for n in names if n is not None and n not in own)
+        for child in ast.iter_child_nodes(node):
+            collect(child, own)
+
     for path in sorted((ROOT / "src" / "fluxlim").glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
             if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets):
                 exported[path.stem] = ast.literal_eval(stmt.value)
-            own = getattr(stmt, "name", None)
-            for node in ast.walk(stmt):
-                names = [getattr(node, "id", None), getattr(node, "attr", None)]
-                names += [a.name for a in getattr(node, "names", ()) if isinstance(a, ast.alias)]
-                used.update(n for n in names if n is not None and n != own)
-    assert exported
-    assert [f"{m}.{n}" for m, names in exported.items() for n in names if n not in used] == []
+            if isinstance(stmt, ast.ClassDef):
+                methods += [(path.stem, stmt.name, f.name) for f in stmt.body
+                            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not f.name.startswith("_")]
+        collect(tree)
+    assert exported and methods
+    unused = [f"{m}.{n}" for m, names in exported.items() for n in names if n not in used]
+    unused += [f"{m}.{c}.{n}" for m, c, n in methods if c in exported.get(m, ()) and n not in used]
+    assert unused == []
 
 
 class TestBuildProblem:
     def test_gaussian_default_mass(self):
         cfg = parse_config("dim = 1\nbox_halfwidth = 5\ncells = 100\nic = gaussian\n")
-        grid, field = build_problem(cfg)
+        grid, field, _ = build_problem(cfg)
         assert grid.shape == (100,)
         assert integrate(field) == pytest.approx(1.0, rel=1e-13)
 
     def test_box_default_scales_with_chi(self):
         cfg = parse_config("chi = 2.0\ncells = 50\n")
-        grid, _ = build_problem(cfg)
+        grid, _, _ = build_problem(cfg)
         assert grid.origin[0] == pytest.approx(-2.5)
 
     def test_uniform(self):
         cfg = parse_config("ic = uniform\nic_amplitude = 0.5\ncells = 40\n")
-        _, field = build_problem(cfg)
+        _, field, _ = build_problem(cfg)
         assert np.all(field.values == 0.5)
 
     def test_spike_norm(self):
         cfg = parse_config("ic = spike\nic_width = 0.5\nic_p = 4\nic_pnorm = 2\ncells = 400\n")
-        grid, field = build_problem(cfg)
+        grid, field, _ = build_problem(cfg)
         lp = (np.sum(field.values**4) * grid.cell_volume) ** 0.25
         assert lp == pytest.approx(2.0, rel=1e-12)
 
     def test_single_peak_mass(self):
         cfg = parse_config("ic = single_peak\nic_mass = 2.0\ncells = 128\n")
-        _, field = build_problem(cfg)
+        _, field, _ = build_problem(cfg)
         assert integrate(field) == pytest.approx(2.0, rel=1e-13)
 
     def test_multi_peak(self):
         cfg = parse_config(
             "ic = multi_peak\nic_amplitudes = 1.0 0.5\nic_centers = -1.0 2.0\ncells = 128\n"
         )
-        _, field = build_problem(cfg)
+        _, field, _ = build_problem(cfg)
         assert field.values.max() == pytest.approx(1.0, rel=1e-12)
 
     def test_center_broadcast_2d(self):
         cfg = parse_config("dim = 2\ncells = 16\nic = gaussian\nic_center = 0.5\n")
-        grid, field = build_problem(cfg)
+        grid, field, _ = build_problem(cfg)
         assert grid.dim == 2
         assert integrate(field) == pytest.approx(1.0, rel=1e-12)
 
@@ -191,13 +207,18 @@ class TestBuildProblem:
 
     def test_snapshot_roundtrip(self, tmp_path):
         cfg0 = parse_config("cells = 64\nic = gaussian\n")
-        grid, field = build_problem(cfg0)
+        grid, field, _ = build_problem(cfg0)
         path = tmp_path / "ic.txt"
         save_snapshot(field, path)
         cfg = parse_config(f"ic = snapshot\nic_path = {path}\n")
-        grid2, field2 = build_problem(cfg)
+        grid2, field2, _ = build_problem(cfg)
         assert grid2 == grid
         assert np.array_equal(field2.values, field.values)
+
+    def test_returns_the_checked_initial_record(self):
+        cfg = parse_config("cells = 64\np_set = 3\ngrad_p_set = 2 4\n")
+        _, field, first = build_problem(cfg)
+        assert first == record(field, cfg.p_set, cfg.grad_p_set) and first.time == 0.0
 
     def test_snapshot_requires_path(self):
         with pytest.raises(ConfigError, match="ic_path"):
@@ -207,7 +228,7 @@ class TestBuildProblem:
 class TestBuilders:
     def test_params_and_controls(self):
         cfg = parse_config("chi = 1.5\neps = 0.25\ndt = 0.001\npicard_tol = 1e-8\n")
-        p = build_params(cfg)
+        p = Params(cfg.chi, cfg.eps)
         assert p.chi == 1.5 and p.eps == 0.25
         c = build_controls(cfg)
         assert c.dt == 0.001 and c.picard_tol == 1e-8

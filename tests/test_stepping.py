@@ -18,7 +18,6 @@ from fluxlim.stepping import (
     cfl_dt,
     march,
     run,
-    run_batch,
     step_semi_implicit,
 )
 
@@ -289,14 +288,14 @@ class TestBatchedKernel:
                                                        [dt] * 3, [5, 3, 3])]
         assert seen == [(1, 3), (2, 3), (3, 3), (4, 1), (5, 1)]
 
-    def test_run_batch_matches_runs(self):
+    def test_batch_members_match_lone_runs(self):
         grid = make_grid(1, 5.0, 80)
         fields = [gaussian_bump(grid, w, mass=1.0) for w in (1.0, 0.5, 0.8)]
         params = [Params(chi=1.0), Params(chi=0.0), Params(chi=2.0, eps=0.3)]
         t_ends = [0.01, 0.03, 0.0]
-        trajs = run_batch(fields, params, StepControls(), t_ends, diag_stride=[4, 1000, 2])
+        trajs = run(fields, params, StepControls(), t_ends, diag_stride=[4, 1000, 2])
         for traj, f, p, t_end, stride in zip(trajs, fields, params, t_ends, [4, 1000, 2]):
-            alone = run(f, p, StepControls(), t_end, diag_stride=stride)
+            alone, = run([f], [p], StepControls(), [t_end], diag_stride=stride)
             assert [r.time for r in traj.records] == [r.time for r in alone.records]
             assert [r.sup_norm for r in traj.records] == [r.sup_norm for r in alone.records]
             assert np.array_equal(traj.final.values, alone.final.values)
@@ -313,7 +312,7 @@ class TestBatchedKernel:
         calm = gaussian_bump(grid, 0.3, mass=1.0)
         wild = Field.density(grid, np.where(np.arange(20) == 10, 1e308, 0.0))
         with pytest.raises(NumericalFailureError, match=r"non-finite.*member 1, step 1"):
-            run_batch([calm, wild], [Params(chi=1.0)] * 2, StepControls(), [0.01, 0.01])
+            run([calm, wild], [Params(chi=1.0)] * 2, StepControls(), [0.01, 0.01])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_with_chi_zero_fails_with_its_step(self):
@@ -324,7 +323,7 @@ class TestBatchedKernel:
         vals = np.zeros(20)
         vals[9:11] = 1e308, 1.5e308
         with pytest.raises(NumericalFailureError, match=r"non-finite.*member 1, step 1"):
-            run_batch([calm, Field.density(grid, vals)], [Params(chi=0.0)] * 2, StepControls(), [0.01, 0.01])
+            run([calm, Field.density(grid, vals)], [Params(chi=0.0)] * 2, StepControls(), [0.01, 0.01])
 
     @pytest.mark.parametrize("chi", [0.0, 0.5])
     def test_huge_neighbours_keep_their_flux(self, chi):
@@ -367,8 +366,7 @@ class TestBatchedKernel:
         with pytest.raises(CflViolationError, match="member 1"):
             next(march([f, f], [Params(chi=1.0), Params(chi=1.0, eps=1.0)], [dt, dt], [3, 3]))
         with pytest.raises(CflViolationError):
-            run_batch([f, f], [Params(chi=1.0), Params(chi=1.0, eps=1.0)],
-                      StepControls(dt=dt), [0.01, 0.01])
+            run([f, f], [Params(chi=1.0), Params(chi=1.0, eps=1.0)], StepControls(dt=dt), [0.01, 0.01])
 
     def test_step_count_order_enforced(self):
         grid = make_grid(1, 5.0, 50)
@@ -480,7 +478,7 @@ class TestStepSemiImplicit:
         f = gaussian_bump(grid1d, 0.5, mass=1.0)
         dt = 10.0 * cfl_dt(grid1d, 0.0, 0.45)
         with pytest.raises(PicardDivergenceError) as err:
-            run(f, Params(chi=1.0), StepControls(dt=dt, picard_max_iter=1), t_end=5 * dt,
+            run([f], [Params(chi=1.0)], StepControls(dt=dt, picard_max_iter=1), [5 * dt],
                 scheme="semi_implicit")
         exc = err.value
         assert (exc.step, exc.time) == (1, pytest.approx(dt, rel=1e-12))
@@ -545,7 +543,7 @@ class TestStepSemiImplicit:
         monkeypatch.setattr(stepping, "_active_set_solve", counted)
         grid = make_grid(1, 5.0, 2000)
         dt = 10.0 * cfl_dt(grid, 0.0, 0.45)
-        run(gaussian_bump(grid, 1.0, mass=1.0), Params(chi=1.0), StepControls(dt=dt), t_end=0.01,
+        run([gaussian_bump(grid, 1.0, mass=1.0)], [Params(chi=1.0)], StepControls(dt=dt), [0.01],
             diag_stride=10**9, scheme="semi_implicit")
         assert len(solves) <= 4 * 178
 
@@ -596,7 +594,7 @@ class TestStepSemiImplicit:
         with pytest.raises(ValueError, match="1D only"):
             step_semi_implicit(f, Params(chi=1.0), StepControls(dt=0.01))
         with pytest.raises(ValueError, match="1D only"):
-            run(f, Params(chi=1.0), StepControls(dt=0.01), t_end=0.02, scheme="semi_implicit")
+            run([f], [Params(chi=1.0)], StepControls(dt=0.01), [0.02], scheme="semi_implicit")
 
     def test_spike_with_vacuum_stays_nonnegative(self):
         # the 1D matrix is an M-matrix: the exact solve needs no negativity allowance
@@ -693,14 +691,14 @@ class TestComparisonPrinciple:
 class TestRun:
     def test_zero_horizon(self, grid1d):
         f = gaussian_bump(grid1d, 1.0, mass=1.0)
-        traj = run(f, Params(chi=1.0), StepControls(), t_end=0.0)
+        traj, = run([f], [Params(chi=1.0)], StepControls(), [0.0])
         assert len(traj.snapshots) == 1
         assert len(traj.records) == 1
         assert traj.records[0].time == 0.0
 
     def test_times_strictly_increasing(self, grid1d):
         f = gaussian_bump(grid1d, 1.0, mass=1.0)
-        traj = run(f, Params(chi=1.0), StepControls(), t_end=0.005, diag_stride=3)
+        traj, = run([f], [Params(chi=1.0)], StepControls(), [0.005], diag_stride=3)
         times = [r.time for r in traj.records]
         assert all(b > a for a, b in zip(times, times[1:]))
         assert times[-1] == pytest.approx(0.005)
@@ -709,8 +707,7 @@ class TestRun:
         grid = make_grid(1, 5.0, 100)
         f = gaussian_bump(grid, 1.0, mass=1.0)
         eps, dt, t_end = 0.5, 1e-3, 2.0
-        traj = run(f, Params(chi=1.0, eps=eps), StepControls(dt=dt), t_end=t_end,
-                   diag_stride=10**9)
+        traj, = run([f], [Params(chi=1.0, eps=eps)], StepControls(dt=dt), [t_end], diag_stride=10**9)
         n = round(t_end / dt)
         expected = (1.0 - eps * dt) ** n
         assert traj.records[-1].mass == pytest.approx(expected, rel=1e-12)
@@ -718,33 +715,33 @@ class TestRun:
 
     def test_deterministic_bitwise(self, grid1d):
         f = gaussian_bump(grid1d, 1.0, mass=1.0)
-        t1 = run(f, Params(chi=1.0), StepControls(), t_end=0.003, diag_stride=5)
-        t2 = run(f, Params(chi=1.0), StepControls(), t_end=0.003, diag_stride=5)
+        t1, = run([f], [Params(chi=1.0)], StepControls(), [0.003], diag_stride=5)
+        t2, = run([f], [Params(chi=1.0)], StepControls(), [0.003], diag_stride=5)
         assert np.array_equal(t1.final.values, t2.final.values)
         assert [r.mass for r in t1.records] == [r.mass for r in t2.records]
 
     def test_semi_implicit_scheme(self, grid1d):
         f = gaussian_bump(grid1d, 1.0, mass=1.0)
         dt = 4.0 * cfl_dt(grid1d, 0.0, 0.45)
-        traj = run(f, Params(chi=1.0), StepControls(dt=dt), t_end=8 * dt,
-                   scheme="semi_implicit", diag_stride=2)
+        traj, = run([f], [Params(chi=1.0)], StepControls(dt=dt), [8 * dt],
+                    scheme="semi_implicit", diag_stride=2)
         assert traj.records[-1].mass == pytest.approx(1.0, rel=1e-9)
         l2 = [r.lp_norms[2.0] for r in traj.records]
         assert l2[-1] < l2[0]
 
     def test_snapshot_stride(self, grid1d):
         f = gaussian_bump(grid1d, 1.0, mass=1.0)
-        traj = run(f, Params(chi=1.0), StepControls(), t_end=0.002, snapshot_stride=2)
+        traj, = run([f], [Params(chi=1.0)], StepControls(), [0.002], snapshot_stride=2)
         assert len(traj.snapshots) >= 3
         times = [t for t, _ in traj.snapshots]
         assert times[0] == 0.0 and times[-1] == pytest.approx(0.002)
 
     @pytest.mark.parametrize("kw,msg", [
-        (dict(t_end=-1.0), "t_end"),
-        (dict(t_end=1.0, diag_stride=0), "diag_stride"),
-        (dict(t_end=1.0, scheme="magic"), "scheme"),
+        (dict(t_ends=[-1.0]), "t_end"),
+        (dict(t_ends=[1.0], diag_stride=0), "diag_stride"),
+        (dict(t_ends=[1.0], scheme="magic"), "scheme"),
     ])
     def test_bad_arguments(self, grid1d, kw, msg):
         f = gaussian_bump(grid1d, 1.0, mass=1.0)
         with pytest.raises(ValueError, match=msg):
-            run(f, Params(chi=1.0), StepControls(), **kw)
+            run([f], [Params(chi=1.0)], StepControls(), **kw)

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fluxlim import studies
 from fluxlim.config import RunConfig, build_problem, parse_config
 from fluxlim.diagnostics import l1_distance
 from fluxlim.grid import Field, make_grid, save_snapshot
@@ -22,8 +23,8 @@ def small_bump_cfg(**kw):
 class TestMonotonicityTest:
     def test_verdicts_pass(self):
         rep = monotonicity_test(samples=5000, seed=3)
-        assert rep.verdict("monotone_min_gap").passed
-        assert rep.verdict("unclamped_negative").passed
+        passed = {v.name: v.passed for v in rep.verdicts}
+        assert passed["monotone_min_gap"] and passed["unclamped_negative"]
         assert len(rep.rows) == 9  # 3 dims x 3 constants
 
     def test_deterministic_given_seed(self):
@@ -35,6 +36,9 @@ class TestMonotonicityTest:
     def test_invalid_samples(self):
         with pytest.raises(ValueError):
             monotonicity_test(samples=0)
+        # above the cap the probe is rejected before sampling anything
+        with pytest.raises(ValueError, match="samples"):
+            monotonicity_test(samples=studies._MAX_SAMPLES + 1)
 
     def test_report_surface(self):
         rep = monotonicity_test(samples=1000, seed=0)
@@ -72,15 +76,21 @@ class TestViscosityStudy:
         for row in rep.rows:
             assert row[3] >= 0.0 and row[4] >= -1e-12
 
-    def test_batch_matches_separate_runs(self, pair_probe):
-        # the batched sweep must report exactly what one run() per viscosity gives
+    @pytest.mark.parametrize("scheme,dt", [("explicit", None), ("semi_implicit", 2.5e-3)],
+                             ids=["explicit", "semi_implicit"])
+    def test_batch_matches_separate_runs(self, pair_probe, scheme, dt):
+        # the sweep must report exactly what a lone run per viscosity gives, whether its
+        # members step as one batch (explicit) or in turn (semi-implicit)
         eps_list = (0.1, 0.05, 0.0)
-        cfg = small_bump_cfg(eps_list=eps_list)
+        cfg = small_bump_cfg(eps_list=eps_list, scheme=scheme, dt=dt)
         rep = viscosity_study(cfg)
-        grid, initial = build_problem(cfg)
-        controls = StepControls(dt=cfl_dt(grid, max(eps_list)))
-        finals = [run(initial, Params(chi=cfg.chi, eps=e), controls, cfg.t_end,
-                      diag_stride=cfg.diag_stride).final for e in eps_list]
+        grid, initial, _ = build_problem(cfg)
+        controls = StepControls(dt=dt or cfl_dt(grid, max(eps_list)))
+        finals = []
+        for e in eps_list:
+            traj, = run([initial], [Params(chi=cfg.chi, eps=e)], controls, [cfg.t_end],
+                        diag_stride=cfg.diag_stride, scheme=scheme)
+            finals.append(traj.final)
         rows = []
         for i in range(len(eps_list)):
             for j in range(i + 1, len(eps_list)):
@@ -108,7 +118,7 @@ class TestContractionStudy:
     def test_identical_data_H_exactly_zero(self):
         cfg = small_bump_cfg(diag_stride=2)
         rep = contraction_study(cfg, cfg)
-        assert rep.verdict("contraction_identity").passed
+        assert {v.name: v.passed for v in rep.verdicts}["contraction_identity"]
         assert max(r[1] for r in rep.rows) == 0.0
 
     @pytest.mark.parametrize("dim,cells,t_end,stride", [
@@ -123,8 +133,8 @@ class TestContractionStudy:
         c2 = small_bump_cfg(dim=dim, cells=cells, t_end=t_end, diag_stride=stride, ic_center=(0.7,))
         rep = contraction_study(c1, c2)
         # the per-step loop: a Field pair built and probed at every recorded step
-        grid, u = build_problem(c1)
-        _, v = build_problem(c2)
+        grid, u, _ = build_problem(c1)
+        _, v, _ = build_problem(c2)
         dt, n = time_mesh(t_end, cfl_dt(grid, 0.0))
         sigma = c1.sigma_rel * float(v.values.max())
 
@@ -143,8 +153,8 @@ class TestContractionStudy:
         c1 = small_bump_cfg(ic_center=(-0.7,), ic_width=1.2, diag_stride=1, t_end=0.005)
         c2 = small_bump_cfg(ic_center=(0.7,), ic_width=1.0, diag_stride=1, t_end=0.005)
         rep = contraction_study(c1, c2)
-        assert rep.verdict("contraction_H_nonincreasing").passed
-        assert rep.verdict("contraction_dissipation_nonneg").passed
+        passed = {v.name: v.passed for v in rep.verdicts}
+        assert passed["contraction_H_nonincreasing"] and passed["contraction_dissipation_nonneg"]
         hs = [r[1] for r in rep.rows]
         assert hs[0] > 0 and hs[-1] < hs[0]
         assert all(r[2] >= 0 and r[3] >= 0 for r in rep.rows)
@@ -152,8 +162,8 @@ class TestContractionStudy:
 
 def l1_series(cfg1, cfg2, stride):
     """The L1 distance of the pair at every recorded step, from a per-step loop."""
-    grid, u = build_problem(cfg1)
-    _, v = build_problem(cfg2)
+    grid, u, _ = build_problem(cfg1)
+    _, v, _ = build_problem(cfg2)
     dt, n = time_mesh(cfg1.t_end, cfg1.dt or cfl_dt(grid, 0.0))
     out = [l1_distance(u, v)]
     for k, (a, b) in march([u, v], [Params(chi=cfg1.chi)] * 2, [dt, dt], [n, n]):
@@ -167,7 +177,7 @@ class TestContractionL1:
         configs = Path(__file__).resolve().parents[1] / "configs"
         c1, c2 = (parse_config((configs / f"contraction_{x}.cfg").read_text()) for x in "ab")
         rep = contraction_study(c1, c2)
-        assert rep.verdict("contraction_L1_nonincreasing").passed
+        assert {v.name: v.passed for v in rep.verdicts}["contraction_L1_nonincreasing"]
         assert "VERDICT contraction_L1_nonincreasing PASS" in rep.to_text()
         # the table keeps its columns; the verdict lives in the report alone
         assert rep.to_csv().splitlines()[0] == "time,H,D1,D2" and "L1" not in rep.to_csv()
@@ -180,8 +190,7 @@ class TestContractionL1:
         c1 = small_bump_cfg(dim=2, cells=32, t_end=0.05, diag_stride=2, ic_center=(-0.4,))
         c2 = small_bump_cfg(dim=2, cells=32, t_end=0.05, diag_stride=2, ic_center=(0.5,), ic_width=0.8)
         rep = contraction_study(c1, c2)
-        with pytest.raises(KeyError):
-            rep.verdict("contraction_L1_nonincreasing")
+        assert "contraction_L1_nonincreasing" not in {v.name for v in rep.verdicts}
         assert any(n.startswith("L1 distance, no verdict") and "worst rise beyond slack 0.0 " in n
                    for n in rep.notes)
         l1 = l1_series(c1, c2, 2)
@@ -216,16 +225,16 @@ class TestSmoothingStudy:
         widths = (0.8, 0.4)
         cfg = small_bump_cfg(cells=128, t_end=0.02, diag_stride=7, study_p=4.0, spike_widths=widths)
         rep = smoothing_study(cfg)
-        grid, _ = build_problem(cfg)
+        grid, _, _ = build_problem(cfg)
         controls = StepControls(dt=cfl_dt(grid, 0.0))
         rows = []
         for w in widths:
-            traj = run(poly_spike(grid, w, 4.0, p_norm=cfg.ic_pnorm), Params(chi=cfg.chi),
-                       controls, cfg.t_end, diag_stride=cfg.diag_stride)
+            traj, = run([poly_spike(grid, w, 4.0, p_norm=cfg.ic_pnorm)], [Params(chi=cfg.chi)],
+                        controls, [cfg.t_end], diag_stride=cfg.diag_stride)
             rows += [("limited", w, rec.time, rec.sup_norm) for rec in traj.records]
         for w in widths:
-            traj = run(poly_spike(grid, w, 4.0, p_norm=cfg.ic_pnorm), Params(chi=0.0),
-                       controls, w * w, diag_stride=10**9)
+            traj, = run([poly_spike(grid, w, 4.0, p_norm=cfg.ic_pnorm)], [Params(chi=0.0)],
+                        controls, [w * w], diag_stride=10**9)
             rows.append(("heat", w, traj.records[-1].time, traj.records[-1].sup_norm))
         assert rep.rows == rows
 
