@@ -24,8 +24,8 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "build_problem", "build_c
 _IC_KINDS = ("gaussian", "uniform", "spike", "single_peak", "multi_peak",
              "factorized", "snapshot")
 _SCHEMES = ("explicit", "semi_implicit")
-# Work-size guard, per run: 64x the cells of the largest shipped run (512^2)
-# and over 100x its cells x time steps (7.8e7).
+# Work-size guard, per batch of runs: 64x the cells of the largest shipped run
+# (512^2), which bounds the memory of a batch, and over 100x its cells x time steps (7.8e7).
 _MAX_CELLS = 4096**2
 _MAX_CELL_STEPS = 10**10
 
@@ -141,16 +141,16 @@ def _validate(cfg: RunConfig) -> None:
     for w in cfg.spike_widths:
         if not w > 0.0:
             raise bad("spike_widths", "widths must be positive")
-    cells = cfg.cells**cfg.dim
-    if cells > _MAX_CELLS:
-        raise bad("cells", f"{cells} cells exceed the limit of {_MAX_CELLS} per run")
     if cfg.ic != "snapshot":  # a snapshot brings its own grid, checked by build_problem
         dt = cfg.dt or cfl_dt(make_grid(cfg.dim, _half_width(cfg), cfg.cells), cfg.eps, cfg.cfl_safety)
-        check_cell_steps(cells, cfg.t_end, dt)
+        check_cell_steps(cfg.cells**cfg.dim, cfg.t_end, dt)
 
 
 def check_cell_steps(cells: int, t_end: float, dt: float, runs: int = 1) -> None:
-    """Raise ``ConfigError`` if ``runs`` runs of ``cells`` cells to ``t_end`` by ``dt`` exceed the budget."""
+    """Raise ``ConfigError`` if a batch of ``runs`` runs of ``cells`` cells exceeds the cell
+    limit, or, to ``t_end`` by ``dt``, the cell-step budget."""
+    if runs * cells > _MAX_CELLS:
+        raise ConfigError(f"invalid value for 'cells': {runs} x {cells} cells exceed the limit of {_MAX_CELLS}")
     if dt > 0.0 and runs * cells * (t_end / dt) > _MAX_CELL_STEPS:
         raise ConfigError(f"invalid value for 't_end': {runs} x {cells} cells x {t_end / dt:.3g} time "
                           f"steps exceed the budget of {_MAX_CELL_STEPS:.0e} cell-steps")

@@ -18,8 +18,8 @@ def gaussian_bump(grid: Grid, width: float, center=None, mass: float | None = No
     integral that is positive and finite (the bump must not underflow to 0
     on every cell center).
     """
-    if width <= 0.0:
-        raise ValueError("width must be positive")
+    if not (width > 0.0 and width * width > 0.0):
+        raise ValueError(f"width must be positive, with a square that does not underflow, got {width!r}")
     if (mass is None) == (amplitude is None):
         raise ValueError("give exactly one of mass or amplitude")
     center = np.zeros(grid.dim) if center is None else center
@@ -38,12 +38,13 @@ def poly_spike(grid: Grid, width: float, p: float, center=None, p_norm: float = 
     The support is exact, so no box-truncation bias enters the
     normalization: the discrete Lp norm equals ``p_norm`` to roundoff.
     """
-    if width <= 0.0:
-        raise ValueError("width must be positive")
+    if not (width > 0.0 and width * width > 0.0):
+        raise ValueError(f"width must be positive, with a square that does not underflow, got {width!r}")
     if p < 1.0:
         raise ValueError("p must be >= 1")
     center = np.zeros(grid.dim) if center is None else center
-    z = 1.0 - squared_distance(grid, center) / (width * width)
+    with np.errstate(over="ignore"):  # a tiny width's quotient overflows to inf, outside the support
+        z = 1.0 - squared_distance(grid, center) / (width * width)
     vals = np.where(z > 0.0, z, 0.0) ** 2
     norm = float(np.sum(vals**p) * grid.cell_volume) ** (1.0 / p)
     if norm <= 0.0:

@@ -114,8 +114,9 @@ def eikonal_residual(field: Field, chi: float) -> Field:
     return Field(field.grid, np.abs(gradient_norm(field) - chi * field.values))
 
 
-def stationarity_drift(field: Field, params: Params, controls: StepControls, t_probe: float) -> float:
-    """L1 distance travelled per unit time when evolving from the field.
+def stationarity_drift(field: Field, params: Params, controls: StepControls, t_probe: float,
+                       scheme: str = "explicit") -> float:
+    """L1 distance travelled per unit time when evolving from the field by ``scheme``.
 
     Requires eps = 0 (steady states are fixed points only of the inviscid
     flow). Exactly zero for every discretely sub-critical profile.
@@ -124,5 +125,5 @@ def stationarity_drift(field: Field, params: Params, controls: StepControls, t_p
         raise ValueError("stationarity drift is defined for eps = 0")
     if t_probe <= 0.0:
         raise ValueError("t_probe must be positive")
-    traj, = run([field], [params], controls, [t_probe], diag_stride=10**9)
+    traj, = run([field], [params], controls, [t_probe], diag_stride=10**9, scheme=scheme)
     return l1_distance(traj.final, field) / t_probe

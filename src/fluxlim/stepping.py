@@ -8,16 +8,17 @@ and sum across the face, times the normal difference quotient
 ``_buffers``, whose zero-padded face arrays make the divergence one subtraction
 per axis (``_divergence``).
 
-  * ``march``: forward Euler under the diffusive CFL restriction, for a batch
-    of members on one grid at once, each with its own chi, eps, dt and step
-    count; ``run`` steps through it. The effective face coefficients lie in
-    [0, 1 + eps], so each update is a convex combination plus an absorption
-    factor; positivity and the Lp decay of the continuous flow carry over exactly.
-  * ``step_semi_implicit``: backward Euler in 1D by sweeps that linearize
-    the flux at the previous iterate on the active set (positive excess) and
-    gradient sign of ``_face_flux`` (semi-smooth Newton), each solved exactly
-    by LAPACK, in about two sweeps. No step-size restriction. scipy is
-    imported by this step alone, so explicit runs never load it.
+``march`` steps a batch of members on one grid, each with its own chi, eps, dt
+and step count, by either of two schemes; ``run`` steps through it.
+
+  * explicit: forward Euler under the diffusive CFL restriction. The effective
+    face coefficients lie in [0, 1 + eps], so each update is a convex combination
+    plus an absorption factor; positivity and the Lp decay carry over exactly.
+  * semi-implicit, 1D only: backward Euler, member by member, by sweeps
+    (``step_semi_implicit``) that linearize the flux at the previous iterate on
+    the active set (positive excess) and gradient sign of ``_face_flux``
+    (semi-smooth Newton), each solved exactly by LAPACK, in about two sweeps. No
+    step-size restriction. scipy is imported by this step alone.
 
 The boundary is the no-flux box of the grid module; the absorption term
 -eps*rho makes the total mass follow the product law prod(1 - eps*dt_k).
@@ -26,7 +27,7 @@ The boundary is the no-flux box of the grid module; the absorption term
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,8 +37,7 @@ from .grid import Field, Grid, along, central_gradient
 from .limiter import Params, limiter
 
 __all__ = ["StepControls", "Trajectory", "CflViolationError", "NumericalFailureError",
-           "PicardDivergenceError", "cfl_dt", "step_semi_implicit", "march",
-           "time_mesh", "run"]
+           "PicardDivergenceError", "cfl_dt", "march", "time_mesh", "run"]
 
 
 _NEG_TOL = 1e-13  # roundoff allowance of a step's negatives, relative to the member's sup norm
@@ -48,7 +48,7 @@ class CflViolationError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A step produced non-finite or impossibly negative values; ``run``
+    """A step produced non-finite or impossibly negative values; ``march``
     sets ``step`` and ``time`` of a failing semi-implicit step, which end the message."""
 
     step: int | None = None
@@ -241,25 +241,30 @@ def _finalize(values: np.ndarray, step: int | None = None, members=None) -> np.n
     return values
 
 
-def march(initials, params, dts, n_steps, cfl_safety: float = 0.45, members=None):
-    """Advance member runs on one grid as one forward-Euler batch.
+def march(initials, params, dts, n_steps, controls: StepControls = StepControls(), members=None,
+          scheme: str = "explicit"):
+    """Advance member runs on one grid as one batch of ``scheme`` steps.
 
-    Member i takes ``n_steps[i]`` steps of ``dts[i]`` with ``params[i]``
-    (one update rho + dt*div((a+eps) grad rho) - dt*eps*rho per step); members
-    must come in non-increasing ``n_steps`` order. Yields ``(k, state)``
-    after every step k, where ``state`` stacks the members still running,
-    which are always a prefix; it is a work buffer that the next step
-    overwrites. Every step is checked for finiteness and negativity, and a
-    dt above any member's CFL ceiling raises ``CflViolationError`` up front;
-    errors name members by ``members`` (default: their positions).
+    Member i takes ``n_steps[i]`` steps of ``dts[i]`` with ``params[i]``; members
+    must come in non-increasing ``n_steps`` order. An explicit step is the update
+    rho + dt*div((a+eps) grad rho) - dt*eps*rho of every member at once, and a dt
+    above any member's CFL ceiling raises ``CflViolationError`` up front. A
+    semi-implicit step (1D only) solves each member in turn by
+    ``step_semi_implicit``, in its row of the batch's buffers; a failing solve is
+    tagged with its step and time. Yields ``(k, state)`` after every step k, where
+    ``state`` stacks the members still running, which are always a prefix; it is a
+    work buffer that the next step overwrites. Every step is checked for finiteness
+    and negativity; errors name members by ``members`` (default: their positions).
     """
     if any(b > a for a, b in zip(n_steps, n_steps[1:])):
         raise ValueError("members must come in non-increasing n_steps order")
-    grid = initials[0].grid
+    grid, implicit = initials[0].grid, scheme == "semi_implicit"
     members = range(len(initials)) if members is None else members
+    if implicit and grid.dim != 1:
+        raise ValueError(f"the semi-implicit scheme is 1D only, got a {grid.dim}D grid")
     for name, p, dt in zip(members, params, dts):
-        ceiling = cfl_dt(grid, p.eps, cfl_safety)
-        if dt > ceiling * (1.0 + 1e-9):
+        ceiling = cfl_dt(grid, p.eps, controls.cfl_safety)
+        if not implicit and dt > ceiling * (1.0 + 1e-9):
             raise CflViolationError(f"dt = {dt} exceeds the CFL ceiling {ceiling} (member {name})")
     col = (-1,) + (1,) * grid.dim
     chi, eps, dt = (np.array(x, dtype=float).reshape(col)
@@ -278,7 +283,9 @@ def march(initials, params, dts, n_steps, cfl_safety: float = 0.45, members=None
         cur, nxt = state[:live], np.empty_like(state[:live])
         c, e = [r[:live] for r in rates], eps[:live] if absorbs else None
         d, de = scale[:live], dt_eps[:live]
-        if grid.dim == 1:
+        if implicit:
+            rows = [[b[i] for b in bufs[0]] for i in range(live)]
+        elif grid.dim == 1:
             def fluxes(v):
                 _face_flux(v, c[0], e, bufs[0])
                 return (bufs[0][4:],)
@@ -286,13 +293,21 @@ def march(initials, params, dts, n_steps, cfl_safety: float = 0.45, members=None
             fluxes = lambda v: _coefficient_fluxes(v, stencil, c, e, bufs)
         while k < n_steps[live - 1]:
             k += 1
-            _divergence(fluxes(cur), nxt, bufs[0][0])
-            # (rho + dt*div) - (dt*eps)*rho in this order, so every member is
-            # bitwise a lone run; with all eps = 0 the last term is +0.0, a no-op
-            np.multiply(d, nxt, out=nxt)
-            np.add(cur, nxt, out=nxt)
-            if absorbs:
-                np.subtract(nxt, np.multiply(de, cur, out=bufs[0][0]), out=nxt)
+            if implicit:
+                for i, row in enumerate(rows):
+                    try:
+                        nxt[i], _ = step_semi_implicit(cur[i], params[i], dts[i], h, controls, row)
+                    except NumericalFailureError as exc:
+                        exc.step, exc.time = k, k * dts[i]
+                        raise
+            else:
+                _divergence(fluxes(cur), nxt, bufs[0][0])
+                # (rho + dt*div) - (dt*eps)*rho in this order, so every member is
+                # bitwise a lone run; with all eps = 0 the last term is +0.0, a no-op
+                np.multiply(d, nxt, out=nxt)
+                np.add(cur, nxt, out=nxt)
+                if absorbs:
+                    np.subtract(nxt, np.multiply(de, cur, out=bufs[0][0]), out=nxt)
             cur, nxt = _finalize(nxt, k, members), cur
             yield k, cur
         state = cur
@@ -323,8 +338,8 @@ def _active_set_solve(excess, diff, rhs, chi: float, eps: float, dt: float, h: f
     return sol
 
 
-def step_semi_implicit(field: Field, params: Params, controls: StepControls, with_info: bool = False):
-    """One backward-Euler step (1 + eps*dt) u - dt*div F(u) = rho by sweeps, 1D only.
+def step_semi_implicit(rho: np.ndarray, params: Params, dt: float, h: float, controls: StepControls, bufs):
+    """One backward-Euler step (1 + eps*dt) u - dt*div F(u) = rho of one 1D member row.
 
     Each sweep T linearizes the flux at the previous iterate, freezing the
     limiter's active set and gradient sign, and solves exactly (a semi-smooth
@@ -336,33 +351,25 @@ def step_semi_implicit(field: Field, params: Params, controls: StepControls, wit
     limiter cutoff between sweeps) at large dt; it never moves the fixed point, and
     theta stays at 1 whenever plain iteration contracts.
 
-    Returns the converged field, plus the residual trace if ``with_info``.
+    ``bufs`` is the member's row of the one axis of ``_buffers``. Returns the
+    solution and the residual trace; ``march`` checks the solution, in which the exact
+    solve of an M-matrix leaves no solver-tolerance negatives.
     """
-    if controls.dt is None:
-        raise ValueError("step_semi_implicit needs controls.dt")
-    grid = field.grid
-    if grid.dim != 1:
-        raise ValueError(f"the semi-implicit scheme is 1D only, got a {grid.dim}D field")
-    dt, rhs, h = controls.dt, field.values, grid.spacing[0]
-    bufs = [b[0] for b in _buffers(grid, 1)[0]]  # one member, without the member axis
-
     def sweep(z: np.ndarray) -> tuple[np.ndarray, float]:
         _face_flux(z, 0.5 * h * params.chi, None, bufs)
-        sol = _active_set_solve(bufs[2], bufs[1], rhs, params.chi, params.eps, dt, h)
+        sol = _active_set_solve(bufs[2], bufs[1], rho, params.chi, params.eps, dt, h)
         if not np.isfinite(sol).all():
             raise NumericalFailureError("non-finite value produced by the implicit solve")
         denom = max(float(np.linalg.norm(sol)), 1e-300)
         return sol, float(np.linalg.norm(sol - z)) / denom
 
-    z = field.values
+    z = rho
     mapped, residual = sweep(z)
     trace = [residual]
     theta = 1.0
     for _ in range(controls.picard_max_iter):
         if residual <= controls.picard_tol:
-            # the exact solve of an M-matrix leaves no solver-tolerance negatives
-            out = Field.density(grid, _finalize(mapped[None])[0])
-            return (out, trace) if with_info else out
+            return mapped, trace
         theta = min(1.0, 1.5 * theta)  # remember the working relaxation level
         while True:
             cand = z + theta * (mapped - z)
@@ -388,10 +395,10 @@ def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=
     unset) is shrunk to the nearest divisor of its t_end, so that time is hit
     exactly. Diagnostics are recorded at t = 0, every ``diag_stride`` steps, and
     at the final step; snapshots keep the initial and final states plus every
-    ``snapshot_stride``-th step when that stride is positive. The explicit scheme
-    steps all members as one batch (see ``march``), the semi-implicit one (1D
-    only) steps them in turn. ``initial_records``, when given, are the members'
-    t = 0 records, which are then not computed again. Deterministic given its inputs.
+    ``snapshot_stride``-th step when that stride is positive. All members step as
+    one ``march`` batch of ``scheme`` steps. ``initial_records``, when given, are the
+    members' t = 0 records, which are then not computed again. Deterministic given
+    its inputs.
     """
     initials, t_ends = list(initials), [float(t) for t in t_ends]
     strides = list(diag_stride) if np.ndim(diag_stride) else [diag_stride] * len(initials)
@@ -421,7 +428,7 @@ def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=
         diag = last or k % strides[i] == 0
         snap = last or (snapshot_stride > 0 and k % snapshot_stride == 0)
         if diag or snap:
-            field = values if isinstance(values, Field) else Field.density(grid, values)
+            field = Field.density(grid, values)
             t = t_ends[i] if last else k * dts[i]
             if diag:
                 records[i].append(record(field, p_set=p_set, grad_p_set=grad_p_set, time=t))
@@ -429,19 +436,9 @@ def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=
                 snapshots[i].append((t, field))
 
     order = [i for i in sorted(range(len(ns)), key=lambda i: -ns[i]) if ns[i] > 0]
-    if scheme == "explicit" and order:
+    if order:
         batch = [[seq[i] for i in order] for seq in (initials, params, dts, ns)]
-        for k, state in march(*batch, controls.cfl_safety, members=order):
+        for k, state in march(*batch, controls, members=order, scheme=scheme):
             for i, values in zip(order, state):
                 observe(i, k, values)
-    else:
-        for i in order:
-            field, eff = initials[i], replace(controls, dt=dts[i])
-            for k in range(1, ns[i] + 1):
-                try:
-                    field = step_semi_implicit(field, params[i], eff)
-                except NumericalFailureError as exc:
-                    exc.step, exc.time = k, k * dts[i]
-                    raise
-                observe(i, k, field)
     return [Trajectory(snapshots=tuple(s), records=tuple(r)) for s, r in zip(snapshots, records)]

@@ -99,11 +99,6 @@ def _fmt_list(xs) -> str:
     return " ".join(repr(float(x)) for x in xs)
 
 
-def _explicit_only(study: str, *cfgs: RunConfig) -> None:
-    if any(cfg.scheme != "explicit" for cfg in cfgs):
-        raise ValueError(f"invalid value for 'scheme': the {study} study steps explicitly only")
-
-
 def _sigma_for(cfg: RunConfig, reference: Field) -> float:
     """Relative-entropy floor guarding vacuum cells: sigma_rel * sup(reference)."""
     sigma = cfg.sigma_rel * float(reference.values.max(initial=0.0))
@@ -187,8 +182,8 @@ def viscosity_study(base: RunConfig) -> StudyReport:
 
 
 def contraction_study(cfg1: RunConfig, cfg2: RunConfig) -> StudyReport:
-    """Advance two inviscid runs on one time mesh, as one batch, and track the
-    relative entropy between them together with its two dissipation integrals.
+    """Advance two inviscid runs on one time mesh, as one batch of their shared scheme, and
+    track the relative entropy between them together with its two dissipation integrals.
 
     Verdicts: H never increases by more than ``_H_SLACK_PER_STEP * H(0)`` per
     time step; both dissipation terms stay nonnegative; in 1D, the L1
@@ -198,19 +193,19 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig) -> StudyReport:
     coincide, H stays below 1e-12 throughout. The 2D step is not monotone,
     so there the L1 distance's worst rise is a note, not a verdict.
     """
-    _explicit_only("contraction", cfg1, cfg2)
     if cfg1.eps != 0.0 or cfg2.eps != 0.0:
         raise ValueError("contraction study requires eps = 0 in both runs")
     grid1, u, _ = build_problem(cfg1)
     grid2, v, _ = build_problem(cfg2)
-    if grid1 != grid2:
-        raise ValueError("contraction study requires a shared grid")
+    if grid1 != grid2 or cfg1.scheme != cfg2.scheme:
+        raise ValueError("contraction study requires a shared grid and scheme")
     if u.values.min() <= 0.0 or v.values.min() <= 0.0:
         raise ValueError("contraction study requires strictly positive initial data")
 
     controls = build_controls(cfg1)
     t_end = cfg1.t_end
     dt, n_steps = time_mesh(t_end, controls.dt or cfl_dt(grid1, 0.0, controls.cfl_safety))
+    check_cell_steps(u.values.size, t_end, dt, runs=2)
     params1 = Params(cfg1.chi, cfg1.eps)
     params2 = Params(cfg2.chi, cfg2.eps)
     stride = cfg1.diag_stride
@@ -222,7 +217,8 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig) -> StudyReport:
     times, rows, steps_between, l1 = [], [], [], []
     last_recorded = 0
     for k, state in chain([(0, (u.values, v.values))],
-                          march([u, v], [params1, params2], [dt, dt], [n_steps] * 2, controls.cfl_safety)):
+                          march([u, v], [params1, params2], [dt, dt], [n_steps] * 2, controls,
+                                scheme=cfg1.scheme)):
         if k % stride == 0 or k == n_steps:
             block[len(times)] = state
             times.append(t_end if k == n_steps else k * dt)
@@ -295,7 +291,6 @@ def smoothing_study(base: RunConfig) -> StudyReport:
     the classical power law; the fitted log-log slope must land within 10%
     of -d/(2p). Both families run as one batch, each member to its own horizon.
     """
-    _explicit_only("smoothing", base)
     p, widths = float(base.study_p), tuple(float(w) for w in base.spike_widths)
     if len(widths) < 2:
         raise ValueError("need at least two spike widths")
@@ -316,11 +311,12 @@ def smoothing_study(base: RunConfig) -> StudyReport:
     shared = replace(controls, dt=dt)
     n = len(widths)
     t_ends = [cfg.t_end] * n + [w * w for w in widths]
-    check_cell_steps(spike.values.size, sum(t_ends), dt)  # all 2n members, one budget
+    check_cell_steps(spike.values.size, sum(t_ends) / (2 * n), dt, runs=2 * n)  # the 2n members, one budget
 
     spikes = [poly_spike(grid, w, p, p_norm=cfg.ic_pnorm) for w in widths]
     trajectories = run(spikes * 2, [Params(cfg.chi)] * n + [Params(0.0)] * n, shared, t_ends,
-                       [cfg.diag_stride] * n + [10**9] * n, p_set=cfg.p_set, grad_p_set=cfg.grad_p_set)
+                       [cfg.diag_stride] * n + [10**9] * n, p_set=cfg.p_set, grad_p_set=cfg.grad_p_set,
+                       scheme=cfg.scheme)
     limited = trajectories[:n]
     heat = [traj.records[-1] for traj in trajectories[n:]]
 
@@ -378,7 +374,7 @@ def steady_study(cfg: RunConfig) -> StudyReport:
     mass = integrate(field)
     resid = eikonal_residual(field, cfg.chi).values
     drift = stationarity_drift(field, Params(cfg.chi, cfg.eps), build_controls(cfg),
-                               t_probe=min(cfg.t_end, 0.05) if cfg.t_end > 0 else 0.05)
+                               t_probe=min(cfg.t_end, 0.05) if cfg.t_end > 0 else 0.05, scheme=cfg.scheme)
 
     sup = float(field.values.max())
     live = field.values > 1e-8 * sup

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -136,6 +137,27 @@ class TestSimulate:
         assert res.returncode == 1
         assert res.stderr.startswith("config error:") and "1D only" in res.stderr
 
+    @pytest.mark.parametrize("command,override,reason", [
+        (("simulate",), "ic = gaussian\nic_width = 1e-200", "does not underflow"),
+        (("simulate",), "ic = spike\nic_width = 1e-200", "does not underflow"),
+        (("study", "smoothing"), "ic = spike\nspike_widths = 2 1e-200", "does not underflow"),
+        # a subnormal square: the quotient overflows to inf, and no cell is inside the support
+        (("study", "smoothing"), "ic = spike\nspike_widths = 2 1e-160", "widen it"),
+    ], ids=["gaussian", "spike", "spike_widths", "subnormal_square"])
+    def test_underflowing_width_is_config_error_without_warning(self, tmp_path, capsys, command, override,
+                                                                 reason):
+        # the width's square underflowed to 0 and the profile divided by it with a RuntimeWarning
+        keys = {line.split("=")[0].strip() for line in override.splitlines()}
+        kept = [line for line in BASE_CFG.splitlines() if line.split("=")[0].strip() not in keys]
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("\n".join(kept) + "\n" + override + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_module.main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and reason in err
+
     def test_missing_config_exit_1(self, tmp_path):
         res = cli("simulate", "--config", str(tmp_path / "nope.cfg"), cwd=tmp_path)
         assert res.returncode == 1
@@ -263,8 +285,6 @@ study_p = 4
         ("viscosity", "eps_list = 0.1 0.2"),
         ("viscosity", "eps_list = 1e308 0"),  # the CFL step underflows to 0
         ("smoothing", "spike_widths = 0.2 0.4"),
-        ("contraction", "scheme = semi_implicit"),  # both studies step explicitly only
-        ("smoothing", "scheme = semi_implicit"),
     ])
     def test_bad_study_input_is_config_error(self, tmp_path, kind, override):
         bad = tmp_path / "bad.cfg"
@@ -272,6 +292,42 @@ study_p = 4
         res = cli("study", kind, "--config", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert res.returncode == 1
         assert res.stderr.startswith("config error:") and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("kind,ic,extra", [
+        ("contraction", "gaussian", ""),
+        ("smoothing", "spike", "spike_widths = 2 1\n"),
+    ], ids=["contraction", "smoothing"])
+    def test_semi_implicit_study_runs(self, tmp_path, capsys, kind, ic, extra):
+        # both studies rejected scheme = semi_implicit as a config error
+        cfg = tmp_path / "si.cfg"
+        cfg.write_text(BASE_CFG.replace("ic = gaussian", f"ic = {ic}") + "scheme = semi_implicit\ndt = 0.002\n"
+                       + extra)
+        code = cli_module.main(["study", kind, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert code == 0 and "input dt = 0.002" in out
+        assert out.count("VERDICT") == out.count(" PASS (") >= 2
+
+    @pytest.mark.parametrize("kind,ic,extra,members", [
+        ("viscosity", "gaussian", "eps_list = 0.1 0.05 0.025 0\n", 4),
+        ("smoothing", "spike", "spike_widths = 2 1\n", 4),  # 2 spikes and 2 heat controls
+        ("contraction", "gaussian", "", 2),
+    ], ids=["viscosity", "smoothing", "contraction"])
+    def test_batch_over_cell_limit_is_config_error(self, tmp_path, monkeypatch, capsys, kind, ic, extra, members):
+        # each run of 120 cells is within a limit of 200, but the batch stacks its members at once
+        from fluxlim import config, studies
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the study started stepping")
+
+        monkeypatch.setattr(config, "_MAX_CELLS", 200)
+        monkeypatch.setattr(studies, "run", no_stepping)
+        monkeypatch.setattr(studies, "march", no_stepping)
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(BASE_CFG.replace("ic = gaussian", f"ic = {ic}") + extra)
+        code = cli_module.main(["study", kind, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: invalid value for 'cells': {members} x 120 cells exceed the limit of 200")
 
     @pytest.mark.parametrize("kind", ["viscosity", "contraction"])
     def test_overflowing_entropy_floor_is_config_error(self, tmp_path, kind):
@@ -388,6 +444,16 @@ ic_mass = 1.0
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error:") and "chi" in err
+
+    def test_semi_implicit_drift(self, tmp_path, capsys):
+        # the check stepped explicitly whatever the scheme, so dt = 0.001 broke the CFL ceiling
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(Path(__file__).resolve().parents[1].joinpath("configs", "steady.cfg").read_text()
+                       + "scheme = semi_implicit\ndt = 0.001\n")
+        code = cli_module.main(["steady", "check", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "row drift_rate,0.0\n" in out
 
     def test_rejects_non_steady_ic(self, tmp_path):
         cfg = tmp_path / "g.cfg"

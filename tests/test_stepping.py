@@ -28,6 +28,19 @@ def explicit_step(field, params, dt):
     return state[0]
 
 
+def implicit_step(field, params, dt, controls=StepControls()):
+    """One backward-Euler step of a lone member through ``march``."""
+    ((_, state),) = march([field], [params], [dt], [1], controls, scheme="semi_implicit")
+    return state[0]
+
+
+def implicit_solve(field, params, dt, controls=StepControls()):
+    """The solve of one backward-Euler step of a lone member, before ``march`` checks it,
+    with its residual trace."""
+    bufs = [b[0] for b in stepping._buffers(field.grid, 1)[0]]
+    return step_semi_implicit(field.values, params, dt, field.grid.spacing[0], controls, bufs)
+
+
 @pytest.fixture()
 def grid1d():
     return make_grid(1, 5.0, 200)
@@ -434,25 +447,23 @@ class TestStepSemiImplicit:
     def test_uniform_fixed_point_value(self, grid1d):
         eps, dt = 0.5, 0.1
         f = uniform_field(grid1d, 2.0)
-        out, trace = step_semi_implicit(f, Params(chi=1.0, eps=eps), StepControls(dt=dt),
-                                        with_info=True)
-        assert np.allclose(out.values, 2.0 / (1.0 + eps * dt), rtol=1e-11)
+        out, trace = implicit_solve(f, Params(chi=1.0, eps=eps), dt)
+        assert np.allclose(out, 2.0 / (1.0 + eps * dt), rtol=1e-11)
         assert len(trace) <= 3  # hits the fixed point after one pass
 
     def test_small_dt_consistency(self, grid1d):
         f = gaussian_bump(grid1d, 1.0, mass=1.0)
-        out = step_semi_implicit(f, Params(chi=1.0), StepControls(dt=1e-8))
-        rel = np.sum(np.abs(out.values - f.values)) / np.sum(f.values)
+        out = implicit_step(f, Params(chi=1.0), 1e-8)
+        rel = np.sum(np.abs(out - f.values)) / np.sum(f.values)
         assert rel <= 1e-6
 
     def test_cross_scheme_consistency(self, grid1d):
         # one step at dt = cfl/4 on a smooth supercritical bump
         f = gaussian_bump(grid1d, 1.0, mass=1.0)
         dt = cfl_dt(grid1d, 0.0, 0.45) / 4.0
-        ctr = StepControls(dt=dt)
         e = explicit_step(f, Params(chi=1.0), dt)
-        s = step_semi_implicit(f, Params(chi=1.0), ctr)
-        rel = np.sum(np.abs(e - s.values)) * grid1d.cell_volume
+        s = implicit_step(f, Params(chi=1.0), dt)
+        rel = np.sum(np.abs(e - s)) * grid1d.cell_volume
         assert rel <= 10.0 * dt
 
     def test_monotone_residual_on_standard_bump(self):
@@ -460,16 +471,16 @@ class TestStepSemiImplicit:
         grid = make_grid(1, 5.0, 400)
         bump = gaussian_bump(grid, 0.5, mass=1.0)
         dt = 10.0 * cfl_dt(grid, 0.0, 0.45)
-        out, trace = step_semi_implicit(bump, Params(chi=1.0), StepControls(dt=dt), with_info=True)
+        out, trace = implicit_solve(bump, Params(chi=1.0), dt)
         assert trace[-1] <= 1e-10
         assert all(b < a for a, b in zip(trace, trace[1:]))
-        assert out.values.min() >= 0.0
+        assert out.min() >= 0.0
 
     def test_divergence_reported(self, grid1d):
         f = gaussian_bump(grid1d, 0.5, mass=1.0)
         dt = 10.0 * cfl_dt(grid1d, 0.0, 0.45)
         with pytest.raises(PicardDivergenceError) as err:
-            step_semi_implicit(f, Params(chi=1.0), StepControls(dt=dt, picard_max_iter=1))
+            implicit_solve(f, Params(chi=1.0), dt, StepControls(picard_max_iter=1))
         assert err.value.last_residual > 0.0
         assert err.value.trace[-1] == err.value.last_residual and len(err.value.trace) == 2
         assert err.value.step is None
@@ -515,8 +526,7 @@ class TestStepSemiImplicit:
         grid = make_grid(1, 5.0, 400)
         rho = gaussian_bump(grid, 0.5, mass=1.0).values
         dt = 20.0 * cfl_dt(grid, eps, 0.45)
-        u = step_semi_implicit(Field.density(grid, rho), Params(chi=1.0, eps=eps),
-                               StepControls(dt=dt)).values
+        u = implicit_step(Field.density(grid, rho), Params(chi=1.0, eps=eps), dt)
         div = coefficient_divergence(u, grid, 1.0, eps)
         applied = (1.0 + eps * dt) * u - dt * div
         assert np.abs(applied - rho).max() <= 1e-12 * np.abs(rho).max()
@@ -526,11 +536,11 @@ class TestStepSemiImplicit:
         # the frozen-coefficient Picard iteration stalled above tolerance at all three
         grid = make_grid(1, 5.0, 1000)
         f = gaussian_bump(grid, 1.0, mass=1.0)
-        ctr = StepControls(dt=multiple * cfl_dt(grid, 0.0, 0.45))
-        out, trace = step_semi_implicit(f, Params(chi=1.0), ctr, with_info=True)
+        ctr = StepControls()
+        out, trace = implicit_solve(f, Params(chi=1.0), multiple * cfl_dt(grid, 0.0, 0.45), ctr)
         assert trace[-1] <= ctr.picard_tol and len(trace) <= 30
-        assert out.values.min() >= 0.0
-        assert out.values.sum() == pytest.approx(f.values.sum(), rel=1e-12)
+        assert out.min() >= 0.0
+        assert out.sum() == pytest.approx(f.values.sum(), rel=1e-12)
 
     def test_few_sweeps_per_step(self, monkeypatch):
         # 2000 cells at 10x CFL to t = 0.01: 178 steps
@@ -557,8 +567,8 @@ class TestStepSemiImplicit:
                 f = Field.density(grid, vals)
                 for multiple in (1.0, 100.0, 1000.0):
                     dt = multiple * cfl_dt(grid, eps, 0.45)
-                    out = step_semi_implicit(f, Params(chi=3.0, eps=eps), StepControls(dt=dt))
-                    assert out.values.min() >= 0.0
+                    out = implicit_step(f, Params(chi=3.0, eps=eps), dt)
+                    assert out.min() >= 0.0
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_sweep_active_set_is_positive_excess(self, eps, monkeypatch):
@@ -578,7 +588,7 @@ class TestStepSemiImplicit:
         monkeypatch.setattr(stepping, "_face_flux", flux)
         monkeypatch.setattr(stepping, "_active_set_solve", solve)
         f = gaussian_bump(grid, 0.5, mass=1.0)
-        step_semi_implicit(f, Params(chi=chi, eps=eps), StepControls(dt=20.0 * cfl_dt(grid, eps)))
+        implicit_step(f, Params(chi=chi, eps=eps), 20.0 * cfl_dt(grid, eps))
         assert len(solves) == len(iterates) >= 2
         for z, (active, sign) in zip(iterates, solves):
             _, excess = excess_flux(z, chi, 0.0, h)
@@ -589,10 +599,25 @@ class TestStepSemiImplicit:
             clear = np.abs(np.abs(np.diff(z)) / h - chi * 0.5 * (z[1:] + z[:-1])) > 1e-12
             assert np.array_equal(active[clear], lim[clear] > 0.0)
 
+    def test_batch_rows_equal_lone_runs(self):
+        # members with their own chi, eps, dt and step count, solved in turn in one batch
+        grid = make_grid(1, 5.0, 80)
+        fields = [gaussian_bump(grid, w, mass=1.0) for w in (1.0, 0.5, 0.8)]
+        params = [Params(chi=1.0), Params(chi=0.0, eps=0.3), Params(chi=2.0, eps=0.1)]
+        dts = [m * cfl_dt(grid, p.eps) for m, p in zip((10.0, 3.0, 30.0), params)]
+        n_steps = [6, 4, 1]
+        rows = {}
+        for k, state in march(fields, params, dts, n_steps, scheme="semi_implicit"):
+            rows.update(((i, k), row.copy()) for i, row in enumerate(state))
+        for i, (f, p, dt, n) in enumerate(zip(fields, params, dts, n_steps)):
+            alone = {k: state[0].copy() for k, state in march([f], [p], [dt], [n], scheme="semi_implicit")}
+            assert sorted(alone) == [k for j, k in sorted(rows) if j == i] == list(range(1, n + 1))
+            assert all(np.array_equal(rows[i, k], row) for k, row in alone.items())
+
     def test_2d_field_rejected(self):
         f = gaussian_bump(make_grid(2, 5.0, 20), 0.5, mass=1.0)
         with pytest.raises(ValueError, match="1D only"):
-            step_semi_implicit(f, Params(chi=1.0), StepControls(dt=0.01))
+            next(march([f], [Params(chi=1.0)], [0.01], [1], scheme="semi_implicit"))
         with pytest.raises(ValueError, match="1D only"):
             run([f], [Params(chi=1.0)], StepControls(dt=0.01), [0.02], scheme="semi_implicit")
 
@@ -605,9 +630,9 @@ class TestStepSemiImplicit:
         v = spike.values
         excess, diff = face_terms(v, 1.0, grid.spacing[0])
         assert _active_set_solve(excess, diff, v, 1.0, 0.0, dt, grid.spacing[0]).min() >= 0.0
-        out = step_semi_implicit(spike, Params(chi=1.0), StepControls(dt=dt))
-        assert out.values.min() >= 0.0
-        assert out.values.sum() == pytest.approx(spike.values.sum(), rel=1e-12)
+        out = implicit_step(spike, Params(chi=1.0), dt)
+        assert out.min() >= 0.0
+        assert out.sum() == pytest.approx(spike.values.sum(), rel=1e-12)
 
 
 @st.composite
@@ -626,7 +651,7 @@ def implicit_steps(draw):
 def test_semi_implicit_1d_structure(case):
     # mass follows 1/(1 + eps dt), positivity, and L2 never increases
     f, params, dt = case
-    out = step_semi_implicit(f, params, StepControls(dt=dt)).values
+    out = implicit_step(f, params, dt)
     assert out.min() >= 0.0
     assert out.sum() == pytest.approx(f.values.sum() / (1.0 + params.eps * dt), rel=1e-12)
     assert np.sum(out**2) <= np.sum(f.values**2) * (1.0 + 1e-9)
@@ -667,11 +692,11 @@ class TestComparisonPrinciple:
     def test_semi_implicit_step_is_ordered_l1_contraction(self, case):
         # 20x the CFL step; each step is solved to picard_tol in the relative L2 residual
         u, v, params = case
-        controls = StepControls(dt=20.0 * cfl_dt(u.grid, params.eps))
-        big_u, big_v = (step_semi_implicit(f, params, controls).values for f in (u, v))
-        slack = controls.picard_tol * (np.linalg.norm(big_u) + np.linalg.norm(big_v))
+        dt = 20.0 * cfl_dt(u.grid, params.eps)
+        big_u, big_v = (implicit_step(f, params, dt) for f in (u, v))
+        slack = StepControls().picard_tol * (np.linalg.norm(big_u) + np.linalg.norm(big_v))
         assert np.all(big_u <= big_v + slack)
-        factor = 1.0 / (1.0 + params.eps * controls.dt)
+        factor = 1.0 / (1.0 + params.eps * dt)
         assert np.abs(big_v - big_u).sum() <= factor * np.abs(v.values - u.values).sum() + slack * len(big_u)
 
     def test_2d_step_is_not_order_preserving(self):

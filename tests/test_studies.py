@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,10 @@ class TestContractionStudy:
         with pytest.raises(ValueError, match="grid"):
             contraction_study(small_bump_cfg(), small_bump_cfg(cells=121))
 
+    def test_requires_shared_scheme(self):
+        with pytest.raises(ValueError, match="shared grid and scheme"):
+            contraction_study(small_bump_cfg(), small_bump_cfg(scheme="semi_implicit"))
+
     def test_requires_positive_data(self):
         spikey = small_bump_cfg(ic="spike", ic_width=0.5)
         with pytest.raises(ValueError, match="positive"):
@@ -184,6 +189,20 @@ class TestContractionL1:
         # the bumps cross where both are sub-critical, so the distance moves by roundoff only
         l1 = l1_series(c1, c2, c1.diag_stride)
         assert max(b - a for a, b in zip(l1, l1[1:])) <= 1e-15 * l1[0]
+
+    def test_semi_implicit_pair_at_ten_cfl_steps(self):
+        # the backward-Euler step is monotone in 1D, so all three verdicts, L1 included, hold at dt
+        # far above the explicit ceiling
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        c1, c2 = (parse_config((configs / f"contraction_{x}.cfg").read_text()) for x in "ab")
+        dt = 10.0 * cfl_dt(build_problem(c1)[0], 0.0)
+        c1, c2 = (replace(c, scheme="semi_implicit", dt=dt, t_end=0.5) for c in (c1, c2))
+        rep = contraction_study(c1, c2)
+        assert [(v.name, v.passed) for v in rep.verdicts] == [
+            ("contraction_H_nonincreasing", True), ("contraction_dissipation_nonneg", True),
+            ("contraction_L1_nonincreasing", True)]
+        hs = [r[1] for r in rep.rows]
+        assert len(hs) == 1 + 356 and hs[-1] < 0.8 * hs[0]  # every one of the 356 steps is recorded
 
     def test_smooth_2d_pair(self):
         # the 2D step is not monotone, so its L1 distance gets a note, not a verdict
