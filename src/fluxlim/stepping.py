@@ -17,8 +17,8 @@ and step count, by either of two schemes; ``run`` steps through it.
   * semi-implicit, 1D only: backward Euler, member by member, by sweeps
     (``step_semi_implicit``) that linearize the flux at the previous iterate on
     the active set (positive excess) and gradient sign of ``_face_flux``
-    (semi-smooth Newton), each solved exactly by LAPACK, in about two sweeps. No
-    step-size restriction. scipy is imported by this step alone.
+    (semi-smooth Newton), each a tridiagonal system solved exactly by cyclic
+    reduction (``_tridiagonal``), in about two sweeps. No step-size restriction.
 
 The boundary is the no-flux box of the grid module; the absorption term
 -eps*rho makes the total mass follow the product law prod(1 - eps*dt_k).
@@ -41,6 +41,7 @@ __all__ = ["StepControls", "Trajectory", "CflViolationError", "NumericalFailureE
 
 
 _NEG_TOL = 1e-13  # roundoff allowance of a step's negatives, relative to the member's sup norm
+_DENSE = 31  # cyclic reduction hands systems of at most this many unknowns to a dense LU
 
 
 class CflViolationError(ValueError):
@@ -215,7 +216,7 @@ def _divergence(fluxes, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finalize(values: np.ndarray, step: int | None = None, members=None) -> np.ndarray:
+def _finalize(values: np.ndarray, step: int, members) -> np.ndarray:
     """Check the raw output of a step, one member per leading row.
 
     Non-finite values, and negative values beyond ``_NEG_TOL`` times the
@@ -227,7 +228,7 @@ def _finalize(values: np.ndarray, step: int | None = None, members=None) -> np.n
         return values
     values = values.copy()
     for row, vals in enumerate(values):
-        where = f"member {row if members is None else members[row]}" + (f", step {step}" if step else "")
+        where = f"member {members[row]}, step {step}"
         lowest, highest = float(vals.min()), float(vals.max())
         if not (math.isfinite(lowest) and math.isfinite(highest)):
             raise NumericalFailureError(f"non-finite value produced by a time step ({where})")
@@ -313,29 +314,64 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
         state = cur
 
 
+def _tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve -lower_{i-1} x_{i-1} + diag_i x_i - upper_i x_{i+1} = rhs_i (``lower`` and
+    ``upper`` per face) by cyclic reduction, padded with identity rows to 2^k - 1 equations.
+
+    Each level substitutes the even equations (0-based), divided by their diagonal, into
+    the odd ones, until a dense LU takes the last ``_DENSE`` or fewer unknowns; back-
+    substitution recovers the even ones. This is elimination without pivoting in odd-even
+    order: on an M-matrix every update of the right-hand side and every back-substituted
+    unknown adds nonnegative terms, so a nonnegative ``rhs`` gives a nonnegative solution.
+    A singular system or a non-finite solution raises ``NumericalFailureError``.
+    """
+    n = diag.size
+    lo, up, d = np.zeros((3, 2 ** n.bit_length() - 1))
+    b = np.ones(lo.size)
+    lo[1:n], b[:n], up[:n - 1], d[:n] = lower, diag, upper, rhs
+    levels = []
+    with np.errstate(all="ignore"):
+        while b.size > _DENSE:
+            # an even unknown is d_e + lo_e x_left + up_e x_right
+            lo_e, up_e, d_e = even = [v[0::2] / b[0::2] for v in (lo, up, d)]
+            levels.append(even)
+            lo, up, b, d = (v[1::2] for v in (lo, up, b, d))
+            lo, up, b, d = (lo * lo_e[:-1], up * up_e[1:], b - lo * up_e[:-1] - up * lo_e[1:],
+                            d + lo * d_e[:-1] + up * d_e[1:])
+        dense = np.diag(b)
+        dense.flat[b.size::b.size + 1], dense.flat[1::b.size + 1] = -lo[1:], -up[:-1]
+        try:
+            x = np.linalg.solve(dense, d)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError("tridiagonal solve failed: singular matrix") from exc
+        for lo_e, up_e, d_e in reversed(levels):
+            full = np.zeros(2 * x.size + 3)  # the level's unknowns with a zero on either side
+            full[2:-1:2] = x
+            full[1:-1:2] = d_e + lo_e * full[:-2:2] + up_e * full[2::2]
+            x = full[1:-1]
+    if not np.isfinite(x).all():
+        raise NumericalFailureError("non-finite value produced by the implicit solve")
+    return x[:n]
+
+
 def _active_set_solve(excess, diff, rhs, chi: float, eps: float, dt: float, h: float) -> np.ndarray:
     """Exact solve of the 1D backward-Euler system with the flux linearized at a state z.
 
     ``excess`` and ``diff`` are what ``_face_flux`` leaves for z. On the active
     set, where the excess is positive, the face flux is (1 + eps) g - chi s rho_face
     with s = sign(diff), elsewhere eps g.
-    With c = eps + [active], d = chi s [active] and P, Q = dt/h (+-c/h - d/2)
-    per face, (1 + eps*dt) u - dt*div F(u) = rhs is tridiagonal: diagonal
-    1 + eps*dt - Q_{i+1/2} + P_{i-1/2}, super-diagonal -P, sub-diagonal Q;
-    LAPACK ``dgtsv`` solves it.
+    With c = eps + [active], d = chi s [active] and P, Q = dt/h (c/h -+ d/2) per
+    face, (1 + eps*dt) u - dt*div F(u) = rhs is tridiagonal: diagonal
+    1 + eps*dt + Q_{i+1/2} + P_{i-1/2}, super-diagonal -P, sub-diagonal -Q, which
+    ``_tridiagonal`` solves. P, Q >= 0 (an M-matrix) wherever chi h <= 2 (1 + eps).
     """
-    from scipy.linalg.lapack import dgtsv
-
     on = excess > 0.0
     c, half_d = eps + on, np.where(on, 0.5 * chi * np.sign(diff), 0.0)
-    p, q = (c / h - half_d) * (dt / h), (-c / h - half_d) * (dt / h)
+    p, q = (c / h - half_d) * (dt / h), (c / h + half_d) * (dt / h)
     diag = np.full(rhs.shape, 1.0 + eps * dt)
-    diag[:-1] -= q
+    diag[:-1] += q
     diag[1:] += p
-    *_, sol, info = dgtsv(q, diag, -p, rhs, overwrite_d=True)
-    if info != 0:
-        raise NumericalFailureError(f"tridiagonal solve failed (LAPACK dgtsv info = {info})")
-    return sol
+    return _tridiagonal(q, diag, p, rhs)
 
 
 def step_semi_implicit(rho: np.ndarray, params: Params, dt: float, h: float, controls: StepControls, bufs):
@@ -358,8 +394,6 @@ def step_semi_implicit(rho: np.ndarray, params: Params, dt: float, h: float, con
     def sweep(z: np.ndarray) -> tuple[np.ndarray, float]:
         _face_flux(z, 0.5 * h * params.chi, None, bufs)
         sol = _active_set_solve(bufs[2], bufs[1], rho, params.chi, params.eps, dt, h)
-        if not np.isfinite(sol).all():
-            raise NumericalFailureError("non-finite value produced by the implicit solve")
         denom = max(float(np.linalg.norm(sol)), 1e-300)
         return sol, float(np.linalg.norm(sol - z)) / denom
 

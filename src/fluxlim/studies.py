@@ -284,8 +284,8 @@ def smoothing_study(base: RunConfig) -> StudyReport:
     Each spike (widths ``spike_widths``, all with equal Lp norm for p =
     ``study_p``) runs inviscid; the envelope constant
     C_hat = max_t sup(t) / (|rho_in|_p (1 + t^{-d/2p})) must be stable
-    (within a factor 2) across the family. A second envelope
-    with the alternative exponent (d+2)/(2p) is reported without a verdict.
+    (within a factor 2) across the family, t over a CFL-step run's record times.
+    A second envelope with the alternative exponent (d+2)/(2p) is reported without a verdict.
     The pure-diffusion control (limiter pinned to 1 by chi = 0) reruns the
     family to width-matched probe times t = w^2, where the sup values follow
     the classical power law; the fitted log-log slope must land within 10%
@@ -307,15 +307,17 @@ def smoothing_study(base: RunConfig) -> StudyReport:
     exp_main = d / (2.0 * p)
     exp_alt = (d + 2.0) / (2.0 * p)
     controls = build_controls(base)
-    dt = controls.dt if controls.dt is not None else cfl_dt(grid, 0.0, controls.cfl_safety)
+    ceiling = cfl_dt(grid, 0.0, controls.cfl_safety)
+    dt = controls.dt if controls.dt is not None else ceiling
     shared = replace(controls, dt=dt)
+    stride = max(1, round(cfg.diag_stride * ceiling / dt))  # C_hat is read at a CFL-step run's times
     n = len(widths)
     t_ends = [cfg.t_end] * n + [w * w for w in widths]
     check_cell_steps(spike.values.size, sum(t_ends) / (2 * n), dt, runs=2 * n)  # the 2n members, one budget
 
     spikes = [poly_spike(grid, w, p, p_norm=cfg.ic_pnorm) for w in widths]
     trajectories = run(spikes * 2, [Params(cfg.chi)] * n + [Params(0.0)] * n, shared, t_ends,
-                       [cfg.diag_stride] * n + [10**9] * n, p_set=cfg.p_set, grad_p_set=cfg.grad_p_set,
+                       [stride] * n + [10**9] * n, p_set=cfg.p_set, grad_p_set=cfg.grad_p_set,
                        scheme=cfg.scheme)
     limited = trajectories[:n]
     heat = [traj.records[-1] for traj in trajectories[n:]]

@@ -180,11 +180,36 @@ class TestSimulate:
         assert res.stderr.rstrip().endswith("at step 1, t = 0.002")
 
     def test_import_loads_no_scipy(self, tmp_path):
-        code = "import sys, fluxlim, fluxlim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        # nor does a semi-implicit simulate
+        cfg = tmp_path / "imp.cfg"
+        cfg.write_text(BASE_CFG + "scheme = semi_implicit\ndt = 0.002\n")
+        code = ("import sys, fluxlim, fluxlim.cli\n"
+                f"assert fluxlim.cli.main(['simulate', '--config', {str(cfg)!r}, '--out', 'o']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": SRC})
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "[]"
+        assert res.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "o" / "diagnostics.csv").exists()
+
+    def test_runtime_imports_are_stdlib_or_numpy(self):
+        # numpy is the one runtime dependency, in the imports and in pyproject.toml
+        import ast
+
+        tomllib = pytest.importorskip("tomllib")
+
+        root = Path(__file__).resolve().parents[1]
+        for path in sorted((root / "src" / "fluxlim").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    continue
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module] if isinstance(node, ast.ImportFrom) else [])
+                for name in names:
+                    top = name.partition(".")[0]
+                    assert top in sys.stdlib_module_names or top in ("numpy", "fluxlim"), (path.name, name)
+        project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+        assert [d.partition(">")[0].strip() for d in project["dependencies"]] == ["numpy"]
 
 
     def test_initial_record_computed_once(self, tmp_path, capsys, monkeypatch):
@@ -306,6 +331,21 @@ study_p = 4
         out = capsys.readouterr().out
         assert code == 0 and "input dt = 0.002" in out
         assert out.count("VERDICT") == out.count(" PASS (") >= 2
+
+    def test_semi_implicit_smoothing_at_ten_cfl_steps(self, tmp_path, capsys):
+        # diag_stride counted steps of 10x the CFL step, so the first record came after the
+        # narrow spikes' sup ratio peaked and the envelope spread was 2.67
+        from fluxlim.grid import make_grid
+        from fluxlim.stepping import cfl_dt
+
+        dt = 10.0 * cfl_dt(make_grid(1, 6.0, 512), 0.0)
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(Path(__file__).resolve().parents[1].joinpath("configs", "smoothing.cfg").read_text()
+                       .replace("cells = 1024", "cells = 512") + f"scheme = semi_implicit\ndt = {dt!r}\n")
+        code = cli_module.main(["study", "smoothing", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("VERDICT") == out.count(" PASS (") == 2
 
     @pytest.mark.parametrize("kind,ic,extra,members", [
         ("viscosity", "gaussian", "eps_list = 0.1 0.05 0.025 0\n", 4),

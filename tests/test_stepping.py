@@ -136,14 +136,14 @@ class TestStepExplicit:
 class TestFinalizePolicy:
     def test_nan_raises(self):
         with pytest.raises(NumericalFailureError, match="non-finite"):
-            _finalize(np.array([[1.0, np.nan, 0.0, 0.0]]))
+            _finalize(np.array([[1.0, np.nan, 0.0, 0.0]]), step=1, members=[0])
 
     def test_true_negativity_raises(self):
         with pytest.raises(NumericalFailureError, match="negative"):
-            _finalize(np.array([[1.0, -0.5, 0.0, 0.0]]))
+            _finalize(np.array([[1.0, -0.5, 0.0, 0.0]]), step=1, members=[0])
 
     def test_roundoff_negativity_floored(self):
-        out = _finalize(np.array([[1.0, -1e-16, 0.0, 0.0]]))
+        out = _finalize(np.array([[1.0, -1e-16, 0.0, 0.0]]), step=1, members=[0])
         assert out.min() == 0.0
 
 
@@ -361,7 +361,7 @@ class TestBatchedKernel:
 
     def test_roundoff_negative_clamped_in_own_row_only(self):
         values = np.array([[1.0, -1e-16, 0.5], [2.0, 0.25, 1e-300]])
-        out = _finalize(values, step=1)
+        out = _finalize(values, step=1, members=[0, 1])
         assert np.array_equal(out[0], [1.0, 0.0, 0.5])
         assert np.array_equal(out[1], values[1])
         assert values[0, 1] == -1e-16  # the raw step output is left as it was
@@ -370,7 +370,7 @@ class TestBatchedKernel:
         # -1e-8 is roundoff beside 1e6 but not beside 1.0
         values = np.array([[1e6, -1e-8], [1.0, -1e-12]])
         with pytest.raises(NumericalFailureError, match=r"negative.*member 1, step 2"):
-            _finalize(values, step=2)
+            _finalize(values, step=2, members=[0, 1])
 
     def test_cfl_violation_by_any_member(self):
         grid = make_grid(1, 5.0, 50)
@@ -393,6 +393,21 @@ def face_terms(z, chi, h):
     bufs = (np.empty(z.size), *np.empty((3, z.size - 1)))
     stepping._face_flux(z, 0.5 * h * chi, None, bufs)
     return bufs[2], bufs[1]
+
+
+def linearized_operator(u, excess, diff, chi, eps, dt, h):
+    """(1 + eps dt) u - dt div F(u) for every column of ``u``, the face flux F linearized
+    where ``_face_flux`` left ``excess`` and ``diff``, written face by face."""
+    active, sign = (excess > 0.0)[:, None], np.sign(diff)[:, None]
+    g, rho_face = np.diff(u, axis=0) / h, 0.5 * (u[1:] + u[:-1])
+    flux = np.where(active, (1.0 + eps) * g - chi * sign * rho_face, eps * g)
+    div = np.diff(np.pad(flux, ((1, 1), (0, 0))), axis=0) / h
+    return (1.0 + eps * dt) * u - dt * div
+
+
+# 2^k and 2^k +- 1, and both sides of the solve's dense cutoff
+SOLVE_SIZES = sorted({2**k + j for k in range(2, 9) for j in (-1, 0, 1)}
+                     | {stepping._DENSE, stepping._DENSE + 1})
 
 
 @pytest.mark.parametrize("chi_h", [1e-3, 0.01, 0.1, 1.0, 1.9])
@@ -509,15 +524,47 @@ class TestStepSemiImplicit:
         active = excess > 0.0
         assert 0 < active.sum() < active.size
         u = _active_set_solve(excess, diff, rho, chi, eps, dt, h)
-        g, rho_face = np.diff(u) / h, 0.5 * (u[1:] + u[:-1])
-        flux = np.where(active, (1.0 + eps) * g - chi * np.sign(np.diff(z)) * rho_face, eps * g)
-        div = np.diff(flux, prepend=0.0, append=0.0) / h
-        applied = (1.0 + eps * dt) * u - dt * div
+        applied = linearized_operator(u[:, None], excess, diff, chi, eps, dt, h)[:, 0]
         assert np.abs(applied - rho).max() <= 1e-12 * np.abs(rho).max()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.integers(3, 300), st.sampled_from(SOLVE_SIZES)), st.floats(0.0, 1.5),
+           st.floats(0.0, 1.0), st.floats(0.1, 1000.0), st.floats(1e-3, 2.0), st.integers(0, 2**32 - 1))
+    def test_tridiagonal_solve_matches_dense(self, n, ratio, eps, multiple, h, seed):
+        # chi h = ratio * 2 (1 + eps): an M-matrix up to ratio 1; beyond it a step of 10x the
+        # CFL step can be ill-conditioned for any solver (condition numbers past 1e3), so
+        # those steps stay within 3x the CFL step
+        rng = np.random.default_rng(seed)
+        excess, diff = rng.standard_normal((2, n - 1))
+        rho = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.7)
+        chi, m_matrix = ratio * 2.0 * (1.0 + eps) / h, ratio <= 1.0
+        dt = (multiple if m_matrix else min(multiple, 3.0)) * 0.45 * h * h / (2.0 * (1.0 + eps))
+        u = _active_set_solve(excess, diff, rho, chi, eps, dt, h)
+        dense = linearized_operator(np.eye(n), excess, diff, chi, eps, dt, h)
+        assert np.abs(dense @ u - rho).max() <= 1e-12 * np.abs(rho).max()
+        assert np.abs(u - np.linalg.solve(dense, rho)).max() <= 1e-12 * np.abs(u).max()
+        if m_matrix:
+            assert u.min() >= 0.0
+
+    def test_tridiagonal_solve_beyond_m_matrix(self):
+        # chi h = 3 (1 + eps) with a signed state: active faces couple with the wrong sign
+        grid = make_grid(1, 5.0, 200)
+        h, eps = grid.spacing[0], 0.1
+        chi = 3.0 * (1.0 + eps) / h
+        z = gaussian_bump(grid, 0.5, mass=1.0).values - 0.8 * poly_spike(grid, 1.5, 2.0).values
+        excess, diff = face_terms(z, chi, h)
+        dt = 10.0 * cfl_dt(grid, eps, 0.45)
+        dense = linearized_operator(np.eye(grid.shape[0]), excess, diff, chi, eps, dt, h)
+        off = np.concatenate([np.diag(dense, 1), np.diag(dense, -1)])
+        assert off.max() > 0.0 > off.min()
+        rho = gaussian_bump(grid, 1.0, mass=1.0).values
+        u = _active_set_solve(excess, diff, rho, chi, eps, dt, h)
+        assert np.abs(u - np.linalg.solve(dense, rho)).max() <= 1e-12 * np.abs(u).max()
+        assert np.abs(dense @ u - rho).max() <= 1e-12 * np.abs(rho).max()
 
     def test_tridiagonal_solve_rejects_indefinite_matrix(self):
         # eps = -1/2 on three cells: eigenvalues 0.5, 0 and -1, exact in floating point
-        with pytest.raises(NumericalFailureError, match=r"dgtsv info = \d"):
+        with pytest.raises(NumericalFailureError, match="tridiagonal solve failed: singular matrix"):
             _active_set_solve(np.zeros(2), np.zeros(2), np.ones(3), 1.0, -0.5, 1.0, 1.0)
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
