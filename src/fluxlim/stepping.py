@@ -14,11 +14,12 @@ and step count, by either of two schemes; ``run`` steps through it.
   * explicit: forward Euler under the diffusive CFL restriction. The effective
     face coefficients lie in [0, 1 + eps], so each update is a convex combination
     plus an absorption factor; positivity and the Lp decay carry over exactly.
-  * semi-implicit, 1D only: backward Euler, member by member, by sweeps
-    (``step_semi_implicit``) that linearize the flux at the previous iterate on
-    the active set (positive excess) and gradient sign of ``_face_flux``
-    (semi-smooth Newton), each a tridiagonal system solved exactly by cyclic
-    reduction (``_tridiagonal``), in about two sweeps. No step-size restriction.
+  * semi-implicit, 1D only: backward Euler, by sweeps (``step_semi_implicit``)
+    that linearize the flux at the previous iterate on the active set (positive
+    excess) and gradient sign of ``_face_flux`` (semi-smooth Newton), each a
+    tridiagonal system solved exactly by cyclic reduction (``_Reduction``), in
+    about two sweeps. The members sweep together, and only a sweep that changes
+    an active set reduces the matrices again. No step-size restriction.
 
 The boundary is the no-flux box of the grid module; the absorption term
 -eps*rho makes the total mass follow the product law prod(1 - eps*dt_k).
@@ -41,7 +42,7 @@ __all__ = ["StepControls", "Trajectory", "CflViolationError", "NumericalFailureE
 
 
 _NEG_TOL = 1e-13  # roundoff allowance of a step's negatives, relative to the member's sup norm
-_DENSE = 31  # cyclic reduction hands systems of at most this many unknowns to a dense LU
+_DENSE = 31  # cyclic reduction leaves at most this many unknowns to a dense inverse
 
 
 class CflViolationError(ValueError):
@@ -50,10 +51,12 @@ class CflViolationError(ValueError):
 
 class NumericalFailureError(RuntimeError):
     """A step produced non-finite or impossibly negative values; ``march``
-    sets ``step`` and ``time`` of a failing semi-implicit step, which end the message."""
+    sets ``step`` and ``time`` of a failing semi-implicit step, which end the message.
+    ``row`` is the failing member's position in a semi-implicit batch."""
 
     step: int | None = None
     time: float | None = None
+    row: int | None = None
 
     def __str__(self) -> str:
         text = super().__str__()
@@ -250,12 +253,13 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
     must come in non-increasing ``n_steps`` order. An explicit step is the update
     rho + dt*div((a+eps) grad rho) - dt*eps*rho of every member at once, and a dt
     above any member's CFL ceiling raises ``CflViolationError`` up front. A
-    semi-implicit step (1D only) solves each member in turn by
-    ``step_semi_implicit``, in its row of the batch's buffers; a failing solve is
-    tagged with its step and time. Yields ``(k, state)`` after every step k, where
-    ``state`` stacks the members still running, which are always a prefix; it is a
-    work buffer that the next step overwrites. Every step is checked for finiteness
-    and negativity; errors name members by ``members`` (default: their positions).
+    semi-implicit step (1D only) solves all members at once by ``step_semi_implicit``,
+    handing on the previous step's last linearization; a failing solve is tagged
+    with its step and its member's time. Yields ``(k, state)`` after every step k,
+    where ``state`` stacks the members still running, which are always a prefix; it
+    is a work buffer that the next step overwrites. Every step is checked for
+    finiteness and negativity; errors name members by ``members`` (default: their
+    positions).
     """
     if any(b > a for a, b in zip(n_steps, n_steps[1:])):
         raise ValueError("members must come in non-increasing n_steps order")
@@ -285,7 +289,7 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
         c, e = [r[:live] for r in rates], eps[:live] if absorbs else None
         d, de = scale[:live], dt_eps[:live]
         if implicit:
-            rows = [[b[i] for b in bufs[0]] for i in range(live)]
+            last = None  # the batch's last linearization
         elif grid.dim == 1:
             def fluxes(v):
                 _face_flux(v, c[0], e, bufs[0])
@@ -295,12 +299,12 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
         while k < n_steps[live - 1]:
             k += 1
             if implicit:
-                for i, row in enumerate(rows):
-                    try:
-                        nxt[i], _ = step_semi_implicit(cur[i], params[i], dts[i], h, controls, row)
-                    except NumericalFailureError as exc:
-                        exc.step, exc.time = k, k * dts[i]
-                        raise
+                try:
+                    nxt[:], _, last = step_semi_implicit(cur, chi[:live], eps[:live], dt[:live], h, controls,
+                                                         bufs[0], last)
+                except NumericalFailureError as exc:
+                    exc.step, exc.time = k, k * dts[exc.row]
+                    raise
             else:
                 _divergence(fluxes(cur), nxt, bufs[0][0])
                 # (rho + dt*div) - (dt*eps)*rho in this order, so every member is
@@ -314,91 +318,130 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
         state = cur
 
 
-def _tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve -lower_{i-1} x_{i-1} + diag_i x_i - upper_i x_{i+1} = rhs_i (``lower`` and
-    ``upper`` per face) by cyclic reduction, padded with identity rows to 2^k - 1 equations.
+class _Reduction:
+    """Cyclic reduction of tridiagonal matrices, one per row of ``diag``, with rows
+    -lower_{i-1} x_{i-1} + diag_i x_i - upper_i x_{i+1} (``lower`` and ``upper`` per face),
+    kept to ``solve`` for any right-hand sides.
 
-    Each level substitutes the even equations (0-based), divided by their diagonal, into
-    the odd ones, until a dense LU takes the last ``_DENSE`` or fewer unknowns; back-
-    substitution recovers the even ones. This is elimination without pivoting in odd-even
-    order: on an M-matrix every update of the right-hand side and every back-substituted
-    unknown adds nonnegative terms, so a nonnegative ``rhs`` gives a nonnegative solution.
-    A singular system or a non-finite solution raises ``NumericalFailureError``.
+    Each matrix is padded with identity rows to the fewest, (m + 1) 2^L - 1 with m <= ``_DENSE``,
+    and the padded matrices are laid end to end, an identity row apart, so that one operation
+    spans them all while each sees the operations of a lone matrix. Each of the L levels
+    substitutes the even rows (0-based), divided by their diagonal, into the odd ones, which
+    form the next level; each matrix's last m unknowns are solved with the inverse of their
+    matrix, and back-substitution recovers the even ones. This is elimination without
+    pivoting: on an M-matrix every update of the right-hand side and every back-substituted
+    unknown adds nonnegative terms, as does the base, whose inverse is nonnegative; so a
+    nonnegative right-hand side gives a nonnegative solution. A singular base or a
+    non-finite solution raises ``NumericalFailureError`` naming the first such matrix.
     """
-    n = diag.size
-    lo, up, d = np.zeros((3, 2 ** n.bit_length() - 1))
-    b = np.ones(lo.size)
-    lo[1:n], b[:n], up[:n - 1], d[:n] = lower, diag, upper, rhs
-    levels = []
-    with np.errstate(all="ignore"):
-        while b.size > _DENSE:
-            # an even unknown is d_e + lo_e x_left + up_e x_right
-            lo_e, up_e, d_e = even = [v[0::2] / b[0::2] for v in (lo, up, d)]
-            levels.append(even)
-            lo, up, b, d = (v[1::2] for v in (lo, up, b, d))
-            lo, up, b, d = (lo * lo_e[:-1], up * up_e[1:], b - lo * up_e[:-1] - up * lo_e[1:],
-                            d + lo * d_e[:-1] + up * d_e[1:])
-        dense = np.diag(b)
-        dense.flat[b.size::b.size + 1], dense.flat[1::b.size + 1] = -lo[1:], -up[:-1]
-        try:
-            x = np.linalg.solve(dense, d)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError("tridiagonal solve failed: singular matrix") from exc
-        for lo_e, up_e, d_e in reversed(levels):
-            full = np.zeros(2 * x.size + 3)  # the level's unknowns with a zero on either side
-            full[2:-1:2] = x
-            full[1:-1:2] = d_e + lo_e * full[:-2:2] + up_e * full[2::2]
-            x = full[1:-1]
-    if not np.isfinite(x).all():
-        raise NumericalFailureError("non-finite value produced by the implicit solve")
-    return x[:n]
+
+    def __init__(self, lower, diag, upper):
+        self.rows, self.n = rows, n = diag.shape
+        self.levels = next(k for k in range(n.bit_length() + 1) if -(-(n + 1) >> k) <= _DENSE + 1)
+        self.width = -(-(n + 1) >> self.levels) << self.levels  # a matrix's rows and the one between
+        lo, up = np.zeros((2, rows, self.width))
+        b = np.ones(lo.shape)
+        lo[:, 1:n], b[:, :n], up[:, :n - 1] = lower, diag, upper
+        lo, up, b = (a.reshape(-1)[:-1] for a in (lo, up, b))
+        self.terms = []
+        with np.errstate(all="ignore"):
+            for _ in range(self.levels):
+                r, lo_e, up_e = 1.0 / b[0::2], lo[0::2], up[0::2]
+                f_lo, f_up = lo[1::2] * r[:-1], up[1::2] * r[1:]  # the odd rows' multiples of their neighbours
+                self.terms.append((r, lo_e, up_e, f_lo, f_up))
+                b = b[1::2] - f_lo * up_e[:-1] - f_up * lo_e[1:]
+                lo, up = f_lo * lo_e[:-1], f_up * up_e[1:]
+            m = self.width >> self.levels  # a matrix's m unknowns and the row between
+            lo, up, b = (np.append(a, 0.0).reshape(rows, m)[:, :-1] for a in (lo, up, b))
+            base = np.zeros((rows, (m - 1) ** 2))
+            base[:, ::m], base[:, m - 1::m], base[:, 1::m] = b, -lo[:, 1:], -up[:, :-1]
+            base = base.reshape(rows, m - 1, m - 1)
+            try:
+                self.inverse = np.linalg.inv(base)
+            except np.linalg.LinAlgError as exc:
+                raise _failure("tridiagonal solve failed: singular matrix", np.linalg.det(base) == 0.0) from exc
+
+    def solve(self, rhs) -> np.ndarray:
+        """The solutions for the rows of ``rhs``, worked out in place in one array: row i of
+        the laid-out matrix sits at i + 1, between two zero guards, and the unknowns of level l
+        sit every 2^l places."""
+        x = np.zeros(self.rows * self.width + 1)
+        x[1:].reshape(self.rows, self.width)[:, :self.n] = rhs
+        top, steps = x.size - 1, [2**k for k in range(self.levels + 1)]
+        with np.errstate(all="ignore"):
+            for s, (_, _, _, f_lo, f_up) in zip(steps, self.terms):
+                odd = x[2 * s:top:2 * s]
+                odd += f_lo * x[s:top - 2 * s:2 * s]
+                odd += f_up * x[3 * s:top:2 * s]
+            x[self.width::self.width] = 0.0  # the rows between matrices, whatever a failing one left
+            base = x[steps[-1]::steps[-1]].reshape(self.rows, -1)[:, :-1]
+            base[...] = (self.inverse @ base[..., None])[..., 0]
+            for s, (r, lo_e, up_e, _, _) in reversed(list(zip(steps, self.terms))):
+                even = x[s:top:2 * s]
+                new = lo_e * x[:top - s:2 * s]
+                new += up_e * x[2 * s::2 * s]
+                new += even
+                np.multiply(r, new, out=even)
+        x = x[1:].reshape(self.rows, self.width)[:, :self.n]
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            raise _failure("non-finite value produced by the implicit solve", ~finite)
+        return x
 
 
-def _active_set_solve(excess, diff, rhs, chi: float, eps: float, dt: float, h: float) -> np.ndarray:
-    """Exact solve of the 1D backward-Euler system with the flux linearized at a state z.
+def _failure(message: str, rows) -> NumericalFailureError:
+    """The error ``message`` of the first row where ``rows`` is true."""
+    exc = NumericalFailureError(message)
+    exc.row = int(np.argmax(rows))
+    return exc
 
-    ``excess`` and ``diff`` are what ``_face_flux`` leaves for z. On the active
-    set, where the excess is positive, the face flux is (1 + eps) g - chi s rho_face
-    with s = sign(diff), elsewhere eps g.
-    With c = eps + [active], d = chi s [active] and P, Q = dt/h (c/h -+ d/2) per
-    face, (1 + eps*dt) u - dt*div F(u) = rhs is tridiagonal: diagonal
-    1 + eps*dt + Q_{i+1/2} + P_{i-1/2}, super-diagonal -P, sub-diagonal -Q, which
-    ``_tridiagonal`` solves. P, Q >= 0 (an M-matrix) wherever chi h <= 2 (1 + eps).
+
+def _faces(excess, diff) -> np.ndarray:
+    """What a face's linearized flux depends on: sign(diff) on the active set, where
+    ``_face_flux`` left a positive excess, and 2 elsewhere."""
+    return np.where(excess > 0.0, np.sign(diff), 2.0)
+
+
+def _active_set_matrix(faces, chi, eps, dt, h: float) -> _Reduction:
+    """The reduced 1D backward-Euler matrices of member rows, the flux linearized at states
+    z of ``_faces`` ``faces``; chi, eps and dt are scalars or per-member columns.
+
+    On the active set the face flux is (1 + eps) g - chi s rho_face with s = sign(diff),
+    elsewhere eps g. With c = eps + [active], d = chi s [active] and P, Q = dt/h (c/h -+ d/2)
+    per face, (1 + eps*dt) u - dt*div F(u) is tridiagonal: diagonal
+    1 + eps*dt + Q_{i+1/2} + P_{i-1/2}, super-diagonal -P, sub-diagonal -Q.
+    P, Q >= 0 (an M-matrix) wherever chi h <= 2 (1 + eps).
     """
-    on = excess > 0.0
-    c, half_d = eps + on, np.where(on, 0.5 * chi * np.sign(diff), 0.0)
+    on = faces != 2.0
+    c, half_d = eps + on, np.where(on, 0.5 * chi * faces, 0.0)
     p, q = (c / h - half_d) * (dt / h), (c / h + half_d) * (dt / h)
-    diag = np.full(rhs.shape, 1.0 + eps * dt)
-    diag[:-1] += q
-    diag[1:] += p
-    return _tridiagonal(q, diag, p, rhs)
+    diag = (1.0 + eps * dt) + np.zeros((len(faces), faces.shape[1] + 1))
+    diag[:, :-1] += q
+    diag[:, 1:] += p
+    return _Reduction(q, diag, p)
 
 
-def step_semi_implicit(rho: np.ndarray, params: Params, dt: float, h: float, controls: StepControls, bufs):
-    """One backward-Euler step (1 + eps*dt) u - dt*div F(u) = rho of one 1D member row.
+def _iteration(rho: np.ndarray, controls: StepControls):
+    """The sweeps of one member's step as a generator: it yields each point to sweep, is sent
+    the sweep's solution there, and returns the step's solution and residual trace.
 
     Each sweep T linearizes the flux at the previous iterate, freezing the
     limiter's active set and gradient sign, and solves exactly (a semi-smooth
-    Newton step, see ``_active_set_solve``). Fixed points of T solve the step.
+    Newton step, see ``_active_set_matrix``). Fixed points of T solve the step.
     Convergence is measured by the fixed-point residual |T(z) - z| / |T(z)| in L2.
     Updates are relaxed, z + theta (T(z) - z), and a candidate is only accepted once
     its residual drops below the current one, halving theta otherwise (down to 1/64).
     The backtracking guards against threshold flicker (faces hopping across the
     limiter cutoff between sweeps) at large dt; it never moves the fixed point, and
     theta stays at 1 whenever plain iteration contracts.
-
-    ``bufs`` is the member's row of the one axis of ``_buffers``. Returns the
-    solution and the residual trace; ``march`` checks the solution, in which the exact
-    solve of an M-matrix leaves no solver-tolerance negatives.
     """
-    def sweep(z: np.ndarray) -> tuple[np.ndarray, float]:
-        _face_flux(z, 0.5 * h * params.chi, None, bufs)
-        sol = _active_set_solve(bufs[2], bufs[1], rho, params.chi, params.eps, dt, h)
-        denom = max(float(np.linalg.norm(sol)), 1e-300)
-        return sol, float(np.linalg.norm(sol - z)) / denom
+    def sweep(z: np.ndarray):
+        sol = yield z
+        gap = sol - z
+        return sol, math.sqrt(gap.dot(gap)) / max(math.sqrt(sol.dot(sol)), 1e-300)  # L2 norms
 
     z = rho
-    mapped, residual = sweep(z)
+    mapped, residual = yield from sweep(z)
     trace = [residual]
     theta = 1.0
     for _ in range(controls.picard_max_iter):
@@ -407,7 +450,7 @@ def step_semi_implicit(rho: np.ndarray, params: Params, dt: float, h: float, con
         theta = min(1.0, 1.5 * theta)  # remember the working relaxation level
         while True:
             cand = z + theta * (mapped - z)
-            cand_mapped, cand_residual = sweep(cand)
+            cand_mapped, cand_residual = yield from sweep(cand)
             if cand_residual < residual or theta <= 1.0 / 64.0:
                 break
             theta *= 0.5
@@ -416,6 +459,41 @@ def step_semi_implicit(rho: np.ndarray, params: Params, dt: float, h: float, con
 
     raise PicardDivergenceError(f"Picard iteration exceeded {controls.picard_max_iter} sweeps "
                                 f"(last fixed-point residual {residual})", residual, trace)
+
+
+def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepControls, bufs, last=None):
+    """One backward-Euler step (1 + eps*dt) u - dt*div F(u) = rho of every 1D member row
+    of ``rho`` by ``_iteration``, with ``chi``, ``eps`` and ``dt`` per-member columns.
+
+    The members' sweeps share one face flux, reduction and solve; a converged member is
+    swept again at its last point, which changes nothing. The matrices are reduced and
+    solved again only when some member's ``_faces`` change, so the sweep that confirms a
+    fixed point solves nothing. ``last``, the faces and reduction of the last sweep, comes
+    from the previous step (None: none) and is returned with the solutions and the traces.
+    ``bufs`` is the one axis of the members' ``_buffers``. A failure is raised for the first
+    failing member of a sweep, its position as ``row``; ``march`` checks the solutions, in
+    which the exact solve of an M-matrix leaves no solver-tolerance negatives.
+    """
+    runs = dict(enumerate(_iteration(r, controls) for r in rho))
+    point, results = np.stack([next(it) for it in runs.values()]), [None] * len(rho)
+    solved = None  # the reduction solved for rho in this step, and its solutions
+    while runs:
+        _face_flux(point, 0.5 * h * chi, None, bufs)
+        faces = _faces(bufs[2], bufs[1])
+        if last is None or not (faces == last[0]).all():
+            last = faces, _active_set_matrix(faces, chi, eps, dt, h)
+        if solved is None or solved[0] is not last[1]:
+            solved = last[1], last[1].solve(rho)
+        for i, it in list(runs.items()):
+            try:
+                point[i] = it.send(solved[1][i])
+            except StopIteration as done:
+                results[i] = done.value
+                del runs[i]
+            except NumericalFailureError as exc:
+                exc.row = i
+                raise
+    return np.stack([u for u, _ in results]), [trace for _, trace in results], last
 
 
 def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=(2.0, 4.0),

@@ -14,7 +14,7 @@ from fluxlim.stepping import (
     PicardDivergenceError,
     StepControls,
     _finalize,
-    _active_set_solve,
+    _active_set_matrix,
     cfl_dt,
     march,
     run,
@@ -37,8 +37,14 @@ def implicit_step(field, params, dt, controls=StepControls()):
 def implicit_solve(field, params, dt, controls=StepControls()):
     """The solve of one backward-Euler step of a lone member, before ``march`` checks it,
     with its residual trace."""
-    bufs = [b[0] for b in stepping._buffers(field.grid, 1)[0]]
-    return step_semi_implicit(field.values, params, dt, field.grid.spacing[0], controls, bufs)
+    (out,), (trace,), _ = step_semi_implicit(field.values[None], params.chi, params.eps, dt,
+                                             field.grid.spacing[0], controls, stepping._buffers(field.grid, 1)[0])
+    return out, trace
+
+
+def active_set_solve(excess, diff, rhs, chi, eps, dt, h):
+    """The solve of the backward-Euler system linearized where ``_face_flux`` left ``excess`` and ``diff``."""
+    return _active_set_matrix(stepping._faces(excess, diff)[None], chi, eps, dt, h).solve(rhs[None])[0]
 
 
 @pytest.fixture()
@@ -523,7 +529,7 @@ class TestStepSemiImplicit:
         excess, diff = face_terms(z, chi, h)
         active = excess > 0.0
         assert 0 < active.sum() < active.size
-        u = _active_set_solve(excess, diff, rho, chi, eps, dt, h)
+        u = active_set_solve(excess, diff, rho, chi, eps, dt, h)
         applied = linearized_operator(u[:, None], excess, diff, chi, eps, dt, h)[:, 0]
         assert np.abs(applied - rho).max() <= 1e-12 * np.abs(rho).max()
 
@@ -539,7 +545,7 @@ class TestStepSemiImplicit:
         rho = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.7)
         chi, m_matrix = ratio * 2.0 * (1.0 + eps) / h, ratio <= 1.0
         dt = (multiple if m_matrix else min(multiple, 3.0)) * 0.45 * h * h / (2.0 * (1.0 + eps))
-        u = _active_set_solve(excess, diff, rho, chi, eps, dt, h)
+        u = active_set_solve(excess, diff, rho, chi, eps, dt, h)
         dense = linearized_operator(np.eye(n), excess, diff, chi, eps, dt, h)
         assert np.abs(dense @ u - rho).max() <= 1e-12 * np.abs(rho).max()
         assert np.abs(u - np.linalg.solve(dense, rho)).max() <= 1e-12 * np.abs(u).max()
@@ -558,14 +564,43 @@ class TestStepSemiImplicit:
         off = np.concatenate([np.diag(dense, 1), np.diag(dense, -1)])
         assert off.max() > 0.0 > off.min()
         rho = gaussian_bump(grid, 1.0, mass=1.0).values
-        u = _active_set_solve(excess, diff, rho, chi, eps, dt, h)
+        u = active_set_solve(excess, diff, rho, chi, eps, dt, h)
         assert np.abs(u - np.linalg.solve(dense, rho)).max() <= 1e-12 * np.abs(u).max()
         assert np.abs(dense @ u - rho).max() <= 1e-12 * np.abs(rho).max()
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    @pytest.mark.parametrize("cell", [0, 50, 102])
+    def test_batched_solve_names_failing_member(self, failing, cell):
+        # the members' systems are laid end to end, with no padding at 103 cells (26 * 2^2 - 1):
+        # a non-finite one spoils no other
+        faces = np.full((3, 102), 2.0)
+        rhs = np.ones((3, 103))
+        rhs[failing, cell] = np.inf
+        reduction = _active_set_matrix(faces, 1.0, 0.5, 0.1, 0.1)  # every face couples (eps > 0)
+        with pytest.raises(NumericalFailureError, match="non-finite") as err:
+            reduction.solve(rhs)
+        assert err.value.row == failing
+        rhs[failing, cell] = 1.0
+        assert np.isfinite(reduction.solve(rhs)).all()
+
+    def test_last_linearization_reused_only_for_its_faces(self):
+        # a previous linearization with the same active set but other signs is not reused
+        grid = make_grid(1, 5.0, 200)
+        rho, h = gaussian_bump(grid, 0.5, mass=1.0).values[None], grid.spacing[0]
+        dt, bufs = 10.0 * cfl_dt(grid, 0.0), stepping._buffers(grid, 1)[0]
+        excess, diff = face_terms(rho[0], 1.0, h)
+        faces = stepping._faces(excess, diff)[None]
+        assert (faces != 2.0).any()
+        flipped = np.where(faces == 2.0, 2.0, -faces)
+        stale = (flipped, _active_set_matrix(flipped, 1.0, 0.0, dt, h))
+        fresh, trace, _ = step_semi_implicit(rho, 1.0, 0.0, dt, h, StepControls(), bufs)
+        again, again_trace, _ = step_semi_implicit(rho, 1.0, 0.0, dt, h, StepControls(), bufs, stale)
+        assert np.array_equal(again, fresh) and again_trace == trace
 
     def test_tridiagonal_solve_rejects_indefinite_matrix(self):
         # eps = -1/2 on three cells: eigenvalues 0.5, 0 and -1, exact in floating point
         with pytest.raises(NumericalFailureError, match="tridiagonal solve failed: singular matrix"):
-            _active_set_solve(np.zeros(2), np.zeros(2), np.ones(3), 1.0, -0.5, 1.0, 1.0)
+            active_set_solve(np.zeros(2), np.zeros(2), np.ones(3), 1.0, -0.5, 1.0, 1.0)
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_converged_step_is_exact_nonlinear_solve(self, eps):
@@ -591,18 +626,37 @@ class TestStepSemiImplicit:
 
     def test_few_sweeps_per_step(self, monkeypatch):
         # 2000 cells at 10x CFL to t = 0.01: 178 steps
-        solves = []
+        calls = {"sweeps": 0, "reductions": 0, "solves": 0}
 
-        def counted(*args):
-            solves.append(1)
-            return _active_set_solve(*args)
+        def counted(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
 
-        monkeypatch.setattr(stepping, "_active_set_solve", counted)
+        monkeypatch.setattr(stepping, "_face_flux", counted("sweeps", stepping._face_flux))
+        monkeypatch.setattr(stepping, "_active_set_matrix", counted("reductions", _active_set_matrix))
+        monkeypatch.setattr(stepping._Reduction, "solve", counted("solves", stepping._Reduction.solve))
         grid = make_grid(1, 5.0, 2000)
         dt = 10.0 * cfl_dt(grid, 0.0, 0.45)
         run([gaussian_bump(grid, 1.0, mass=1.0)], [Params(chi=1.0)], StepControls(dt=dt), [0.01],
             diag_stride=10**9, scheme="semi_implicit")
-        assert len(solves) <= 4 * 178
+        assert calls["sweeps"] <= 4 * 178
+        # a step solves once, and again only for a new matrix; most steps keep the last one
+        assert 178 <= calls["solves"] <= 178 + calls["reductions"] and calls["reductions"] < 178 // 2
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_reused_reduction_matches_fresh_solve(self, eps):
+        # each step of a march, which hands a member's last reduction on, equals bitwise the
+        # same step solved from scratch
+        grid = make_grid(1, 5.0, 400)
+        params, dt = Params(chi=1.0, eps=eps), 10.0 * cfl_dt(grid, eps)
+        f = gaussian_bump(grid, 0.5, mass=1.0)
+        prev = f.values
+        for _, state in march([f], [params], [dt], [20], scheme="semi_implicit"):
+            fresh, _ = implicit_solve(Field.density(grid, prev), params, dt)
+            assert np.array_equal(state[0], fresh)
+            prev = state[0].copy()
 
     def test_coarse_grid_stays_nonnegative(self):
         # chi*h = 3 > 2: no face of a nonnegative state can be active
@@ -619,28 +673,30 @@ class TestStepSemiImplicit:
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_sweep_active_set_is_positive_excess(self, eps, monkeypatch):
-        # every solve sees the faces where the excess |D| - chi h rho_face is positive at the iterate
+        # every sweep's matrix has the faces where the excess |D| - chi h rho_face is positive
+        # at the iterate: a new one is built from the iterate, or the last one has them
         grid = make_grid(1, 5.0, 400)
         h, chi = grid.spacing[0], 1.0
-        iterates, solves, face_flux = [], [], stepping._face_flux
+        iterates, matrices, face_flux = [], [], stepping._face_flux
 
         def flux(values, *args):
             iterates.append(values.copy())
             return face_flux(values, *args)
 
-        def solve(excess, diff, *args):
-            solves.append((excess > 0.0, np.sign(diff)))
-            return _active_set_solve(excess, diff, *args)
+        def matrix(faces, *args):
+            matrices.append((len(iterates), faces[0] != 2.0, faces[0]))
+            return _active_set_matrix(faces, *args)
 
         monkeypatch.setattr(stepping, "_face_flux", flux)
-        monkeypatch.setattr(stepping, "_active_set_solve", solve)
+        monkeypatch.setattr(stepping, "_active_set_matrix", matrix)
         f = gaussian_bump(grid, 0.5, mass=1.0)
         implicit_step(f, Params(chi=chi, eps=eps), 20.0 * cfl_dt(grid, eps))
-        assert len(solves) == len(iterates) >= 2
-        for z, (active, sign) in zip(iterates, solves):
+        assert len(iterates) >= 2 and matrices[0][0] == 1
+        for k, (z,) in enumerate(iterates, 1):
+            _, active, sign = [m for m in matrices if m[0] <= k][-1]
             _, excess = excess_flux(z, chi, 0.0, h)
             assert np.array_equal(active, excess > 0.0) and 0 < active.sum() < active.size
-            assert np.array_equal(sign, np.sign(np.diff(z)))
+            assert np.array_equal(sign[active], np.sign(np.diff(z))[active])
             # and, away from roundoff, the limiter's positive set
             lim = limiter(0.5 * (z[1:] + z[:-1]), np.abs(np.diff(z)) / h, chi)
             clear = np.abs(np.abs(np.diff(z)) / h - chi * 0.5 * (z[1:] + z[:-1])) > 1e-12
@@ -676,7 +732,7 @@ class TestStepSemiImplicit:
         dt = 20.0 * cfl_dt(grid, 0.0, 0.45)
         v = spike.values
         excess, diff = face_terms(v, 1.0, grid.spacing[0])
-        assert _active_set_solve(excess, diff, v, 1.0, 0.0, dt, grid.spacing[0]).min() >= 0.0
+        assert active_set_solve(excess, diff, v, 1.0, 0.0, dt, grid.spacing[0]).min() >= 0.0
         out = implicit_step(spike, Params(chi=1.0), dt)
         assert out.min() >= 0.0
         assert out.sum() == pytest.approx(spike.values.sum(), rel=1e-12)
