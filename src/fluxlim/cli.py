@@ -60,12 +60,13 @@ def _report(study, inputs, out: str | None) -> int:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    text = report.to_text()
     if out is not None:
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
+        (out / "report.txt").write_text(text, encoding="utf-8")
         (out / "study.csv").write_text(report.to_csv(), encoding="utf-8")
-    sys.stdout.write(report.to_text())
+    sys.stdout.write(text)
     return 0 if report.all_pass else 3
 
 

@@ -211,7 +211,7 @@ def save_snapshot(field: Field, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(" ".join(head) + "\n")
         for row in field.values.reshape(-1, g.shape[-1]).tolist():
-            fh.write("".join(f"{x!r}\n" for x in row))
+            fh.write("\n".join(map(repr, row)) + "\n")
 
 
 def load_snapshot(path) -> Field:

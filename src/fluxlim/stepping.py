@@ -1,9 +1,9 @@
 """Time advancement of the viscous flux-limited diffusion equation.
 
-One spatial discretization: in 1D the face flux in excess form,
-sign(D) (|D|/h - chi rho_face)_+ + eps D/h for the cell difference D
-(``_face_flux``); in 2D a limiter coefficient per face, from the cell difference
-and sum across the face, times the normal difference quotient
+One spatial discretization: in 1D the face flux in excess form, sign(D) (|D|/h -
+chi rho_face)_+ + eps D/h for the cell difference D, in one contiguous pass per operation
+over a batch's members end to end (``_face_flux``); in 2D a limiter coefficient per face,
+from the cell difference and sum across the face, times the normal difference quotient
 (``_coefficient_fluxes``). Both come scaled by the spacing, in the buffers of
 ``_buffers``, whose zero-padded face arrays make the divergence one subtraction
 per axis (``_divergence``).
@@ -136,19 +136,22 @@ def _stencil(grid: Grid) -> tuple[tuple[int, tuple, tuple, float], ...]:
 
 def _buffers(grid: Grid, size: int) -> list[tuple[np.ndarray, ...]]:
     """Work buffers of a batch of ``size`` members, per space axis: a cell-sized scratch
-    array, two face-sized arrays, the axis's flux, and the fluxes through every cell's
+    array, two face arrays, the axis's flux, and the fluxes through every cell's
     upper and lower face. The last two are cell-sized views, one cell apart along the
     axis, of one zero-padded array; the flux is the interior of the upper one, and the
-    rest reads the boundary faces' zero flux. The axes share the buffers, so an axis's
-    fluxes must be used before the next axis's are built."""
+    rest reads the boundary faces' zero flux. In 1D the members' faces lie end to end in it, a
+    zero face between members, and the face arrays are cell-sized, the face above cell i at i
+    (0 above the last cell). The axes share the buffers, so an axis's fluxes must be used
+    before the next axis's are built."""
     cells = np.empty((size, *grid.shape))
     stride = [math.prod(grid.shape[a:]) for a in range(1, grid.dim + 1)]  # one cell along each axis
     store = np.zeros(stride[0] + cells.size)
     upper = store[stride[0]:].reshape(cells.shape)
-    faces = np.empty((2, max(cells[lo].size for _, lo, _, _ in _stencil(grid))))
+    faces = np.zeros((2, cells.size))
     bufs = []
     for (_, lo, _, _), step in zip(_stencil(grid), stride):
-        shape, lower = upper[lo].shape, store[stride[0] - step:][: cells.size].reshape(cells.shape)
+        shape = (upper if grid.dim == 1 else upper[lo]).shape
+        lower = store[stride[0] - step:][: cells.size].reshape(cells.shape)
         bufs.append((cells, *(f[: math.prod(shape)].reshape(shape) for f in faces), upper[lo], upper, lower))
     return bufs
 
@@ -185,28 +188,31 @@ def _coefficient_fluxes(values: np.ndarray, stencil, half_chi_h, eps, bufs):
 
 
 def _face_flux(values: np.ndarray, half_chi_h, eps, out) -> np.ndarray:
-    """h times the 1D face flux of every member row, in excess form.
+    """h times the 1D face flux of every member row, in excess form, over the members end to end.
 
     For the cell difference D and g = D/h, h ((1 - chi rho_face/|g|)_+ + eps) g
     = sign(D) (|D| - chi h rho_face)_+ + eps D, which needs no square, root or
-    division. ``half_chi_h`` (chi h/2) and ``eps`` (None: no viscous term) are
-    scalars or per-member columns. ``out`` opens with the (cells, D, excess, flux) of
-    the one axis of ``_buffers``; D and the clamped excess (positive on the
-    limiter's active set) stay in theirs. The threshold is summed from scaled cells, so it overflows
-    only where it exceeds every finite |D|; the clamp passes NaN on to ``_finalize``.
+    division. ``out`` opens with the (cells, D, excess, flux, upper) of the one axis of
+    ``_buffers``; each operation is one contiguous pass over the batch, the faces between members
+    included, whose flux is then reset to 0. ``half_chi_h`` (chi h/2) and ``eps`` (None: no
+    viscous term) are scalars, per-member columns or per cell, a face taking its lower cell's.
+    D and the clamped excess (positive on the limiter's active set) stay in theirs. The threshold
+    is summed from scaled cells, so it overflows only where it exceeds every finite |D|; the
+    clamp passes NaN on to ``_finalize``.
     """
-    cells, diff, excess, flux = out[:4]
+    cells, diff, excess, flux, upper = out[:5]
+    v, c = values.reshape(-1), cells.reshape(-1)
     np.multiply(values, half_chi_h, out=cells)
-    np.add(cells[..., :-1], cells[..., 1:], out=flux)
-    np.subtract(values[..., 1:], values[..., :-1], out=diff)
+    np.add(c[:-1], c[1:], out=upper.reshape(-1)[:-1])
+    np.subtract(v[1:], v[:-1], out=diff.reshape(-1)[:-1])
     np.abs(diff, out=excess)
-    np.subtract(excess, flux, out=excess)
+    np.subtract(excess, upper, out=excess)
     np.maximum(excess, 0.0, out=excess)
-    if eps is None:
-        return np.copysign(excess, diff, out=flux)
-    # sign(D) excess + eps D, rounded as sign(D) (excess + eps |D|)
-    np.multiply(np.abs(diff, out=flux), eps, out=flux)
-    return np.copysign(np.add(excess, flux, out=flux), diff, out=flux)
+    if eps is not None:  # sign(D) excess + eps D, rounded as sign(D) (excess + eps |D|)
+        excess = np.add(excess, np.multiply(np.abs(diff, out=upper), eps, out=upper), out=upper)
+    np.copysign(excess, diff, out=upper)
+    upper[:, -1] = 0.0
+    return flux
 
 
 def _divergence(fluxes, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -227,7 +233,8 @@ def _finalize(values: np.ndarray, step: int, members) -> np.ndarray:
     step. Roundoff-level negatives are clamped to 0 in their own row of a
     copy, which is returned; clean output is returned as it is.
     """
-    if values.min() >= 0.0 and values.max() < math.inf:
+    if (values.view(np.uint64).max() < 0x7FF0000000000000  # nonnegative and finite, in one reduction
+            or values.min() >= 0.0 and values.max() < math.inf):  # -0.0 too
         return values
     values = values.copy()
     for row, vals in enumerate(values):
@@ -291,8 +298,13 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
         if implicit:
             last = None  # the batch's last linearization
         elif grid.dim == 1:
+            # per cell, for the passes over the members end to end; a lone member's stay scalars,
+            # which cost no pass over an array
+            c, d, de, e = (np.repeat(a, grid.shape[0], axis=1) if live > 1 else a.item()
+                           for a in (c[0], d, de, eps[:live]))
+            e = e if absorbs else None
             def fluxes(v):
-                _face_flux(v, c[0], e, bufs[0])
+                _face_flux(v, c, e, bufs[0])
                 return (bufs[0][4:],)
         else:
             fluxes = lambda v: _coefficient_fluxes(v, stencil, c, e, bufs)
@@ -479,7 +491,7 @@ def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepCo
     solved = None  # the reduction solved for rho in this step, and its solutions
     while runs:
         _face_flux(point, 0.5 * h * chi, None, bufs)
-        faces = _faces(bufs[2], bufs[1])
+        faces = _faces(bufs[2][:, :-1], bufs[1][:, :-1])
         if last is None or not (faces == last[0]).all():
             last = faces, _active_set_matrix(faces, chi, eps, dt, h)
         if solved is None or solved[0] is not last[1]:
@@ -548,9 +560,11 @@ def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=
                 snapshots[i].append((t, field))
 
     order = [i for i in sorted(range(len(ns)), key=lambda i: -ns[i]) if ns[i] > 0]
+    period = math.gcd(*strides, snapshot_stride)  # a member observes only at its multiples or last step
     if order:
         batch = [[seq[i] for i in order] for seq in (initials, params, dts, ns)]
         for k, state in march(*batch, controls, members=order, scheme=scheme):
-            for i, values in zip(order, state):
-                observe(i, k, values)
+            if k % period == 0 or k in ns:
+                for i, values in zip(order, state):
+                    observe(i, k, values)
     return [Trajectory(snapshots=tuple(s), records=tuple(r)) for s, r in zip(snapshots, records)]

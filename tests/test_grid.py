@@ -80,7 +80,7 @@ def face_norms(field):
     grid, values, bufs = field.grid, field.values[None], _buffers(field.grid, 1)
     if grid.dim == 1:
         _face_flux(values, 0.0, None, bufs[0])
-        return [bufs[0][1][0] / grid.spacing[0]]
+        return [bufs[0][1][0, :-1] / grid.spacing[0]]
     norms = []
 
     def spy(rho, grad_norm, chi, out=None):

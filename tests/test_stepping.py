@@ -152,6 +152,24 @@ class TestFinalizePolicy:
         out = _finalize(np.array([[1.0, -1e-16, 0.0, 0.0]]), step=1, members=[0])
         assert out.min() == 0.0
 
+    @pytest.mark.parametrize("value", [-0.0, np.inf, -np.inf, np.nan, -1e-16, 5e-324, 1.7976931348623157e308])
+    def test_edge_values(self, value):
+        # clean output is returned as it is (-0.0 and the extreme finite values included),
+        # non-finite output fails, and a roundoff negative is clamped in a copy
+        values = np.array([[1.0, 0.0, 0.5], [2.0, value, 0.25]])
+        raw = values.copy()
+        if not np.isfinite(value):
+            with pytest.raises(NumericalFailureError, match=r"non-finite.*member 1, step 3"):
+                _finalize(values, step=3, members=[0, 1])
+            return
+        out = _finalize(values, step=3, members=[0, 1])
+        if value < 0.0:
+            assert out is not values and out[1, 1] == 0.0 and not np.signbit(out[1, 1])
+            assert np.array_equal(out[0], raw[0]) and out[1, 0] == 2.0
+        else:
+            assert out is values
+        assert values.tobytes() == raw.tobytes()
+
 
 def coefficient_divergence(v, g, chi, eps):
     """div(((1 - chi rho/|grad|)_+ + eps) grad v) in coefficient form, one member, written
@@ -360,10 +378,36 @@ class TestBatchedKernel:
     def test_non_finite_threshold_is_not_clamped_away(self):
         # chi = 0 beside an inf cell makes the threshold inf*0 = NaN; the clamp keeps it
         vals = np.array([[1.0, np.inf, 0.0]])
-        bufs = (np.empty((1, 3)), *np.empty((3, 1, 2)))
+        bufs = stepping._buffers(make_grid(1, 1.0, 3), 1)[0]
         with np.errstate(invalid="ignore"):
             flux = stepping._face_flux(vals, 0.0, None, bufs)
-        assert np.isnan(flux).all() and np.isnan(bufs[2]).all()
+        assert np.isnan(flux).all() and np.isnan(bufs[2][:, :-1]).all()
+
+    @pytest.mark.parametrize("scheme,big", [("explicit", 1e300), ("semi_implicit", 1e150)])
+    def test_members_apart_across_huge_jumps(self, scheme, big, monkeypatch):
+        # the 1D kernel runs over the members end to end: zeros beside `big` and chi 3 beside
+        # chi 0 at the faces between members, whose flux must be exactly 0 and leave every
+        # row bitwise equal to its lone run
+        grid, ramp = make_grid(1, 1.0, 12), np.linspace(1.0, 0.0, 12)
+        fields = [Field.density(grid, v) for v in (ramp, big * (1.0 - 0.5 * ramp[::-1]), ramp[::-1])]
+        params = [Params(chi=3.0, eps=0.2), Params(chi=0.0, eps=0.5), Params(chi=3.0)]
+        multiple = 10.0 if scheme == "semi_implicit" else 1.0
+        dts, n_steps = [multiple * cfl_dt(grid, p.eps) for p in params], [4, 3, 2]
+        between, face_flux = [], stepping._face_flux
+
+        def flux(values, half_chi_h, eps, out):
+            result = face_flux(values, half_chi_h, eps, out)
+            between.append(out[4][:-1, -1].copy())
+            return result
+
+        monkeypatch.setattr(stepping, "_face_flux", flux)
+        rows = {(i, k): row.copy() for k, state in march(fields, params, dts, n_steps, scheme=scheme)
+                for i, row in enumerate(state)}
+        assert between and all(np.array_equal(faces, np.zeros(faces.size)) for faces in between)
+        for i, (f, p, dt, n) in enumerate(zip(fields, params, dts, n_steps)):
+            for k, state in march([f], [p], [dt], [n], scheme=scheme):
+                assert np.array_equal(rows[i, k], state[0])
+        assert rows[1, 3].max() > 0.1 * big and rows[0, 4].max() < 1.0
 
     def test_roundoff_negative_clamped_in_own_row_only(self):
         values = np.array([[1.0, -1e-16, 0.5], [2.0, 0.25, 1e-300]])
@@ -396,9 +440,9 @@ class TestBatchedKernel:
 
 def face_terms(z, chi, h):
     """The clamped excess and the cell difference that ``_face_flux`` leaves for one state."""
-    bufs = (np.empty(z.size), *np.empty((3, z.size - 1)))
-    stepping._face_flux(z, 0.5 * h * chi, None, bufs)
-    return bufs[2], bufs[1]
+    bufs = stepping._buffers(make_grid(1, 1.0, z.size), 1)[0]
+    stepping._face_flux(z[None], 0.5 * h * chi, None, bufs)
+    return bufs[2][0, :-1], bufs[1][0, :-1]
 
 
 def linearized_operator(u, excess, diff, chi, eps, dt, h):
@@ -863,6 +907,20 @@ class TestRun:
         assert len(traj.snapshots) >= 3
         times = [t for t, _ in traj.snapshots]
         assert times[0] == 0.0 and times[-1] == pytest.approx(0.002)
+
+    @pytest.mark.parametrize("strides,snapshot_stride", [((3, 7), 5), ((4, 8), 6)])
+    def test_observes_at_every_due_step(self, grid1d, strides, snapshot_stride):
+        # run observes the batch only at multiples of the strides' gcd and at last steps: every
+        # record and snapshot of a member still lands at its own stride and its last step
+        f, dt, ns = gaussian_bump(grid1d, 1.0, mass=1.0), cfl_dt(grid1d, 0.0), (23, 17)
+        t_ends = [(n - 0.5) * dt for n in ns]
+        trajs = run([f, f], [Params(chi=1.0)] * 2, StepControls(dt=dt), t_ends, diag_stride=list(strides),
+                    snapshot_stride=snapshot_stride)
+        for traj, n, stride, t_end in zip(trajs, ns, strides, t_ends):
+            def due(every):
+                return [0.0] + [k * (t_end / n) for k in range(1, n) if k % every == 0] + [t_end]
+            assert [r.time for r in traj.records] == due(stride)
+            assert [t for t, _ in traj.snapshots] == due(snapshot_stride)
 
     @pytest.mark.parametrize("kw,msg", [
         (dict(t_ends=[-1.0]), "t_end"),
