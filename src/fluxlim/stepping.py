@@ -1,8 +1,8 @@
 """Time advancement of the viscous flux-limited diffusion equation.
 
 One spatial discretization: in 1D the face flux in excess form, sign(D) (|D|/h -
-chi rho_face)_+ + eps D/h for the cell difference D, in one contiguous pass per operation
-over a batch's members end to end (``_face_flux``); in 2D a limiter coefficient per face,
+chi rho_face)_+ + eps D/h for the cell difference D, its shifted passes running over a
+batch's members end to end (``_face_flux``); in 2D a limiter coefficient per face,
 from the cell difference and sum across the face, times the normal difference quotient
 (``_coefficient_fluxes``). Both come scaled by the spacing, in the buffers of
 ``_buffers``, whose zero-padded face arrays make the divergence one subtraction
@@ -192,24 +192,26 @@ def _face_flux(values: np.ndarray, half_chi_h, eps, out) -> np.ndarray:
 
     For the cell difference D and g = D/h, h ((1 - chi rho_face/|g|)_+ + eps) g
     = sign(D) (|D| - chi h rho_face)_+ + eps D, which needs no square, root or
-    division. ``out`` opens with the (cells, D, excess, flux, upper) of the one axis of
-    ``_buffers``; each operation is one contiguous pass over the batch, the faces between members
-    included, whose flux is then reset to 0. ``half_chi_h`` (chi h/2) and ``eps`` (None: no
-    viscous term) are scalars, per-member columns or per cell, a face taking its lower cell's.
-    D and the clamped excess (positive on the limiter's active set) stay in theirs. The threshold
-    is summed from scaled cells, so it overflows only where it exceeds every finite |D|; the
-    clamp passes NaN on to ``_finalize``.
+    division. ``half_chi_h`` (chi h/2) and ``eps`` (None: no viscous term) are
+    scalars or per-member columns. ``out`` opens with the (cells, D, excess, flux, upper) of
+    the one axis of ``_buffers``; the threshold and D are one contiguous pass over the batch,
+    the faces between members included, whose flux is then reset to 0. D and the clamped
+    excess (positive on the limiter's active set) stay in theirs. Overflow is ignored, so a face
+    between members warns of nothing its members alone do not: the threshold is summed from
+    scaled cells, so it overflows only where it exceeds every finite |D| and clamps the excess to
+    0, and an overflowing eps |D| makes a non-finite flux. The clamp passes NaN on to ``_finalize``.
     """
     cells, diff, excess, flux, upper = out[:5]
     v, c = values.reshape(-1), cells.reshape(-1)
-    np.multiply(values, half_chi_h, out=cells)
-    np.add(c[:-1], c[1:], out=upper.reshape(-1)[:-1])
-    np.subtract(v[1:], v[:-1], out=diff.reshape(-1)[:-1])
-    np.abs(diff, out=excess)
-    np.subtract(excess, upper, out=excess)
-    np.maximum(excess, 0.0, out=excess)
-    if eps is not None:  # sign(D) excess + eps D, rounded as sign(D) (excess + eps |D|)
-        excess = np.add(excess, np.multiply(np.abs(diff, out=upper), eps, out=upper), out=upper)
+    with np.errstate(over="ignore"):
+        np.multiply(values, half_chi_h, out=cells)
+        np.add(c[:-1], c[1:], out=upper.reshape(-1)[:-1])
+        np.subtract(v[1:], v[:-1], out=diff.reshape(-1)[:-1])
+        np.abs(diff, out=excess)
+        np.subtract(excess, upper, out=excess)
+        np.maximum(excess, 0.0, out=excess)
+        if eps is not None:  # sign(D) excess + eps D, rounded as sign(D) (excess + eps |D|)
+            excess = np.add(excess, np.multiply(np.abs(diff, out=upper), eps, out=upper), out=upper)
     np.copysign(excess, diff, out=upper)
     upper[:, -1] = 0.0
     return flux
@@ -298,13 +300,8 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
         if implicit:
             last = None  # the batch's last linearization
         elif grid.dim == 1:
-            # per cell, for the passes over the members end to end; a lone member's stay scalars,
-            # which cost no pass over an array
-            c, d, de, e = (np.repeat(a, grid.shape[0], axis=1) if live > 1 else a.item()
-                           for a in (c[0], d, de, eps[:live]))
-            e = e if absorbs else None
             def fluxes(v):
-                _face_flux(v, c, e, bufs[0])
+                _face_flux(v, c[0], e, bufs[0])
                 return (bufs[0][4:],)
         else:
             fluxes = lambda v: _coefficient_fluxes(v, stencil, c, e, bufs)

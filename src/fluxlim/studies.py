@@ -12,7 +12,6 @@ configuration (and, for the monotonicity probe, seed). Input checks raise
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
@@ -73,16 +72,12 @@ class StudyReport:
     def all_pass(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
-    @cached_property
-    def _formatted_rows(self) -> list[str]:
-        """Each row's cells, formatted once for both renderings (floats by ``repr``)."""
-        return [",".join(repr(x) if isinstance(x, float) else str(x) for x in row) for row in self.rows]
-
     def to_text(self) -> str:
         lines = [f"study {self.kind}"]
         lines += [f"input {k} = {v}" for k, v in self.inputs]
         lines.append("columns " + ",".join(self.columns))
-        lines += ["row " + row for row in self._formatted_rows]
+        for row in self.rows:
+            lines.append("row " + ",".join(_cell(x) for x in row))
         lines += [f"note {n}" for n in self.notes]
         for v in self.verdicts:
             lines.append(f"VERDICT {v.name} {'PASS' if v.passed else 'FAIL'} ({v.detail})")
@@ -90,8 +85,14 @@ class StudyReport:
 
     def to_csv(self) -> str:
         out = [",".join(self.columns)]
-        out += self._formatted_rows
+        out += [",".join(_cell(x) for x in row) for row in self.rows]
         return "\n".join(out) + "\n"
+
+
+def _cell(x) -> str:
+    if isinstance(x, float):
+        return repr(x)
+    return str(x)
 
 
 def _fmt_list(xs) -> str:

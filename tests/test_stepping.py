@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -408,6 +410,21 @@ class TestBatchedKernel:
             for k, state in march([f], [p], [dt], [n], scheme=scheme):
                 assert np.array_equal(rows[i, k], state[0])
         assert rows[1, 3].max() > 0.1 * big and rows[0, 4].max() < 1.0
+
+    @pytest.mark.parametrize("first,second,chi,eps", [
+        ([0.0, 0.0, 0.0, 1.5e308], [1.5e308, 0.0, 0.0, 0.0], 4.0, 0.0),  # threshold 3e308
+        ([1e10] * 4, [0.0] * 4, 1.0, 1e299),  # eps |D| = 1e309
+    ])
+    def test_members_apart_without_warning(self, first, second, chi, eps):
+        # the face between the members overflows (h = 0.5, so chi 4 makes chi h/2 = 1), but
+        # each member alone overflows nowhere, so the batch must not warn either
+        grid, p = make_grid(1, 1.0, 4), Params(chi=chi, eps=eps)
+        fields, dt = [Field.density(grid, np.array(v)) for v in (first, second)], cfl_dt(grid, eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (_, state), = march(fields, [p, p], [dt, dt], [1, 1])
+            for f, row in zip(fields, state):
+                assert np.array_equal(explicit_step(f, p, dt), row)
 
     def test_roundoff_negative_clamped_in_own_row_only(self):
         values = np.array([[1.0, -1e-16, 0.5], [2.0, 0.25, 1e-300]])
