@@ -5,11 +5,11 @@ The density evolves by a diffusion flux whose coefficient
 relative to the density; an optional viscosity eps adds uniform diffusion
 plus absorption. The package provides the grid and flux kernels, explicit
 and semi-implicit steppers, the full diagnostic set (mass, Lp norms,
-moments, entropy, Fisher information, relative entropy), stationary
-profiles, and reproducible experiment harnesses (``fluxlim.studies``) with
-a CLI front end (``fluxlim.cli``). The package namespace keeps the entry
-points of a script: parse and build a config, run it, read and write
-snapshots; everything else lives in its module.
+moments, entropy, Fisher information, relative entropy), initial data
+(the stationary peaks among them), and reproducible experiment harnesses
+(``fluxlim.studies``) with a CLI front end (``fluxlim.cli``). The package
+namespace keeps the entry points of a script: parse and build a config, run
+it, read and write snapshots; everything else lives in its module.
 """
 
 from .config import ConfigError, RunConfig, build_controls, build_problem, parse_config

@@ -3,7 +3,9 @@
 The format is deliberately small: UTF-8 text, one assignment per line,
 ``#`` starts a comment, keys are known in advance and may appear once.
 Unknown keys and malformed lines are hard errors so a typo cannot silently
-fall back to a default.
+fall back to a default, and so are keys the initial condition would ignore:
+``ic_amplitude`` beside ``ic_mass``, or with ``multi_peak``. The
+stationary peaks are initial data like the others, built by ``profiles``.
 """
 
 from __future__ import annotations
@@ -14,15 +16,15 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, csv_header, csv_row, record
 from .grid import Field, Grid, load_snapshot, make_grid
-from .profiles import gaussian_bump, poly_spike, uniform_field
-from .steady import SteadyProfileSpec, sample
+from .profiles import factorized, gaussian_bump, multi_peak, poly_spike, single_peak
 from .stepping import StepControls, cfl_dt
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "build_problem", "build_controls",
-           "check_cell_steps"]
+           "check_cell_steps", "STATIONARY_KINDS"]
 
-_IC_KINDS = ("gaussian", "uniform", "spike", "single_peak", "multi_peak",
-             "factorized", "snapshot")
+# The exponential peaks, exact or O(h) fixed points of the inviscid flow: the kinds of steady check
+STATIONARY_KINDS = ("single_peak", "multi_peak", "factorized")
+_IC_KINDS = ("gaussian", "uniform", "spike", *STATIONARY_KINDS, "snapshot")
 _SCHEMES = ("explicit", "semi_implicit")
 # Work-size guard, per batch of runs: 64x the cells of the largest shipped run
 # (512^2), which bounds the memory of a batch, and over 100x its cells x time steps (7.8e7).
@@ -117,6 +119,8 @@ def _validate(cfg: RunConfig) -> None:
                 raise bad(key, f"exponents must be finite and >= 1, got {p}")
     if cfg.ic not in _IC_KINDS:
         raise bad("ic", f"must be one of {_IC_KINDS}")
+    if cfg.ic in STATIONARY_KINDS and not cfg.chi > 0.0:
+        raise bad("chi", "stationary profiles need chi > 0")
     if cfg.ic_mass is not None and not cfg.ic_mass > 0.0:
         raise bad("ic_mass", "must be positive")
     if cfg.ic_amplitude is not None and cfg.ic != "uniform" and not cfg.ic_amplitude > 0.0:
@@ -133,11 +137,17 @@ def _validate(cfg: RunConfig) -> None:
         raise bad("snapshot_stride", "must be >= 0")
     if cfg.ic == "snapshot" and not cfg.ic_path:
         raise bad("ic_path", "required when ic = snapshot")
+    if cfg.ic_amplitudes is not None and not all(np.isfinite(a) and a > 0.0 for a in cfg.ic_amplitudes):
+        raise bad("ic_amplitudes", "entries must be finite and positive")
     if cfg.ic == "multi_peak":
+        if cfg.dim != 1:
+            raise bad("dim", "multi_peak profiles are one-dimensional")
         if cfg.ic_centers is None or cfg.ic_amplitudes is None:
             raise bad("ic_centers", "multi_peak needs ic_centers and ic_amplitudes")
         if len(cfg.ic_centers) != len(cfg.ic_amplitudes):
             raise bad("ic_amplitudes", "must match ic_centers in length")
+        if cfg.ic_amplitude is not None:
+            raise bad("ic_amplitude", "multi_peak takes its amplitudes from ic_amplitudes")
     for w in cfg.spike_widths:
         if not w > 0.0:
             raise bad("spike_widths", "widths must be positive")
@@ -243,27 +253,17 @@ def _build_problem(cfg: RunConfig) -> tuple[Grid, Field]:
 
     if cfg.ic == "uniform":
         value = 1.0 if cfg.ic_amplitude is None else cfg.ic_amplitude
-        return grid, uniform_field(grid, value)
-    if cfg.ic == "gaussian":
-        if cfg.ic_amplitude is not None and cfg.ic_mass is not None:
-            raise ConfigError("invalid value for 'ic_amplitude': give mass or amplitude, not both")
-        mass = cfg.ic_mass if (cfg.ic_mass is not None or cfg.ic_amplitude is not None) else 1.0
-        return grid, gaussian_bump(grid, cfg.ic_width, center=center, mass=mass,
-                                   amplitude=cfg.ic_amplitude)
+        return grid, Field.density(grid, np.full(grid.shape, float(value)))
     if cfg.ic == "spike":
         return grid, poly_spike(grid, cfg.ic_width, cfg.ic_p, center=center, p_norm=cfg.ic_pnorm)
-
-    if cfg.chi <= 0.0:
-        raise ConfigError("invalid value for 'chi': steady profiles need chi > 0")
     if cfg.ic == "multi_peak":
-        peaks = tuple((a, (c,)) for a, c in zip(cfg.ic_amplitudes, cfg.ic_centers))
-        spec = SteadyProfileSpec(kind="multi_peak", chi=cfg.chi, peaks=peaks,
-                                 target_mass=cfg.ic_mass)
-    else:
-        amp = cfg.ic_amplitude if cfg.ic_amplitude is not None else 1.0
-        mass = cfg.ic_mass
-        if cfg.ic_amplitude is None and mass is None:
-            mass = 1.0
-        spec = SteadyProfileSpec(kind=cfg.ic, chi=cfg.chi, peaks=((amp, center),),
-                                 target_mass=mass)
-    return grid, sample(spec, grid)
+        return grid, multi_peak(grid, cfg.chi, cfg.ic_centers, cfg.ic_amplitudes, cfg.ic_mass)
+
+    if cfg.ic_amplitude is not None and cfg.ic_mass is not None:
+        raise ConfigError("invalid value for 'ic_amplitude': give mass or amplitude, not both")
+    mass = 1.0 if cfg.ic_mass is None and cfg.ic_amplitude is None else cfg.ic_mass
+    if cfg.ic == "gaussian":
+        return grid, gaussian_bump(grid, cfg.ic_width, center=center, mass=mass,
+                                   amplitude=cfg.ic_amplitude)
+    peak = single_peak if cfg.ic == "single_peak" else factorized
+    return grid, peak(grid, cfg.chi, center, 1.0 if cfg.ic_amplitude is None else cfg.ic_amplitude, mass)

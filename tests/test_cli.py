@@ -517,13 +517,15 @@ class TestConfigFuzz:
         (("study", "contraction"), "dim = 2\ncells = 8"),
         (("simulate",), "scheme = semi_implicit\ndt = 0.002"),
         (("steady", "check"), "dim = 2\ncells = 8\nic = single_peak"),
+        (("steady", "check"), "ic = multi_peak\nic_centers = -1 2\nic_amplitudes = 1 0.5"),
+        (("simulate",), "dim = 2\ncells = 8\nic = factorized"),
     ]
 
     def test_exit_codes(self, tmp_path, capsys):
         keys = [f.name for f in fields(RunConfig)]
         rng = np.random.default_rng(2026)
         small = BASE_CFG.replace("cells = 120", "cells = 16")
-        for case in range(270):
+        for case in range(30 * len(self.BASES)):
             command, base = self.BASES[case % len(self.BASES)]
             entries = dict(line.split(" = ") for line in (small + base).splitlines())
             for key in rng.choice(keys, size=rng.integers(1, 4), replace=False):

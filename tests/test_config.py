@@ -64,6 +64,13 @@ class TestParseConfig:
         ("dim = 2\ncells = 5000", "cells"),
         ("t_end = 1e300", "t_end"),
         ("cells = 4000\nt_end = 1e4", "t_end"),
+        ("ic = multi_peak\nic_centers = 0 1\nic_amplitudes = 1 -0.5", "ic_amplitudes"),
+        ("ic = multi_peak\nic_centers = 0 1\nic_amplitudes = 1 nan", "ic_amplitudes"),
+        ("ic = multi_peak\nic_centers = 0\nic_amplitudes = inf", "ic_amplitudes"),
+        ("dim = 2\ncells = 8\nic = multi_peak\nic_centers = 0\nic_amplitudes = 1", "dim"),
+        ("chi = 0\nbox_halfwidth = 5\nic = single_peak", "chi"),
+        ("chi = 0\nbox_halfwidth = 5\nic = factorized", "chi"),
+        ("ic = multi_peak\nic_centers = 0\nic_amplitudes = 1\nic_amplitude = 7", "ic_amplitude"),
     ])
     def test_validation_names_key(self, line, key):
         with pytest.raises(ConfigError, match=key):
@@ -204,6 +211,19 @@ class TestBuildProblem:
         cfg = parse_config("ic = gaussian\nic_mass = 1.0\nic_amplitude = 1.0\ncells = 32\n")
         with pytest.raises(ConfigError, match="not both"):
             build_problem(cfg)
+
+    @pytest.mark.parametrize("ic", ["single_peak", "factorized"])
+    def test_peak_mass_and_amplitude_conflict(self, ic):
+        # the mass rescaling would undo the amplitude to the last ulp
+        cfg = parse_config(f"ic = {ic}\nic_mass = 3.0\nic_amplitude = 2.5\ncells = 32\n")
+        with pytest.raises(ConfigError, match="'ic_amplitude'.*not both"):
+            build_problem(cfg)
+
+    @pytest.mark.parametrize("ic", ["single_peak", "factorized"])
+    def test_peak_amplitude_without_mass(self, ic):
+        cfg = parse_config(f"dim = 2\nbox_halfwidth = 5\nic = {ic}\nic_amplitude = 2.5\ncells = 32\n")
+        _, field, _ = build_problem(cfg)
+        assert field.values.max() == 2.5  # the kink is snapped onto a cell center
 
     def test_snapshot_roundtrip(self, tmp_path):
         cfg0 = parse_config("cells = 64\nic = gaussian\n")

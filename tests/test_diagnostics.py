@@ -13,7 +13,7 @@ from fluxlim.diagnostics import (
 )
 from fluxlim.grid import Field, Grid, make_grid
 from fluxlim.limiter import limiter
-from fluxlim.steady import SteadyProfileSpec, sample
+from fluxlim.profiles import single_peak
 
 
 def unit_measure_grid(n=100):
@@ -43,7 +43,7 @@ class TestRecord:
         vals = {}
         for n in (1000, 2000):
             g = make_grid(1, 5.0, n)
-            peak = sample(SteadyProfileSpec("single_peak", chi, ((1.0, (0.0,)),), 1.0), g)
+            peak = single_peak(g, chi, 0.0, mass=1.0)
             vals[n] = record(peak).fisher
         assert vals[1000] == pytest.approx(chi**2 * 1.0, abs=0.02)
         # kink error is first order: halving h halves the defect
@@ -169,16 +169,16 @@ class TestDissipationTerms:
         # frozen at n = 500 (values are O(h^4) and O(h^2) respectively: the
         # continuum dissipation of an exact steady pair vanishes)
         g = make_grid(1, 5.0, 500)
-        u = sample(SteadyProfileSpec("single_peak", 1.0, ((1.0, (0.0,)),), 1.0), g)
-        v = sample(SteadyProfileSpec("single_peak", 1.0, ((1.0, (1.0,)),), 1.0), g)
+        u = single_peak(g, 1.0, 0.0, mass=1.0)
+        v = single_peak(g, 1.0, 1.0, mass=1.0)
         d1, d2 = pair_probe(u, v, chi=1.0)[1:3]
         assert d1 > 0.0 and d2 > 0.0
         assert d1 == pytest.approx(3.059964972644724e-11, rel=1e-6)
         assert d2 == pytest.approx(8.348460839234288e-05, rel=1e-6)
         # refinement: D2 shrinks at second order, D1 at least fourth
         g2 = make_grid(1, 5.0, 1000)
-        u2 = sample(SteadyProfileSpec("single_peak", 1.0, ((1.0, (0.0,)),), 1.0), g2)
-        v2 = sample(SteadyProfileSpec("single_peak", 1.0, ((1.0, (1.0,)),), 1.0), g2)
+        u2 = single_peak(g2, 1.0, 0.0, mass=1.0)
+        v2 = single_peak(g2, 1.0, 1.0, mass=1.0)
         e1, e2 = pair_probe(u2, v2, chi=1.0)[1:3]
         assert 0.2 <= e2 / d2 <= 0.32
         assert e1 / d1 <= 0.1
@@ -187,8 +187,8 @@ class TestDissipationTerms:
         # independent per-cell evaluation of the same integrals
         chi = 1.0
         g = make_grid(1, 5.0, 120)
-        u = sample(SteadyProfileSpec("single_peak", chi, ((1.0, (0.0,)),), 1.0), g)
-        v = sample(SteadyProfileSpec("single_peak", chi, ((1.0, (1.0,)),), 1.0), g)
+        u = single_peak(g, chi, 0.0, mass=1.0)
+        v = single_peak(g, chi, 1.0, mass=1.0)
         d1, d2 = pair_probe(u, v, chi=chi)[1:3]
         h = g.spacing[0]
         a, b = u.values, v.values

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fluxlim.config import ConfigError, build_problem, parse_config
 from fluxlim.grid import integrate, make_grid
-from fluxlim.profiles import gaussian_bump, poly_spike, uniform_field
+from fluxlim.profiles import gaussian_bump, poly_spike
 
 
 class TestGaussianBump:
@@ -63,11 +64,10 @@ class TestPolySpike:
 
 class TestUniformField:
     def test_value(self):
-        g = make_grid(2, 1.0, 8)
-        f = uniform_field(g, 0.75)
-        assert np.all(f.values == 0.75)
+        cfg = parse_config("dim = 2\nbox_halfwidth = 1\ncells = 8\nic = uniform\nic_amplitude = 0.75\n")
+        _, f, _ = build_problem(cfg)
+        assert f.values.shape == (8, 8) and np.all(f.values == 0.75)
 
     def test_negative_rejected(self):
-        g = make_grid(1, 1.0, 8)
-        with pytest.raises(ValueError):
-            uniform_field(g, -0.1)
+        with pytest.raises(ConfigError, match="ic_amplitude"):
+            parse_config("ic = uniform\nic_amplitude = -0.1\n")

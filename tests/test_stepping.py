@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from fluxlim import stepping
 from fluxlim.grid import Field, make_grid
 from fluxlim.limiter import Params, limiter
-from fluxlim.profiles import gaussian_bump, poly_spike, uniform_field
-from fluxlim.steady import SteadyProfileSpec, sample
+from fluxlim.profiles import factorized, gaussian_bump, multi_peak, poly_spike, single_peak
 from fluxlim.stepping import (
     CflViolationError,
     NumericalFailureError,
@@ -85,13 +84,13 @@ class TestStepControls:
 
 class TestStepExplicit:
     def test_uniform_invariant_bitwise(self, grid1d):
-        f = uniform_field(grid1d, 1.7)
+        f = Field.density(grid1d, np.full(grid1d.shape, 1.7))
         out = explicit_step(f, Params(chi=1.0), cfl_dt(grid1d, 0.0))
         assert np.array_equal(out, f.values)
 
     def test_uniform_absorption_exact(self, grid1d):
         eps, dt = 0.8, 1e-4
-        f = uniform_field(grid1d, 2.5)
+        f = Field.density(grid1d, np.full(grid1d.shape, 2.5))
         out = explicit_step(f, Params(chi=1.0, eps=eps), dt)
         assert np.allclose(out, 2.5 * (1.0 - eps * dt), rtol=1e-15)
 
@@ -309,7 +308,7 @@ class TestBatchedKernel:
     def test_2d_peak_fixed_beside_moving_gaussian(self):
         grid = make_grid(2, 3.0, 24)
         # half-rate single peak: every face sub-critical for chi = 1
-        peak = sample(SteadyProfileSpec("single_peak", 0.5, ((1.0, (0.0, 0.0)),)), grid)
+        peak = single_peak(grid, 0.5, (0.0, 0.0))
         bump = gaussian_bump(grid, 0.4, mass=1.0)
         params = [Params(chi=1.0), Params(chi=1.0, eps=0.2)]
         dts = [cfl_dt(grid, 0.2)] * 2
@@ -484,7 +483,11 @@ def test_sampled_1d_peaks_stay_bitwise_fixed(kind, peaks, chi_h):
     # every face of a sampled peak is sub-critical (2 tanh(chi h/2) < chi h), so the excess is <= 0
     grid = make_grid(1, 5.0, 400)
     chi = chi_h / grid.spacing[0]
-    peak = sample(SteadyProfileSpec(kind, chi, peaks), grid)
+    amps, centers = zip(*peaks)
+    if kind == "single_peak":
+        peak = single_peak(grid, chi, centers[0], amps[0])
+    else:
+        peak = multi_peak(grid, chi, centers, amps)
     for _, state in march([peak], [Params(chi=chi)], [cfl_dt(grid, 0.0)], [50]):
         assert np.array_equal(state[0], peak.values)
 
@@ -495,7 +498,7 @@ def test_sampled_2d_factorized_peak_stays_bitwise_fixed(chi):
     # rate is stationary only to O(h) (the steady check's allowance); at 0.9 of it every face
     # is sub-critical (the single peak is TestBatchedKernel::test_2d_peak_fixed_beside_moving_gaussian)
     grid = make_grid(2, 3.0, 32)
-    peak = sample(SteadyProfileSpec("factorized", 0.9 * chi, ((1.0, (0.2, -0.4)),)), grid)
+    peak = factorized(grid, 0.9 * chi, (0.2, -0.4))
     for _, state in march([peak], [Params(chi=chi)], [cfl_dt(grid, 0.0)], [50]):
         assert np.array_equal(state[0], peak.values)
 
@@ -528,7 +531,7 @@ def test_explicit_2d_structure(case):
 class TestStepSemiImplicit:
     def test_uniform_fixed_point_value(self, grid1d):
         eps, dt = 0.5, 0.1
-        f = uniform_field(grid1d, 2.0)
+        f = Field.density(grid1d, np.full(grid1d.shape, 2.0))
         out, trace = implicit_solve(f, Params(chi=1.0, eps=eps), dt)
         assert np.allclose(out, 2.0 / (1.0 + eps * dt), rtol=1e-11)
         assert len(trace) <= 3  # hits the fixed point after one pass
