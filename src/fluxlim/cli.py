@@ -72,12 +72,12 @@ def _report(study, inputs, out: str | None) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, args)
+    _, initial, first = build_problem(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    _, initial, first = build_problem(cfg)
     traj, = run([initial], [Params(cfg.chi, cfg.eps)], build_controls(cfg), [cfg.t_end],
                 diag_stride=cfg.diag_stride, p_set=cfg.p_set, grad_p_set=cfg.grad_p_set,
-                scheme=cfg.scheme, snapshot_stride=cfg.snapshot_stride, initial_records=[first])
+                snapshot_stride=cfg.snapshot_stride, initial_records=[first])
     lines = [csv_header(cfg.p_set, cfg.grad_p_set)]
     lines += [csv_row(rec) for rec in traj.records]
     (out / "diagnostics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

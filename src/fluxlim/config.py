@@ -4,8 +4,10 @@ The format is deliberately small: UTF-8 text, one assignment per line,
 ``#`` starts a comment, keys are known in advance and may appear once.
 Unknown keys and malformed lines are hard errors so a typo cannot silently
 fall back to a default, and so are keys the initial condition would ignore:
-``ic_amplitude`` beside ``ic_mass``, or with ``multi_peak``. The
-stationary peaks are initial data like the others, built by ``profiles``.
+an ``ic_*`` key that the chosen ``ic`` kind does not read (``_IC_KEYS``), or
+``ic_amplitude`` beside ``ic_mass``. The stationary peaks are initial data like
+the others, built by ``profiles``. The stepping tolerances that no run varies,
+the CFL safety factor and the Picard sweep cap, are constants of ``stepping``.
 """
 
 from __future__ import annotations
@@ -17,15 +19,23 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, csv_header, csv_row, record
 from .grid import Field, Grid, load_snapshot, make_grid
 from .profiles import factorized, gaussian_bump, multi_peak, poly_spike, single_peak
-from .stepping import StepControls, cfl_dt
+from .stepping import _SCHEMES, StepControls, cfl_dt
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "build_problem", "build_controls",
            "check_cell_steps", "STATIONARY_KINDS"]
 
 # The exponential peaks, exact or O(h) fixed points of the inviscid flow: the kinds of steady check
 STATIONARY_KINDS = ("single_peak", "multi_peak", "factorized")
-_IC_KINDS = ("gaussian", "uniform", "spike", *STATIONARY_KINDS, "snapshot")
-_SCHEMES = ("explicit", "semi_implicit")
+# Each ic kind and the ic_* keys it reads; a config may set no other ic_* key
+_IC_KEYS = {
+    "gaussian": ("ic_mass", "ic_amplitude", "ic_width", "ic_center"),
+    "uniform": ("ic_amplitude",),
+    "spike": ("ic_width", "ic_center", "ic_p", "ic_pnorm"),
+    "single_peak": ("ic_mass", "ic_amplitude", "ic_center"),
+    "multi_peak": ("ic_mass", "ic_centers", "ic_amplitudes"),
+    "factorized": ("ic_mass", "ic_amplitude", "ic_center"),
+    "snapshot": ("ic_path",),
+}
 # Work-size guard, per batch of runs: 64x the cells of the largest shipped run
 # (512^2), which bounds the memory of a batch, and over 100x its cells x time steps (7.8e7).
 _MAX_CELLS = 4096**2
@@ -47,9 +57,7 @@ class RunConfig:
     eps: float = 0.0
     scheme: str = "explicit"
     dt: float | None = None
-    cfl_safety: float = 0.45
     picard_tol: float = 1e-10
-    picard_max_iter: int = 200
     t_end: float = 1.0
     diag_stride: int = 10
     p_set: tuple[float, ...] = (2.0, 4.0)
@@ -69,7 +77,6 @@ class RunConfig:
     snapshot_stride: int = 0
     eps_list: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0)
     spike_widths: tuple[float, ...] = (0.8, 0.4, 0.2)
-    study_p: float = 4.0
 
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
@@ -102,23 +109,19 @@ def _validate(cfg: RunConfig) -> None:
         raise bad("scheme", f"must be one of {_SCHEMES}")
     if cfg.dt is not None and not (np.isfinite(cfg.dt) and cfg.dt > 0.0):
         raise bad("dt", "must be finite and positive")
-    if not (0.0 < cfg.cfl_safety <= 1.0):
-        raise bad("cfl_safety", "must lie in (0, 1]")
     if not cfg.picard_tol > 0.0:
         raise bad("picard_tol", "must be positive")
-    if cfg.picard_max_iter < 1:
-        raise bad("picard_max_iter", "must be >= 1")
     if not (np.isfinite(cfg.t_end) and cfg.t_end >= 0.0):
         raise bad("t_end", "must be finite and >= 0")
     if cfg.diag_stride < 1:
         raise bad("diag_stride", "must be >= 1")
     # no p = inf: the sup column is always reported, and a spike's Lp norm would read 0**0 = 1
-    for key in ("p_set", "grad_p_set", "ic_p", "study_p"):
+    for key in ("p_set", "grad_p_set", "ic_p"):
         for p in np.atleast_1d(getattr(cfg, key)):
             if not (np.isfinite(p) and p >= 1.0):
                 raise bad(key, f"exponents must be finite and >= 1, got {p}")
-    if cfg.ic not in _IC_KINDS:
-        raise bad("ic", f"must be one of {_IC_KINDS}")
+    if cfg.ic not in _IC_KEYS:
+        raise bad("ic", f"must be one of {tuple(_IC_KEYS)}")
     if cfg.ic in STATIONARY_KINDS and not cfg.chi > 0.0:
         raise bad("chi", "stationary profiles need chi > 0")
     if cfg.ic_mass is not None and not cfg.ic_mass > 0.0:
@@ -146,13 +149,11 @@ def _validate(cfg: RunConfig) -> None:
             raise bad("ic_centers", "multi_peak needs ic_centers and ic_amplitudes")
         if len(cfg.ic_centers) != len(cfg.ic_amplitudes):
             raise bad("ic_amplitudes", "must match ic_centers in length")
-        if cfg.ic_amplitude is not None:
-            raise bad("ic_amplitude", "multi_peak takes its amplitudes from ic_amplitudes")
     for w in cfg.spike_widths:
         if not w > 0.0:
             raise bad("spike_widths", "widths must be positive")
     if cfg.ic != "snapshot":  # a snapshot brings its own grid, checked by build_problem
-        dt = cfg.dt or cfl_dt(make_grid(cfg.dim, _half_width(cfg), cfg.cells), cfg.eps, cfg.cfl_safety)
+        dt = cfg.dt or cfl_dt(make_grid(cfg.dim, _half_width(cfg), cfg.cells), cfg.eps)
         check_cell_steps(cfg.cells**cfg.dim, cfg.t_end, dt)
 
 
@@ -190,16 +191,14 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: cannot parse value for '{key}': {exc}") from None
     cfg = replace(RunConfig(), **seen)
     _validate(cfg)
+    unread = [key for key in seen if key.startswith("ic_") and key not in _IC_KEYS[cfg.ic]]
+    if unread:
+        raise ConfigError(f"invalid value for '{unread[0]}': ic = {cfg.ic} does not read it")
     return cfg
 
 
 def build_controls(cfg: RunConfig) -> StepControls:
-    return StepControls(
-        dt=cfg.dt,
-        cfl_safety=cfg.cfl_safety,
-        picard_tol=cfg.picard_tol,
-        picard_max_iter=cfg.picard_max_iter,
-    )
+    return StepControls(scheme=cfg.scheme, dt=cfg.dt, picard_tol=cfg.picard_tol)
 
 
 def _center(cfg: RunConfig) -> tuple[float, ...]:
@@ -226,7 +225,7 @@ def build_problem(cfg: RunConfig) -> tuple[Grid, Field, DiagnosticsRecord]:
         raise ConfigError(f"cannot build the initial condition: {exc}") from None
     if cfg.scheme == "semi_implicit" and grid.dim != 1:
         raise ConfigError(f"invalid value for 'scheme': semi_implicit is 1D only, the grid is {grid.dim}D")
-    ceiling = cfl_dt(grid, cfg.eps, cfg.cfl_safety)
+    ceiling = cfl_dt(grid, cfg.eps)
     if not ceiling > 0.0:
         raise ConfigError(f"the CFL step safety*h^2/(2d(1+eps)) underflows to 0 "
                           f"(h = {min(grid.spacing)}, eps = {cfg.eps})")

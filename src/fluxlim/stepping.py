@@ -9,17 +9,19 @@ from the cell difference and sum across the face, times the normal difference qu
 per axis (``_divergence``).
 
 ``march`` steps a batch of members on one grid, each with its own chi, eps, dt
-and step count, by either of two schemes; ``run`` steps through it.
+and step count, by the scheme of its ``StepControls``; ``run`` steps through it.
 
-  * explicit: forward Euler under the diffusive CFL restriction. The effective
-    face coefficients lie in [0, 1 + eps], so each update is a convex combination
+  * explicit: forward Euler under the diffusive CFL restriction (``cfl_dt``, the
+    fraction ``_CFL_SAFETY`` of the stability bound). The effective face
+    coefficients lie in [0, 1 + eps], so each update is a convex combination
     plus an absorption factor; positivity and the Lp decay carry over exactly.
   * semi-implicit, 1D only: backward Euler, by sweeps (``step_semi_implicit``)
     that linearize the flux at the previous iterate on the active set (positive
     excess) and gradient sign of ``_face_flux`` (semi-smooth Newton), each a
     tridiagonal system solved exactly by cyclic reduction (``_Reduction``), in
-    about two sweeps. The members sweep together, and only a sweep that changes
-    an active set reduces the matrices again. No step-size restriction.
+    about two sweeps, and at most ``_PICARD_MAX_ITER``. The members sweep together,
+    and only a sweep that changes an active set reduces the matrices again. No
+    step-size restriction.
 
 The boundary is the no-flux box of the grid module; the absorption term
 -eps*rho makes the total mass follow the product law prod(1 - eps*dt_k).
@@ -41,6 +43,9 @@ __all__ = ["StepControls", "Trajectory", "CflViolationError", "NumericalFailureE
            "PicardDivergenceError", "cfl_dt", "march", "time_mesh", "run"]
 
 
+_SCHEMES = ("explicit", "semi_implicit")
+_CFL_SAFETY = 0.45  # the explicit step's fraction of the heat-equation stability bound
+_PICARD_MAX_ITER = 200  # accepted sweeps of one semi-implicit step before it fails
 _NEG_TOL = 1e-13  # roundoff allowance of a step's negatives, relative to the member's sup norm
 _DENSE = 31  # cyclic reduction leaves at most this many unknowns to a dense inverse
 
@@ -50,17 +55,20 @@ class CflViolationError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A step produced non-finite or impossibly negative values; ``march``
-    sets ``step`` and ``time`` of a failing semi-implicit step, which end the message.
-    ``row`` is the failing member's position in a semi-implicit batch."""
+    """A step produced non-finite or impossibly negative values. ``row`` is the failing
+    member's position in its batch; ``march`` sets the ``member`` it names, the ``step``
+    and the member's ``time`` after it, which end the message."""
 
+    row: int | None = None
+    member: int | None = None
     step: int | None = None
     time: float | None = None
-    row: int | None = None
 
     def __str__(self) -> str:
         text = super().__str__()
-        return text if self.step is None else f"{text} at step {self.step}, t = {self.time!r}"
+        if self.step is None:
+            return text
+        return f"{text} (member {self.member}, step {self.step}, t = {self.time!r})"
 
 
 class PicardDivergenceError(NumericalFailureError):
@@ -75,22 +83,20 @@ class PicardDivergenceError(NumericalFailureError):
 
 @dataclass(frozen=True)
 class StepControls:
-    """Scheme controls; ``dt = None`` lets ``run`` pick the CFL step."""
+    """Scheme controls: ``scheme`` is ``explicit`` or ``semi_implicit``, and ``dt = None``
+    lets ``run`` pick the CFL step."""
 
+    scheme: str = "explicit"
     dt: float | None = None
-    cfl_safety: float = 0.45
     picard_tol: float = 1e-10
-    picard_max_iter: int = 200
 
     def __post_init__(self) -> None:
+        if self.scheme not in _SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if not self.picard_tol > 0.0:
             raise ValueError("picard_tol must be positive")
-        if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -105,18 +111,16 @@ class Trajectory:
         return self.snapshots[-1][1]
 
 
-def cfl_dt(grid: Grid, eps: float, safety: float = 0.45) -> float:
-    """Explicit stability ceiling safety * h_min^2 / (2 d (1 + eps)).
+def cfl_dt(grid: Grid, eps: float) -> float:
+    """Explicit stability ceiling safety * h_min^2 / (2 d (1 + eps)), safety = ``_CFL_SAFETY``.
 
     The face coefficients never exceed 1 + eps, so the constant-coefficient
     heat bound dominates every admissible state.
     """
-    if not (0.0 < safety <= 1.0):
-        raise ValueError(f"safety must lie in (0, 1], got {safety}")
     if not (np.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     h_min = min(grid.spacing)
-    return safety * h_min * h_min / (2.0 * grid.dim * (1.0 + eps))
+    return _CFL_SAFETY * h_min * h_min / (2.0 * grid.dim * (1.0 + eps))
 
 
 def time_mesh(t_end: float, dt_req: float) -> tuple[float, int]:
@@ -227,12 +231,12 @@ def _divergence(fluxes, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finalize(values: np.ndarray, step: int, members) -> np.ndarray:
+def _finalize(values: np.ndarray) -> np.ndarray:
     """Check the raw output of a step, one member per leading row.
 
     Non-finite values, and negative values beyond ``_NEG_TOL`` times the
-    member's sup norm, raise ``NumericalFailureError`` naming the member and
-    step. Roundoff-level negatives are clamped to 0 in their own row of a
+    member's sup norm, raise ``NumericalFailureError`` with the first such
+    row. Roundoff-level negatives are clamped to 0 in their own row of a
     copy, which is returned; clean output is returned as it is.
     """
     if (values.view(np.uint64).max() < 0x7FF0000000000000  # nonnegative and finite, in one reduction
@@ -240,44 +244,40 @@ def _finalize(values: np.ndarray, step: int, members) -> np.ndarray:
         return values
     values = values.copy()
     for row, vals in enumerate(values):
-        where = f"member {members[row]}, step {step}"
         lowest, highest = float(vals.min()), float(vals.max())
         if not (math.isfinite(lowest) and math.isfinite(highest)):
-            raise NumericalFailureError(f"non-finite value produced by a time step ({where})")
+            raise _failure("non-finite value produced by a time step", row)
         floor = -_NEG_TOL * max(highest, -lowest, 1e-300)
         if lowest < floor:
-            raise NumericalFailureError(
-                f"negative density {lowest} beyond the roundoff floor {floor} ({where})"
-            )
+            raise _failure(f"negative density {lowest} beyond the roundoff floor {floor}", row)
         if lowest < 0.0:
             np.maximum(vals, 0.0, out=vals)
     return values
 
 
-def march(initials, params, dts, n_steps, controls: StepControls = StepControls(), members=None,
-          scheme: str = "explicit"):
-    """Advance member runs on one grid as one batch of ``scheme`` steps.
+def march(initials, params, dts, n_steps, controls: StepControls = StepControls(), members=None):
+    """Advance member runs on one grid as one batch of ``controls.scheme`` steps.
 
     Member i takes ``n_steps[i]`` steps of ``dts[i]`` with ``params[i]``; members
     must come in non-increasing ``n_steps`` order. An explicit step is the update
     rho + dt*div((a+eps) grad rho) - dt*eps*rho of every member at once, and a dt
     above any member's CFL ceiling raises ``CflViolationError`` up front. A
     semi-implicit step (1D only) solves all members at once by ``step_semi_implicit``,
-    handing on the previous step's last linearization; a failing solve is tagged
-    with its step and its member's time. Yields ``(k, state)`` after every step k,
-    where ``state`` stacks the members still running, which are always a prefix; it
-    is a work buffer that the next step overwrites. Every step is checked for
-    finiteness and negativity; errors name members by ``members`` (default: their
-    positions).
+    handing on the previous step's last linearization. Yields ``(k, state)`` after
+    every step k, where ``state`` stacks the members still running, which are always
+    a prefix; it is a work buffer that the next step overwrites. Every step is checked
+    for finiteness and negativity. A failing step raises ``NumericalFailureError``
+    tagged with its step, its member's time and the member, named by ``members``
+    (default: their positions), as a CFL violation is.
     """
     if any(b > a for a, b in zip(n_steps, n_steps[1:])):
         raise ValueError("members must come in non-increasing n_steps order")
-    grid, implicit = initials[0].grid, scheme == "semi_implicit"
+    grid, implicit = initials[0].grid, controls.scheme == "semi_implicit"
     members = range(len(initials)) if members is None else members
     if implicit and grid.dim != 1:
         raise ValueError(f"the semi-implicit scheme is 1D only, got a {grid.dim}D grid")
     for name, p, dt in zip(members, params, dts):
-        ceiling = cfl_dt(grid, p.eps, controls.cfl_safety)
+        ceiling = cfl_dt(grid, p.eps)
         if not implicit and dt > ceiling * (1.0 + 1e-9):
             raise CflViolationError(f"dt = {dt} exceeds the CFL ceiling {ceiling} (member {name})")
     col = (-1,) + (1,) * grid.dim
@@ -307,22 +307,22 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
             fluxes = lambda v: _coefficient_fluxes(v, stencil, c, e, bufs)
         while k < n_steps[live - 1]:
             k += 1
-            if implicit:
-                try:
+            try:
+                if implicit:
                     nxt[:], _, last = step_semi_implicit(cur, chi[:live], eps[:live], dt[:live], h, controls,
                                                          bufs[0], last)
-                except NumericalFailureError as exc:
-                    exc.step, exc.time = k, k * dts[exc.row]
-                    raise
-            else:
-                _divergence(fluxes(cur), nxt, bufs[0][0])
-                # (rho + dt*div) - (dt*eps)*rho in this order, so every member is
-                # bitwise a lone run; with all eps = 0 the last term is +0.0, a no-op
-                np.multiply(d, nxt, out=nxt)
-                np.add(cur, nxt, out=nxt)
-                if absorbs:
-                    np.subtract(nxt, np.multiply(de, cur, out=bufs[0][0]), out=nxt)
-            cur, nxt = _finalize(nxt, k, members), cur
+                else:
+                    _divergence(fluxes(cur), nxt, bufs[0][0])
+                    # (rho + dt*div) - (dt*eps)*rho in this order, so every member is
+                    # bitwise a lone run; with all eps = 0 the last term is +0.0, a no-op
+                    np.multiply(d, nxt, out=nxt)
+                    np.add(cur, nxt, out=nxt)
+                    if absorbs:
+                        np.subtract(nxt, np.multiply(de, cur, out=bufs[0][0]), out=nxt)
+                cur, nxt = _finalize(nxt), cur
+            except NumericalFailureError as exc:
+                exc.member, exc.step, exc.time = members[exc.row], k, k * dts[exc.row]
+                raise
             yield k, cur
         state = cur
 
@@ -368,7 +368,8 @@ class _Reduction:
             try:
                 self.inverse = np.linalg.inv(base)
             except np.linalg.LinAlgError as exc:
-                raise _failure("tridiagonal solve failed: singular matrix", np.linalg.det(base) == 0.0) from exc
+                raise _failure("tridiagonal solve failed: singular matrix",
+                               np.argmax(np.linalg.det(base) == 0.0)) from exc
 
     def solve(self, rhs) -> np.ndarray:
         """The solutions for the rows of ``rhs``, worked out in place in one array: row i of
@@ -394,14 +395,14 @@ class _Reduction:
         x = x[1:].reshape(self.rows, self.width)[:, :self.n]
         finite = np.isfinite(x).all(axis=1)
         if not finite.all():
-            raise _failure("non-finite value produced by the implicit solve", ~finite)
+            raise _failure("non-finite value produced by the implicit solve", np.argmax(~finite))
         return x
 
 
-def _failure(message: str, rows) -> NumericalFailureError:
-    """The error ``message`` of the first row where ``rows`` is true."""
+def _failure(message: str, row) -> NumericalFailureError:
+    """The error ``message`` of the batch's row ``row``."""
     exc = NumericalFailureError(message)
-    exc.row = int(np.argmax(rows))
+    exc.row = int(row)
     return exc
 
 
@@ -442,7 +443,8 @@ def _iteration(rho: np.ndarray, controls: StepControls):
     its residual drops below the current one, halving theta otherwise (down to 1/64).
     The backtracking guards against threshold flicker (faces hopping across the
     limiter cutoff between sweeps) at large dt; it never moves the fixed point, and
-    theta stays at 1 whenever plain iteration contracts.
+    theta stays at 1 whenever plain iteration contracts. A residual still above
+    ``picard_tol`` after ``_PICARD_MAX_ITER`` accepted updates raises ``PicardDivergenceError``.
     """
     def sweep(z: np.ndarray):
         sol = yield z
@@ -453,9 +455,10 @@ def _iteration(rho: np.ndarray, controls: StepControls):
     mapped, residual = yield from sweep(z)
     trace = [residual]
     theta = 1.0
-    for _ in range(controls.picard_max_iter):
-        if residual <= controls.picard_tol:
-            return mapped, trace
+    while residual > controls.picard_tol:
+        if len(trace) > _PICARD_MAX_ITER:  # the first sweep and the accepted updates
+            raise PicardDivergenceError(f"Picard iteration exceeded {_PICARD_MAX_ITER} sweeps "
+                                        f"(last fixed-point residual {residual})", residual, trace)
         theta = min(1.0, 1.5 * theta)  # remember the working relaxation level
         while True:
             cand = z + theta * (mapped - z)
@@ -465,9 +468,7 @@ def _iteration(rho: np.ndarray, controls: StepControls):
             theta *= 0.5
         z, mapped, residual = cand, cand_mapped, cand_residual
         trace.append(residual)
-
-    raise PicardDivergenceError(f"Picard iteration exceeded {controls.picard_max_iter} sweeps "
-                                f"(last fixed-point residual {residual})", residual, trace)
+    return mapped, trace
 
 
 def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepControls, bufs, last=None):
@@ -506,8 +507,7 @@ def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepCo
 
 
 def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=(2.0, 4.0),
-        grad_p_set=(2.0,), scheme: str = "explicit", snapshot_stride: int = 0,
-        initial_records=None) -> list[Trajectory]:
+        grad_p_set=(2.0,), snapshot_stride: int = 0, initial_records=None) -> list[Trajectory]:
     """Advance members on one grid to their ``t_ends`` with fixed steps, recording
     diagnostics; one trajectory per member, whose outputs do not depend on the others.
 
@@ -517,7 +517,7 @@ def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=
     exactly. Diagnostics are recorded at t = 0, every ``diag_stride`` steps, and
     at the final step; snapshots keep the initial and final states plus every
     ``snapshot_stride``-th step when that stride is positive. All members step as
-    one ``march`` batch of ``scheme`` steps. ``initial_records``, when given, are the
+    one ``march`` batch. ``initial_records``, when given, are the
     members' t = 0 records, which are then not computed again. Deterministic given
     its inputs.
     """
@@ -529,8 +529,6 @@ def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=
         raise ValueError(f"t_end must be >= 0, got {min(t_ends)}")
     if min(strides) < 1:
         raise ValueError("diag_stride must be >= 1")
-    if scheme not in ("explicit", "semi_implicit"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     grid = initials[0].grid
     if any(f.grid != grid for f in initials):
         raise ValueError("run members must share one grid")
@@ -540,7 +538,7 @@ def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=
     records = [[rec] for rec in initial_records
                or [record(f, p_set=p_set, grad_p_set=grad_p_set, time=0.0) for f in initials]]
     snapshots = [[(0.0, f)] for f in initials]
-    meshes = [time_mesh(t, controls.dt or cfl_dt(grid, p.eps, controls.cfl_safety)) if t > 0.0
+    meshes = [time_mesh(t, controls.dt or cfl_dt(grid, p.eps)) if t > 0.0
               else (0.0, 0) for p, t in zip(params, t_ends)]
     dts, ns = [dt for dt, _ in meshes], [n for _, n in meshes]
 
@@ -560,7 +558,7 @@ def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=
     period = math.gcd(*strides, snapshot_stride)  # a member observes only at its multiples or last step
     if order:
         batch = [[seq[i] for i in order] for seq in (initials, params, dts, ns)]
-        for k, state in march(*batch, controls, members=order, scheme=scheme):
+        for k, state in march(*batch, controls, members=order):
             if k % period == 0 or k in ns:
                 for i, values in zip(order, state):
                     observe(i, k, values)

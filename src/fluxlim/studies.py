@@ -128,7 +128,7 @@ def viscosity_study(base: RunConfig) -> StudyReport:
 
     grid, initial, first = build_problem(base)
     controls = build_controls(base)
-    dt = controls.dt if controls.dt is not None else cfl_dt(grid, max(eps_list), controls.cfl_safety)
+    dt = controls.dt if controls.dt is not None else cfl_dt(grid, max(eps_list))
     if not dt > 0.0:
         raise ValueError(f"the CFL step for eps = {max(eps_list)!r} underflows to 0")
     check_cell_steps(initial.values.size, base.t_end, dt, runs=n)
@@ -136,7 +136,7 @@ def viscosity_study(base: RunConfig) -> StudyReport:
 
     trajectories = run([initial] * n, [Params(base.chi, e) for e in eps_list], shared,
                        [base.t_end] * n, base.diag_stride, p_set=base.p_set,
-                       grad_p_set=base.grad_p_set, scheme=base.scheme, initial_records=[first] * n)
+                       grad_p_set=base.grad_p_set, initial_records=[first] * n)
     finals = [t.final for t in trajectories]
 
     # the pairs (i, j) of one j share the floor sigma_j, so each j is one probe block
@@ -203,7 +203,7 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig) -> StudyReport:
 
     controls = build_controls(cfg1)
     t_end = cfg1.t_end
-    dt, n_steps = time_mesh(t_end, controls.dt or cfl_dt(grid1, 0.0, controls.cfl_safety))
+    dt, n_steps = time_mesh(t_end, controls.dt or cfl_dt(grid1, 0.0))
     check_cell_steps(u.values.size, t_end, dt, runs=2)
     params1 = Params(cfg1.chi, cfg1.eps)
     params2 = Params(cfg2.chi, cfg2.eps)
@@ -216,8 +216,7 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig) -> StudyReport:
     times, rows, steps_between, l1 = [], [], [], []
     last_recorded = 0
     for k, state in chain([(0, (u.values, v.values))],
-                          march([u, v], [params1, params2], [dt, dt], [n_steps] * 2, controls,
-                                scheme=cfg1.scheme)):
+                          march([u, v], [params1, params2], [dt, dt], [n_steps] * 2, controls)):
         if k % stride == 0 or k == n_steps:
             block[len(times)] = state
             times.append(t_end if k == n_steps else k * dt)
@@ -277,11 +276,11 @@ def _envelope(records, p_norm: float, exponent: float) -> float:
     return best
 
 
-def smoothing_study(base: RunConfig) -> StudyReport:
+def smoothing_study(cfg: RunConfig) -> StudyReport:
     """Probe the sup-norm smoothing bound on an Lp-normalized spike family.
 
-    Each spike (widths ``spike_widths``, all with equal Lp norm for p =
-    ``study_p``) runs inviscid; the envelope constant
+    Each spike (widths ``spike_widths``, all with equal Lp norm ``ic_pnorm`` for
+    p = ``ic_p``; the config's ``ic`` must be ``spike``) runs inviscid; the envelope constant
     C_hat = max_t sup(t) / (|rho_in|_p (1 + t^{-d/2p})) must be stable
     (within a factor 2) across the family, t over a CFL-step run's record times.
     A second envelope with the alternative exponent (d+2)/(2p) is reported without a verdict.
@@ -290,23 +289,24 @@ def smoothing_study(base: RunConfig) -> StudyReport:
     the classical power law; the fitted log-log slope must land within 10%
     of -d/(2p). Both families run as one batch, each member to its own horizon.
     """
-    p, widths = float(base.study_p), tuple(float(w) for w in base.spike_widths)
+    p, widths = float(cfg.ic_p), tuple(float(w) for w in cfg.spike_widths)
     if len(widths) < 2:
         raise ValueError("need at least two spike widths")
     if any(w2 >= w1 for w1, w2 in zip(widths, widths[1:])):
         raise ValueError("spike widths must be strictly decreasing")
-    if base.eps != 0.0:
+    if cfg.eps != 0.0:
         raise ValueError("smoothing study runs with eps = 0")
-    if not base.t_end > 0.0:
+    if not cfg.t_end > 0.0:
         raise ValueError("invalid value for 't_end': the smoothing study needs t_end > 0")
+    if cfg.ic != "spike":
+        raise ValueError("invalid value for 'ic': the smoothing study runs a spike family, ic = spike")
 
-    cfg = replace(base, ic="spike", ic_p=p)
     grid, spike, _ = build_problem(cfg)
     d = grid.dim
     exp_main = d / (2.0 * p)
     exp_alt = (d + 2.0) / (2.0 * p)
-    controls = build_controls(base)
-    ceiling = cfl_dt(grid, 0.0, controls.cfl_safety)
+    controls = build_controls(cfg)
+    ceiling = cfl_dt(grid, 0.0)
     dt = controls.dt if controls.dt is not None else ceiling
     shared = replace(controls, dt=dt)
     stride = max(1, round(cfg.diag_stride * ceiling / dt))  # C_hat is read at a CFL-step run's times
@@ -316,8 +316,7 @@ def smoothing_study(base: RunConfig) -> StudyReport:
 
     spikes = [poly_spike(grid, w, p, p_norm=cfg.ic_pnorm) for w in widths]
     trajectories = run(spikes * 2, [Params(cfg.chi)] * n + [Params(0.0)] * n, shared, t_ends,
-                       [stride] * n + [10**9] * n, p_set=cfg.p_set, grad_p_set=cfg.grad_p_set,
-                       scheme=cfg.scheme)
+                       [stride] * n + [10**9] * n, p_set=cfg.p_set, grad_p_set=cfg.grad_p_set)
     limited = trajectories[:n]
     heat = [traj.records[-1] for traj in trajectories[n:]]
 
@@ -376,8 +375,7 @@ def steady_study(cfg: RunConfig) -> StudyReport:
     grad = gradient_norm(field)
     resid = np.abs(grad - cfg.chi * field.values)  # the eikonal residual | |grad rho| - chi rho |
     t_probe = min(cfg.t_end, 0.05) if cfg.t_end > 0 else 0.05
-    traj, = run([field], [Params(cfg.chi, cfg.eps)], build_controls(cfg), [t_probe], diag_stride=10**9,
-                scheme=cfg.scheme)
+    traj, = run([field], [Params(cfg.chi, cfg.eps)], build_controls(cfg), [t_probe], diag_stride=10**9)
     drift = l1_distance(traj.final, field) / t_probe
 
     sup = float(field.values.max())

@@ -36,7 +36,7 @@ def inviscid_bump_run():
     """Shared 1D run: Gaussian bump, eps = 0, 10^4 explicit CFL steps."""
     grid = make_grid(1, 5.0, 1000)
     bump = gaussian_bump(grid, 1.0, mass=1.0)
-    dt = cfl_dt(grid, 0.0, 0.45)
+    dt = cfl_dt(grid, 0.0)
     t0 = time.perf_counter()
     traj, = run([bump], [Params(chi=1.0)], StepControls(dt=dt), [10_000 * dt],
                 diag_stride=100, p_set=(2.0, 4.0))
@@ -172,7 +172,7 @@ def test_criterion_07_vanishing_viscosity_cauchy():
 def test_criterion_08_sup_norm_smoothing():
     base = RunConfig(dim=1, box_halfwidth=6.0, cells=1024, chi=1.0, eps=0.0, t_end=0.5,
                      diag_stride=200, ic="spike", ic_pnorm=1.0,
-                     spike_widths=(0.8, 0.4, 0.2), study_p=4.0)
+                     spike_widths=(0.8, 0.4, 0.2), ic_p=4.0)
     rep = smoothing_study(base)
     ok = rep.all_pass
     detail = "; ".join(v.detail for v in rep.verdicts)

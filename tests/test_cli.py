@@ -14,6 +14,8 @@ from fluxlim.diagnostics import record
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
+# a unit-mass Gaussian of width 1 by the defaults, which sets no ic_* key, so that
+# switching ic to another kind leaves no key that kind does not read
 BASE_CFG = """\
 dim = 1
 box_halfwidth = 5.0
@@ -23,8 +25,6 @@ eps = 0.0
 t_end = 0.01
 diag_stride = 10
 ic = gaussian
-ic_width = 1.0
-ic_mass = 1.0
 """
 
 
@@ -81,9 +81,9 @@ class TestSimulate:
         assert res.returncode == 1
         assert res.stderr.startswith("config error:") and "p_set" in res.stderr
 
-    @pytest.mark.parametrize("command,key", [(["simulate"], "ic_p"), (["study", "smoothing"], "study_p")])
+    @pytest.mark.parametrize("command,key", [(["simulate"], "ic_p"), (["study", "smoothing"], "ic_p")])
     def test_infinite_spike_exponent_exit_1(self, tmp_path, capsys, command, key):
-        # ic_p = inf left the spike unnormalized (exit 0); study_p = inf divided by zero
+        # ic_p = inf left the spike unnormalized (exit 0) and divided the smoothing study by zero
         cfg = tmp_path / "spike.cfg"
         cfg.write_text(BASE_CFG.replace("ic = gaussian", "ic = spike") + f"{key} = inf\n")
         code = cli_module.main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -106,6 +106,8 @@ class TestSimulate:
         "dim = 2\nbox_halfwidth = 1e200\ncells = 10\nic = uniform",  # the cell volume overflows
         "ic_mass = 1e308",  # the Lp norms and gradient norms overflow
         "box_halfwidth = 1e200\nic = single_peak",  # 0 * |x|^2 = nan in the second moment
+        "ic = single_peak\nic_mass = 1.0\nic_amplitude = 2.0",  # rejected by build_problem
+        "ic = uniform\nic_mass = 3.0",  # a key the uniform field does not read
     ])
     def test_bad_value_is_config_error(self, tmp_path, override):
         keys = {line.split("=")[0].strip() for line in override.splitlines()}
@@ -115,6 +117,7 @@ class TestSimulate:
         res = cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert res.returncode == 1
         assert res.stderr.startswith("config error:") and "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()  # the output directory is made after the build
 
     def test_snapshot_over_budget_is_config_error(self, tmp_path):
         from fluxlim.grid import Field, make_grid, save_snapshot
@@ -170,14 +173,17 @@ class TestSimulate:
         assert "numerical failure" in res.stderr
 
 
-    def test_picard_failure_names_step_and_time(self, tmp_path):
+    def test_picard_failure_names_step_and_time(self, tmp_path, capsys, monkeypatch):
+        from fluxlim import stepping
+
+        monkeypatch.setattr(stepping, "_PICARD_MAX_ITER", 1)
         path = tmp_path / "imp.cfg"
-        path.write_text(BASE_CFG.replace("ic_width = 1.0", "ic_width = 0.3")
-                        + "scheme = semi_implicit\ndt = 0.002\npicard_max_iter = 1\n")
-        res = cli("simulate", "--config", str(path), "--out", str(tmp_path / "o"), cwd=tmp_path)
-        assert res.returncode == 2
-        assert res.stderr.startswith("numerical failure: Picard iteration exceeded 1 sweeps")
-        assert res.stderr.rstrip().endswith("at step 1, t = 0.002")
+        path.write_text(BASE_CFG + "ic_width = 0.3\nscheme = semi_implicit\ndt = 0.002\n")
+        code = cli_module.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("numerical failure: Picard iteration exceeded 1 sweeps")
+        assert err.endswith(" (member 0, step 1, t = 0.002)\n")
 
     def test_import_loads_no_scipy(self, tmp_path):
         # nor does a semi-implicit simulate
@@ -255,7 +261,7 @@ class TestStudies:
     def test_contraction_passes(self, tmp_path):
         c1 = tmp_path / "c1.cfg"
         c2 = tmp_path / "c2.cfg"
-        c1.write_text(BASE_CFG.replace("ic_width = 1.0", "ic_width = 1.2") + "ic_center = -0.7\n")
+        c1.write_text(BASE_CFG + "ic_width = 1.2\nic_center = -0.7\n")
         c2.write_text(BASE_CFG + "ic_center = 0.7\n")
         out = tmp_path / "out"
         res = cli("study", "contraction", "--config", str(c1), "--config2", str(c2),
@@ -296,7 +302,7 @@ t_end = 0.05
 diag_stride = 50
 ic = spike
 spike_widths = 0.8 0.4
-study_p = 4
+ic_p = 4
 """)
         out = tmp_path / "out"
         res = cli("study", "smoothing", "--config", str(cfg), "--out", str(out), cwd=tmp_path)
@@ -373,8 +379,7 @@ study_p = 4
     def test_overflowing_entropy_floor_is_config_error(self, tmp_path, kind):
         # sigma = sigma_rel * sup(v) overflows to inf, where H would read nan
         cfg = tmp_path / "s.cfg"
-        cfg.write_text(BASE_CFG.replace("ic_mass = 1.0", "ic_mass = 10.0")
-                       + "sigma_rel = 1e308\neps_list = 0.1 0\n")
+        cfg.write_text(BASE_CFG + "ic_mass = 10.0\nsigma_rel = 1e308\neps_list = 0.1 0\n")
         res = cli("study", kind, "--config", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert res.returncode == 1
         assert res.stderr == "config error: sigma must be finite and >= 0, got inf\n"

@@ -14,12 +14,13 @@ from fluxlim.config import ConfigError, RunConfig, build_controls, build_problem
 from fluxlim.diagnostics import record
 from fluxlim.grid import integrate, save_snapshot
 from fluxlim.limiter import Params
+from fluxlim.stepping import StepControls
 
 
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config("chi = 1.0\n")
-        assert cfg.cfl_safety == 0.45
+        assert cfg.picard_tol == 1e-10
         assert cfg.diag_stride == 10
         assert cfg.scheme == "explicit"
         assert cfg.dim == 1
@@ -52,7 +53,6 @@ class TestParseConfig:
     @pytest.mark.parametrize("line,key", [
         ("eps = -0.5", "eps"),
         ("scheme = rk4", "scheme"),
-        ("cfl_safety = 2", "cfl_safety"),
         ("diag_stride = 0", "diag_stride"),
         ("ic = wave", "ic"),
         ("t_end = -1", "t_end"),
@@ -71,6 +71,12 @@ class TestParseConfig:
         ("chi = 0\nbox_halfwidth = 5\nic = single_peak", "chi"),
         ("chi = 0\nbox_halfwidth = 5\nic = factorized", "chi"),
         ("ic = multi_peak\nic_centers = 0\nic_amplitudes = 1\nic_amplitude = 7", "ic_amplitude"),
+        # an ic_* key the chosen kind does not read
+        ("ic = uniform\nic_mass = 3.0", "'ic_mass': ic = uniform does not read it"),
+        ("ic = single_peak\nic_width = 7\nic_amplitudes = 3 4", "'ic_width': ic = single_peak"),
+        ("ic_amplitudes = 3 4", "'ic_amplitudes': ic = gaussian"),
+        ("ic = spike\nic_mass = 2", "'ic_mass': ic = spike"),
+        ("ic = snapshot\nic_path = s.txt\nic_center = 1", "'ic_center': ic = snapshot"),
     ])
     def test_validation_names_key(self, line, key):
         with pytest.raises(ConfigError, match=key):
@@ -97,7 +103,11 @@ class TestParseConfig:
 ROOT = Path(__file__).resolve().parents[1]
 # a valid non-default value per annotated type; the fields whose checks reject it get their own
 SAMPLE_BY_TYPE = {"int": "3", "float": "1.5", "str": "results", "tuple[float, ...]": "3 5"}
-SAMPLE_BY_KEY = {"dim": "2", "cfl_safety": "0.5", "scheme": "semi_implicit", "ic": "spike"}
+SAMPLE_BY_KEY = {"dim": "2", "scheme": "semi_implicit", "ic": "spike"}
+# the ic kind, and its required keys, under which a config may set each ic_* key the Gaussian does not read
+IC_BY_KEY = {"ic_centers": "ic = multi_peak\nic_amplitudes = 1 2\n",
+             "ic_amplitudes": "ic = multi_peak\nic_centers = 0 1\n",
+             "ic_p": "ic = spike\n", "ic_pnorm": "ic = spike\n", "ic_path": "ic = snapshot\n"}
 
 
 class TestKeyTable:
@@ -105,7 +115,7 @@ class TestKeyTable:
     def test_every_field_parses_to_its_annotated_type(self, field):
         kind = field.type.removesuffix(" | None")
         raw = SAMPLE_BY_KEY.get(field.name, SAMPLE_BY_TYPE[kind])
-        value = getattr(parse_config(f"{field.name} = {raw}\n"), field.name)
+        value = getattr(parse_config(f"{IC_BY_KEY.get(field.name, '')}{field.name} = {raw}\n"), field.name)
         if kind == "tuple[float, ...]":
             assert type(value) is tuple and all(type(x) is float for x in value)
             assert value == tuple(float(x) for x in raw.split())
@@ -115,11 +125,19 @@ class TestKeyTable:
         assert value != getattr(RunConfig(), field.name)
 
     def test_seed_key_is_unknown(self, tmp_path, capsys):
+        # as are the stepping constants cfl_safety and picard_max_iter, and study_p (it is ic_p)
         path = tmp_path / "run.cfg"
-        path.write_text("cells = 40\nt_end = 0.001\nseed = 0\n")
-        code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert capsys.readouterr().err == "config error: line 3: unknown key 'seed'\n"
+        for key, value in [("seed", "0"), ("cfl_safety", "0.45"), ("picard_max_iter", "200"), ("study_p", "4")]:
+            path.write_text(f"cells = 40\nt_end = 0.001\n{key} = {value}\n")
+            code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert capsys.readouterr().err == f"config error: line 3: unknown key '{key}'\n"
+
+    def test_readme_key_table_lists_the_fields(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        keys = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+        assert keys == [f.name for f in fields(RunConfig)]
 
 
 def test_setup_probe_reads_the_shipped_configs(tmp_path):
@@ -247,8 +265,9 @@ class TestBuildProblem:
 
 class TestBuilders:
     def test_params_and_controls(self):
-        cfg = parse_config("chi = 1.5\neps = 0.25\ndt = 0.001\npicard_tol = 1e-8\n")
+        cfg = parse_config("chi = 1.5\neps = 0.25\nscheme = semi_implicit\ndt = 0.001\npicard_tol = 1e-8\n")
         p = Params(cfg.chi, cfg.eps)
         assert p.chi == 1.5 and p.eps == 0.25
         c = build_controls(cfg)
-        assert c.dt == 0.001 and c.picard_tol == 1e-8
+        assert c == StepControls(scheme="semi_implicit", dt=0.001, picard_tol=1e-8)
+        assert [f.name for f in fields(StepControls)] == ["scheme", "dt", "picard_tol"]

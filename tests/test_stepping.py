@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -29,13 +30,13 @@ def explicit_step(field, params, dt):
     return state[0]
 
 
-def implicit_step(field, params, dt, controls=StepControls()):
+def implicit_step(field, params, dt, controls=StepControls("semi_implicit")):
     """One backward-Euler step of a lone member through ``march``."""
-    ((_, state),) = march([field], [params], [dt], [1], controls, scheme="semi_implicit")
+    ((_, state),) = march([field], [params], [dt], [1], controls)
     return state[0]
 
 
-def implicit_solve(field, params, dt, controls=StepControls()):
+def implicit_solve(field, params, dt, controls=StepControls("semi_implicit")):
     """The solve of one backward-Euler step of a lone member, before ``march`` checks it,
     with its residual trace."""
     (out,), (trace,), _ = step_semi_implicit(field.values[None], params.chi, params.eps, dt,
@@ -56,27 +57,28 @@ def grid1d():
 class TestCflDt:
     def test_1d_formula(self):
         g = make_grid(1, 5.0, 1000)
-        assert cfl_dt(g, 0.0, 1.0) == pytest.approx(5e-5)
+        assert cfl_dt(g, 0.0) == pytest.approx(0.45 * 5e-5)
 
     def test_2d_formula(self):
         g = make_grid(2, 0.1 * 64, 128)  # h = 0.1
-        assert cfl_dt(g, 1.0, 0.5) == pytest.approx(6.25e-4)
+        assert cfl_dt(g, 1.0) == pytest.approx(0.45 * 1.25e-3)
 
-    def test_zero_safety_rejected(self):
+    @pytest.mark.parametrize("eps", [-0.5, np.inf, np.nan])
+    def test_bad_eps_rejected(self, eps):
         g = make_grid(1, 1.0, 10)
-        with pytest.raises(ValueError, match="safety"):
-            cfl_dt(g, 0.0, 0.0)
+        with pytest.raises(ValueError, match="eps"):
+            cfl_dt(g, eps)
 
 
 class TestStepControls:
     def test_defaults(self):
         c = StepControls()
-        assert c.cfl_safety == 0.45
+        assert c.scheme == "explicit"
+        assert c.dt is None
         assert c.picard_tol == 1e-10
-        assert c.picard_max_iter == 200
 
-    @pytest.mark.parametrize("kw", [dict(dt=-1.0), dict(cfl_safety=1.5), dict(cfl_safety=0.0),
-                                    dict(picard_tol=0.0), dict(picard_max_iter=0)])
+    @pytest.mark.parametrize("kw", [dict(dt=-1.0), dict(scheme="magic"), dict(dt=np.inf),
+                                    dict(picard_tol=0.0), dict(scheme="rk4", dt=1e-3)])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
             StepControls(**kw)
@@ -109,13 +111,13 @@ class TestStepExplicit:
 
     def test_cfl_violation_raises(self, grid1d):
         f = gaussian_bump(grid1d, 1.0, mass=1.0)
-        too_big = 2.0 * cfl_dt(grid1d, 0.0, 0.45)
+        too_big = 2.0 * cfl_dt(grid1d, 0.0)
         with pytest.raises(CflViolationError):
             explicit_step(f, Params(chi=1.0), too_big)
 
     def test_positivity_on_random_data(self, grid1d):
         rng = np.random.default_rng(11)
-        dt = cfl_dt(grid1d, 0.5, 0.45)
+        dt = cfl_dt(grid1d, 0.5)
         params = Params(chi=1.0, eps=0.5)
         for _ in range(20):
             vals = rng.uniform(0.0, 1.0, grid1d.shape)
@@ -126,7 +128,7 @@ class TestStepExplicit:
     @pytest.mark.parametrize("p", [2.0, 4.0])
     def test_lp_never_increases_single_step(self, grid1d, p):
         rng = np.random.default_rng(5)
-        dt = cfl_dt(grid1d, 0.0, 0.45)
+        dt = cfl_dt(grid1d, 0.0)
         for _ in range(10):
             vals = rng.uniform(0.0, 1.0, grid1d.shape)
             before = np.sum(vals**p)
@@ -143,14 +145,14 @@ class TestStepExplicit:
 class TestFinalizePolicy:
     def test_nan_raises(self):
         with pytest.raises(NumericalFailureError, match="non-finite"):
-            _finalize(np.array([[1.0, np.nan, 0.0, 0.0]]), step=1, members=[0])
+            _finalize(np.array([[1.0, np.nan, 0.0, 0.0]]))
 
     def test_true_negativity_raises(self):
         with pytest.raises(NumericalFailureError, match="negative"):
-            _finalize(np.array([[1.0, -0.5, 0.0, 0.0]]), step=1, members=[0])
+            _finalize(np.array([[1.0, -0.5, 0.0, 0.0]]))
 
     def test_roundoff_negativity_floored(self):
-        out = _finalize(np.array([[1.0, -1e-16, 0.0, 0.0]]), step=1, members=[0])
+        out = _finalize(np.array([[1.0, -1e-16, 0.0, 0.0]]))
         assert out.min() == 0.0
 
     @pytest.mark.parametrize("value", [-0.0, np.inf, -np.inf, np.nan, -1e-16, 5e-324, 1.7976931348623157e308])
@@ -160,10 +162,11 @@ class TestFinalizePolicy:
         values = np.array([[1.0, 0.0, 0.5], [2.0, value, 0.25]])
         raw = values.copy()
         if not np.isfinite(value):
-            with pytest.raises(NumericalFailureError, match=r"non-finite.*member 1, step 3"):
-                _finalize(values, step=3, members=[0, 1])
+            with pytest.raises(NumericalFailureError, match=r"^non-finite value produced by a time step$") as err:
+                _finalize(values)
+            assert err.value.row == 1
             return
-        out = _finalize(values, step=3, members=[0, 1])
+        out = _finalize(values)
         if value < 0.0:
             assert out is not values and out[1, 1] == 0.0 and not np.signbit(out[1, 1])
             assert np.array_equal(out[0], raw[0]) and out[1, 0] == 2.0
@@ -339,10 +342,24 @@ class TestBatchedKernel:
             assert np.array_equal(traj.final.values, alone.final.values)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_member_named(self, bad):
-        values = np.array([[1.0, 0.5, 0.0], [1.0, bad, 0.0], [0.2, 0.1, 0.0]])
-        with pytest.raises(NumericalFailureError, match=r"non-finite.*member 4, step 7"):
-            _finalize(values, step=7, members=[3, 4, 5])
+    def test_non_finite_member_named(self, bad, monkeypatch):
+        # the step-7 output of the second of members 3, 4 and 5 is spoiled before its check
+        grid = make_grid(1, 1.0, 3)
+        fields = [Field.density(grid, np.array(v)) for v in ([1.0, 0.5, 0.0], [1.0, 0.5, 0.0], [0.2, 0.1, 0.0])]
+        dt, checks, finalize = cfl_dt(grid, 0.0), [], stepping._finalize
+
+        def spoiled(values):
+            checks.append(len(values))
+            if len(checks) == 7:
+                values[1, 1] = bad
+            return finalize(values)
+
+        monkeypatch.setattr(stepping, "_finalize", spoiled)
+        with pytest.raises(NumericalFailureError) as err:
+            list(march(fields, [Params(chi=1.0)] * 3, [dt] * 3, [9] * 3, members=[3, 4, 5]))
+        exc = err.value
+        assert (exc.row, exc.member, exc.step, exc.time) == (1, 4, 7, 7 * dt)
+        assert str(exc) == f"non-finite value produced by a time step (member 4, step 7, t = {7 * dt!r})"
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_member_fails_with_its_step(self):
@@ -402,11 +419,11 @@ class TestBatchedKernel:
             return result
 
         monkeypatch.setattr(stepping, "_face_flux", flux)
-        rows = {(i, k): row.copy() for k, state in march(fields, params, dts, n_steps, scheme=scheme)
+        rows = {(i, k): row.copy() for k, state in march(fields, params, dts, n_steps, StepControls(scheme))
                 for i, row in enumerate(state)}
         assert between and all(np.array_equal(faces, np.zeros(faces.size)) for faces in between)
         for i, (f, p, dt, n) in enumerate(zip(fields, params, dts, n_steps)):
-            for k, state in march([f], [p], [dt], [n], scheme=scheme):
+            for k, state in march([f], [p], [dt], [n], StepControls(scheme)):
                 assert np.array_equal(rows[i, k], state[0])
         assert rows[1, 3].max() > 0.1 * big and rows[0, 4].max() < 1.0
 
@@ -427,7 +444,7 @@ class TestBatchedKernel:
 
     def test_roundoff_negative_clamped_in_own_row_only(self):
         values = np.array([[1.0, -1e-16, 0.5], [2.0, 0.25, 1e-300]])
-        out = _finalize(values, step=1, members=[0, 1])
+        out = _finalize(values)
         assert np.array_equal(out[0], [1.0, 0.0, 0.5])
         assert np.array_equal(out[1], values[1])
         assert values[0, 1] == -1e-16  # the raw step output is left as it was
@@ -435,8 +452,9 @@ class TestBatchedKernel:
     def test_negativity_floor_is_per_member(self):
         # -1e-8 is roundoff beside 1e6 but not beside 1.0
         values = np.array([[1e6, -1e-8], [1.0, -1e-12]])
-        with pytest.raises(NumericalFailureError, match=r"negative.*member 1, step 2"):
-            _finalize(values, step=2, members=[0, 1])
+        with pytest.raises(NumericalFailureError, match=r"^negative density -1e-12 beyond the roundoff floor") as err:
+            _finalize(values)
+        assert err.value.row == 1
 
     def test_cfl_violation_by_any_member(self):
         grid = make_grid(1, 5.0, 50)
@@ -545,7 +563,7 @@ class TestStepSemiImplicit:
     def test_cross_scheme_consistency(self, grid1d):
         # one step at dt = cfl/4 on a smooth supercritical bump
         f = gaussian_bump(grid1d, 1.0, mass=1.0)
-        dt = cfl_dt(grid1d, 0.0, 0.45) / 4.0
+        dt = cfl_dt(grid1d, 0.0) / 4.0
         e = explicit_step(f, Params(chi=1.0), dt)
         s = implicit_step(f, Params(chi=1.0), dt)
         rel = np.sum(np.abs(e - s)) * grid1d.cell_volume
@@ -555,32 +573,62 @@ class TestStepSemiImplicit:
         # regression: residual trace strictly decreasing at dt = 10*cfl
         grid = make_grid(1, 5.0, 400)
         bump = gaussian_bump(grid, 0.5, mass=1.0)
-        dt = 10.0 * cfl_dt(grid, 0.0, 0.45)
+        dt = 10.0 * cfl_dt(grid, 0.0)
         out, trace = implicit_solve(bump, Params(chi=1.0), dt)
         assert trace[-1] <= 1e-10
         assert all(b < a for a, b in zip(trace, trace[1:]))
         assert out.min() >= 0.0
 
-    def test_divergence_reported(self, grid1d):
+    def test_divergence_reported(self, grid1d, monkeypatch):
+        monkeypatch.setattr(stepping, "_PICARD_MAX_ITER", 1)
         f = gaussian_bump(grid1d, 0.5, mass=1.0)
-        dt = 10.0 * cfl_dt(grid1d, 0.0, 0.45)
+        dt = 10.0 * cfl_dt(grid1d, 0.0)
         with pytest.raises(PicardDivergenceError) as err:
-            implicit_solve(f, Params(chi=1.0), dt, StepControls(picard_max_iter=1))
+            implicit_solve(f, Params(chi=1.0), dt)
         assert err.value.last_residual > 0.0
         assert err.value.trace[-1] == err.value.last_residual and len(err.value.trace) == 2
         assert err.value.step is None
 
-    def test_run_locates_failure(self, grid1d):
+    @pytest.mark.parametrize("multiple", [1e-3, 0.1, 1.0, 10.0])
+    def test_cap_admits_a_converged_last_update(self, grid1d, multiple, monkeypatch):
+        # a step whose last allowed update reaches picard_tol converges: at 1e-3 times the CFL
+        # step the trace is (1.7e-7, 0.0), and a cap of one update raised on it
+        f = gaussian_bump(grid1d, 1.0, mass=1.0)
+        dt = multiple * cfl_dt(grid1d, 0.0)
+        out, trace = implicit_solve(f, Params(chi=1.0), dt)
+        assert len(trace) >= 2 and trace[-1] <= 1e-10 < trace[-2]
+        monkeypatch.setattr(stepping, "_PICARD_MAX_ITER", len(trace) - 1)
+        capped, capped_trace = implicit_solve(f, Params(chi=1.0), dt)
+        assert np.array_equal(capped, out) and capped_trace == trace
+        if len(trace) > 2:  # one update fewer fails
+            monkeypatch.setattr(stepping, "_PICARD_MAX_ITER", len(trace) - 2)
+            with pytest.raises(PicardDivergenceError):
+                implicit_solve(f, Params(chi=1.0), dt)
+
+    def test_run_locates_failure(self, grid1d, monkeypatch):
+        monkeypatch.setattr(stepping, "_PICARD_MAX_ITER", 1)
         f = gaussian_bump(grid1d, 0.5, mass=1.0)
-        dt = 10.0 * cfl_dt(grid1d, 0.0, 0.45)
+        dt = 10.0 * cfl_dt(grid1d, 0.0)
         with pytest.raises(PicardDivergenceError) as err:
-            run([f], [Params(chi=1.0)], StepControls(dt=dt, picard_max_iter=1), [5 * dt],
-                scheme="semi_implicit")
+            run([f], [Params(chi=1.0)], StepControls("semi_implicit", dt=dt), [5 * dt])
         exc = err.value
-        assert (exc.step, exc.time) == (1, pytest.approx(dt, rel=1e-12))
+        assert (exc.member, exc.step, exc.time) == (0, 1, pytest.approx(dt, rel=1e-12))
         assert exc.last_residual > 0.0 and exc.trace[-1] == exc.last_residual
-        assert str(exc).endswith(f"at step 1, t = {exc.time!r}")
+        assert str(exc).endswith(f" (member 0, step 1, t = {exc.time!r})")
         assert isinstance(exc, NumericalFailureError)
+
+    def test_run_names_the_failing_member(self, grid1d, monkeypatch):
+        # run puts the longer member 1 first in its batch: the failure names member 1, not row 0
+        monkeypatch.setattr(stepping, "_PICARD_MAX_ITER", 1)
+        flat = Field.density(grid1d, np.full(grid1d.shape, 0.5))  # a fixed point: no update needed
+        bump = gaussian_bump(grid1d, 0.5, mass=1.0)
+        dt = 10.0 * cfl_dt(grid1d, 0.0)
+        with pytest.raises(PicardDivergenceError) as err:
+            run([flat, bump], [Params(chi=1.0)] * 2, StepControls("semi_implicit", dt=dt), [dt, 5 * dt])
+        exc = err.value
+        assert (exc.row, exc.member, exc.step, exc.time) == (0, 1, 1, pytest.approx(dt, rel=1e-12))
+        assert re.fullmatch(r"Picard iteration exceeded 1 sweeps \(last fixed-point residual \S+\) "
+                            r"\(member 1, step 1, t = \S+\)", str(exc))
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_tridiagonal_solve_is_exact(self, eps):
@@ -589,7 +637,7 @@ class TestStepSemiImplicit:
         h, chi = grid.spacing[0], 1.0
         rho = gaussian_bump(grid, 0.5, mass=1.0).values
         z = poly_spike(grid, 1.5, 2.0).values + 0.1 * rho  # linearize at another state
-        dt = 20.0 * cfl_dt(grid, eps, 0.45)
+        dt = 20.0 * cfl_dt(grid, eps)
         excess, diff = face_terms(z, chi, h)
         active = excess > 0.0
         assert 0 < active.sum() < active.size
@@ -623,7 +671,7 @@ class TestStepSemiImplicit:
         chi = 3.0 * (1.0 + eps) / h
         z = gaussian_bump(grid, 0.5, mass=1.0).values - 0.8 * poly_spike(grid, 1.5, 2.0).values
         excess, diff = face_terms(z, chi, h)
-        dt = 10.0 * cfl_dt(grid, eps, 0.45)
+        dt = 10.0 * cfl_dt(grid, eps)
         dense = linearized_operator(np.eye(grid.shape[0]), excess, diff, chi, eps, dt, h)
         off = np.concatenate([np.diag(dense, 1), np.diag(dense, -1)])
         assert off.max() > 0.0 > off.min()
@@ -671,7 +719,7 @@ class TestStepSemiImplicit:
         # a fixed point of the active-set sweep solves the nonlinear equation itself
         grid = make_grid(1, 5.0, 400)
         rho = gaussian_bump(grid, 0.5, mass=1.0).values
-        dt = 20.0 * cfl_dt(grid, eps, 0.45)
+        dt = 20.0 * cfl_dt(grid, eps)
         u = implicit_step(Field.density(grid, rho), Params(chi=1.0, eps=eps), dt)
         div = coefficient_divergence(u, grid, 1.0, eps)
         applied = (1.0 + eps * dt) * u - dt * div
@@ -682,8 +730,8 @@ class TestStepSemiImplicit:
         # the frozen-coefficient Picard iteration stalled above tolerance at all three
         grid = make_grid(1, 5.0, 1000)
         f = gaussian_bump(grid, 1.0, mass=1.0)
-        ctr = StepControls()
-        out, trace = implicit_solve(f, Params(chi=1.0), multiple * cfl_dt(grid, 0.0, 0.45), ctr)
+        ctr = StepControls("semi_implicit")
+        out, trace = implicit_solve(f, Params(chi=1.0), multiple * cfl_dt(grid, 0.0), ctr)
         assert trace[-1] <= ctr.picard_tol and len(trace) <= 30
         assert out.min() >= 0.0
         assert out.sum() == pytest.approx(f.values.sum(), rel=1e-12)
@@ -702,9 +750,9 @@ class TestStepSemiImplicit:
         monkeypatch.setattr(stepping, "_active_set_matrix", counted("reductions", _active_set_matrix))
         monkeypatch.setattr(stepping._Reduction, "solve", counted("solves", stepping._Reduction.solve))
         grid = make_grid(1, 5.0, 2000)
-        dt = 10.0 * cfl_dt(grid, 0.0, 0.45)
-        run([gaussian_bump(grid, 1.0, mass=1.0)], [Params(chi=1.0)], StepControls(dt=dt), [0.01],
-            diag_stride=10**9, scheme="semi_implicit")
+        dt = 10.0 * cfl_dt(grid, 0.0)
+        run([gaussian_bump(grid, 1.0, mass=1.0)], [Params(chi=1.0)], StepControls("semi_implicit", dt=dt), [0.01],
+            diag_stride=10**9)
         assert calls["sweeps"] <= 4 * 178
         # a step solves once, and again only for a new matrix; most steps keep the last one
         assert 178 <= calls["solves"] <= 178 + calls["reductions"] and calls["reductions"] < 178 // 2
@@ -717,7 +765,7 @@ class TestStepSemiImplicit:
         params, dt = Params(chi=1.0, eps=eps), 10.0 * cfl_dt(grid, eps)
         f = gaussian_bump(grid, 0.5, mass=1.0)
         prev = f.values
-        for _, state in march([f], [params], [dt], [20], scheme="semi_implicit"):
+        for _, state in march([f], [params], [dt], [20], StepControls("semi_implicit")):
             fresh, _ = implicit_solve(Field.density(grid, prev), params, dt)
             assert np.array_equal(state[0], fresh)
             prev = state[0].copy()
@@ -731,7 +779,7 @@ class TestStepSemiImplicit:
                 vals = rng.uniform(0.0, 1.0, grid.shape) * (rng.uniform(size=grid.shape) < 0.5)
                 f = Field.density(grid, vals)
                 for multiple in (1.0, 100.0, 1000.0):
-                    dt = multiple * cfl_dt(grid, eps, 0.45)
+                    dt = multiple * cfl_dt(grid, eps)
                     out = implicit_step(f, Params(chi=3.0, eps=eps), dt)
                     assert out.min() >= 0.0
 
@@ -774,26 +822,26 @@ class TestStepSemiImplicit:
         dts = [m * cfl_dt(grid, p.eps) for m, p in zip((10.0, 3.0, 30.0), params)]
         n_steps = [6, 4, 1]
         rows = {}
-        for k, state in march(fields, params, dts, n_steps, scheme="semi_implicit"):
+        for k, state in march(fields, params, dts, n_steps, StepControls("semi_implicit")):
             rows.update(((i, k), row.copy()) for i, row in enumerate(state))
         for i, (f, p, dt, n) in enumerate(zip(fields, params, dts, n_steps)):
-            alone = {k: state[0].copy() for k, state in march([f], [p], [dt], [n], scheme="semi_implicit")}
+            alone = {k: state[0].copy() for k, state in march([f], [p], [dt], [n], StepControls("semi_implicit"))}
             assert sorted(alone) == [k for j, k in sorted(rows) if j == i] == list(range(1, n + 1))
             assert all(np.array_equal(rows[i, k], row) for k, row in alone.items())
 
     def test_2d_field_rejected(self):
         f = gaussian_bump(make_grid(2, 5.0, 20), 0.5, mass=1.0)
         with pytest.raises(ValueError, match="1D only"):
-            next(march([f], [Params(chi=1.0)], [0.01], [1], scheme="semi_implicit"))
+            next(march([f], [Params(chi=1.0)], [0.01], [1], StepControls("semi_implicit")))
         with pytest.raises(ValueError, match="1D only"):
-            run([f], [Params(chi=1.0)], StepControls(dt=0.01), [0.02], scheme="semi_implicit")
+            run([f], [Params(chi=1.0)], StepControls("semi_implicit", dt=0.01), [0.02])
 
     def test_spike_with_vacuum_stays_nonnegative(self):
         # the 1D matrix is an M-matrix: the exact solve needs no negativity allowance
         grid = make_grid(1, 5.0, 400)
         spike = poly_spike(grid, 0.5, 2.0)
         assert spike.values.min() == 0.0
-        dt = 20.0 * cfl_dt(grid, 0.0, 0.45)
+        dt = 20.0 * cfl_dt(grid, 0.0)
         v = spike.values
         excess, diff = face_terms(v, 1.0, grid.spacing[0])
         assert active_set_solve(excess, diff, v, 1.0, 0.0, dt, grid.spacing[0]).min() >= 0.0
@@ -809,7 +857,7 @@ def implicit_steps(draw):
     vals = rng.uniform(0.0, 1.0, grid.shape) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
     vals[rng.uniform(size=grid.shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
     params = Params(chi=draw(st.floats(0.0, 10.0)), eps=draw(st.sampled_from([0.0, 0.1, 0.7])))
-    dt = cfl_dt(grid, params.eps, 0.45) * draw(st.floats(1.0, 1000.0))
+    dt = cfl_dt(grid, params.eps) * draw(st.floats(1.0, 1000.0))
     return Field.density(grid, vals), params, dt
 
 
@@ -914,9 +962,8 @@ class TestRun:
 
     def test_semi_implicit_scheme(self, grid1d):
         f = gaussian_bump(grid1d, 1.0, mass=1.0)
-        dt = 4.0 * cfl_dt(grid1d, 0.0, 0.45)
-        traj, = run([f], [Params(chi=1.0)], StepControls(dt=dt), [8 * dt],
-                    scheme="semi_implicit", diag_stride=2)
+        dt = 4.0 * cfl_dt(grid1d, 0.0)
+        traj, = run([f], [Params(chi=1.0)], StepControls("semi_implicit", dt=dt), [8 * dt], diag_stride=2)
         assert traj.records[-1].mass == pytest.approx(1.0, rel=1e-9)
         l2 = [r.lp_norms[2.0] for r in traj.records]
         assert l2[-1] < l2[0]
@@ -949,5 +996,7 @@ class TestRun:
     ])
     def test_bad_arguments(self, grid1d, kw, msg):
         f = gaussian_bump(grid1d, 1.0, mass=1.0)
+        kw = dict(kw)
+        scheme = kw.pop("scheme", "explicit")  # checked by the controls that run takes
         with pytest.raises(ValueError, match=msg):
-            run([f], [Params(chi=1.0)], StepControls(), **kw)
+            run([f], [Params(chi=1.0)], StepControls(scheme), **kw)

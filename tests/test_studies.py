@@ -86,11 +86,11 @@ class TestViscosityStudy:
         cfg = small_bump_cfg(eps_list=eps_list, scheme=scheme, dt=dt)
         rep = viscosity_study(cfg)
         grid, initial, _ = build_problem(cfg)
-        controls = StepControls(dt=dt or cfl_dt(grid, max(eps_list)))
+        controls = StepControls(scheme, dt=dt or cfl_dt(grid, max(eps_list)))
         finals = []
         for e in eps_list:
             traj, = run([initial], [Params(chi=cfg.chi, eps=e)], controls, [cfg.t_end],
-                        diag_stride=cfg.diag_stride, scheme=scheme)
+                        diag_stride=cfg.diag_stride)
             finals.append(traj.final)
         rows = []
         for i in range(len(eps_list)):
@@ -242,7 +242,7 @@ class TestSmoothingStudy:
         # both spike families step as one batch with per-member horizons and
         # dt; every row must equal the one a separate run() gives
         widths = (0.8, 0.4)
-        cfg = small_bump_cfg(cells=128, t_end=0.02, diag_stride=7, study_p=4.0, spike_widths=widths)
+        cfg = small_bump_cfg(cells=128, t_end=0.02, diag_stride=7, ic="spike", ic_p=4.0, spike_widths=widths)
         rep = smoothing_study(cfg)
         grid, _, _ = build_problem(cfg)
         controls = StepControls(dt=cfl_dt(grid, 0.0))
@@ -269,8 +269,14 @@ class TestSmoothingStudy:
         with pytest.raises(ValueError, match="eps"):
             smoothing_study(small_bump_cfg(eps=0.1))
 
+    def test_requires_spike(self):
+        # the family is the config's spike: ic_p sets its norm, and another ic is not overridden
+        with pytest.raises(ValueError, match="'ic'.*ic = spike"):
+            smoothing_study(small_bump_cfg(spike_widths=(0.8, 0.4)))
+
     def test_report_structure_small(self):
-        cfg = small_bump_cfg(cells=256, t_end=0.05, diag_stride=50, study_p=4.0, spike_widths=(0.8, 0.4))
+        cfg = small_bump_cfg(cells=256, t_end=0.05, diag_stride=50, ic="spike", ic_p=4.0,
+                             spike_widths=(0.8, 0.4))
         rep = smoothing_study(cfg)
         phases = {row[0] for row in rep.rows}
         assert phases == {"limited", "heat"}
