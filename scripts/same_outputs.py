@@ -1,0 +1,121 @@
+"""Check that two fluxlim checkouts give byte-identical outputs.
+
+    python scripts/same_outputs.py OLD_CHECKOUT NEW_CHECKOUT
+
+Each checkout runs the same command matrix with its own ``src/`` and ``configs/``:
+
+  * every ``configs/*.cfg`` with its command (``COMMANDS``; ``study contraction``
+    on the a/b pair and on a/a);
+  * ``check monotonicity --samples 2000``;
+  * semi-implicit ``simulate`` on ``bump.cfg`` with ``dt = 0.002`` and ``snapshot_stride = 25``;
+  * semi-implicit ``study smoothing`` at about 10x the CFL step;
+  * ``simulate`` on ``bump.cfg`` with ``eps = 0.1``;
+  * a 2D ``simulate`` on ``bump.cfg`` at 48^2 cells.
+
+Every command runs in a fresh directory of its own, with relative paths, so stdout and
+stderr name no path of either run (a run directory that appears anyway is masked). The
+exit code, stdout, stderr and every file under the command's ``out`` directory must be
+equal byte for byte. Prints one line per command and exits 0 when all are equal, 1 when
+any differs. Standard library only; the checkouts need numpy, as fluxlim does.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# The command each shipped config runs with; contraction_b.cfg is the second run of the pair
+COMMANDS = {
+    "bump.cfg": ["simulate"],
+    "steady.cfg": ["steady", "check"],
+    "viscosity.cfg": ["study", "viscosity"],
+    "smoothing.cfg": ["study", "smoothing"],
+    "contraction_a.cfg": ["study", "contraction"],
+    "contraction_b.cfg": None,
+}
+SMOOTHING_10_CFL_DT = "0.000309"  # 10x the CFL step 0.45 h^2/2 of smoothing.cfg's 1024 cells
+
+
+def edit(text: str, **keys) -> str:
+    """The config ``text`` with ``keys`` set: their old lines are dropped and new ones appended."""
+    kept = [line for line in text.splitlines() if line.split("=", 1)[0].strip() not in keys]
+    return "\n".join(kept + [f"{key} = {value}" for key, value in keys.items()]) + "\n"
+
+
+def matrix(configs: Path) -> list[tuple[str, list[str], dict[str, str]]]:
+    """(label, CLI arguments, config files to write) of every command for the ``configs`` directory."""
+    found = sorted(p.name for p in configs.glob("*.cfg"))
+    unknown = [name for name in found if name not in COMMANDS]
+    if unknown:
+        sys.exit(f"no command for {', '.join(unknown)}; add it to COMMANDS in {Path(__file__).name}")
+    text = {name: (configs / name).read_text(encoding="utf-8") for name in found}
+    cases = []
+    for name in found:
+        if COMMANDS[name] is None:
+            continue
+        cases.append((name, COMMANDS[name] + ["--config", "a.cfg"], {"a.cfg": text[name]}))
+    if "contraction_a.cfg" in text and "contraction_b.cfg" in text:
+        cases.append(("contraction_a.cfg + contraction_b.cfg",
+                      ["study", "contraction", "--config", "a.cfg", "--config2", "b.cfg"],
+                      {"a.cfg": text["contraction_a.cfg"], "b.cfg": text["contraction_b.cfg"]}))
+    cases.append(("check monotonicity --samples 2000", ["check", "monotonicity", "--samples", "2000"], {}))
+    bump, smoothing = text.get("bump.cfg", ""), text.get("smoothing.cfg", "")
+    cases += [
+        ("bump.cfg semi-implicit", ["simulate", "--config", "a.cfg"],
+         {"a.cfg": edit(bump, scheme="semi_implicit", dt="0.002", snapshot_stride="25")}),
+        ("smoothing.cfg semi-implicit", ["study", "smoothing", "--config", "a.cfg"],
+         {"a.cfg": edit(smoothing, scheme="semi_implicit", dt=SMOOTHING_10_CFL_DT)}),
+        ("bump.cfg eps = 0.1", ["simulate", "--config", "a.cfg"], {"a.cfg": edit(bump, eps="0.1")}),
+        ("bump.cfg 2D 48^2", ["simulate", "--config", "a.cfg"], {"a.cfg": edit(bump, dim="2", cells="48")}),
+    ]
+    return cases
+
+
+def outcome(checkout: Path, args: list[str], files: dict[str, str], where: Path) -> dict[str, bytes]:
+    """Run one command of ``checkout`` in the empty directory ``where``; its exit code, masked
+    stdout and stderr, and the bytes of every output file, by name."""
+    where.mkdir(parents=True)
+    for name, content in files.items():
+        (where / name).write_text(content, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    res = subprocess.run([sys.executable, "-m", "fluxlim.cli", *args, "--out", "out"], cwd=where,
+                         capture_output=True, env=env)
+    mask = str(where).encode()
+    seen = {"exit code": str(res.returncode).encode(), "stdout": res.stdout.replace(mask, b"<run>"),
+            "stderr": res.stderr.replace(mask, b"<run>")}
+    out = where / "out"
+    seen.update((f"out/{p.relative_to(out)}", p.read_bytes()) for p in sorted(out.rglob("*")) if p.is_file())
+    return seen
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    old, new = (Path(a).resolve() for a in argv)
+    cases = {label: (args, files) for label, args, files in matrix(old / "configs")}
+    cases_new = {label: (args, files) for label, args, files in matrix(new / "configs")}
+    differ = sorted(set(cases) ^ set(cases_new))
+    for label in differ:
+        print(f"DIFFERENT {label}: run by one checkout only")
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        for k, label in enumerate(label for label in cases if label in cases_new):
+            a = outcome(old, *cases[label], Path(tmp, "old", str(k)))
+            b = outcome(new, *cases_new[label], Path(tmp, "new", str(k)))
+            bad = [key for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
+            if bad:
+                differ.append(label)
+            note = "" if cases[label][1] == cases_new[label][1] else " (the checkouts' configs differ)"
+            verdict = f"DIFFERENT {label}" if bad else f"same {label}"
+            print(f"{verdict}: exit {b['exit code'].decode()}, {len(b)} outputs{note}"
+                  + (f"; differ: {', '.join(bad)}" if bad else ""), flush=True)
+    total = len(set(cases) | set(cases_new))
+    print(f"{len(differ)} of {total} commands differ" if differ else f"all {total} commands identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -16,7 +16,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .config import STATIONARY_KINDS, RunConfig, build_controls, build_problem, check_cell_steps
+from .config import STATIONARY_KINDS, RunConfig, _center, build_controls, build_problem, check_cell_steps
 from .diagnostics import l1_distance, pair_terms
 from .grid import Field, gradient_norm, integrate
 from .limiter import Params, monotone_gap, unclamped_gap
@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 
+# The keys the contraction study reads from its first config alone, which the second must repeat
+_SHARED_CONTRACTION_KEYS = ("dt", "t_end", "diag_stride", "sigma_rel", "picard_tol")
 # Bytes of recorded states per contraction probe: 16 pairs of 400 cells, one pair of 57^2 or more
 _PROBE_BLOCK_BYTES = 100 * 2**10
 # Allowed rise per time step of the relative entropy, relative to H(0), and of the
@@ -75,8 +77,7 @@ class StudyReport:
         lines = [f"study {self.kind}"]
         lines += [f"input {k} = {v}" for k, v in self.inputs]
         lines.append("columns " + ",".join(self.columns))
-        for row in self.rows:
-            lines.append("row " + ",".join(_cell(x) for x in row))
+        lines += ["row " + ",".join(map(str, row)) for row in self.rows]
         lines += [f"note {n}" for n in self.notes]
         for v in self.verdicts:
             lines.append(f"VERDICT {v.name} {'PASS' if v.passed else 'FAIL'} ({v.detail})")
@@ -84,14 +85,8 @@ class StudyReport:
 
     def to_csv(self) -> str:
         out = [",".join(self.columns)]
-        out += [",".join(_cell(x) for x in row) for row in self.rows]
+        out += [",".join(map(str, row)) for row in self.rows]
         return "\n".join(out) + "\n"
-
-
-def _cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def _fmt_list(xs) -> str:
@@ -183,6 +178,7 @@ def viscosity_study(base: RunConfig) -> StudyReport:
 def contraction_study(cfg1: RunConfig, cfg2: RunConfig) -> StudyReport:
     """Advance two inviscid runs on one time mesh, as one batch of their shared scheme, and
     track the relative entropy between them together with its two dissipation integrals.
+    The two configs must also agree on the keys of ``_SHARED_CONTRACTION_KEYS``.
 
     Verdicts: H never increases by more than ``_H_SLACK_PER_STEP * H(0)`` per
     time step; both dissipation terms stay nonnegative; in 1D, the L1
@@ -194,6 +190,11 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig) -> StudyReport:
     """
     if cfg1.eps != 0.0 or cfg2.eps != 0.0:
         raise ValueError("contraction study requires eps = 0 in both runs")
+    for key in _SHARED_CONTRACTION_KEYS:
+        first, second = getattr(cfg1, key), getattr(cfg2, key)
+        if first != second:
+            raise ValueError(f"invalid value for '{key}': the contraction study runs both configs with "
+                             f"one {key}, but they set {first!r} and {second!r}")
     grid1, u, _ = build_problem(cfg1)
     grid2, v, _ = build_problem(cfg2)
     if grid1 != grid2 or cfg1.scheme != cfg2.scheme:
@@ -279,8 +280,9 @@ def _envelope(records, p_norm: float, exponent: float) -> float:
 def smoothing_study(cfg: RunConfig) -> StudyReport:
     """Probe the sup-norm smoothing bound on an Lp-normalized spike family.
 
-    Each spike (widths ``spike_widths``, all with equal Lp norm ``ic_pnorm`` for
-    p = ``ic_p``; the config's ``ic`` must be ``spike``) runs inviscid; the envelope constant
+    Each spike (widths ``spike_widths``, all centred at ``ic_center`` with equal Lp norm
+    ``ic_pnorm`` for p = ``ic_p``; the config's ``ic`` must be ``spike``, and an ``ic_width``
+    other than the default is rejected) runs inviscid; the envelope constant
     C_hat = max_t sup(t) / (|rho_in|_p (1 + t^{-d/2p})) must be stable
     (within a factor 2) across the family, t over a CFL-step run's record times.
     A second envelope with the alternative exponent (d+2)/(2p) is reported without a verdict.
@@ -300,6 +302,9 @@ def smoothing_study(cfg: RunConfig) -> StudyReport:
         raise ValueError("invalid value for 't_end': the smoothing study needs t_end > 0")
     if cfg.ic != "spike":
         raise ValueError("invalid value for 'ic': the smoothing study runs a spike family, ic = spike")
+    if cfg.ic_width != RunConfig.ic_width:
+        raise ValueError("invalid value for 'ic_width': the smoothing study's spikes take the widths "
+                         "of 'spike_widths'")
 
     grid, spike, _ = build_problem(cfg)
     d = grid.dim
@@ -314,7 +319,7 @@ def smoothing_study(cfg: RunConfig) -> StudyReport:
     t_ends = [cfg.t_end] * n + [w * w for w in widths]
     check_cell_steps(spike.values.size, sum(t_ends) / (2 * n), dt, runs=2 * n)  # the 2n members, one budget
 
-    spikes = [poly_spike(grid, w, p, p_norm=cfg.ic_pnorm) for w in widths]
+    spikes = [poly_spike(grid, w, p, center=_center(cfg), p_norm=cfg.ic_pnorm) for w in widths]
     trajectories = run(spikes * 2, [Params(cfg.chi)] * n + [Params(0.0)] * n, shared, t_ends,
                        [stride] * n + [10**9] * n, p_set=cfg.p_set, grad_p_set=cfg.grad_p_set)
     limited = trajectories[:n]

@@ -311,6 +311,30 @@ ic_p = 4
         assert "VERDICT smoothing_envelope_stable" in text
         assert "VERDICT smoothing_heat_slope" in text
 
+    def test_contraction_second_config_stepping_keys(self, tmp_path, capsys):
+        # the study reads dt, t_end, diag_stride, sigma_rel and picard_tol from --config; a --config2
+        # that sets others ran silently by the first's
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        second = tmp_path / "b.cfg"
+        second.write_text((configs / "contraction_b.cfg").read_text().replace("t_end = 0.05", "t_end = 0.01")
+                          + "dt = 0.00001\nsigma_rel = 0.5\n")
+        code = cli_module.main(["study", "contraction", "--config", str(configs / "contraction_a.cfg"),
+                                "--config2", str(second), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == ("config error: invalid value for 'dt': the contraction study runs "
+                                           "both configs with one dt, but they set None and 1e-05\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_smoothing_ic_width_is_config_error(self, tmp_path, capsys):
+        # the family takes spike_widths; ic_width changed nothing but the spike build_problem checks
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(Path(__file__).resolve().parents[1].joinpath("configs", "smoothing.cfg").read_text()
+                       + "ic_width = 0.3\n")
+        code = cli_module.main(["study", "smoothing", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: invalid value for 'ic_width':") and "'spike_widths'" in err
+
     @pytest.mark.parametrize("kind,override", [
         ("viscosity", "eps_list = 0.1"),
         ("viscosity", "eps_list = 0.1 0.2"),

@@ -115,6 +115,14 @@ class TestContractionStudy:
         with pytest.raises(ValueError, match="shared grid and scheme"):
             contraction_study(small_bump_cfg(), small_bump_cfg(scheme="semi_implicit"))
 
+    @pytest.mark.parametrize("key,value", [
+        ("dt", 1e-5), ("t_end", 0.02), ("diag_stride", 3), ("sigma_rel", 0.5), ("picard_tol", 1e-8),
+    ])
+    def test_requires_shared_stepping_keys(self, key, value):
+        # the study steps and probes both runs by the first config's values of these keys
+        with pytest.raises(ValueError, match=f"^invalid value for '{key}': .* one {key}, but they set "):
+            contraction_study(small_bump_cfg(), small_bump_cfg(**{key: value}))
+
     def test_requires_positive_data(self):
         spikey = small_bump_cfg(ic="spike", ic_width=0.5)
         with pytest.raises(ValueError, match="positive"):
@@ -237,25 +245,34 @@ class TestContractionL1:
         assert "contraction_L1_nonincreasing" not in {v.name for v in rep.verdicts}
 
 
+def smoothing_rows_of_lone_runs(cfg):
+    """The smoothing study's table for ``cfg`` at the CFL step, from one run() per spike and control."""
+    grid, _, _ = build_problem(cfg)
+    controls, rows = StepControls(dt=cfl_dt(grid, 0.0)), []
+    spikes = [poly_spike(grid, w, cfg.ic_p, center=cfg.ic_center, p_norm=cfg.ic_pnorm) for w in cfg.spike_widths]
+    for w, spike in zip(cfg.spike_widths, spikes):
+        traj, = run([spike], [Params(chi=cfg.chi)], controls, [cfg.t_end], diag_stride=cfg.diag_stride)
+        rows += [("limited", w, rec.time, rec.sup_norm) for rec in traj.records]
+    for w, spike in zip(cfg.spike_widths, spikes):
+        traj, = run([spike], [Params(chi=0.0)], controls, [w * w], diag_stride=10**9)
+        rows.append(("heat", w, traj.records[-1].time, traj.records[-1].sup_norm))
+    return rows
+
+
 class TestSmoothingStudy:
     def test_batch_matches_separate_runs(self, pair_probe):
         # both spike families step as one batch with per-member horizons and
         # dt; every row must equal the one a separate run() gives
-        widths = (0.8, 0.4)
-        cfg = small_bump_cfg(cells=128, t_end=0.02, diag_stride=7, ic="spike", ic_p=4.0, spike_widths=widths)
+        cfg = small_bump_cfg(cells=128, t_end=0.02, diag_stride=7, ic="spike", ic_p=4.0, spike_widths=(0.8, 0.4))
+        assert smoothing_study(cfg).rows == smoothing_rows_of_lone_runs(cfg)
+
+    def test_family_centred_at_ic_center(self):
+        # every spike of the family, and its heat control, sits at the config's ic_center
+        cfg = small_bump_cfg(cells=128, t_end=0.02, diag_stride=7, ic="spike", ic_p=4.0, spike_widths=(0.8, 0.4),
+                             ic_center=(1.5,))
         rep = smoothing_study(cfg)
-        grid, _, _ = build_problem(cfg)
-        controls = StepControls(dt=cfl_dt(grid, 0.0))
-        rows = []
-        for w in widths:
-            traj, = run([poly_spike(grid, w, 4.0, p_norm=cfg.ic_pnorm)], [Params(chi=cfg.chi)],
-                        controls, [cfg.t_end], diag_stride=cfg.diag_stride)
-            rows += [("limited", w, rec.time, rec.sup_norm) for rec in traj.records]
-        for w in widths:
-            traj, = run([poly_spike(grid, w, 4.0, p_norm=cfg.ic_pnorm)], [Params(chi=0.0)],
-                        controls, [w * w], diag_stride=10**9)
-            rows.append(("heat", w, traj.records[-1].time, traj.records[-1].sup_norm))
-        assert rep.rows == rows
+        assert rep.rows == smoothing_rows_of_lone_runs(cfg)
+        assert rep.rows != smoothing_study(replace(cfg, ic_center=(0.0,))).rows
 
     def test_width_order_enforced(self):
         with pytest.raises(ValueError, match="decreasing"):
