@@ -48,9 +48,6 @@ _CFL_SAFETY = 0.45  # the explicit step's fraction of the heat-equation stabilit
 _PICARD_MAX_ITER = 200  # accepted sweeps of one semi-implicit step before it fails
 _NEG_TOL = 1e-13  # roundoff allowance of a step's negatives, relative to the member's sup norm
 _DENSE = 31  # cyclic reduction leaves at most this many unknowns to a dense inverse
-# Most cells of a 1D explicit block whose per-member operands are per-cell rows, not columns:
-# in cache a row multiplies faster, past it the column does (measured crossover 2^14 cells)
-_ROW_CELLS = 2**14
 
 
 class CflViolationError(ValueError):
@@ -164,7 +161,7 @@ def _buffers(grid: Grid, size: int) -> list[tuple[np.ndarray, ...]]:
         bufs.append((cells, *(f[: math.prod(shape)].reshape(shape) for f in faces), upper[lo], upper, lower))
     if grid.dim == 1:
         flat = cells.reshape(-1)
-        bufs[0] += ((flat[:-1], flat[1:], store[1:-1], faces[0][:-1]),)
+        bufs[0] += (flat[:-1], flat[1:], store[1:-1], faces[0][:-1])
     return bufs
 
 
@@ -213,7 +210,7 @@ def _face_flux(values: np.ndarray, half_chi_h, eps, out) -> np.ndarray:
     scaled cells, so it overflows only where it exceeds every finite |D| and clamps the excess to
     0, and an overflowing eps |D| makes a non-finite flux. The clamp passes NaN on to ``_finalize``.
     """
-    cells, diff, excess, flux, upper, _, (below, above, sums, diffs) = out
+    cells, diff, excess, flux, upper, _, below, above, sums, diffs = out
     v = values.reshape(-1)
     with np.errstate(over="ignore"):
         np.multiply(values, half_chi_h, out=cells)
@@ -276,10 +273,11 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
     a prefix; it is a work buffer that the next step overwrites. Every step is checked
     for finiteness and negativity. A failing step raises ``NumericalFailureError``
     tagged with its step, its member's time and the member, named by ``members``
-    (default: their positions), as a CFL violation is. The per-member operands (chi h/2, dt/h^2,
-    and eps and dt*eps when some member absorbs) are (members, 1) columns, except in a 1D
-    explicit block of at most ``_ROW_CELLS`` cells, which repeats them into per-cell rows once
-    per block: in cache a row multiplies faster, and both give the same products bit for bit.
+    (default: their positions), as a CFL violation is. A 1D explicit block repeats its
+    per-member operands (chi h/2, dt/h^2, and eps and dt*eps when some member absorbs) into
+    per-cell rows once; 2D blocks and the semi-implicit sweep keep (members, 1) columns. Both
+    give the same products bit for bit. In cache a row multiplies faster than a column, past
+    it slower (see the README on batches).
     """
     if any(b > a for a, b in zip(n_steps, n_steps[1:])):
         raise ValueError("members must come in non-increasing n_steps order")
@@ -311,8 +309,7 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
         if implicit:
             last = None  # the batch's last linearization
         elif grid.dim == 1:
-            if cur.size <= _ROW_CELLS:  # in cache, per-cell rows multiply faster than columns
-                c[0], e, d, de = (x if x is None else np.repeat(x, cur.shape[1], axis=1) for x in (c[0], e, d, de))
+            c[0], e, d, de = (x if x is None else np.repeat(x, cur.shape[1], axis=1) for x in (c[0], e, d, de))
             faces = (bufs[0][4:6],)
 
             def fluxes(v):

@@ -49,10 +49,6 @@ def active_set_solve(excess, diff, rhs, chi, eps, dt, h):
     return _active_set_matrix(stepping._faces(excess, diff)[None], chi, eps, dt, h).solve(rhs[None])[0]
 
 
-# _ROW_CELLS patched so that a 1D explicit block takes its per-member operands as columns, or as rows
-LAYOUTS = {"columns": 0, "rows": 2**40}
-
-
 @pytest.fixture()
 def grid1d():
     return make_grid(1, 5.0, 200)
@@ -423,39 +419,32 @@ class TestBatchedKernel:
             return result
 
         monkeypatch.setattr(stepping, "_face_flux", flux)
-        for bound in LAYOUTS.values():
-            monkeypatch.setattr(stepping, "_ROW_CELLS", bound)
-            rows = {(i, k): row.copy() for k, state in march(fields, params, dts, n_steps, StepControls(scheme))
-                    for i, row in enumerate(state)}
-            assert between and all(np.array_equal(faces, np.zeros(faces.size)) for faces in between)
-            for i, (f, p, dt, n) in enumerate(zip(fields, params, dts, n_steps)):
-                for k, state in march([f], [p], [dt], [n], StepControls(scheme)):
-                    assert np.array_equal(rows[i, k], state[0])
-            assert rows[1, 3].max() > 0.1 * big and rows[0, 4].max() < 1.0
+        rows = {(i, k): row.copy() for k, state in march(fields, params, dts, n_steps, StepControls(scheme))
+                for i, row in enumerate(state)}
+        assert between and all(np.array_equal(faces, np.zeros(faces.size)) for faces in between)
+        for i, (f, p, dt, n) in enumerate(zip(fields, params, dts, n_steps)):
+            for k, state in march([f], [p], [dt], [n], StepControls(scheme)):
+                assert np.array_equal(rows[i, k], state[0])
+        assert rows[1, 3].max() > 0.1 * big and rows[0, 4].max() < 1.0
 
     @pytest.mark.parametrize("first,second,chi,eps", [
         ([0.0, 0.0, 0.0, 1.5e308], [1.5e308, 0.0, 0.0, 0.0], 4.0, 0.0),  # threshold 3e308
         ([1e10] * 4, [0.0] * 4, 1.0, 1e299),  # eps |D| = 1e309
     ])
-    def test_members_apart_without_warning(self, first, second, chi, eps, monkeypatch):
+    def test_members_apart_without_warning(self, first, second, chi, eps):
         # the face between the members overflows (h = 0.5, so chi 4 makes chi h/2 = 1), but
-        # each member alone overflows nowhere, so the batch must not warn either, in either layout
+        # each member alone overflows nowhere, so the batch must not warn either
         grid, p = make_grid(1, 1.0, 4), Params(chi=chi, eps=eps)
         fields, dt = [Field.density(grid, np.array(v)) for v in (first, second)], cfl_dt(grid, eps)
-        for bound in LAYOUTS.values():
-            monkeypatch.setattr(stepping, "_ROW_CELLS", bound)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                (_, state), = march(fields, [p, p], [dt, dt], [1, 1])
-                for f, row in zip(fields, state):
-                    assert np.array_equal(explicit_step(f, p, dt), row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (_, state), = march(fields, [p, p], [dt, dt], [1, 1])
+            for f, row in zip(fields, state):
+                assert np.array_equal(explicit_step(f, p, dt), row)
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_operand_layouts_match_lone_runs(self, layout, monkeypatch):
-        # a 1D explicit block takes its per-member operands as (members, 1) columns above
-        # _ROW_CELLS cells and as per-cell rows at or below it; either way every member, the
-        # chi = 0 and the absorbing one among them, steps bitwise as its lone run
-        monkeypatch.setattr(stepping, "_ROW_CELLS", LAYOUTS[layout])
+    def test_operand_rows_match_lone_runs(self, monkeypatch):
+        # a 1D explicit block takes its per-member operands as per-cell rows; every member,
+        # the chi = 0 and the absorbing one among them, still steps bitwise as its lone run
         grid = make_grid(1, 5.0, 80)
         fields = [gaussian_bump(grid, w, mass=1.0) for w in (1.0, 0.5, 0.8)]
         params = [Params(chi=1.0), Params(chi=0.0), Params(chi=2.0, eps=0.3)]
@@ -469,8 +458,7 @@ class TestBatchedKernel:
         monkeypatch.setattr(stepping, "_face_flux", flux)
         rows = {(i, k): row.copy() for k, state in march(fields, params, dts, n_steps)
                 for i, row in enumerate(state)}
-        width = 1 if layout == "columns" else 80
-        assert shapes == {((live, width), (live, width)) for live in (1, 2, 3)}
+        assert shapes == {((live, 80), (live, 80)) for live in (1, 2, 3)}
         for i, (f, p, dt, n) in enumerate(zip(fields, params, dts, n_steps)):
             alone = {k: state[0].copy() for k, state in march([f], [p], [dt], [n])}
             assert sorted(alone) == [k for j, k in sorted(rows) if j == i] == list(range(1, n + 1))
