@@ -9,6 +9,8 @@ Each checkout runs the same command matrix with its own ``src/`` and ``configs/`
   * ``check monotonicity --samples 2000``;
   * semi-implicit ``simulate`` on ``bump.cfg`` with ``dt = 0.002`` and ``snapshot_stride = 25``;
   * semi-implicit ``study smoothing`` at about 10x the CFL step;
+  * the ``implicit_1d`` benchmark's command: semi-implicit ``simulate`` on ``bump.cfg`` at
+    2000 cells and 10x the CFL step to ``t_end = 0.01``;
   * ``simulate`` on ``bump.cfg`` with ``eps = 0.1``;
   * a 2D ``simulate`` on ``bump.cfg`` at 48^2 cells.
 
@@ -37,6 +39,7 @@ COMMANDS = {
     "contraction_b.cfg": None,
 }
 SMOOTHING_10_CFL_DT = "0.000309"  # 10x the CFL step 0.45 h^2/2 of smoothing.cfg's 1024 cells
+IMPLICIT_1D_DT = "5.625e-05"  # 10x the CFL step of 2000 cells on bump.cfg's box, as in implicit_1d
 
 
 def edit(text: str, **keys) -> str:
@@ -68,6 +71,9 @@ def matrix(configs: Path) -> list[tuple[str, list[str], dict[str, str]]]:
          {"a.cfg": edit(bump, scheme="semi_implicit", dt="0.002", snapshot_stride="25")}),
         ("smoothing.cfg semi-implicit", ["study", "smoothing", "--config", "a.cfg"],
          {"a.cfg": edit(smoothing, scheme="semi_implicit", dt=SMOOTHING_10_CFL_DT)}),
+        ("bump.cfg implicit_1d", ["simulate", "--config", "a.cfg"],
+         {"a.cfg": edit(bump, cells="2000", scheme="semi_implicit", dt=IMPLICIT_1D_DT, picard_tol="1e-10",
+                        t_end="0.01", diag_stride="20")}),
         ("bump.cfg eps = 0.1", ["simulate", "--config", "a.cfg"], {"a.cfg": edit(bump, eps="0.1")}),
         ("bump.cfg 2D 48^2", ["simulate", "--config", "a.cfg"], {"a.cfg": edit(bump, dim="2", cells="48")}),
     ]

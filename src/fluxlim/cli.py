@@ -10,7 +10,9 @@ Subcommands:
 
 Every study, the steady check included, is a ``studies`` function of its
 configs that returns a ``StudyReport``; this module only reads the configs,
-writes the outputs and maps errors to exit codes.
+writes the outputs and maps errors to exit codes. The ``studies`` module is
+loaded only by the commands that run a study or a check, so ``simulate``
+never loads it.
 
 Exit codes: 0 all verdicts pass, 1 configuration error (a bad config, a
 bad command-line argument, or an input a study rejects), 2 numerical
@@ -29,7 +31,6 @@ from .diagnostics import csv_header, csv_row
 from .grid import save_snapshot
 from .limiter import Params
 from .stepping import CflViolationError, NumericalFailureError, run
-from .studies import contraction_study, monotonicity_test, smoothing_study, steady_study, viscosity_study
 
 __all__ = ["main"]
 
@@ -50,12 +51,21 @@ def _load_config(path: str, args) -> RunConfig:
     return replace(cfg, out=args.out) if args.out else cfg
 
 
-def _report(study, inputs, out: str | None) -> int:
-    """Run ``study`` on ``inputs``, print its report, write it under ``out`` when given
-    and return the exit code. The study's input checks raise ValueError, reported as a
-    config error; a CFL violation stays a numerical failure, as in simulate."""
+def _studies() -> dict:
+    """The study of each command that runs one, by name, loaded when the first is run."""
+    from .studies import contraction_study, monotonicity_test, smoothing_study, steady_study, viscosity_study
+
+    return {"viscosity": viscosity_study, "contraction": contraction_study, "smoothing": smoothing_study,
+            "steady": steady_study, "monotonicity": monotonicity_test}
+
+
+def _report(study: str, inputs, out: str | None) -> int:
+    """Run the study named ``study`` (see ``_studies``) on ``inputs``, print its report, write
+    it under ``out`` when given and return the exit code. The study's input checks raise
+    ValueError, reported as a config error; a CFL violation stays a numerical failure, as in
+    simulate."""
     try:
-        report = study(*inputs)
+        report = _studies()[study](*inputs)
     except CflViolationError:
         raise
     except ValueError as exc:
@@ -97,7 +107,7 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_check_monotonicity(args) -> int:
-    return _report(monotonicity_test, (args.samples, args.seed), args.out)
+    return _report("monotonicity", (args.samples, args.seed), args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,10 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     study_sub = sub.add_parser("study", help="run an experiment harness").add_subparsers(
         dest="study_kind", required=True)
-    command(study_sub, "viscosity", _cmd_study, study=viscosity_study)
-    command(study_sub, "contraction", _cmd_study, study=contraction_study).add_argument(
+    command(study_sub, "viscosity", _cmd_study, study="viscosity")
+    command(study_sub, "contraction", _cmd_study, study="contraction").add_argument(
         "--config2", default=None, help="second run (defaults to --config)")
-    command(study_sub, "smoothing", _cmd_study, study=smoothing_study)
+    command(study_sub, "smoothing", _cmd_study, study="smoothing")
 
     check_sub = sub.add_parser("check", help="randomized property checks").add_subparsers(
         dest="check_kind", required=True)
@@ -130,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     steady_sub = sub.add_parser("steady", help="stationary profile checks").add_subparsers(
         dest="steady_kind", required=True)
-    command(steady_sub, "check", _cmd_study, study=steady_study)
+    command(steady_sub, "check", _cmd_study, study="steady")
     return parser
 
 

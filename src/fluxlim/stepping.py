@@ -20,8 +20,12 @@ and step count, by the scheme of its ``StepControls``; ``run`` steps through it.
     excess) and gradient sign of ``_face_flux`` (semi-smooth Newton), each a
     tridiagonal system solved exactly by cyclic reduction (``_Reduction``), in
     about two sweeps, and at most ``_PICARD_MAX_ITER``. The members sweep together,
-    and only a sweep that changes an active set reduces the matrices again. No
-    step-size restriction.
+    and only a sweep that changes an active set reduces the matrices again. The
+    sweep that confirms a step's solution linearizes at it, and the next step's
+    first sweep takes that linearization. There is no CFL ceiling, but the sweeps
+    do not converge at every step size: a Gaussian converges up to 10^5 times the
+    CFL step, while data with vacuum (spikes, indicators) fail at 1000 times
+    (ROADMAP, Direction 2).
 
 The boundary is the no-flux box of the grid module; the absorption term
 -eps*rho makes the total mass follow the product law prod(1 - eps*dt_k).
@@ -321,8 +325,8 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
             k += 1
             try:
                 if implicit:
-                    nxt[:], _, last = step_semi_implicit(cur, chi[:live], eps[:live], dt[:live], h, controls,
-                                                         bufs[0], last)
+                    _, _, last = step_semi_implicit(cur, chi[:live], eps[:live], dt[:live], h, controls,
+                                                    bufs[0], last, nxt)
                 else:
                     _divergence(fluxes(cur), nxt, bufs[0][0])
                     # (rho + dt*div) - (dt*eps)*rho in this order, so every member is
@@ -346,7 +350,8 @@ class _Reduction:
 
     Each matrix is padded with identity rows to the fewest, (m + 1) 2^L - 1 with m <= ``_DENSE``,
     and the padded matrices are laid end to end, an identity row apart, so that one operation
-    spans them all while each sees the operations of a lone matrix. Each of the L levels
+    spans them all while each sees the operations of a lone matrix. ``layout`` gives the padded
+    arrays, which the caller fills and hands on whole. Each of the L levels
     substitutes the even rows (0-based), divided by their diagonal, into the odd ones, which
     form the next level; each matrix's last m unknowns are solved with the inverse of their
     matrix, and back-substitution recovers the even ones. This is elimination without
@@ -356,14 +361,20 @@ class _Reduction:
     non-finite solution raises ``NumericalFailureError`` naming the first such matrix.
     """
 
-    def __init__(self, lower, diag, upper):
-        self.rows, self.n = rows, n = diag.shape
-        self.levels = next(k for k in range(n.bit_length() + 1) if -(-(n + 1) >> k) <= _DENSE + 1)
-        self.width = -(-(n + 1) >> self.levels) << self.levels  # a matrix's rows and the one between
-        lo, up = np.zeros((2, rows, self.width))
-        b = np.ones(lo.shape)
-        lo[:, 1:n], b[:, :n], up[:, :n - 1] = lower, diag, upper
-        lo, up, b = (a.reshape(-1)[:-1] for a in (lo, up, b))
+    @staticmethod
+    def layout(rows: int, n: int) -> np.ndarray:
+        """Zeroed padded (lower, diag, upper) arrays, each (rows, width), of ``rows`` matrices of ``n``
+        unknowns, their identity rows set: fill lower[:, 1:n], diag[:, :n] and upper[:, :n - 1]."""
+        levels = _levels(n)
+        coeffs = np.zeros((3, rows, -(-(n + 1) >> levels) << levels))  # a matrix's rows and the one between
+        coeffs[1, :, n:] = 1.0
+        return coeffs
+
+    def __init__(self, coeffs: np.ndarray, n: int):
+        """Reduce the matrices of ``n`` unknowns that fill the ``layout`` ``coeffs``."""
+        rows, self.width = coeffs.shape[1:]
+        self.rows, self.n, self.levels = rows, n, _levels(n)
+        lo, b, up = (a.reshape(-1)[:-1] for a in coeffs)
         self.terms = []
         with np.errstate(all="ignore"):
             for _ in range(self.levels):
@@ -411,6 +422,11 @@ class _Reduction:
         return x
 
 
+def _levels(n: int) -> int:
+    """The cyclic-reduction levels of a matrix of ``n`` unknowns: the fewest that leave ``_DENSE``."""
+    return next(k for k in range(n.bit_length() + 1) if -(-(n + 1) >> k) <= _DENSE + 1)
+
+
 def _failure(message: str, row) -> NumericalFailureError:
     """The error ``message`` of the batch's row ``row``."""
     exc = NumericalFailureError(message)
@@ -432,15 +448,20 @@ def _active_set_matrix(faces, chi, eps, dt, h: float) -> _Reduction:
     elsewhere eps g. With c = eps + [active], d = chi s [active] and P, Q = dt/h (c/h -+ d/2)
     per face, (1 + eps*dt) u - dt*div F(u) is tridiagonal: diagonal
     1 + eps*dt + Q_{i+1/2} + P_{i-1/2}, super-diagonal -P, sub-diagonal -Q.
-    P, Q >= 0 (an M-matrix) wherever chi h <= 2 (1 + eps).
+    P, Q >= 0 (an M-matrix) wherever chi h <= 2 (1 + eps). The diagonals are written
+    straight into the padded ``_Reduction.layout``.
     """
+    rows, n = len(faces), faces.shape[1] + 1
+    coeffs = _Reduction.layout(rows, n)
+    lower, diag, upper = coeffs[0, :, 1:n], coeffs[1, :, :n], coeffs[2, :, :n - 1]
     on = faces != 2.0
     c, half_d = eps + on, np.where(on, 0.5 * chi * faces, 0.0)
-    p, q = (c / h - half_d) * (dt / h), (c / h + half_d) * (dt / h)
-    diag = (1.0 + eps * dt) + np.zeros((len(faces), faces.shape[1] + 1))
-    diag[:, :-1] += q
-    diag[:, 1:] += p
-    return _Reduction(q, diag, p)
+    np.multiply(c / h - half_d, dt / h, out=upper)
+    np.multiply(c / h + half_d, dt / h, out=lower)
+    diag[...] = 1.0 + eps * dt
+    diag[:, :-1] += lower
+    diag[:, 1:] += upper
+    return _Reduction(coeffs, n)
 
 
 def _iteration(rho: np.ndarray, controls: StepControls):
@@ -451,7 +472,8 @@ def _iteration(rho: np.ndarray, controls: StepControls):
     limiter's active set and gradient sign, and solves exactly (a semi-smooth
     Newton step, see ``_active_set_matrix``). Fixed points of T solve the step.
     Convergence is measured by the fixed-point residual |T(z) - z| / |T(z)| in L2.
-    Updates are relaxed, z + theta (T(z) - z), and a candidate is only accepted once
+    Updates are relaxed, z + theta (T(z) - z), which at theta = 1 is T(z) itself, so that a
+    confirming sweep is at the step's solution; and a candidate is only accepted once
     its residual drops below the current one, halving theta otherwise (down to 1/64).
     The backtracking guards against threshold flicker (faces hopping across the
     limiter cutoff between sweeps) at large dt; it never moves the fixed point, and
@@ -473,7 +495,7 @@ def _iteration(rho: np.ndarray, controls: StepControls):
                                         f"(last fixed-point residual {residual})", residual, trace)
         theta = min(1.0, 1.5 * theta)  # remember the working relaxation level
         while True:
-            cand = z + theta * (mapped - z)
+            cand = mapped if theta == 1.0 else z + theta * (mapped - z)
             cand_mapped, cand_residual = yield from sweep(cand)
             if cand_residual < residual or theta <= 1.0 / 64.0:
                 break
@@ -483,39 +505,51 @@ def _iteration(rho: np.ndarray, controls: StepControls):
     return mapped, trace
 
 
-def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepControls, bufs, last=None):
+def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepControls, bufs, last=None,
+                       out=None):
     """One backward-Euler step (1 + eps*dt) u - dt*div F(u) = rho of every 1D member row
     of ``rho`` by ``_iteration``, with ``chi``, ``eps`` and ``dt`` per-member columns.
 
     The members' sweeps share one face flux, reduction and solve; a converged member is
     swept again at its last point, which changes nothing. The matrices are reduced and
     solved again only when some member's ``_faces`` change, so the sweep that confirms a
-    fixed point solves nothing. ``last``, the faces and reduction of the last sweep, comes
-    from the previous step (None: none) and is returned with the solutions and the traces.
-    ``bufs`` is the one axis of the members' ``_buffers``. A failure is raised for the first
-    failing member of a sweep, its position as ``row``; ``march`` checks the solutions, in
-    which the exact solve of an M-matrix leaves no solver-tolerance negatives.
+    fixed point solves nothing. ``last``, the points, faces and reduction of the last sweep,
+    comes from the previous step (None: none) and is returned with the solutions (in ``out``
+    when given) and the traces. A step that starts at the points of ``last``, as one does
+    after a step whose last sweep confirmed its solution, takes its faces and reduction for
+    the first sweep without a face flux; the check is at the first sweep only, and ``last``
+    keeps the step's own array of points. ``bufs`` is the one axis of the members'
+    ``_buffers``. A failure is raised for the first failing member of a sweep, its position
+    as ``row``; ``march`` checks the solutions, in which the exact solve of an M-matrix
+    leaves no solver-tolerance negatives.
     """
     runs = dict(enumerate(_iteration(r, controls) for r in rho))
-    point, results = np.stack([next(it) for it in runs.values()]), [None] * len(rho)
+    for it in runs.values():
+        next(it)  # a member's first point is its row of rho
+    out, traces = np.empty_like(rho) if out is None else out, [None] * len(rho)
+    point, half_chi_h = rho.copy(), 0.5 * h * chi  # the points, written over by the members still running
+    reuse = last is not None and (last[0] == rho).all()  # the first sweep is at the last one's points
+    faces, reduction = (None, None) if last is None else last[1:]
     solved = None  # the reduction solved for rho in this step, and its solutions
     while runs:
-        _face_flux(point, 0.5 * h * chi, None, bufs)
-        faces = _faces(bufs[2][:, :-1], bufs[1][:, :-1])
-        if last is None or not (faces == last[0]).all():
-            last = faces, _active_set_matrix(faces, chi, eps, dt, h)
-        if solved is None or solved[0] is not last[1]:
-            solved = last[1], last[1].solve(rho)
+        if not reuse:
+            _face_flux(point, half_chi_h, None, bufs)
+            new = _faces(bufs[2][:, :-1], bufs[1][:, :-1])
+            if faces is None or not (new == faces).all():
+                faces, reduction = new, _active_set_matrix(new, chi, eps, dt, h)
+        reuse = False
+        if solved is None or solved[0] is not reduction:
+            solved = reduction, reduction.solve(rho)
         for i, it in list(runs.items()):
             try:
                 point[i] = it.send(solved[1][i])
             except StopIteration as done:
-                results[i] = done.value
+                out[i], traces[i] = done.value
                 del runs[i]
             except NumericalFailureError as exc:
                 exc.row = i
                 raise
-    return np.stack([u for u, _ in results]), [trace for _, trace in results], last
+    return out, traces, (point, faces, reduction)
 
 
 def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=(2.0, 4.0),

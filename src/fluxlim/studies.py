@@ -12,6 +12,7 @@ configuration (and, for the monotonicity probe, seed). Input checks raise
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
@@ -58,9 +59,10 @@ class Verdict:
     detail: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyReport:
-    """Inputs, result table, and pass/fail verdicts of one study."""
+    """Inputs, result table, and pass/fail verdicts of one study. The table's rows are
+    formatted once, when the report is first rendered, for its text and its CSV alike."""
 
     kind: str
     inputs: list[tuple[str, str]]
@@ -77,16 +79,19 @@ class StudyReport:
         lines = [f"study {self.kind}"]
         lines += [f"input {k} = {v}" for k, v in self.inputs]
         lines.append("columns " + ",".join(self.columns))
-        lines += ["row " + ",".join(map(str, row)) for row in self.rows]
+        lines += ["row " + row for row in self._table]
         lines += [f"note {n}" for n in self.notes]
         for v in self.verdicts:
             lines.append(f"VERDICT {v.name} {'PASS' if v.passed else 'FAIL'} ({v.detail})")
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        out = [",".join(self.columns)]
-        out += [",".join(map(str, row)) for row in self.rows]
-        return "\n".join(out) + "\n"
+        return "\n".join([",".join(self.columns), *self._table]) + "\n"
+
+    @cached_property
+    def _table(self) -> list[str]:
+        """The rows, each a comma-separated line."""
+        return [",".join(map(str, row)) for row in self.rows]
 
 
 def _fmt_list(xs) -> str:

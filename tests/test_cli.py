@@ -186,12 +186,17 @@ class TestSimulate:
         assert err.endswith(" (member 0, step 1, t = 0.002)\n")
 
     def test_import_loads_no_scipy(self, tmp_path):
-        # nor does a semi-implicit simulate
+        # nor does a semi-implicit simulate, run as python -m fluxlim.cli, which loads no study code
+        # either; the commands that run a study or a check load it (TestStudies, TestSteadyCheck)
         cfg = tmp_path / "imp.cfg"
         cfg.write_text(BASE_CFG + "scheme = semi_implicit\ndt = 0.002\n")
-        code = ("import sys, fluxlim, fluxlim.cli\n"
-                f"assert fluxlim.cli.main(['simulate', '--config', {str(cfg)!r}, '--out', 'o']) == 0\n"
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        code = ("import runpy, sys\n"
+                f"sys.argv = ['fluxlim', 'simulate', '--config', {str(cfg)!r}, '--out', 'o']\n"
+                "try:\n"
+                "    runpy.run_module('fluxlim.cli', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as done:\n"
+                "    assert done.code == 0, done.code\n"
+                "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'fluxlim.studies'))))")
         res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": SRC})
         assert res.returncode == 0, res.stderr

@@ -719,7 +719,8 @@ class TestStepSemiImplicit:
         assert np.isfinite(reduction.solve(rhs)).all()
 
     def test_last_linearization_reused_only_for_its_faces(self):
-        # a previous linearization with the same active set but other signs is not reused
+        # a previous linearization at another point, with the same active set but other
+        # signs, is not reused
         grid = make_grid(1, 5.0, 200)
         rho, h = gaussian_bump(grid, 0.5, mass=1.0).values[None], grid.spacing[0]
         dt, bufs = 10.0 * cfl_dt(grid, 0.0), stepping._buffers(grid, 1)[0]
@@ -727,10 +728,33 @@ class TestStepSemiImplicit:
         faces = stepping._faces(excess, diff)[None]
         assert (faces != 2.0).any()
         flipped = np.where(faces == 2.0, 2.0, -faces)
-        stale = (flipped, _active_set_matrix(flipped, 1.0, 0.0, dt, h))
+        stale = (rho[:, ::-1].copy(), flipped, _active_set_matrix(flipped, 1.0, 0.0, dt, h))
+        assert not np.array_equal(stale[0], rho)
         fresh, trace, _ = step_semi_implicit(rho, 1.0, 0.0, dt, h, StepControls(), bufs)
         again, again_trace, _ = step_semi_implicit(rho, 1.0, 0.0, dt, h, StepControls(), bufs, stale)
         assert np.array_equal(again, fresh) and again_trace == trace
+
+    def test_last_sweep_is_at_the_solution(self, monkeypatch):
+        # the sweep that confirms a step's solution linearizes at it, so the next step, which
+        # starts there, takes that linearization without a face flux and equals bitwise the
+        # same step solved from scratch. The tails of this narrow bump grow more than twofold
+        # in the step, where z + (T(z) - z) would round T(z) off.
+        grid = make_grid(1, 5.0, 200)
+        rho, h = gaussian_bump(grid, 0.2, mass=1.0).values[None], grid.spacing[0]
+        dt, bufs = 10.0 * cfl_dt(grid, 0.0), stepping._buffers(grid, 1)[0]
+        u, _, last = step_semi_implicit(rho, 1.0, 0.0, dt, h, StepControls(), bufs)
+        assert np.array_equal(last[0], u)
+        fresh, (trace,), _ = step_semi_implicit(u, 1.0, 0.0, dt, h, StepControls(), bufs)
+        points, face_flux = [], stepping._face_flux
+
+        def flux(values, *args):
+            points.append(values.copy())
+            return face_flux(values, *args)
+
+        monkeypatch.setattr(stepping, "_face_flux", flux)
+        again, (again_trace,), _ = step_semi_implicit(u, 1.0, 0.0, dt, h, StepControls(), bufs, last)
+        assert np.array_equal(again, fresh) and again_trace == trace
+        assert len(points) == len(trace) - 1 and not any(np.array_equal(z, u) for z in points)
 
     def test_tridiagonal_solve_rejects_indefinite_matrix(self):
         # eps = -1/2 on three cells: eigenvalues 0.5, 0 and -1, exact in floating point
@@ -776,7 +800,9 @@ class TestStepSemiImplicit:
         dt = 10.0 * cfl_dt(grid, 0.0)
         run([gaussian_bump(grid, 1.0, mass=1.0)], [Params(chi=1.0)], StepControls("semi_implicit", dt=dt), [0.01],
             diag_stride=10**9)
-        assert calls["sweeps"] <= 4 * 178
+        # a step's first sweep takes the last step's confirming linearization, at its start, so
+        # a step computes the face flux once, to confirm its solution, and again for each new matrix
+        assert calls["sweeps"] <= 178 + calls["reductions"]
         # a step solves once, and again only for a new matrix; most steps keep the last one
         assert 178 <= calls["solves"] <= 178 + calls["reductions"] and calls["reductions"] < 178 // 2
 
@@ -792,6 +818,37 @@ class TestStepSemiImplicit:
             fresh, _ = implicit_solve(Field.density(grid, prev), params, dt)
             assert np.array_equal(state[0], fresh)
             prev = state[0].copy()
+
+    def test_clamped_state_linearized_afresh(self, monkeypatch):
+        # a roundoff negative that _finalize clamps moves a step's state off the point of the
+        # last sweep: the next step computes the face flux at it and equals bitwise the same
+        # step solved from scratch
+        grid = make_grid(1, 5.0, 400)
+        params, dt = Params(chi=1.0), 10.0 * cfl_dt(grid, 0.0)
+        f = gaussian_bump(grid, 0.5, mass=1.0)
+        finalize, face_flux, points = stepping._finalize, stepping._face_flux, []
+
+        def negative_edge(values):
+            assert values[0, 0] > 0.0
+            values[0, 0] = -1e-30  # within the roundoff floor
+            return finalize(values)
+
+        def flux(values, *args):
+            points.append(values.copy())
+            return face_flux(values, *args)
+
+        monkeypatch.setattr(stepping, "_finalize", negative_edge)
+        monkeypatch.setattr(stepping, "_face_flux", flux)
+        steps = [(f.values, 0)]  # each step's state and the face fluxes computed by then
+        for _, state in march([f], [params], [dt], [5], StepControls("semi_implicit")):
+            assert state[0, 0] == 0.0
+            steps.append((state[0].copy(), len(points)))
+        monkeypatch.undo()
+        for (prev, begun), (cur, done) in zip(steps, steps[1:]):
+            assert any(np.array_equal(z[0], prev) for z in points[begun:done])
+            fresh, _ = implicit_solve(Field.density(grid, prev), params, dt)
+            fresh[0] = 0.0
+            assert np.array_equal(cur, fresh)
 
     def test_coarse_grid_stays_nonnegative(self):
         # chi*h = 3 > 2: no face of a nonnegative state can be active
