@@ -12,7 +12,10 @@ Each checkout runs the same command matrix with its own ``src/`` and ``configs/`
   * the ``implicit_1d`` benchmark's command: semi-implicit ``simulate`` on ``bump.cfg`` at
     2000 cells and 10x the CFL step to ``t_end = 0.01``;
   * ``simulate`` on ``bump.cfg`` with ``eps = 0.1``;
-  * a 2D ``simulate`` on ``bump.cfg`` at 48^2 cells.
+  * a 2D ``simulate`` on ``bump.cfg`` at 48^2 cells;
+  * a semi-implicit ``simulate`` that backtracks (halves its relaxation): five steps of
+    300x the CFL step at chi 3 from a 60-cell snapshot on [-5, 5] with vacuum, which the
+    script writes (``vacuum_snapshot``).
 
 Every command runs in a fresh directory of its own, with relative paths, so stdout and
 stderr name no path of either run (a run directory that appears anyway is masked). The
@@ -24,6 +27,7 @@ any differs. Standard library only; the checkouts need numpy, as fluxlim does.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -40,6 +44,16 @@ COMMANDS = {
 }
 SMOOTHING_10_CFL_DT = "0.000309"  # 10x the CFL step 0.45 h^2/2 of smoothing.cfg's 1024 cells
 IMPLICIT_1D_DT = "5.625e-05"  # 10x the CFL step of 2000 cells on bump.cfg's box, as in implicit_1d
+VACUUM_H = 10.0 / 60.0  # the spacing of vacuum_snapshot's 60 cells on [-5, 5]
+VACUUM_DT = 300.0 * 0.45 * VACUUM_H**2 / 2.0  # 300x its CFL step
+
+
+def vacuum_snapshot() -> str:
+    """A 1D snapshot file of 60 cells on [-5, 5] from ``random.Random(4)``: each cell is 0
+    with probability 0.3, otherwise uniform in [0, 1)."""
+    rng = random.Random(4)
+    values = [0.0 if rng.random() < 0.3 else rng.random() for _ in range(60)]
+    return f"1 60 {VACUUM_H!r} -5.0\n" + "".join(f"{v!r}\n" for v in values)
 
 
 def edit(text: str, **keys) -> str:
@@ -76,6 +90,10 @@ def matrix(configs: Path) -> list[tuple[str, list[str], dict[str, str]]]:
                         t_end="0.01", diag_stride="20")}),
         ("bump.cfg eps = 0.1", ["simulate", "--config", "a.cfg"], {"a.cfg": edit(bump, eps="0.1")}),
         ("bump.cfg 2D 48^2", ["simulate", "--config", "a.cfg"], {"a.cfg": edit(bump, dim="2", cells="48")}),
+        ("vacuum snapshot semi-implicit, backtracking", ["simulate", "--config", "a.cfg"],
+         {"a.cfg": edit("", ic="snapshot", ic_path="vacuum.txt", chi="3", scheme="semi_implicit",
+                        dt=repr(VACUUM_DT), t_end=repr(5 * VACUUM_DT), diag_stride="1"),
+          "vacuum.txt": vacuum_snapshot()}),
     ]
     return cases
 

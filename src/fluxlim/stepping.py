@@ -79,9 +79,8 @@ class PicardDivergenceError(NumericalFailureError):
     """The semi-implicit sweeps failed to reach tolerance; ``trace``
     holds the fixed-point residual of every accepted sweep."""
 
-    def __init__(self, message: str, last_residual: float, trace=()):
+    def __init__(self, message: str, trace=()):
         super().__init__(message)
-        self.last_residual = last_residual
         self.trace = tuple(trace)
 
 
@@ -464,74 +463,45 @@ def _active_set_matrix(faces, chi, eps, dt, h: float) -> _Reduction:
     return _Reduction(coeffs, n)
 
 
-def _iteration(rho: np.ndarray, controls: StepControls):
-    """The sweeps of one member's step as a generator: it yields each point to sweep, is sent
-    the sweep's solution there, and returns the step's solution and residual trace.
-
-    Each sweep T linearizes the flux at the previous iterate, freezing the
-    limiter's active set and gradient sign, and solves exactly (a semi-smooth
-    Newton step, see ``_active_set_matrix``). Fixed points of T solve the step.
-    Convergence is measured by the fixed-point residual |T(z) - z| / |T(z)| in L2.
-    Updates are relaxed, z + theta (T(z) - z), which at theta = 1 is T(z) itself, so that a
-    confirming sweep is at the step's solution; and a candidate is only accepted once
-    its residual drops below the current one, halving theta otherwise (down to 1/64).
-    The backtracking guards against threshold flicker (faces hopping across the
-    limiter cutoff between sweeps) at large dt; it never moves the fixed point, and
-    theta stays at 1 whenever plain iteration contracts. A residual still above
-    ``picard_tol`` after ``_PICARD_MAX_ITER`` accepted updates raises ``PicardDivergenceError``.
-    """
-    def sweep(z: np.ndarray):
-        sol = yield z
-        gap = sol - z
-        return sol, math.sqrt(gap.dot(gap)) / max(math.sqrt(sol.dot(sol)), 1e-300)  # L2 norms
-
-    z = rho
-    mapped, residual = yield from sweep(z)
-    trace = [residual]
-    theta = 1.0
-    while residual > controls.picard_tol:
-        if len(trace) > _PICARD_MAX_ITER:  # the first sweep and the accepted updates
-            raise PicardDivergenceError(f"Picard iteration exceeded {_PICARD_MAX_ITER} sweeps "
-                                        f"(last fixed-point residual {residual})", residual, trace)
-        theta = min(1.0, 1.5 * theta)  # remember the working relaxation level
-        while True:
-            cand = mapped if theta == 1.0 else z + theta * (mapped - z)
-            cand_mapped, cand_residual = yield from sweep(cand)
-            if cand_residual < residual or theta <= 1.0 / 64.0:
-                break
-            theta *= 0.5
-        z, mapped, residual = cand, cand_mapped, cand_residual
-        trace.append(residual)
-    return mapped, trace
-
-
 def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepControls, bufs, last=None,
                        out=None):
     """One backward-Euler step (1 + eps*dt) u - dt*div F(u) = rho of every 1D member row
-    of ``rho`` by ``_iteration``, with ``chi``, ``eps`` and ``dt`` per-member columns.
+    of ``rho`` by sweeps, with ``chi``, ``eps`` and ``dt`` per-member columns.
 
-    The members' sweeps share one face flux, reduction and solve; a converged member is
-    swept again at its last point, which changes nothing. The matrices are reduced and
-    solved again only when some member's ``_faces`` change, so the sweep that confirms a
-    fixed point solves nothing. ``last``, the points, faces and reduction of the last sweep,
-    comes from the previous step (None: none) and is returned with the solutions (in ``out``
-    when given) and the traces. A step that starts at the points of ``last``, as one does
-    after a step whose last sweep confirmed its solution, takes its faces and reduction for
-    the first sweep without a face flux; the check is at the first sweep only, and ``last``
-    keeps the step's own array of points. ``bufs`` is the one axis of the members'
-    ``_buffers``. A failure is raised for the first failing member of a sweep, its position
-    as ``row``; ``march`` checks the solutions, in which the exact solve of an M-matrix
-    leaves no solver-tolerance negatives.
+    A sweep T linearizes the flux at a point, freezing the limiter's active set and gradient
+    sign, and solves exactly (a semi-smooth Newton step, see ``_active_set_matrix``); fixed
+    points of T solve the step. Each member keeps its own accepted point z (first rho), its
+    image T(z), its relaxation theta (first 1) and its trace of the L2 fixed-point residuals
+    |T(p) - p| / |T(p)| of its accepted points p. Its next point is z + theta (T(z) - z),
+    which at theta = 1 is T(z) itself, so that a confirming sweep is at the step's solution.
+    A point is accepted when its residual drops below the last accepted one or theta <= 1/64;
+    otherwise theta is halved, and after each acceptance it becomes min(1, 1.5 theta). The
+    backtracking guards against threshold flicker (faces hopping across the limiter cutoff
+    between sweeps) at large dt; it never moves the fixed point, and theta stays at 1 whenever
+    plain iteration contracts. A member is done at an accepted residual within ``picard_tol``,
+    with T of that point; one still above it after ``_PICARD_MAX_ITER`` accepted updates
+    raises ``PicardDivergenceError``.
+
+    The members' sweeps share one face flux, reduction and solve; a finished member stays at
+    its last point, which changes nothing. The matrices are reduced and solved again only
+    when some member's ``_faces`` change, so the sweep that confirms a fixed point solves
+    nothing. ``last``, the points, faces and reduction of the last sweep, comes from the
+    previous step (None: none) and is returned with the solutions (in ``out`` when given) and
+    the traces. A step that starts at the points of ``last``, as one does after a step whose
+    last sweep confirmed its solution, takes its faces and reduction for the first sweep
+    without a face flux; the check is at the first sweep only, and ``last`` keeps the step's
+    own array of points. ``bufs`` is the one axis of the members' ``_buffers``. A failure is
+    raised for the first failing member of a sweep, its position as ``row``; ``march`` checks
+    the solutions, in which the exact solve of an M-matrix leaves no solver-tolerance negatives.
     """
-    runs = dict(enumerate(_iteration(r, controls) for r in rho))
-    for it in runs.values():
-        next(it)  # a member's first point is its row of rho
-    out, traces = np.empty_like(rho) if out is None else out, [None] * len(rho)
+    out = np.empty_like(rho) if out is None else out
     point, half_chi_h = rho.copy(), 0.5 * h * chi  # the points, written over by the members still running
+    accepted, image = np.empty_like(rho), [None] * len(rho)  # each member's z, and T(z) as solved
+    theta, traces, running = [1.0] * len(rho), [[] for _ in rho], range(len(rho))
     reuse = last is not None and (last[0] == rho).all()  # the first sweep is at the last one's points
     faces, reduction = (None, None) if last is None else last[1:]
     solved = None  # the reduction solved for rho in this step, and its solutions
-    while runs:
+    while running:
         if not reuse:
             _face_flux(point, half_chi_h, None, bufs)
             new = _faces(bufs[2][:, :-1], bufs[1][:, :-1])
@@ -540,15 +510,29 @@ def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepCo
         reuse = False
         if solved is None or solved[0] is not reduction:
             solved = reduction, reduction.solve(rho)
-        for i, it in list(runs.items()):
-            try:
-                point[i] = it.send(solved[1][i])
-            except StopIteration as done:
-                out[i], traces[i] = done.value
-                del runs[i]
-            except NumericalFailureError as exc:
-                exc.row = i
-                raise
+        still = []
+        for i in running:
+            sol, trace = solved[1][i], traces[i]
+            gap = sol - point[i]
+            residual = math.sqrt(gap.dot(gap)) / max(math.sqrt(sol.dot(sol)), 1e-300)  # L2 norms
+            if trace and not (residual < trace[-1] or theta[i] <= 1.0 / 64.0):
+                theta[i] *= 0.5
+            else:
+                trace.append(residual)
+                if not residual > controls.picard_tol:  # a NaN residual (both norms overflow) ends it too
+                    out[i] = sol
+                    continue
+                if len(trace) > _PICARD_MAX_ITER:  # the first sweep and the accepted updates
+                    exc = PicardDivergenceError(f"Picard iteration exceeded {_PICARD_MAX_ITER} sweeps "
+                                                f"(last fixed-point residual {residual})", trace)
+                    exc.row = i
+                    raise exc
+                accepted[i], image[i] = point[i], sol
+                theta[i] = min(1.0, 1.5 * theta[i])
+            z, t = accepted[i], theta[i]
+            point[i] = image[i] if t == 1.0 else z + t * (image[i] - z)
+            still.append(i)
+        running = still
     return out, traces, (point, faces, reduction)
 
 
