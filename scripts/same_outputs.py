@@ -15,7 +15,9 @@ Each checkout runs the same command matrix with its own ``src/`` and ``configs/`
   * a 2D ``simulate`` on ``bump.cfg`` at 48^2 cells;
   * a semi-implicit ``simulate`` that backtracks (halves its relaxation): five steps of
     300x the CFL step at chi 3 from a 60-cell snapshot on [-5, 5] with vacuum, which the
-    script writes (``vacuum_snapshot``).
+    script writes (``vacuum_snapshot``);
+  * a 2D ``simulate`` with ``snapshot_stride = 5`` from a non-square snapshot, 40 x 24 cells
+    of width 0.25, which the script writes (``non_square_snapshot``).
 
 Every command runs in a fresh directory of its own, with relative paths, so stdout and
 stderr name no path of either run (a run directory that appears anyway is masked). The
@@ -46,6 +48,7 @@ SMOOTHING_10_CFL_DT = "0.000309"  # 10x the CFL step 0.45 h^2/2 of smoothing.cfg
 IMPLICIT_1D_DT = "5.625e-05"  # 10x the CFL step of 2000 cells on bump.cfg's box, as in implicit_1d
 VACUUM_H = 10.0 / 60.0  # the spacing of vacuum_snapshot's 60 cells on [-5, 5]
 VACUUM_DT = 300.0 * 0.45 * VACUUM_H**2 / 2.0  # 300x its CFL step
+NON_SQUARE_H = 0.25  # the cell width of non_square_snapshot's 40 x 24 cells on [-5, 5] x [-3, 3]
 
 
 def vacuum_snapshot() -> str:
@@ -54,6 +57,14 @@ def vacuum_snapshot() -> str:
     rng = random.Random(4)
     values = [0.0 if rng.random() < 0.3 else rng.random() for _ in range(60)]
     return f"1 60 {VACUUM_H!r} -5.0\n" + "".join(f"{v!r}\n" for v in values)
+
+
+def non_square_snapshot() -> str:
+    """A 2D snapshot file of 40 x 24 cells of width ``NON_SQUARE_H`` on [-5, 5] x [-3, 3],
+    each uniform in [0, 1) from ``random.Random(7)``."""
+    rng = random.Random(7)
+    head = f"2 40 24 {NON_SQUARE_H!r} {NON_SQUARE_H!r} -5.0 -3.0\n"
+    return head + "".join(f"{rng.random()!r}\n" for _ in range(40 * 24))
 
 
 def edit(text: str, **keys) -> str:
@@ -94,6 +105,10 @@ def matrix(configs: Path) -> list[tuple[str, list[str], dict[str, str]]]:
          {"a.cfg": edit("", ic="snapshot", ic_path="vacuum.txt", chi="3", scheme="semi_implicit",
                         dt=repr(VACUUM_DT), t_end=repr(5 * VACUUM_DT), diag_stride="1"),
           "vacuum.txt": vacuum_snapshot()}),
+        ("non-square 2D snapshot", ["simulate", "--config", "a.cfg"],
+         {"a.cfg": edit("", ic="snapshot", ic_path="non_square.txt", chi="3", eps="0.1", t_end="0.1",
+                        diag_stride="5", snapshot_stride="5"),
+          "non_square.txt": non_square_snapshot()}),
     ]
     return cases
 

@@ -228,7 +228,7 @@ def build_problem(cfg: RunConfig) -> tuple[Grid, Field, DiagnosticsRecord]:
     ceiling = cfl_dt(grid, cfg.eps)
     if not ceiling > 0.0:
         raise ConfigError(f"the CFL step safety*h^2/(2d(1+eps)) underflows to 0 "
-                          f"(h = {min(grid.spacing)}, eps = {cfg.eps})")
+                          f"(h = {grid.h}, eps = {cfg.eps})")
     check_cell_steps(field.values.size, cfg.t_end, cfg.dt or ceiling)
     names, values = csv_header(cfg.p_set, cfg.grad_p_set).split(","), csv_row(initial).split(",")
     overflow = [name for name, value in zip(names, values) if not np.isfinite(float(value))]

@@ -121,7 +121,7 @@ def pair_terms(pairs: np.ndarray, grid: Grid, sigma: float, chi: float):
     else:
         h = np.sum((a + sigma) * np.log((a + sigma) / (b + sigma)) - a + b, axis=axes) * vol
 
-    grads = [central_gradient(pairs, k + 2, dx) for k, dx in enumerate(grid.spacing)]
+    grads = [central_gradient(pairs, k + 2, grid.h) for k in range(grid.dim)]
     live = pairs > 0.0
     coef = np.where(live, limiter(pairs, np.sqrt(sum(g * g for g in grads)), chi), 0.0)
     d1 = 0.5 * (np.sum(a * (coef[:, 0] - coef[:, 1]) ** 2, axis=axes) * vol)

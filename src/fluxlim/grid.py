@@ -51,37 +51,35 @@ class Grid:
         Spatial dimension, 1 or 2.
     shape : tuple of int
         Cell counts per axis, each >= 3.
-    spacing : tuple of float
-        Cell width per axis, uniform along each axis.
+    h : float
+        Cell width, the same along every axis.
     origin : tuple of float
         Coordinate of the low edge of the box per axis.
     """
 
     dim: int
     shape: tuple[int, ...]
-    spacing: tuple[float, ...]
+    h: float
     origin: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
             raise ValueError(f"invalid dimension: d must be 1 or 2, got {self.dim}")
-        if not (len(self.shape) == len(self.spacing) == len(self.origin) == self.dim):
-            raise ValueError("shape, spacing and origin must all have dim entries")
+        if not (len(self.shape) == len(self.origin) == self.dim):
+            raise ValueError("shape and origin must both have dim entries")
         for n in self.shape:
             if int(n) != n or n < 3:
                 raise ValueError(f"cell count per axis must be an integer >= 3, got {n}")
-        for h in self.spacing:
-            if not (np.isfinite(h) and h > 0.0):
-                raise ValueError(f"spacing must be positive and finite, got {h}")
+        if not (np.isfinite(self.h) and self.h > 0.0):
+            raise ValueError(f"cell width h must be positive and finite, got {self.h}")
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod((self.h,) * self.dim)
 
     def axis_centers(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
-        n, h, o = self.shape[axis], self.spacing[axis], self.origin[axis]
-        return o + (np.arange(n) + 0.5) * h
+        return self.origin[axis] + (np.arange(self.shape[axis]) + 0.5) * self.h
 
     def centers(self) -> tuple[np.ndarray, ...]:
         """Full cell-center coordinate arrays, one per axis (ij indexing)."""
@@ -134,29 +132,24 @@ class Field:
         return f
 
 
-def make_grid(dim: int, extent, cells) -> Grid:
-    """Build a centered box [-L, L]^d tiled by uniform cells.
+def make_grid(dim: int, extent: float, cells: int) -> Grid:
+    """Build a centered box [-L, L]^d tiled by ``cells`` cells of width h = 2L/cells per axis.
 
     Parameters
     ----------
     dim : int
         1 or 2.
-    extent : float or sequence of float
-        Half-width L per axis; positive.
-    cells : int or sequence of int
+    extent : float
+        Half-width L; positive.
+    cells : int
         Cell count per axis; >= 3.
     """
     if dim not in (1, 2):
         raise ValueError(f"invalid dimension: d must be 1 or 2, got {dim}")
-    ext = np.broadcast_to(np.asarray(extent, dtype=float), (dim,))
-    cel = np.broadcast_to(np.asarray(cells), (dim,))
-    for L in ext:
-        if not (np.isfinite(L) and L > 0.0):
-            raise ValueError(f"invalid extent: half-width must be positive, got {L}")
-    shape = tuple(int(n) for n in cel)
-    spacing = tuple(2.0 * float(L) / n for L, n in zip(ext, shape))
-    origin = tuple(-float(L) for L in ext)
-    return Grid(dim=dim, shape=shape, spacing=spacing, origin=origin)
+    L, n = float(extent), int(cells)
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"invalid extent: half-width must be positive, got {L}")
+    return Grid(dim=dim, shape=(n,) * dim, h=2.0 * L / n, origin=(-L,) * dim)
 
 
 def along(ndim: int, axis: int, index) -> tuple:
@@ -188,7 +181,7 @@ def gradient_norm(field: Field) -> np.ndarray:
     box edge). This is the stencil of the diagnostics; the fluxes use two-point face
     differences instead (see ``stepping._coefficient_fluxes``), and this stencil only
     for the tangential part of a 2D face gradient. Exact for affine data everywhere."""
-    grads = (central_gradient(field.values, k, h) for k, h in enumerate(field.grid.spacing))
+    grads = (central_gradient(field.values, k, field.grid.h) for k in range(field.grid.dim))
     return np.sqrt(sum(g * g for g in grads))
 
 
@@ -200,13 +193,13 @@ def integrate(field: Field) -> float:
 def save_snapshot(field: Field, path) -> None:
     """Write a field in the plain-text snapshot format.
 
-    Line 1 holds ``d n1 [n2] h1 [h2] origin...``; the remaining lines hold
-    the cell values row-major, one full-precision decimal per line.
+    Line 1 holds ``d n1 [n2] h1 [h2] origin...``, with h1 = h2 = h; the remaining lines
+    hold the cell values row-major, one full-precision decimal per line.
     """
     g = field.grid
     head = [str(g.dim)]
     head += [str(n) for n in g.shape]
-    head += [repr(float(h)) for h in g.spacing]
+    head += [repr(float(g.h))] * g.dim
     head += [repr(float(o)) for o in g.origin]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(" ".join(head) + "\n")
@@ -215,17 +208,20 @@ def save_snapshot(field: Field, path) -> None:
 
 
 def load_snapshot(path) -> Field:
-    """Read a field written by ``save_snapshot``."""
+    """Read a field written by ``save_snapshot``; its cell widths must all be equal."""
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.readline().split()
         if not head:
             raise ValueError(f"{path}: empty snapshot file")
         dim = int(head[0])
-        if len(head) != 1 + 3 * dim:
+        if dim not in (1, 2) or len(head) != 1 + 3 * dim:
             raise ValueError(f"{path}: malformed snapshot header")
         shape = tuple(int(t) for t in head[1 : 1 + dim])
-        spacing = tuple(float(t) for t in head[1 + dim : 1 + 2 * dim])
+        h, *spacings = (float(t) for t in head[1 + dim : 1 + 2 * dim])
+        if any(s != h for s in spacings):
+            raise ValueError(f"{path}: unequal spacings {' '.join(head[1 + dim : 1 + 2 * dim])}; "
+                             "a grid has one cell width h")
         origin = tuple(float(t) for t in head[1 + 2 * dim : 1 + 3 * dim])
         values = np.loadtxt(fh, dtype=float, ndmin=1)
-    grid = Grid(dim=dim, shape=shape, spacing=spacing, origin=origin)
+    grid = Grid(dim=dim, shape=shape, h=h, origin=origin)
     return Field(grid, values.reshape(shape, order="C"))

@@ -39,7 +39,7 @@ def _snapped(grid: Grid, center) -> np.ndarray:
         raise ValueError(f"peak center {center!r} does not match grid dimension {grid.dim}")
     snapped = np.empty(grid.dim)
     for k in range(grid.dim):
-        h, o, n = grid.spacing[k], grid.origin[k], grid.shape[k]
+        h, o, n = grid.h, grid.origin[k], grid.shape[k]
         idx = int(np.clip(np.round((c[k] - o) / h - 0.5), 0, n - 1))
         snapped[k] = o + (idx + 0.5) * h
     return snapped

@@ -1,10 +1,10 @@
 """Time advancement of the viscous flux-limited diffusion equation.
 
-One spatial discretization: in 1D the face flux in excess form, sign(D) (|D|/h -
-chi rho_face)_+ + eps D/h for the cell difference D, its shifted passes running over a
+One spatial discretization: in 1D the face flux in clip form, (D - clip(D, -a, a))/h + eps D/h
+for the cell difference D and the threshold a = chi h rho_face, its shifted passes running over a
 batch's members end to end (``_face_flux``); in 2D a limiter coefficient per face,
 from the cell difference and sum across the face, times the normal difference quotient
-(``_coefficient_fluxes``). Both come scaled by the spacing, in the buffers of
+(``_coefficient_fluxes``). Both come scaled by h, in the buffers of
 ``_buffers``, whose zero-padded face arrays make the divergence one subtraction
 per axis (``_divergence``).
 
@@ -16,8 +16,8 @@ and step count, by the scheme of its ``StepControls``; ``run`` steps through it.
     coefficients lie in [0, 1 + eps], so each update is a convex combination
     plus an absorption factor; positivity and the Lp decay carry over exactly.
   * semi-implicit, 1D only: backward Euler, by sweeps (``step_semi_implicit``)
-    that linearize the flux at the previous iterate on the active set (positive
-    excess) and gradient sign of ``_face_flux`` (semi-smooth Newton), each a
+    that linearize the flux at the previous iterate on the active set (nonzero
+    flux) and gradient sign of ``_face_flux`` (semi-smooth Newton), each a
     tridiagonal system solved exactly by cyclic reduction (``_Reduction``), in
     about two sweeps, and at most ``_PICARD_MAX_ITER``. The members sweep together,
     and only a sweep that changes an active set reduces the matrices again. The
@@ -115,15 +115,14 @@ class Trajectory:
 
 
 def cfl_dt(grid: Grid, eps: float) -> float:
-    """Explicit stability ceiling safety * h_min^2 / (2 d (1 + eps)), safety = ``_CFL_SAFETY``.
+    """Explicit stability ceiling safety * h^2 / (2 d (1 + eps)), safety = ``_CFL_SAFETY``.
 
     The face coefficients never exceed 1 + eps, so the constant-coefficient
     heat bound dominates every admissible state.
     """
     if not (np.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    h_min = min(grid.spacing)
-    return _CFL_SAFETY * h_min * h_min / (2.0 * grid.dim * (1.0 + eps))
+    return _CFL_SAFETY * grid.h * grid.h / (2.0 * grid.dim * (1.0 + eps))
 
 
 def time_mesh(t_end: float, dt_req: float) -> tuple[float, int]:
@@ -133,12 +132,11 @@ def time_mesh(t_end: float, dt_req: float) -> tuple[float, int]:
 
 
 @lru_cache(maxsize=None)
-def _stencil(grid: Grid) -> tuple[tuple[int, tuple, tuple, float], ...]:
-    """Per space axis of arrays with a leading member axis: the array axis, the
-    slices of the cells below and above each interior face, and the spacing."""
+def _stencil(grid: Grid) -> tuple[tuple[int, tuple, tuple], ...]:
+    """Per space axis of arrays with a leading member axis: the array axis and the
+    slices of the cells below and above each interior face."""
     n = grid.dim + 1
-    return tuple((a, along(n, a, slice(None, -1)), along(n, a, slice(1, None)), grid.spacing[a - 1])
-                 for a in range(1, n))
+    return tuple((a, along(n, a, slice(None, -1)), along(n, a, slice(1, None))) for a in range(1, n))
 
 
 def _buffers(grid: Grid, size: int) -> list[tuple[np.ndarray, ...]]:
@@ -158,7 +156,7 @@ def _buffers(grid: Grid, size: int) -> list[tuple[np.ndarray, ...]]:
     upper = store[stride[0]:].reshape(cells.shape)
     faces = np.zeros((2, cells.size))
     bufs = []
-    for (_, lo, _, _), step in zip(_stencil(grid), stride):
+    for (_, lo, _), step in zip(_stencil(grid), stride):
         shape = (upper if grid.dim == 1 else upper[lo]).shape
         lower = store[stride[0] - step:][: cells.size].reshape(cells.shape)
         bufs.append((cells, *(f[: math.prod(shape)].reshape(shape) for f in faces), upper[lo], upper, lower))
@@ -170,61 +168,59 @@ def _buffers(grid: Grid, size: int) -> list[tuple[np.ndarray, ...]]:
 
 def _coefficient_fluxes(values: np.ndarray, stencil, half_chi_h, eps, bufs):
     """Yield the (upper, lower) face fluxes (see ``_buffers``) of every 2D axis in turn,
-    h_0^2/h times the flux ((1 - chi rho_face/|g|)_+ + eps) g_normal, h_0 the first spacing.
+    h times the flux ((1 - chi rho_face/|g|)_+ + eps) g_normal.
 
     With D and P the difference and the sum of the two cells of a face, D is h g_normal
     and h times the tangential part of g (the face mean of the two adjacent central
-    differences) is, by linearity, T = ``central_gradient(P, other, 2 h_other/h)``. So
+    differences) is, by linearity, T = ``central_gradient(P, other, 2)``. So
     N = sqrt(T^2 + D^2) is h |g| and the flux is (``limiter(P, N, chi h/2)`` + eps) D.
-    ``half_chi_h`` (chi h/2 per axis) and ``eps`` (None: no viscous term) are scalars or
+    ``half_chi_h`` (chi h/2) and ``eps`` (None: no viscous term) are scalars or
     per-member columns. T, N and D^2 use face-shaped views of the cell scratch and of the
     upper fluxes, whose boundary faces are reset to 0 afterwards."""
-    h_0 = stencil[0][3]
-    for (axis, lo, hi, h), (cells, diff, pair, flux, upper, lower), rate in zip(stencil, bufs, half_chi_h):
-        (other, h_other), = ((o, ho) for o, _, _, ho in stencil if o != axis)
+    for (axis, lo, hi), (other, _, _), (cells, diff, pair, flux, upper, lower) in zip(
+            stencil, stencil[::-1], bufs):
         norm, square = (a.reshape(-1)[: diff.size].reshape(diff.shape) for a in (cells, upper))
         np.subtract(values[hi], values[lo], out=diff)
         np.add(values[lo], values[hi], out=pair)
-        central_gradient(pair, other, 2.0 * h_other / h, out=norm)
+        central_gradient(pair, other, 2.0, out=norm)
         np.multiply(norm, norm, out=norm)
         np.add(norm, np.multiply(diff, diff, out=square), out=norm)
         np.sqrt(norm, out=norm)
-        limiter(pair, norm, rate, out=pair)
+        limiter(pair, norm, half_chi_h, out=pair)
         if eps is not None:
             np.add(pair, eps, out=pair)
         np.multiply(pair, diff, out=flux)
-        if h != h_0:
-            np.multiply(flux, (h_0 / h) ** 2, out=flux)
         upper[along(upper.ndim, axis, -1)] = 0.0
         yield upper, lower
 
 
 def _face_flux(values: np.ndarray, half_chi_h, eps, out) -> np.ndarray:
-    """h times the 1D face flux of every member row, in excess form, over the members end to end.
+    """h times the 1D face flux of every member row, in clip form, over the members end to end.
 
-    For the cell difference D and g = D/h, h ((1 - chi rho_face/|g|)_+ + eps) g
-    = sign(D) (|D| - chi h rho_face)_+ + eps D, which needs no square, root or
-    division. ``half_chi_h`` (chi h/2) and ``eps`` (None: no viscous term) are
+    For the cell difference D, g = D/h and the threshold a = chi h rho_face,
+    h ((1 - chi rho_face/|g|)_+ + eps) g = D - clip(D, -a, a) + eps D, which needs no square,
+    root, division or sign; it is nonzero exactly on the limiter's active set |D| > a.
+    ``half_chi_h`` (chi h/2) and ``eps`` (None: no viscous term) are
     scalars, per-member columns or per-cell rows (see ``march``). ``out`` is the one axis of
     ``_buffers``, whose flat views make the threshold and D one contiguous pass over the batch,
-    the faces between members included, whose flux is then reset to 0. D and the clamped
-    excess (positive on the limiter's active set) stay in theirs. Overflow is ignored, so a face
-    between members warns of nothing its members alone do not: the threshold is summed from
-    scaled cells, so it overflows only where it exceeds every finite |D| and clamps the excess to
-    0, and an overflowing eps |D| makes a non-finite flux. The clamp passes NaN on to ``_finalize``.
+    the faces between members included, whose flux is then reset to 0. D stays in its buffer.
+    Overflow is ignored, so a face between members warns of nothing its members alone do not:
+    the threshold is summed from scaled cells, so it overflows only where it exceeds every finite
+    |D| and clips nothing, and an overflowing eps D makes a non-finite flux. The clip passes NaN
+    on to ``_finalize``.
     """
-    cells, diff, excess, flux, upper, _, below, above, sums, diffs = out
+    cells, diff, clipped, flux, upper, _, below, above, sums, diffs = out
     v = values.reshape(-1)
     with np.errstate(over="ignore"):
         np.multiply(values, half_chi_h, out=cells)
         np.add(below, above, out=sums)
         np.subtract(v[1:], v[:-1], out=diffs)
-        np.abs(diff, out=excess)
-        np.subtract(excess, upper, out=excess)
-        np.maximum(excess, 0.0, out=excess)
-        if eps is not None:  # sign(D) excess + eps D, rounded as sign(D) (excess + eps |D|)
-            excess = np.add(excess, np.multiply(np.abs(diff, out=upper), eps, out=upper), out=upper)
-    np.copysign(excess, diff, out=upper)
+        np.minimum(diff, upper, out=clipped)
+        np.negative(upper, out=upper)
+        np.maximum(clipped, upper, out=clipped)
+        np.subtract(diff, clipped, out=upper)
+        if eps is not None:
+            np.add(upper, np.multiply(diff, eps, out=clipped), out=upper)
     upper[:, -1] = 0.0
     return flux
 
@@ -296,10 +292,10 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
     chi, eps, dt = (np.array(x, dtype=float).reshape(col)
                     for x in ([p.chi for p in params], [p.eps for p in params], dts))
     dt_eps, absorbs = dt * eps, bool(np.any(eps))
-    # the fluxes come h_0^2/h times too large (see _face_flux and _coefficient_fluxes), so
-    # their divergence is scaled by dt/h_0^2, h_0 the first axis's spacing
-    h = grid.spacing[0]
-    rates, scale = [0.5 * s * chi for s in grid.spacing], dt / (h * h)
+    # the fluxes come h times too large (see _face_flux and _coefficient_fluxes), so their
+    # divergence is scaled by dt/h^2
+    h = grid.h
+    half_chi_h, scale = 0.5 * h * chi, dt / (h * h)
     state, stencil = np.stack([f.values for f in initials]), _stencil(grid)
     k = 0
     for live in range(len(n_steps), 0, -1):
@@ -307,16 +303,16 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
             continue
         bufs = _buffers(grid, live)
         cur, nxt = state[:live], np.empty_like(state[:live])
-        c, e = [r[:live] for r in rates], eps[:live] if absorbs else None
+        c, e = half_chi_h[:live], eps[:live] if absorbs else None
         d, de = scale[:live], dt_eps[:live]
         if implicit:
             last = None  # the batch's last linearization
         elif grid.dim == 1:
-            c[0], e, d, de = (x if x is None else np.repeat(x, cur.shape[1], axis=1) for x in (c[0], e, d, de))
+            c, e, d, de = (x if x is None else np.repeat(x, cur.shape[1], axis=1) for x in (c, e, d, de))
             faces = (bufs[0][4:6],)
 
             def fluxes(v):
-                _face_flux(v, c[0], e, bufs[0])
+                _face_flux(v, c, e, bufs[0])
                 return faces
         else:
             fluxes = lambda v: _coefficient_fluxes(v, stencil, c, e, bufs)
@@ -433,10 +429,10 @@ def _failure(message: str, row) -> NumericalFailureError:
     return exc
 
 
-def _faces(excess, diff) -> np.ndarray:
-    """What a face's linearized flux depends on: sign(diff) on the active set, where
-    ``_face_flux`` left a positive excess, and 2 elsewhere."""
-    return np.where(excess > 0.0, np.sign(diff), 2.0)
+def _faces(flux) -> np.ndarray:
+    """What a face's linearized flux depends on: the sign of the flux of ``_face_flux``
+    (with no viscous term) on the active set, where it is nonzero, and 2 elsewhere."""
+    return np.where(flux != 0.0, np.sign(flux), 2.0)
 
 
 def _active_set_matrix(faces, chi, eps, dt, h: float) -> _Reduction:
@@ -503,8 +499,7 @@ def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepCo
     solved = None  # the reduction solved for rho in this step, and its solutions
     while running:
         if not reuse:
-            _face_flux(point, half_chi_h, None, bufs)
-            new = _faces(bufs[2][:, :-1], bufs[1][:, :-1])
+            new = _faces(_face_flux(point, half_chi_h, None, bufs))
             if faces is None or not (new == faces).all():
                 faces, reduction = new, _active_set_matrix(new, chi, eps, dt, h)
         reuse = False

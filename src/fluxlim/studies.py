@@ -376,7 +376,7 @@ def steady_study(cfg: RunConfig) -> StudyReport:
     if cfg.eps != 0.0:
         raise ValueError("invalid value for 'eps': steady check runs inviscid")
     grid, field, _ = build_problem(cfg)
-    h = max(grid.spacing)
+    h = grid.h
     log_bound = cfg.chi * (1.0 + (cfg.chi * h) * (cfg.chi * h))
     if not np.isfinite(log_bound):
         raise ValueError(f"invalid value for 'chi': the bound chi (1 + (chi h)^2) on |grad rho|/rho "

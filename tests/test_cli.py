@@ -140,6 +140,15 @@ class TestSimulate:
         assert res.returncode == 1
         assert res.stderr.startswith("config error:") and "1D only" in res.stderr
 
+    def test_snapshot_with_unequal_spacings_is_config_error(self, tmp_path):
+        (tmp_path / "snap.txt").write_text("2 4 4 0.5 0.25 -1.0 -1.0\n" + "1.0\n" * 16)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("ic = snapshot\nic_path = snap.txt\n")
+        res = cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert res.returncode == 1
+        assert res.stderr.startswith("config error: cannot build the initial condition: snap.txt: unequal spacings")
+        assert "Traceback" not in res.stderr
+
     @pytest.mark.parametrize("command,override,reason", [
         (("simulate",), "ic = gaussian\nic_width = 1e-200", "does not underflow"),
         (("simulate",), "ic = spike\nic_width = 1e-200", "does not underflow"),

@@ -77,7 +77,7 @@ class TestRecord:
         rng = np.random.default_rng(2)
         vals = rng.uniform(0, 1, 64)
         g1 = make_grid(1, 2.0, 64)
-        g2 = Grid(dim=1, shape=(64,), spacing=g1.spacing, origin=(g1.origin[0] + 1.3,))
+        g2 = Grid(dim=1, shape=(64,), h=g1.h, origin=(g1.origin[0] + 1.3,))
         r1 = record(Field(g1, vals))
         r2 = record(Field(g2, vals))
         # every functional except the absolute-position moment is unchanged
@@ -190,7 +190,7 @@ class TestDissipationTerms:
         u = single_peak(g, chi, 0.0, mass=1.0)
         v = single_peak(g, chi, 1.0, mass=1.0)
         d1, d2 = pair_probe(u, v, chi=chi)[1:3]
-        h = g.spacing[0]
+        h = g.h
         a, b = u.values, v.values
         n = len(a)
 
@@ -236,8 +236,8 @@ def reference_dissipation_terms(u, v, chi):
 
     def grad(w):
         if g.dim == 1:
-            return (np.gradient(w, g.spacing[0], edge_order=2),)
-        return tuple(np.gradient(w, g.spacing[k], axis=k, edge_order=2) for k in range(g.dim))
+            return (np.gradient(w, g.h, edge_order=2),)
+        return tuple(np.gradient(w, g.h, axis=k, edge_order=2) for k in range(g.dim))
 
     def norm(gs):
         s = np.zeros(g.shape)
@@ -270,7 +270,8 @@ class TestPairTerms:
            st.integers(1, 8), st.sampled_from([0.0, 0.5, 3.0]), st.sampled_from([0.0, 1e-9]))
     def test_rows_bitwise_equal_single_pair_reference(self, pair_probe, seed, dim, n1, n2, k, chi, sigma):
         rng = np.random.default_rng(seed)
-        grid = make_grid(dim, 3.0, (n1, n2)[:dim])
+        h = 6.0 / n1
+        grid = Grid(dim=dim, shape=(n1, n2)[:dim], h=h, origin=(-3.0, -0.5 * h * n2)[:dim])
         pairs = rng.uniform(0.0, 2.0, (k, 2, *grid.shape))
         pairs[rng.random(pairs.shape) < 0.2] = 0.0  # scattered vacuum cells
         lo = rng.integers(0, n1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fluxlim import stepping
 from fluxlim.diagnostics import record
-from fluxlim.grid import Field, central_gradient, integrate, load_snapshot, make_grid, save_snapshot
+from fluxlim.grid import Field, Grid, central_gradient, integrate, load_snapshot, make_grid, save_snapshot
 from fluxlim.limiter import limiter
 from fluxlim.stepping import _buffers, _coefficient_fluxes, _divergence, _face_flux, _stencil
 
@@ -15,13 +15,13 @@ from fluxlim.stepping import _buffers, _coefficient_fluxes, _divergence, _face_f
 class TestMakeGrid:
     def test_1d_spacing(self):
         g = make_grid(1, 5.0, 1000)
-        assert g.spacing == (0.01,)
+        assert g.h == 0.01
         assert g.origin == (-5.0,)
         assert g.shape == (1000,)
 
     def test_2d_spacing(self):
         g = make_grid(2, 4.0, 256)
-        assert g.spacing == (0.03125, 0.03125)
+        assert g.h == 0.03125
         assert g.shape == (256, 256)
 
     def test_invalid_dimension(self):
@@ -39,8 +39,8 @@ class TestMakeGrid:
             make_grid(1, 1.0, 2)
 
     def test_measures(self):
-        g = make_grid(2, 3.0, (6, 12))
-        assert g.cell_volume == pytest.approx(1.0 * 0.5)
+        g = Grid(dim=2, shape=(6, 12), h=0.5, origin=(-1.5, -3.0))
+        assert g.cell_volume == pytest.approx(0.5 * 0.5)
 
     def test_centers_cover_box(self):
         g = make_grid(1, 5.0, 10)
@@ -80,15 +80,15 @@ def face_norms(field):
     grid, values, bufs = field.grid, field.values[None], _buffers(field.grid, 1)
     if grid.dim == 1:
         _face_flux(values, 0.0, None, bufs[0])
-        return [bufs[0][1][0, :-1] / grid.spacing[0]]
+        return [bufs[0][1][0, :-1] / grid.h]
     norms = []
 
     def spy(rho, grad_norm, chi, out=None):
-        norms.append(grad_norm[0] / grid.spacing[len(norms)])
+        norms.append(grad_norm[0] / grid.h)
         return limiter(rho, grad_norm, chi, out=out)
 
     with mock.patch.object(stepping, "limiter", spy):
-        for _ in _coefficient_fluxes(values, _stencil(grid), (0.5, 0.5), None, bufs):
+        for _ in _coefficient_fluxes(values, _stencil(grid), 0.5, None, bufs):
             pass
     return norms
 
@@ -136,13 +136,13 @@ class TestCellGradient:
         rng = np.random.default_rng(seed)
         g1 = make_grid(1, 2.5, n1)
         v1 = rng.normal(size=n1)
-        d = central_gradient(v1, 0, g1.spacing[0])
-        assert d.tobytes() == np.gradient(v1, g1.spacing[0], edge_order=2).tobytes()
-        g2 = make_grid(2, (2.5, 1.5), (n1, n2))
+        d = central_gradient(v1, 0, g1.h)
+        assert d.tobytes() == np.gradient(v1, g1.h, edge_order=2).tobytes()
+        g2 = Grid(dim=2, shape=(n1, n2), h=g1.h, origin=(-2.5, -0.5 * g1.h * n2))
         v2 = rng.normal(size=(n1, n2))
-        for axis, h in enumerate(g2.spacing):
-            d = central_gradient(v2, axis, h)
-            ref = np.gradient(v2, h, axis=axis, edge_order=2)
+        for axis in range(2):
+            d = central_gradient(v2, axis, g2.h)
+            ref = np.gradient(v2, g2.h, axis=axis, edge_order=2)
             assert d.tobytes() == ref.tobytes()
 
     def test_strided_input_and_ordered_output(self):
@@ -162,8 +162,8 @@ def divergence(values, grid, coeffs):
     cell's upper and lower face, and summed by the steppers' ``_divergence``."""
     u = np.asarray(values, dtype=float)[None]
     pairs = []
-    for c, (a, lo, hi, h) in zip(coeffs, _stencil(grid)):
-        flux = c[None] * ((u[hi] - u[lo]) / h) / h
+    for c, (a, lo, hi) in zip(coeffs, _stencil(grid)):
+        flux = c[None] * ((u[hi] - u[lo]) / grid.h) / grid.h
         pad = [(0, 0)] * u.ndim
         pairs.append(tuple(np.pad(flux, pad[:a] + [side] + pad[a + 1:]) for side in ((0, 1), (1, 0))))
     return _divergence(pairs, np.empty_like(u), np.empty_like(u))[0]
@@ -178,7 +178,7 @@ class TestDivergence:
     def test_constant_interior_flux_telescopes(self):
         # unit cell differences and a constant coefficient: every face carries one flux, about 2
         g = make_grid(1, 1.0, 10)
-        h = g.spacing[0]
+        h = g.h
         div = divergence(np.arange(10.0), g, [np.full(9, 2.0 * h)])
         assert div[0] == pytest.approx(2.0 / h)
         assert div[-1] == pytest.approx(-2.0 / h)
@@ -192,7 +192,7 @@ class TestDivergence:
         g = make_grid(1, 3.0, 33)
         u, coef = rng.uniform(-5, 5, 33), rng.uniform(0, 2, 32)
         total = integrate(Field(g, divergence(u, g, [coef])))
-        scale = np.sum(np.abs(coef * np.diff(u))) / g.spacing[0]  # the face fluxes, h^(d-1) = 1 in 1D
+        scale = np.sum(np.abs(coef * np.diff(u))) / g.h  # the face fluxes, h^(d-1) = 1 in 1D
         assert abs(total) <= 1e-12 * max(scale, 1.0)
 
     @settings(max_examples=25, deadline=None)
@@ -264,7 +264,7 @@ class TestSnapshot:
         assert np.array_equal(back.values, f.values)
 
     def test_roundtrip_2d_bitwise(self, tmp_path):
-        g = make_grid(2, 2.0, (5, 7))
+        g = Grid(dim=2, shape=(5, 7), h=0.8, origin=(-2.0, -2.8))
         rng = np.random.default_rng(4)
         f = Field(g, rng.uniform(0, 1, (5, 7)))
         path = tmp_path / "snap2.txt"
@@ -274,14 +274,14 @@ class TestSnapshot:
         assert np.array_equal(back.values, f.values)
 
     def test_header_layout(self, tmp_path):
-        g = make_grid(2, 2.0, (4, 3))
+        g = Grid(dim=2, shape=(4, 3), h=1.0, origin=(-2.0, -2.0))
         f = Field(g, np.zeros((4, 3)))
         path = tmp_path / "snap.txt"
         save_snapshot(f, path)
         head = path.read_text().splitlines()[0].split()
         assert head[0] == "2"
         assert head[1:3] == ["4", "3"]
-        assert float(head[3]) == g.spacing[0] and float(head[4]) == g.spacing[1]
+        assert float(head[3]) == g.h and float(head[4]) == g.h
         assert float(head[5]) == -2.0 and float(head[6]) == -2.0
 
     def test_malformed_header(self, tmp_path):
@@ -289,3 +289,10 @@ class TestSnapshot:
         path.write_text("2 4\n")
         with pytest.raises(ValueError, match="header"):
             load_snapshot(path)
+
+    def test_unequal_spacings_rejected(self, tmp_path):
+        path = tmp_path / "aniso.txt"
+        path.write_text("2 4 4 0.5 0.25 -1.0 -1.0\n" + "1.0\n" * 16)
+        with pytest.raises(ValueError, match="unequal spacings") as err:
+            load_snapshot(path)
+        assert str(path) in str(err.value)

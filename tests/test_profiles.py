@@ -31,8 +31,8 @@ class TestGaussianBump:
         assert integrate(f) == pytest.approx(2.0, rel=1e-13)
         idx = np.unravel_index(np.argmax(f.values), f.values.shape)
         X, Y = g.centers()
-        assert abs(X[idx] - 1.0) <= g.spacing[0]
-        assert abs(Y[idx] + 1.0) <= g.spacing[1]
+        assert abs(X[idx] - 1.0) <= g.h
+        assert abs(Y[idx] + 1.0) <= g.h
 
 
 class TestPolySpike:

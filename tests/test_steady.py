@@ -87,7 +87,7 @@ class TestSample:
         chi = np.sqrt(2.0)
         g = make_grid(2, 3.0, 33)
         f = factorized(g, chi, (0.0, 0.0))
-        h = g.spacing[0]
+        h = g.h
         mid = 16
         col = f.values[mid:, mid]
         assert np.allclose(col[1:] / col[:-1], np.exp(-h), rtol=1e-12)
@@ -126,8 +126,8 @@ class TestEikonalResidual:
             f = single_peak(g, chi, 0.0)
             res = residual(f, chi)
             x, = g.centers()
-            away = np.abs(x) > 2 * g.spacing[0]
-            worst[n] = np.max(res[away] / (chi**2 * f.values[away] * g.spacing[0] ** 2))
+            away = np.abs(x) > 2 * g.h
+            worst[n] = np.max(res[away] / (chi**2 * f.values[away] * g.h ** 2))
         assert worst[500] <= 2.0
         assert worst[1000] <= 2.0  # the h^2-normalized ratio stays bounded under refinement
         rep = steady_study(RunConfig(box_halfwidth=5.0, cells=500, chi=chi, ic="single_peak",
@@ -141,7 +141,7 @@ class TestEikonalResidual:
         f = factorized(g, chi, (0.0, 0.0))
         res = residual(f, chi)
         X, Y = g.centers()
-        h = g.spacing[0]
+        h = g.h
         smooth = (np.abs(X) > 2 * h) & (np.abs(Y) > 2 * h)
         rel = res[smooth] / (chi**2 * f.values[smooth])
         assert rel.max() <= 2.0 * h**2
@@ -151,7 +151,7 @@ class TestEikonalResidual:
         # up to the centered-stencil overshoot
         chi = 1.0
         g = make_grid(1, 5.0, 400)
-        h = g.spacing[0]
+        h = g.h
         profiles = [single_peak(g, chi, 0.0), multi_peak(g, chi, (-2.0, 0.5), (0.8, 1.0)),
                     factorized(g, chi, 0.0)]
         for f in profiles:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxlim import stepping
-from fluxlim.grid import Field, make_grid
+from fluxlim.grid import Field, Grid, make_grid
 from fluxlim.limiter import Params, limiter
 from fluxlim.profiles import factorized, gaussian_bump, multi_peak, poly_spike, single_peak
 from fluxlim.stepping import (
@@ -40,13 +40,13 @@ def implicit_solve(field, params, dt, controls=StepControls("semi_implicit")):
     """The solve of one backward-Euler step of a lone member, before ``march`` checks it,
     with its residual trace."""
     (out,), (trace,), _ = step_semi_implicit(field.values[None], params.chi, params.eps, dt,
-                                             field.grid.spacing[0], controls, stepping._buffers(field.grid, 1)[0])
+                                             field.grid.h, controls, stepping._buffers(field.grid, 1)[0])
     return out, trace
 
 
-def active_set_solve(excess, diff, rhs, chi, eps, dt, h):
-    """The solve of the backward-Euler system linearized where ``_face_flux`` left ``excess`` and ``diff``."""
-    return _active_set_matrix(stepping._faces(excess, diff)[None], chi, eps, dt, h).solve(rhs[None])[0]
+def active_set_solve(flux, rhs, chi, eps, dt, h):
+    """The solve of the backward-Euler system linearized where ``_face_flux`` gave ``flux``."""
+    return _active_set_matrix(stepping._faces(flux)[None], chi, eps, dt, h).solve(rhs[None])[0]
 
 
 @pytest.fixture()
@@ -101,7 +101,7 @@ class TestStepExplicit:
         x, = grid1d.centers()
         chi = 1.0
         vals = np.exp(-0.5 * chi * np.abs(x))
-        g = np.abs(np.diff(vals)) / grid1d.spacing[0]
+        g = np.abs(np.diff(vals)) / grid1d.h
         rho_face = 0.5 * (vals[1:] + vals[:-1])
         assert np.all(g <= chi * rho_face)
         assert np.all(limiter(rho_face, g, chi) == 0.0)
@@ -182,9 +182,10 @@ def coefficient_divergence(v, g, chi, eps):
     The limiter sees the face-mean density and the face gradient norm: the two-point
     difference across the face and, in 2D, the mean of the two adjacent central
     differences along it."""
-    central = [np.gradient(v, h, axis=k, edge_order=2) for k, h in enumerate(g.spacing)]
+    h = g.h
+    central = [np.gradient(v, h, axis=k, edge_order=2) for k in range(g.dim)]
     acc = np.zeros(g.shape)
-    for axis, h in enumerate(g.spacing):
+    for axis in range(g.dim):
         lo = [slice(None)] * g.dim
         hi = [slice(None)] * g.dim
         lo[axis] = slice(None, -1)
@@ -219,24 +220,21 @@ def excess_flux(v, chi, eps, h):
 
 
 def lean_2d_divergence(v, g, chi, eps):
-    """h_0^2 times the 2D divergence of the face fluxes, in the kernel's operation order.
+    """h^2 times the 2D divergence of the face fluxes, in the kernel's operation order.
 
-    Per axis of spacing h, with D and P the difference and the sum of the two cells of a
-    face: h times the tangential part is the central difference of P at spacing
-    2 h_other/h, N = sqrt(T^2 + D^2) is h |g|, and the flux limiter(P, N, chi h/2) + eps
-    times D comes weighted by (h_0/h)^2; a face array padded by zero boundary fluxes gives
-    the divergence by one difference per axis."""
-    h0, acc = g.spacing[0], None
-    for axis, h in enumerate(g.spacing):
+    Per axis, with D and P the difference and the sum of the two cells of a face: h times
+    the tangential part is the central difference of P at spacing 2, N = sqrt(T^2 + D^2)
+    is h |g|, and the flux is limiter(P, N, chi h/2) + eps times D; a face array padded by
+    zero boundary fluxes gives the divergence by one difference per axis."""
+    acc = None
+    for axis in range(2):
         other = 1 - axis
         lo = (slice(None, -1), slice(None)) if axis == 0 else (slice(None), slice(None, -1))
         hi = (slice(1, None), slice(None)) if axis == 0 else (slice(None), slice(1, None))
         diff, pair = v[hi] - v[lo], v[lo] + v[hi]
-        tang = np.gradient(pair, 2.0 * g.spacing[other] / h, axis=other, edge_order=2)
-        coeff = limiter(pair, np.sqrt(tang * tang + diff * diff), 0.5 * h * chi) + eps
+        tang = np.gradient(pair, 2.0, axis=other, edge_order=2)
+        coeff = limiter(pair, np.sqrt(tang * tang + diff * diff), 0.5 * g.h * chi) + eps
         flux = coeff * diff
-        if h != h0:
-            flux = flux * (h0 / h) ** 2
         part = np.diff(np.pad(flux, [(1, 1) if k == axis else (0, 0) for k in range(2)]), axis=axis)
         acc = part if acc is None else acc + part
     return acc
@@ -244,10 +242,10 @@ def lean_2d_divergence(v, g, chi, eps):
 
 def reference_step(field, params, dt):
     """The explicit update written plainly, one member, in the kernel's operation order:
-    face fluxes h_0^2/h times too large (in 1D the excess form, in 2D those of
-    ``lean_2d_divergence``), whose divergence is scaled by dt/h_0^2."""
+    face fluxes h times too large (in 1D the excess form, in 2D those of
+    ``lean_2d_divergence``), whose divergence is scaled by dt/h^2."""
     v, g = field.values, field.grid
-    h = g.spacing[0]
+    h = g.h
     if g.dim == 1:
         flux, _ = excess_flux(v, params.chi, params.eps, h)
         acc = np.zeros(g.shape)
@@ -293,9 +291,10 @@ class TestBatchedKernel:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(3, 12), st.integers(3, 12), st.integers(0, 2**32 - 1))
-    def test_2d_unequal_spacings(self, n1, n2, seed):
-        # a snapshot can give hx != hy: the kernel weighs the second axis's flux by (hx/hy)^2
-        grid = make_grid(2, (2.5, 1.5), (n1, n2))
+    def test_2d_non_square_grid(self, n1, n2, seed):
+        # a snapshot can give n1 != n2 cells of one width h
+        h = 5.0 / n1
+        grid = Grid(dim=2, shape=(n1, n2), h=h, origin=(-2.5, -0.5 * h * n2))
         rng = np.random.default_rng(seed)
         values = rng.uniform(0.0, 1.0, (3, *grid.shape))
         values[rng.uniform(size=values.shape) < 0.3] = 0.0
@@ -495,17 +494,16 @@ class TestBatchedKernel:
             next(march([f, f], [Params(chi=1.0)] * 2, [1e-4] * 2, [2, 3]))
 
 
-def face_terms(z, chi, h):
-    """The clamped excess and the cell difference that ``_face_flux`` leaves for one state."""
+def inviscid_flux(z, chi, h):
+    """The face fluxes that ``_face_flux`` gives one state with no viscous term."""
     bufs = stepping._buffers(make_grid(1, 1.0, z.size), 1)[0]
-    stepping._face_flux(z[None], 0.5 * h * chi, None, bufs)
-    return bufs[2][0, :-1], bufs[1][0, :-1]
+    return stepping._face_flux(z[None], 0.5 * h * chi, None, bufs)[0]
 
 
-def linearized_operator(u, excess, diff, chi, eps, dt, h):
+def linearized_operator(u, flux, chi, eps, dt, h):
     """(1 + eps dt) u - dt div F(u) for every column of ``u``, the face flux F linearized
-    where ``_face_flux`` left ``excess`` and ``diff``, written face by face."""
-    active, sign = (excess > 0.0)[:, None], np.sign(diff)[:, None]
+    where ``_face_flux`` gave ``flux``, written face by face."""
+    active, sign = (flux != 0.0)[:, None], np.sign(flux)[:, None]
     g, rho_face = np.diff(u, axis=0) / h, 0.5 * (u[1:] + u[:-1])
     flux = np.where(active, (1.0 + eps) * g - chi * sign * rho_face, eps * g)
     div = np.diff(np.pad(flux, ((1, 1), (0, 0))), axis=0) / h
@@ -523,7 +521,7 @@ SOLVE_SIZES = sorted({2**k + j for k in range(2, 9) for j in (-1, 0, 1)}
 def test_sampled_1d_peaks_stay_bitwise_fixed(kind, peaks, chi_h):
     # every face of a sampled peak is sub-critical (2 tanh(chi h/2) < chi h), so the excess is <= 0
     grid = make_grid(1, 5.0, 400)
-    chi = chi_h / grid.spacing[0]
+    chi = chi_h / grid.h
     amps, centers = zip(*peaks)
     if kind == "single_peak":
         peak = single_peak(grid, chi, centers[0], amps[0])
@@ -546,7 +544,9 @@ def test_sampled_2d_factorized_peak_stays_bitwise_fixed(chi):
 
 @st.composite
 def fields_2d(draw):
-    grid = make_grid(2, draw(st.sampled_from([1.0, 3.0])), (draw(st.integers(3, 32)), draw(st.integers(3, 32))))
+    L, n1, n2 = draw(st.sampled_from([1.0, 3.0])), draw(st.integers(3, 32)), draw(st.integers(3, 32))
+    h = 2.0 * L / n1
+    grid = Grid(dim=2, shape=(n1, n2), h=h, origin=(-L, -0.5 * h * n2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vals = rng.uniform(0.0, 1.0, grid.shape) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
     vals[rng.uniform(size=grid.shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
@@ -656,15 +656,15 @@ class TestStepSemiImplicit:
     def test_tridiagonal_solve_is_exact(self, eps):
         # the backward-Euler operator linearized at z, applied face by face, returns rho
         grid = make_grid(1, 5.0, 400)
-        h, chi = grid.spacing[0], 1.0
+        h, chi = grid.h, 1.0
         rho = gaussian_bump(grid, 0.5, mass=1.0).values
         z = poly_spike(grid, 1.5, 2.0).values + 0.1 * rho  # linearize at another state
         dt = 20.0 * cfl_dt(grid, eps)
-        excess, diff = face_terms(z, chi, h)
-        active = excess > 0.0
+        flux = inviscid_flux(z, chi, h)
+        active = flux != 0.0
         assert 0 < active.sum() < active.size
-        u = active_set_solve(excess, diff, rho, chi, eps, dt, h)
-        applied = linearized_operator(u[:, None], excess, diff, chi, eps, dt, h)[:, 0]
+        u = active_set_solve(flux, rho, chi, eps, dt, h)
+        applied = linearized_operator(u[:, None], flux, chi, eps, dt, h)[:, 0]
         assert np.abs(applied - rho).max() <= 1e-12 * np.abs(rho).max()
 
     @settings(max_examples=150, deadline=None)
@@ -675,12 +675,12 @@ class TestStepSemiImplicit:
         # CFL step can be ill-conditioned for any solver (condition numbers past 1e3), so
         # those steps stay within 3x the CFL step
         rng = np.random.default_rng(seed)
-        excess, diff = rng.standard_normal((2, n - 1))
+        flux = rng.standard_normal(n - 1) * (rng.uniform(size=n - 1) < 0.5)  # signed, with exact zeros
         rho = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.7)
         chi, m_matrix = ratio * 2.0 * (1.0 + eps) / h, ratio <= 1.0
         dt = (multiple if m_matrix else min(multiple, 3.0)) * 0.45 * h * h / (2.0 * (1.0 + eps))
-        u = active_set_solve(excess, diff, rho, chi, eps, dt, h)
-        dense = linearized_operator(np.eye(n), excess, diff, chi, eps, dt, h)
+        u = active_set_solve(flux, rho, chi, eps, dt, h)
+        dense = linearized_operator(np.eye(n), flux, chi, eps, dt, h)
         assert np.abs(dense @ u - rho).max() <= 1e-12 * np.abs(rho).max()
         assert np.abs(u - np.linalg.solve(dense, rho)).max() <= 1e-12 * np.abs(u).max()
         if m_matrix:
@@ -689,16 +689,16 @@ class TestStepSemiImplicit:
     def test_tridiagonal_solve_beyond_m_matrix(self):
         # chi h = 3 (1 + eps) with a signed state: active faces couple with the wrong sign
         grid = make_grid(1, 5.0, 200)
-        h, eps = grid.spacing[0], 0.1
+        h, eps = grid.h, 0.1
         chi = 3.0 * (1.0 + eps) / h
         z = gaussian_bump(grid, 0.5, mass=1.0).values - 0.8 * poly_spike(grid, 1.5, 2.0).values
-        excess, diff = face_terms(z, chi, h)
+        flux = inviscid_flux(z, chi, h)
         dt = 10.0 * cfl_dt(grid, eps)
-        dense = linearized_operator(np.eye(grid.shape[0]), excess, diff, chi, eps, dt, h)
+        dense = linearized_operator(np.eye(grid.shape[0]), flux, chi, eps, dt, h)
         off = np.concatenate([np.diag(dense, 1), np.diag(dense, -1)])
         assert off.max() > 0.0 > off.min()
         rho = gaussian_bump(grid, 1.0, mass=1.0).values
-        u = active_set_solve(excess, diff, rho, chi, eps, dt, h)
+        u = active_set_solve(flux, rho, chi, eps, dt, h)
         assert np.abs(u - np.linalg.solve(dense, rho)).max() <= 1e-12 * np.abs(u).max()
         assert np.abs(dense @ u - rho).max() <= 1e-12 * np.abs(rho).max()
 
@@ -721,10 +721,9 @@ class TestStepSemiImplicit:
         # a previous linearization at another point, with the same active set but other
         # signs, is not reused
         grid = make_grid(1, 5.0, 200)
-        rho, h = gaussian_bump(grid, 0.5, mass=1.0).values[None], grid.spacing[0]
+        rho, h = gaussian_bump(grid, 0.5, mass=1.0).values[None], grid.h
         dt, bufs = 10.0 * cfl_dt(grid, 0.0), stepping._buffers(grid, 1)[0]
-        excess, diff = face_terms(rho[0], 1.0, h)
-        faces = stepping._faces(excess, diff)[None]
+        faces = stepping._faces(inviscid_flux(rho[0], 1.0, h))[None]
         assert (faces != 2.0).any()
         flipped = np.where(faces == 2.0, 2.0, -faces)
         stale = (rho[:, ::-1].copy(), flipped, _active_set_matrix(flipped, 1.0, 0.0, dt, h))
@@ -739,7 +738,7 @@ class TestStepSemiImplicit:
         # same step solved from scratch. The tails of this narrow bump grow more than twofold
         # in the step, where z + (T(z) - z) would round T(z) off.
         grid = make_grid(1, 5.0, 200)
-        rho, h = gaussian_bump(grid, 0.2, mass=1.0).values[None], grid.spacing[0]
+        rho, h = gaussian_bump(grid, 0.2, mass=1.0).values[None], grid.h
         dt, bufs = 10.0 * cfl_dt(grid, 0.0), stepping._buffers(grid, 1)[0]
         u, _, last = step_semi_implicit(rho, 1.0, 0.0, dt, h, StepControls(), bufs)
         assert np.array_equal(last[0], u)
@@ -758,7 +757,7 @@ class TestStepSemiImplicit:
     def test_tridiagonal_solve_rejects_indefinite_matrix(self):
         # eps = -1/2 on three cells: eigenvalues 0.5, 0 and -1, exact in floating point
         with pytest.raises(NumericalFailureError, match="tridiagonal solve failed: singular matrix"):
-            active_set_solve(np.zeros(2), np.zeros(2), np.ones(3), 1.0, -0.5, 1.0, 1.0)
+            active_set_solve(np.zeros(2), np.ones(3), 1.0, -0.5, 1.0, 1.0)
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_converged_step_is_exact_nonlinear_solve(self, eps):
@@ -867,7 +866,7 @@ class TestStepSemiImplicit:
         # every sweep's matrix has the faces where the excess |D| - chi h rho_face is positive
         # at the iterate: a new one is built from the iterate, or the last one has them
         grid = make_grid(1, 5.0, 400)
-        h, chi = grid.spacing[0], 1.0
+        h, chi = grid.h, 1.0
         iterates, matrices, face_flux = [], [], stepping._face_flux
 
         def flux(values, *args):
@@ -913,7 +912,7 @@ class TestStepSemiImplicit:
         # 28 times); theta and the accepted point are each member's own, so beside a Gaussian
         # every row of the batch and its trace equal bitwise the member's lone step
         grid = make_grid(1, 5.0, 60)
-        h, dt, params = grid.spacing[0], 300.0 * cfl_dt(grid, 0.0), Params(chi=3.0)
+        h, dt, params = grid.h, 300.0 * cfl_dt(grid, 0.0), Params(chi=3.0)
         fields = [gaussian_bump(grid, 1.0, mass=1.0)]
         for seed in (2, 12, 53):
             rng = np.random.default_rng(seed)
@@ -953,8 +952,7 @@ class TestStepSemiImplicit:
         assert spike.values.min() == 0.0
         dt = 20.0 * cfl_dt(grid, 0.0)
         v = spike.values
-        excess, diff = face_terms(v, 1.0, grid.spacing[0])
-        assert active_set_solve(excess, diff, v, 1.0, 0.0, dt, grid.spacing[0]).min() >= 0.0
+        assert active_set_solve(inviscid_flux(v, 1.0, grid.h), v, 1.0, 0.0, dt, grid.h).min() >= 0.0
         out = implicit_step(spike, Params(chi=1.0), dt)
         assert out.min() >= 0.0
         assert out.sum() == pytest.approx(spike.values.sum(), rel=1e-12)
@@ -996,7 +994,7 @@ def ordered_pairs(draw):
         vals[start:start + rng.integers(n // 2 + 1)] = 0.0
     both = rng.integers(n)
     u[both:both + n // 5] = gap[both:both + n // 5] = 0.0
-    params = Params(chi=draw(st.floats(0.0, 2.0)) / grid.spacing[0], eps=draw(st.sampled_from([0.0, 0.1])))
+    params = Params(chi=draw(st.floats(0.0, 2.0)) / grid.h, eps=draw(st.sampled_from([0.0, 0.1])))
     return Field.density(grid, u), Field.density(grid, u + gap), params
 
 
