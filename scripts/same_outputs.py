@@ -17,7 +17,10 @@ Each checkout runs the same command matrix with its own ``src/`` and ``configs/`
     300x the CFL step at chi 3 from a 60-cell snapshot on [-5, 5] with vacuum, which the
     script writes (``vacuum_snapshot``);
   * a 2D ``simulate`` with ``snapshot_stride = 5`` from a non-square snapshot, 40 x 24 cells
-    of width 0.25, which the script writes (``non_square_snapshot``).
+    of width 0.25, which the script writes (``non_square_snapshot``);
+  * ``steady check`` on a 1D ``multi_peak`` of two peaks at chi 2 on 400 cells;
+  * a 2D ``simulate`` of a ``factorized`` peak at 48^2 cells to ``t_end = 0.05``;
+  * a ``simulate`` of a ``uniform`` field of amplitude 0, the empty box.
 
 Every command runs in a fresh directory of its own, with relative paths, so stdout and
 stderr name no path of either run (a run directory that appears anyway is masked). The
@@ -109,6 +112,12 @@ def matrix(configs: Path) -> list[tuple[str, list[str], dict[str, str]]]:
          {"a.cfg": edit("", ic="snapshot", ic_path="non_square.txt", chi="3", eps="0.1", t_end="0.1",
                         diag_stride="5", snapshot_stride="5"),
           "non_square.txt": non_square_snapshot()}),
+        ("multi_peak steady check", ["steady", "check", "--config", "a.cfg"],
+         {"a.cfg": edit("", ic="multi_peak", ic_centers="-1.5 1", ic_amplitudes="1 0.6", chi="2", cells="400")}),
+        ("factorized 2D 48^2", ["simulate", "--config", "a.cfg"],
+         {"a.cfg": edit("", dim="2", cells="48", ic="factorized", t_end="0.05", diag_stride="5")}),
+        ("uniform at amplitude 0", ["simulate", "--config", "a.cfg"],
+         {"a.cfg": edit("", ic="uniform", ic_amplitude="0.0")}),
     ]
     return cases
 

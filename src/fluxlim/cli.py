@@ -15,8 +15,9 @@ loaded only by the commands that run a study or a check, so ``simulate``
 never loads it.
 
 Exit codes: 0 all verdicts pass, 1 configuration error (a bad config, a
-bad command-line argument, or an input a study rejects), 2 numerical
-failure (including a time step above the CFL ceiling), 3 verdict failure.
+bad command-line argument, an input a study rejects, or outputs that cannot
+be written), 2 numerical failure (including a time step above the CFL
+ceiling), 3 verdict failure.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, build_controls, build_problem, parse_config
-from .diagnostics import csv_header, csv_row
+from .diagnostics import COLUMNS, csv_row
 from .grid import save_snapshot
 from .limiter import Params
 from .stepping import CflViolationError, NumericalFailureError, run
@@ -86,10 +87,8 @@ def _cmd_simulate(args) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     traj, = run([initial], [Params(cfg.chi, cfg.eps)], build_controls(cfg), [cfg.t_end],
-                diag_stride=cfg.diag_stride, p_set=cfg.p_set, grad_p_set=cfg.grad_p_set,
-                snapshot_stride=cfg.snapshot_stride, initial_records=[first])
-    lines = [csv_header(cfg.p_set, cfg.grad_p_set)]
-    lines += [csv_row(rec) for rec in traj.records]
+                diag_stride=cfg.diag_stride, snapshot_stride=cfg.snapshot_stride, initial_records=[first])
+    lines = [",".join(COLUMNS)] + [csv_row(rec) for rec in traj.records]
     (out / "diagnostics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     save_snapshot(traj.snapshots[0][1], out / "snapshot_initial.txt")
     save_snapshot(traj.snapshots[-1][1], out / "snapshot_final.txt")
@@ -150,6 +149,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
+        return 1
+    except OSError as exc:  # a config or snapshot that cannot be read is a ConfigError already
+        sys.stderr.write(f"config error: cannot write outputs: {exc}\n")
         return 1
     except (NumericalFailureError, CflViolationError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

@@ -7,7 +7,9 @@ fall back to a default, and so are keys the initial condition would ignore:
 an ``ic_*`` key that the chosen ``ic`` kind does not read (``_IC_KEYS``), or
 ``ic_amplitude`` beside ``ic_mass``. The stationary peaks are initial data like
 the others, built by ``profiles``. The stepping tolerances that no run varies,
-the CFL safety factor and the Picard sweep cap, are constants of ``stepping``.
+the CFL safety factor and the Picard sweep cap, are constants of ``stepping``; the
+diagnostics' fixed columns and exponents are ``COLUMNS`` of ``diagnostics``, and the
+relative-entropy floor of the studies is ``_SIGMA_REL`` of ``studies``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, csv_header, csv_row, record
+from .diagnostics import COLUMNS, DiagnosticsRecord, record
 from .grid import Field, Grid, load_snapshot, make_grid
 from .profiles import factorized, gaussian_bump, multi_peak, poly_spike, single_peak
 from .stepping import _SCHEMES, StepControls, cfl_dt
@@ -60,8 +62,6 @@ class RunConfig:
     picard_tol: float = 1e-10
     t_end: float = 1.0
     diag_stride: int = 10
-    p_set: tuple[float, ...] = (2.0, 4.0)
-    grad_p_set: tuple[float, ...] = (2.0,)
     ic: str = "gaussian"
     ic_mass: float | None = None
     ic_amplitude: float | None = None
@@ -72,7 +72,6 @@ class RunConfig:
     ic_p: float = 4.0
     ic_pnorm: float = 1.0
     ic_path: str | None = None
-    sigma_rel: float = 1e-12
     out: str = "out"
     snapshot_stride: int = 0
     eps_list: tuple[float, ...] = (0.1, 0.05, 0.025, 0.0)
@@ -115,11 +114,9 @@ def _validate(cfg: RunConfig) -> None:
         raise bad("t_end", "must be finite and >= 0")
     if cfg.diag_stride < 1:
         raise bad("diag_stride", "must be >= 1")
-    # no p = inf: the sup column is always reported, and a spike's Lp norm would read 0**0 = 1
-    for key in ("p_set", "grad_p_set", "ic_p"):
-        for p in np.atleast_1d(getattr(cfg, key)):
-            if not (np.isfinite(p) and p >= 1.0):
-                raise bad(key, f"exponents must be finite and >= 1, got {p}")
+    # no p = inf: a spike's Lp norm would read 0**0 = 1
+    if not (np.isfinite(cfg.ic_p) and cfg.ic_p >= 1.0):
+        raise bad("ic_p", f"exponents must be finite and >= 1, got {cfg.ic_p}")
     if cfg.ic not in _IC_KEYS:
         raise bad("ic", f"must be one of {tuple(_IC_KEYS)}")
     if cfg.ic in STATIONARY_KINDS and not cfg.chi > 0.0:
@@ -134,8 +131,6 @@ def _validate(cfg: RunConfig) -> None:
         raise bad("ic_width", "must be positive")
     if not cfg.ic_pnorm > 0.0:
         raise bad("ic_pnorm", "must be positive")
-    if not (np.isfinite(cfg.sigma_rel) and cfg.sigma_rel >= 0.0):
-        raise bad("sigma_rel", "must be finite and >= 0")
     if cfg.snapshot_stride < 0:
         raise bad("snapshot_stride", "must be >= 0")
     if cfg.ic == "snapshot" and not cfg.ic_path:
@@ -218,7 +213,7 @@ def build_problem(cfg: RunConfig) -> tuple[Grid, Field, DiagnosticsRecord]:
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             grid, field = _build_problem(cfg)
-            initial = record(field, cfg.p_set, cfg.grad_p_set)
+            initial = record(field)
     except ConfigError:
         raise
     except (OSError, ValueError) as exc:
@@ -230,8 +225,7 @@ def build_problem(cfg: RunConfig) -> tuple[Grid, Field, DiagnosticsRecord]:
         raise ConfigError(f"the CFL step safety*h^2/(2d(1+eps)) underflows to 0 "
                           f"(h = {grid.h}, eps = {cfg.eps})")
     check_cell_steps(field.values.size, cfg.t_end, cfg.dt or ceiling)
-    names, values = csv_header(cfg.p_set, cfg.grad_p_set).split(","), csv_row(initial).split(",")
-    overflow = [name for name, value in zip(names, values) if not np.isfinite(float(value))]
+    overflow = [name for name, value in zip(COLUMNS, vars(initial).values()) if not np.isfinite(value)]
     if overflow:
         raise ConfigError(f"initial diagnostics are not finite ({', '.join(overflow)}); "
                           "shrink the box, the mass or the amplitude")

@@ -531,8 +531,8 @@ def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepCo
     return out, traces, (point, faces, reduction)
 
 
-def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=(2.0, 4.0),
-        grad_p_set=(2.0,), snapshot_stride: int = 0, initial_records=None) -> list[Trajectory]:
+def run(initials, params, controls: StepControls, t_ends, diag_stride=10, snapshot_stride: int = 0,
+        initial_records=None) -> list[Trajectory]:
     """Advance members on one grid to their ``t_ends`` with fixed steps, recording
     diagnostics; one trajectory per member, whose outputs do not depend on the others.
 
@@ -560,8 +560,7 @@ def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=
     if any(f.values.min(initial=0.0) < 0.0 for f in initials):
         raise ValueError("initial data must be nonnegative")
 
-    records = [[rec] for rec in initial_records
-               or [record(f, p_set=p_set, grad_p_set=grad_p_set, time=0.0) for f in initials]]
+    records = [[rec] for rec in initial_records or [record(f) for f in initials]]
     snapshots = [[(0.0, f)] for f in initials]
     meshes = [time_mesh(t, controls.dt or cfl_dt(grid, p.eps)) if t > 0.0
               else (0.0, 0) for p, t in zip(params, t_ends)]
@@ -575,7 +574,7 @@ def run(initials, params, controls: StepControls, t_ends, diag_stride=10, p_set=
             field = Field.density(grid, values)
             t = t_ends[i] if last else k * dts[i]
             if diag:
-                records[i].append(record(field, p_set=p_set, grad_p_set=grad_p_set, time=t))
+                records[i].append(record(field, time=t))
             if snap:
                 snapshots[i].append((t, field))
 

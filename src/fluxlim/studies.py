@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import STATIONARY_KINDS, RunConfig, _center, build_controls, build_problem, check_cell_steps
 from .diagnostics import l1_distance, pair_terms
-from .grid import Field, gradient_norm, integrate
+from .grid import gradient_norm, integrate
 from .limiter import Params, monotone_gap, unclamped_gap
 from .profiles import poly_spike
 from .stepping import cfl_dt, march, run, time_mesh
@@ -36,7 +36,9 @@ __all__ = [
 
 
 # The keys the contraction study reads from its first config alone, which the second must repeat
-_SHARED_CONTRACTION_KEYS = ("dt", "t_end", "diag_stride", "sigma_rel", "picard_tol")
+_SHARED_CONTRACTION_KEYS = ("dt", "t_end", "diag_stride", "chi", "picard_tol")
+# The floor of the studies' relative entropies, guarding vacuum cells: sigma = _SIGMA_REL * sup(v)
+_SIGMA_REL = 1e-12
 # Bytes of recorded states per contraction probe: 16 pairs of 400 cells, one pair of 57^2 or more
 _PROBE_BLOCK_BYTES = 100 * 2**10
 # Allowed rise per time step of the relative entropy, relative to H(0), and of the
@@ -98,14 +100,6 @@ def _fmt_list(xs) -> str:
     return " ".join(repr(float(x)) for x in xs)
 
 
-def _sigma_for(cfg: RunConfig, reference: Field) -> float:
-    """Relative-entropy floor guarding vacuum cells: sigma_rel * sup(reference)."""
-    sigma = cfg.sigma_rel * float(reference.values.max(initial=0.0))
-    if not np.isfinite(sigma):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    return sigma
-
-
 def viscosity_study(base: RunConfig) -> StudyReport:
     """Run one initial condition across the decreasing viscosity list
     ``eps_list`` and measure how fast the solutions become a Cauchy family.
@@ -135,15 +129,14 @@ def viscosity_study(base: RunConfig) -> StudyReport:
     shared = replace(controls, dt=dt)
 
     trajectories = run([initial] * n, [Params(base.chi, e) for e in eps_list], shared,
-                       [base.t_end] * n, base.diag_stride, p_set=base.p_set,
-                       grad_p_set=base.grad_p_set, initial_records=[first] * n)
+                       [base.t_end] * n, base.diag_stride, initial_records=[first] * n)
     finals = [t.final for t in trajectories]
 
     # the pairs (i, j) of one j share the floor sigma_j, so each j is one probe block
     terms = {}
     for j in range(1, n):
         block = np.stack([np.stack([f.values, finals[j].values]) for f in finals[:j]])
-        h, _, _, l1 = pair_terms(block, grid, _sigma_for(base, finals[j]), base.chi)
+        h, _, _, l1 = pair_terms(block, grid, _SIGMA_REL * float(finals[j].values.max()), base.chi)
         terms.update(((i, j), (float(l1[i]), float(h[i]))) for i in range(j))
     rows = [(eps_list[i], eps_list[j], eps_list[i] + eps_list[j], *terms[i, j])
             for i, j in combinations(range(n), 2)]
@@ -211,10 +204,9 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig) -> StudyReport:
     t_end = cfg1.t_end
     dt, n_steps = time_mesh(t_end, controls.dt or cfl_dt(grid1, 0.0))
     check_cell_steps(u.values.size, t_end, dt, runs=2)
-    params1 = Params(cfg1.chi, cfg1.eps)
-    params2 = Params(cfg2.chi, cfg2.eps)
+    params = Params(cfg1.chi)
     stride = cfg1.diag_stride
-    sigma = _sigma_for(cfg1, v)
+    sigma = _SIGMA_REL * float(v.values.max())
     identical = bool(np.array_equal(u.values, v.values))
 
     # the initial and every recorded state go into a block, probed when it fills
@@ -222,7 +214,7 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig) -> StudyReport:
     times, rows, steps_between, l1 = [], [], [], []
     last_recorded = 0
     for k, state in chain([(0, (u.values, v.values))],
-                          march([u, v], [params1, params2], [dt, dt], [n_steps] * 2, controls)):
+                          march([u, v], [params] * 2, [dt, dt], [n_steps] * 2, controls)):
         if k % stride == 0 or k == n_steps:
             block[len(times)] = state
             times.append(t_end if k == n_steps else k * dt)
@@ -326,7 +318,7 @@ def smoothing_study(cfg: RunConfig) -> StudyReport:
 
     spikes = [poly_spike(grid, w, p, center=_center(cfg), p_norm=cfg.ic_pnorm) for w in widths]
     trajectories = run(spikes * 2, [Params(cfg.chi)] * n + [Params(0.0)] * n, shared, t_ends,
-                       [stride] * n + [10**9] * n, p_set=cfg.p_set, grad_p_set=cfg.grad_p_set)
+                       [stride] * n + [10**9] * n)
     limited = trajectories[:n]
     heat = [traj.records[-1] for traj in trajectories[n:]]
 

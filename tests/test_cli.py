@@ -76,10 +76,10 @@ class TestSimulate:
 
     def test_non_finite_exponent_exit_1(self, tmp_path):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(BASE_CFG + "p_set = 2 inf\n")
+        bad.write_text(BASE_CFG.replace("ic = gaussian", "ic = spike") + "ic_p = nan\n")
         res = cli("simulate", "--config", str(bad), cwd=tmp_path)
         assert res.returncode == 1
-        assert res.stderr.startswith("config error:") and "p_set" in res.stderr
+        assert res.stderr.startswith("config error:") and "ic_p" in res.stderr
 
     @pytest.mark.parametrize("command,key", [(["simulate"], "ic_p"), (["study", "smoothing"], "ic_p")])
     def test_infinite_spike_exponent_exit_1(self, tmp_path, capsys, command, key):
@@ -271,6 +271,21 @@ class TestArgumentErrors:
         assert not (tmp_path / "o").exists()
 
 
+class TestUnwritableOutputs:
+    # an --out that is a file, or lies below one, raised FileExistsError or NotADirectoryError
+    @pytest.mark.parametrize("argv,out", [
+        (["simulate", "--config", "CFG"], "file"),
+        (["study", "viscosity", "--config", "CFG"], "file/sub"),
+        (["check", "monotonicity", "--samples", "100"], "file"),
+    ])
+    def test_exit_1_with_config_error(self, tmp_path, cfg_file, argv, out):
+        (tmp_path / "file").write_text("")
+        argv = [str(cfg_file) if a == "CFG" else a for a in argv]
+        res = cli(*argv, "--out", str(tmp_path / out), cwd=tmp_path)
+        assert res.returncode == 1
+        assert res.stderr.startswith("config error: cannot write outputs:") and "Traceback" not in res.stderr
+
+
 class TestStudies:
     def test_contraction_passes(self, tmp_path):
         c1 = tmp_path / "c1.cfg"
@@ -326,17 +341,29 @@ ic_p = 4
         assert "VERDICT smoothing_heat_slope" in text
 
     def test_contraction_second_config_stepping_keys(self, tmp_path, capsys):
-        # the study reads dt, t_end, diag_stride, sigma_rel and picard_tol from --config; a --config2
+        # the study reads dt, t_end, diag_stride, chi and picard_tol from --config; a --config2
         # that sets others ran silently by the first's
         configs = Path(__file__).resolve().parents[1] / "configs"
         second = tmp_path / "b.cfg"
         second.write_text((configs / "contraction_b.cfg").read_text().replace("t_end = 0.05", "t_end = 0.01")
-                          + "dt = 0.00001\nsigma_rel = 0.5\n")
+                          + "dt = 0.00001\n")
         code = cli_module.main(["study", "contraction", "--config", str(configs / "contraction_a.cfg"),
                                 "--config2", str(second), "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err == ("config error: invalid value for 'dt': the contraction study runs "
                                            "both configs with one dt, but they set None and 1e-05\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_contraction_second_config_chi(self, tmp_path, capsys):
+        # a --config2 at chi = 3 ran, and was probed, at the first config's chi = 1, and passed
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        second = tmp_path / "b.cfg"
+        second.write_text((configs / "contraction_b.cfg").read_text().replace("chi = 1.0", "chi = 3.0"))
+        code = cli_module.main(["study", "contraction", "--config", str(configs / "contraction_a.cfg"),
+                                "--config2", str(second), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == ("config error: invalid value for 'chi': the contraction study runs "
+                                           "both configs with one chi, but they set 1.0 and 3.0\n")
         assert not (tmp_path / "o").exists()
 
     def test_smoothing_ic_width_is_config_error(self, tmp_path, capsys):
@@ -412,15 +439,6 @@ ic_p = 4
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"config error: invalid value for 'cells': {members} x 120 cells exceed the limit of 200")
-
-    @pytest.mark.parametrize("kind", ["viscosity", "contraction"])
-    def test_overflowing_entropy_floor_is_config_error(self, tmp_path, kind):
-        # sigma = sigma_rel * sup(v) overflows to inf, where H would read nan
-        cfg = tmp_path / "s.cfg"
-        cfg.write_text(BASE_CFG + "ic_mass = 10.0\nsigma_rel = 1e308\neps_list = 0.1 0\n")
-        res = cli("study", kind, "--config", str(cfg), "--out", str(tmp_path / "o"), cwd=tmp_path)
-        assert res.returncode == 1
-        assert res.stderr == "config error: sigma must be finite and >= 0, got inf\n"
 
     def test_long_viscosity_list_is_config_error(self, tmp_path, capsys):
         # the pair table grows with the square of len(eps_list): 101 entries are 5,050 pairs

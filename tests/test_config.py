@@ -24,7 +24,6 @@ class TestParseConfig:
         assert cfg.diag_stride == 10
         assert cfg.scheme == "explicit"
         assert cfg.dim == 1
-        assert cfg.p_set == (2.0, 4.0)
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\nchi = 2.0  # trailing\n\n")
@@ -57,9 +56,7 @@ class TestParseConfig:
         ("ic = wave", "ic"),
         ("t_end = -1", "t_end"),
         ("dim = 3", "dim"),
-        ("p_set = 0.5", "p_set"),
-        ("p_set = 2 inf", "p_set"),
-        ("grad_p_set = inf", "grad_p_set"),
+        ("ic = spike\nic_p = 0.5", "ic_p"),
         ("cells = 100000000000", "cells"),
         ("dim = 2\ncells = 5000", "cells"),
         ("t_end = 1e300", "t_end"),
@@ -91,9 +88,9 @@ class TestParseConfig:
         parse_config(text)
 
     def test_float_lists(self):
-        cfg = parse_config("eps_list = 0.2 0.1 0.05\np_set = 2, 3, 4\n")
+        cfg = parse_config("eps_list = 0.2 0.1 0.05\nspike_widths = 2, 1, 0.5\n")
         assert cfg.eps_list == (0.2, 0.1, 0.05)
-        assert cfg.p_set == (2.0, 3.0, 4.0)
+        assert cfg.spike_widths == (2.0, 1.0, 0.5)
 
     def test_multi_peak_requires_centers(self):
         with pytest.raises(ConfigError, match="ic_centers"):
@@ -132,6 +129,16 @@ class TestKeyTable:
             code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
             assert code == 1
             assert capsys.readouterr().err == f"config error: line 3: unknown key '{key}'\n"
+
+    @pytest.mark.parametrize("key,value", [("p_set", "2 4"), ("grad_p_set", "2"), ("sigma_rel", "1e-12")])
+    def test_fixed_diagnostics_and_floor_keys_are_unknown(self, tmp_path, capsys, key, value):
+        # the diagnostics exponents and the relative-entropy floor are constants, not keys
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\ncells = 40\n")
+        code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: line 1: unknown key '{key}'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_readme_key_table_lists_the_fields(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -254,9 +261,8 @@ class TestBuildProblem:
         assert np.array_equal(field2.values, field.values)
 
     def test_returns_the_checked_initial_record(self):
-        cfg = parse_config("cells = 64\np_set = 3\ngrad_p_set = 2 4\n")
-        _, field, first = build_problem(cfg)
-        assert first == record(field, cfg.p_set, cfg.grad_p_set) and first.time == 0.0
+        _, field, first = build_problem(parse_config("cells = 64\n"))
+        assert first == record(field) and first.time == 0.0
 
     def test_snapshot_requires_path(self):
         with pytest.raises(ConfigError, match="ic_path"):

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxlim.diagnostics import (
+    COLUMNS,
     SupportMismatchError,
-    csv_header,
     csv_row,
     l1_distance,
     pair_terms,
@@ -29,7 +29,7 @@ class TestRecord:
         assert r.entropy_abs == 0.0
         assert r.fisher == 0.0
         assert r.sup_norm == 1.0
-        assert r.lp_norms[2.0] == pytest.approx(1.0, rel=1e-14)
+        assert r.l2 == pytest.approx(1.0, rel=1e-14)
 
     def test_rejects_negative(self):
         g = unit_measure_grid()
@@ -82,11 +82,11 @@ class TestRecord:
         r2 = record(Field(g2, vals))
         # every functional except the absolute-position moment is unchanged
         assert r1.mass == r2.mass
-        assert r1.lp_norms == r2.lp_norms
+        assert (r1.l1, r1.l2, r1.l4) == (r2.l1, r2.l2, r2.l4)
         assert r1.sup_norm == r2.sup_norm
         assert r1.entropy == r2.entropy
         assert r1.fisher == r2.fisher
-        assert r1.grad_lp == r2.grad_lp
+        assert r1.grad_l2 == r2.grad_l2
 
     def test_reflection_equivariance(self):
         rng = np.random.default_rng(3)
@@ -312,16 +312,15 @@ class TestL1Distance:
 
 class TestCsv:
     def test_header_schema(self):
-        head = csv_header(p_set=(2.0, 4.0), grad_p_set=(2.0,))
-        assert head == "time,mass,l1,l2,lp_4,sup,moment2,entropy,entropy_abs,fisher,gradlp_2"
+        assert ",".join(COLUMNS) == "time,mass,l1,l2,lp_4,sup,moment2,entropy,entropy_abs,fisher,gradlp_2"
 
     def test_row_full_precision_roundtrip(self):
         g = unit_measure_grid(32)
         rng = np.random.default_rng(9)
-        rec = record(Field.density(g, rng.uniform(0, 1, 32)), p_set=(2.0, 4.0), time=0.125)
+        rec = record(Field.density(g, rng.uniform(0, 1, 32)), time=0.125)
         row = csv_row(rec)
         fields = row.split(",")
-        assert len(fields) == len(csv_header((2.0, 4.0), (2.0,)).split(","))
+        assert len(fields) == len(COLUMNS)
         assert float(fields[0]) == 0.125
         assert float(fields[1]) == rec.mass
         assert float(fields[9]) == rec.fisher

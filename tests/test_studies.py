@@ -95,7 +95,7 @@ class TestViscosityStudy:
         rows = []
         for i in range(len(eps_list)):
             for j in range(i + 1, len(eps_list)):
-                sigma = cfg.sigma_rel * float(finals[j].values.max())
+                sigma = studies._SIGMA_REL * float(finals[j].values.max())
                 rows.append((eps_list[i], eps_list[j], eps_list[i] + eps_list[j],
                              l1_distance(finals[i], finals[j]),
                              pair_probe(finals[i], finals[j], sigma)[0]))
@@ -116,7 +116,7 @@ class TestContractionStudy:
             contraction_study(small_bump_cfg(), small_bump_cfg(scheme="semi_implicit"))
 
     @pytest.mark.parametrize("key,value", [
-        ("dt", 1e-5), ("t_end", 0.02), ("diag_stride", 3), ("sigma_rel", 0.5), ("picard_tol", 1e-8),
+        ("dt", 1e-5), ("t_end", 0.02), ("diag_stride", 3), ("chi", 2.0), ("picard_tol", 1e-8),
     ])
     def test_requires_shared_stepping_keys(self, key, value):
         # the study steps and probes both runs by the first config's values of these keys
@@ -149,7 +149,7 @@ class TestContractionStudy:
         grid, u, _ = build_problem(c1)
         _, v, _ = build_problem(c2)
         dt, n = time_mesh(t_end, cfl_dt(grid, 0.0))
-        sigma = c1.sigma_rel * float(v.values.max())
+        sigma = studies._SIGMA_REL * float(v.values.max())
 
         def probe(t, a, b):
             return (t, *pair_probe(a, b, sigma, c1.chi)[:3])
