@@ -74,6 +74,10 @@ class TestParseConfig:
         ("ic_amplitudes = 3 4", "'ic_amplitudes': ic = gaussian"),
         ("ic = spike\nic_mass = 2", "'ic_mass': ic = spike"),
         ("ic = snapshot\nic_path = s.txt\nic_center = 1", "'ic_center': ic = snapshot"),
+        # the diagnostics exponents are constants: a config that sets them names an unknown key
+        ("grad_p_set = inf", "grad_p_set"),
+        ("p_set = 0.5", "p_set"),
+        ("p_set = 2 inf", "p_set"),
     ])
     def test_validation_names_key(self, line, key):
         with pytest.raises(ConfigError, match=key):
