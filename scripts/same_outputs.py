@@ -9,6 +9,8 @@ Each checkout runs the same command matrix with its own ``src/`` and ``configs/`
   * ``check monotonicity --samples 2000``;
   * semi-implicit ``simulate`` on ``bump.cfg`` with ``dt = 0.002`` and ``snapshot_stride = 25``;
   * semi-implicit ``study smoothing`` at about 10x the CFL step;
+  * semi-implicit ``study viscosity`` at 10x the CFL step of its largest eps, so that each
+    member's eps enters the reduced matrices;
   * the ``implicit_1d`` benchmark's command: semi-implicit ``simulate`` on ``bump.cfg`` at
     2000 cells and 10x the CFL step to ``t_end = 0.01``;
   * ``simulate`` on ``bump.cfg`` with ``eps = 0.1``;
@@ -48,6 +50,7 @@ COMMANDS = {
     "contraction_b.cfg": None,
 }
 SMOOTHING_10_CFL_DT = "0.000309"  # 10x the CFL step 0.45 h^2/2 of smoothing.cfg's 1024 cells
+VISCOSITY_10_CFL_DT = "0.00184"  # 10x the CFL step 0.45 h^2/(2 (1 + 0.1)) of viscosity.cfg's 400 cells
 IMPLICIT_1D_DT = "5.625e-05"  # 10x the CFL step of 2000 cells on bump.cfg's box, as in implicit_1d
 VACUUM_H = 10.0 / 60.0  # the spacing of vacuum_snapshot's 60 cells on [-5, 5]
 VACUUM_DT = 300.0 * 0.45 * VACUUM_H**2 / 2.0  # 300x its CFL step
@@ -93,12 +96,14 @@ def matrix(configs: Path) -> list[tuple[str, list[str], dict[str, str]]]:
                       ["study", "contraction", "--config", "a.cfg", "--config2", "b.cfg"],
                       {"a.cfg": text["contraction_a.cfg"], "b.cfg": text["contraction_b.cfg"]}))
     cases.append(("check monotonicity --samples 2000", ["check", "monotonicity", "--samples", "2000"], {}))
-    bump, smoothing = text.get("bump.cfg", ""), text.get("smoothing.cfg", "")
+    bump, smoothing, viscosity = (text.get(name, "") for name in ("bump.cfg", "smoothing.cfg", "viscosity.cfg"))
     cases += [
         ("bump.cfg semi-implicit", ["simulate", "--config", "a.cfg"],
          {"a.cfg": edit(bump, scheme="semi_implicit", dt="0.002", snapshot_stride="25")}),
         ("smoothing.cfg semi-implicit", ["study", "smoothing", "--config", "a.cfg"],
          {"a.cfg": edit(smoothing, scheme="semi_implicit", dt=SMOOTHING_10_CFL_DT)}),
+        ("viscosity.cfg semi-implicit", ["study", "viscosity", "--config", "a.cfg"],
+         {"a.cfg": edit(viscosity, scheme="semi_implicit", dt=VISCOSITY_10_CFL_DT)}),
         ("bump.cfg implicit_1d", ["simulate", "--config", "a.cfg"],
          {"a.cfg": edit(bump, cells="2000", scheme="semi_implicit", dt=IMPLICIT_1D_DT, picard_tol="1e-10",
                         t_end="0.01", diag_stride="20")}),

@@ -60,11 +60,23 @@ def _studies() -> dict:
             "steady": steady_study, "monotonicity": monotonicity_test}
 
 
+def _check_out(out: str) -> None:
+    """Refuse an ``out`` that cannot be a directory, before a study runs, creating nothing: its
+    first existing path, walking up, must be a directory."""
+    path = Path(out)
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise ConfigError(f"cannot write outputs: {path} is not a directory")
+
+
 def _report(study: str, inputs, out: str | None) -> int:
     """Run the study named ``study`` (see ``_studies``) on ``inputs``, print its report, write
     it under ``out`` when given and return the exit code. The study's input checks raise
     ValueError, reported as a config error; a CFL violation stays a numerical failure, as in
     simulate."""
+    if out is not None:
+        _check_out(out)
     try:
         report = _studies()[study](*inputs)
     except CflViolationError:

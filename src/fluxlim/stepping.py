@@ -339,14 +339,13 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
 
 
 class _Reduction:
-    """Cyclic reduction of tridiagonal matrices, one per row of ``diag``, with rows
-    -lower_{i-1} x_{i-1} + diag_i x_i - upper_i x_{i+1} (``lower`` and ``upper`` per face),
+    """Cyclic reduction of tridiagonal matrices, one per row of ``diag`` (rows, n), with rows
+    -lower_{i-1} x_{i-1} + diag_i x_i - upper_i x_{i+1} (``lower`` and ``upper`` per face, (rows, n - 1)),
     kept to ``solve`` for any right-hand sides.
 
     Each matrix is padded with identity rows to the fewest, (m + 1) 2^L - 1 with m <= ``_DENSE``,
     and the padded matrices are laid end to end, an identity row apart, so that one operation
-    spans them all while each sees the operations of a lone matrix. ``layout`` gives the padded
-    arrays, which the caller fills and hands on whole. Each of the L levels
+    spans them all while each sees the operations of a lone matrix. Each of the L levels
     substitutes the even rows (0-based), divided by their diagonal, into the odd ones, which
     form the next level; each matrix's last m unknowns are solved with the inverse of their
     matrix, and back-substitution recovers the even ones. This is elimination without
@@ -356,19 +355,15 @@ class _Reduction:
     non-finite solution raises ``NumericalFailureError`` naming the first such matrix.
     """
 
-    @staticmethod
-    def layout(rows: int, n: int) -> np.ndarray:
-        """Zeroed padded (lower, diag, upper) arrays, each (rows, width), of ``rows`` matrices of ``n``
-        unknowns, their identity rows set: fill lower[:, 1:n], diag[:, :n] and upper[:, :n - 1]."""
-        levels = _levels(n)
-        coeffs = np.zeros((3, rows, -(-(n + 1) >> levels) << levels))  # a matrix's rows and the one between
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+        rows, n = diag.shape
+        self.rows, self.n = rows, n
+        # the fewest levels that leave at most _DENSE unknowns
+        self.levels = next(k for k in range(n.bit_length() + 1) if -(-(n + 1) >> k) <= _DENSE + 1)
+        self.width = -(-(n + 1) >> self.levels) << self.levels  # a matrix's rows and the one between
+        coeffs = np.zeros((3, rows, self.width))
+        coeffs[0, :, 1:n], coeffs[1, :, :n], coeffs[2, :, :n - 1] = lower, diag, upper
         coeffs[1, :, n:] = 1.0
-        return coeffs
-
-    def __init__(self, coeffs: np.ndarray, n: int):
-        """Reduce the matrices of ``n`` unknowns that fill the ``layout`` ``coeffs``."""
-        rows, self.width = coeffs.shape[1:]
-        self.rows, self.n, self.levels = rows, n, _levels(n)
         lo, b, up = (a.reshape(-1)[:-1] for a in coeffs)
         self.terms = []
         with np.errstate(all="ignore"):
@@ -417,11 +412,6 @@ class _Reduction:
         return x
 
 
-def _levels(n: int) -> int:
-    """The cyclic-reduction levels of a matrix of ``n`` unknowns: the fewest that leave ``_DENSE``."""
-    return next(k for k in range(n.bit_length() + 1) if -(-(n + 1) >> k) <= _DENSE + 1)
-
-
 def _failure(message: str, row) -> NumericalFailureError:
     """The error ``message`` of the batch's row ``row``."""
     exc = NumericalFailureError(message)
@@ -443,20 +433,16 @@ def _active_set_matrix(faces, chi, eps, dt, h: float) -> _Reduction:
     elsewhere eps g. With c = eps + [active], d = chi s [active] and P, Q = dt/h (c/h -+ d/2)
     per face, (1 + eps*dt) u - dt*div F(u) is tridiagonal: diagonal
     1 + eps*dt + Q_{i+1/2} + P_{i-1/2}, super-diagonal -P, sub-diagonal -Q.
-    P, Q >= 0 (an M-matrix) wherever chi h <= 2 (1 + eps). The diagonals are written
-    straight into the padded ``_Reduction.layout``.
+    P, Q >= 0 (an M-matrix) wherever chi h <= 2 (1 + eps).
     """
-    rows, n = len(faces), faces.shape[1] + 1
-    coeffs = _Reduction.layout(rows, n)
-    lower, diag, upper = coeffs[0, :, 1:n], coeffs[1, :, :n], coeffs[2, :, :n - 1]
     on = faces != 2.0
     c, half_d = eps + on, np.where(on, 0.5 * chi * faces, 0.0)
-    np.multiply(c / h - half_d, dt / h, out=upper)
-    np.multiply(c / h + half_d, dt / h, out=lower)
+    upper, lower = (c / h - half_d) * (dt / h), (c / h + half_d) * (dt / h)
+    diag = np.empty((len(faces), faces.shape[1] + 1))
     diag[...] = 1.0 + eps * dt
     diag[:, :-1] += lower
     diag[:, 1:] += upper
-    return _Reduction(coeffs, n)
+    return _Reduction(lower, diag, upper)
 
 
 def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepControls, bufs, last=None,

@@ -285,6 +285,21 @@ class TestUnwritableOutputs:
         assert res.returncode == 1
         assert res.stderr.startswith("config error: cannot write outputs:") and "Traceback" not in res.stderr
 
+    def test_study_not_run(self, tmp_path, cfg_file, monkeypatch, capsys):
+        # the study stepped all its members before the output directory failed
+        from fluxlim import studies
+
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(studies, "viscosity_study", no_study)
+        (tmp_path / "file").write_text("")
+        code = cli_module.main(["study", "viscosity", "--config", str(cfg_file),
+                                "--out", str(tmp_path / "file" / "sub")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write outputs: {tmp_path / 'file'} is not a directory\n"
+
 
 class TestStudies:
     def test_contraction_passes(self, tmp_path):
@@ -364,6 +379,17 @@ ic_p = 4
         assert code == 1
         assert capsys.readouterr().err == ("config error: invalid value for 'chi': the contraction study runs "
                                            "both configs with one chi, but they set 1.0 and 3.0\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_viscosity_eps_is_config_error(self, tmp_path, capsys):
+        # the sweep takes eps_list; eps = 0.3 ran the same sweep and wrote the same study.csv
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(Path(__file__).resolve().parents[1].joinpath("configs", "viscosity.cfg").read_text()
+                       .replace("eps = 0.0", "eps = 0.3"))
+        code = cli_module.main(["study", "viscosity", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == ("config error: invalid value for 'eps': the viscosity study sweeps "
+                                           "eps_list, so eps must be 0\n")
         assert not (tmp_path / "o").exists()
 
     def test_smoothing_ic_width_is_config_error(self, tmp_path, capsys):

@@ -1007,6 +1007,52 @@ def test_semi_implicit_1d_structure(case):
 
 
 @st.composite
+def central_drift_cases(draw):
+    # data even about the centre face, each cell to the right of it at most r = (1 - chi h/2)/(1 + chi h/2)
+    # times its inner neighbour: every other face is on the limiter's active set or its edge, where
+    # D - clip(D, -a, a) is D + a right of the centre and D - a left of it, and the flow is linear
+    grid = make_grid(1, 5.0, 2 * draw(st.integers(4, 100)))
+    chi_h = draw(st.floats(0.01, 1.9))
+    r = (1.0 - 0.5 * chi_h) / (1.0 + 0.5 * chi_h)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    right = np.cumprod(np.concatenate([[1.0], r * rng.uniform(0.5, 1.0, grid.shape[0] // 2 - 1)]))
+    return Field.density(grid, np.concatenate([right[::-1], right])), chi_h
+
+
+def central_drift_operator(n, chi_h):
+    """h^2 div F as a matrix, for the linear face flux h F = D + s chi h rho_face of the cell
+    difference D with s = 1 right of the centre face and -1 left of it, and F = 0 at the centre
+    face and the box's ends (the no-flux box)."""
+    faces = np.arange(n - 1)
+    s = np.sign(faces - (n // 2 - 1))
+    flux = np.zeros((n + 1, n))  # the faces' fluxes, the box's ends included, as rows of a matrix
+    flux[faces + 1, faces], flux[faces + 1, faces + 1] = -1.0 + 0.5 * chi_h * s, 1.0 + 0.5 * chi_h * s
+    flux[n // 2] = 0.0
+    return np.diff(flux, axis=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(central_drift_cases())
+def test_both_schemes_match_the_linear_central_drift(case):
+    # the exact references of the linear Fokker-Planck flow on this data: forward Euler at the CFL
+    # step, and a dense solve of backward Euler up to 1e5 times it, within the sweeps' tolerance
+    f, chi_h = case
+    grid, sup = f.grid, f.values.max()
+    params, operator = Params(chi=chi_h / grid.h), central_drift_operator(grid.shape[0], chi_h)
+    dt = cfl_dt(grid, 0.0)
+    expected = f.values
+    for _, state in march([f], [params], [dt], [200]):
+        expected = expected + dt / grid.h**2 * (operator @ expected)
+        assert np.abs(state[0] - expected).max() <= 1e-13 * sup
+    controls = StepControls("semi_implicit")
+    for factor in (10.0, 1e3, 1e5):
+        expected, matrix = f.values, np.eye(grid.shape[0]) - factor * dt / grid.h**2 * operator
+        for _, state in march([f], [params], [factor * dt], [5], controls):
+            expected = np.linalg.solve(matrix, expected)
+            assert np.abs(state[0] - expected).max() <= 5.0 * controls.picard_tol * sup
+
+
+@st.composite
 def ordered_pairs(draw):
     # u <= v on a 1D grid with chi*h <= 2, where the face flux sign(g)(|g| - chi rho_face)_+
     # is monotone in both cells; vacuum patches of u alone and of both fields

@@ -107,21 +107,28 @@ class TestContractionStudy:
         with pytest.raises(ValueError, match="eps"):
             contraction_study(small_bump_cfg(eps=0.1), small_bump_cfg())
 
-    def test_requires_shared_grid(self):
-        with pytest.raises(ValueError, match="grid"):
-            contraction_study(small_bump_cfg(), small_bump_cfg(cells=121))
-
-    def test_requires_shared_scheme(self):
-        with pytest.raises(ValueError, match="shared grid and scheme"):
-            contraction_study(small_bump_cfg(), small_bump_cfg(scheme="semi_implicit"))
+    def test_requires_shared_grid(self, tmp_path):
+        # snapshots bring their own grids, which no key of the two configs tells apart
+        cfgs = []
+        for cells in (16, 17):
+            grid = make_grid(1, 5.0, cells)
+            save_snapshot(Field.density(grid, np.ones(grid.shape)), tmp_path / f"s{cells}")
+            cfgs.append(small_bump_cfg(ic="snapshot", ic_path=str(tmp_path / f"s{cells}")))
+        with pytest.raises(ValueError, match="^contraction study requires a shared grid$"):
+            contraction_study(*cfgs)
 
     @pytest.mark.parametrize("key,value", [
         ("dt", 1e-5), ("t_end", 0.02), ("diag_stride", 3), ("chi", 2.0), ("picard_tol", 1e-8),
+        ("cells", 121), ("scheme", "semi_implicit"), ("eps_list", (0.2, 0.1)),
     ])
     def test_requires_shared_stepping_keys(self, key, value):
-        # the study steps and probes both runs by the first config's values of these keys
+        # the study reads every key but the initial condition's and out from the first config
         with pytest.raises(ValueError, match=f"^invalid value for '{key}': .* one {key}, but they set "):
             contraction_study(small_bump_cfg(), small_bump_cfg(**{key: value}))
+
+    def test_second_config_may_differ_in_ic_and_out(self):
+        rep = contraction_study(small_bump_cfg(), small_bump_cfg(ic="uniform", ic_mass=None, out="elsewhere"))
+        assert rep.inputs[-1] == ("identical_data", "False")
 
     def test_requires_positive_data(self):
         spikey = small_bump_cfg(ic="spike", ic_width=0.5)
