@@ -6,6 +6,7 @@ Each checkout runs the same command matrix with its own ``src/`` and ``configs/`
 
   * every ``configs/*.cfg`` with its command (``COMMANDS``; ``study contraction``
     on the a/b pair and on a/a);
+  * semi-implicit ``study contraction`` on the a/b pair at about 10x the CFL step;
   * ``check monotonicity --samples 2000``;
   * semi-implicit ``simulate`` on ``bump.cfg`` with ``dt = 0.002`` and ``snapshot_stride = 25``;
   * semi-implicit ``study smoothing`` at about 10x the CFL step;
@@ -50,6 +51,7 @@ COMMANDS = {
     "contraction_b.cfg": None,
 }
 SMOOTHING_10_CFL_DT = "0.000309"  # 10x the CFL step 0.45 h^2/2 of smoothing.cfg's 1024 cells
+CONTRACTION_10_CFL_DT = "0.0014"  # 10x the CFL step 0.45 h^2/2 of the contraction pair's 400 cells
 VISCOSITY_10_CFL_DT = "0.00184"  # 10x the CFL step 0.45 h^2/(2 (1 + 0.1)) of viscosity.cfg's 400 cells
 IMPLICIT_1D_DT = "5.625e-05"  # 10x the CFL step of 2000 cells on bump.cfg's box, as in implicit_1d
 VACUUM_H = 10.0 / 60.0  # the spacing of vacuum_snapshot's 60 cells on [-5, 5]
@@ -95,6 +97,11 @@ def matrix(configs: Path) -> list[tuple[str, list[str], dict[str, str]]]:
         cases.append(("contraction_a.cfg + contraction_b.cfg",
                       ["study", "contraction", "--config", "a.cfg", "--config2", "b.cfg"],
                       {"a.cfg": text["contraction_a.cfg"], "b.cfg": text["contraction_b.cfg"]}))
+        semi_implicit = dict(scheme="semi_implicit", dt=CONTRACTION_10_CFL_DT)
+        cases.append(("contraction_a.cfg + contraction_b.cfg semi-implicit",
+                      ["study", "contraction", "--config", "a.cfg", "--config2", "b.cfg"],
+                      {"a.cfg": edit(text["contraction_a.cfg"], **semi_implicit),
+                       "b.cfg": edit(text["contraction_b.cfg"], **semi_implicit)}))
     cases.append(("check monotonicity --samples 2000", ["check", "monotonicity", "--samples", "2000"], {}))
     bump, smoothing, viscosity = (text.get(name, "") for name in ("bump.cfg", "smoothing.cfg", "viscosity.cfg"))
     cases += [

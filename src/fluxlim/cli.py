@@ -14,10 +14,10 @@ writes the outputs and maps errors to exit codes. The ``studies`` module is
 loaded only by the commands that run a study or a check, so ``simulate``
 never loads it.
 
-Exit codes: 0 all verdicts pass, 1 configuration error (a bad config, a
-bad command-line argument, an input a study rejects, or outputs that cannot
-be written), 2 numerical failure (including a time step above the CFL
-ceiling), 3 verdict failure.
+Exit codes, mapped in ``main`` alone by exception class: 0 all verdicts pass;
+1 configuration error, a ``ValueError`` or ``OSError`` (bad config or command
+line, input a study rejects, unwritable outputs); 2 numerical failure, a
+``NumericalFailureError`` (CFL violations included); 3 verdict failure.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .config import ConfigError, RunConfig, build_controls, build_problem, parse
 from .diagnostics import COLUMNS, csv_row
 from .grid import save_snapshot
 from .limiter import Params
-from .stepping import CflViolationError, NumericalFailureError, run
+from .stepping import NumericalFailureError, run
 
 __all__ = ["main"]
 
@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path: str, args) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     cfg = parse_config(text)
     return replace(cfg, out=args.out) if args.out else cfg
@@ -72,17 +72,10 @@ def _check_out(out: str) -> None:
 
 def _report(study: str, inputs, out: str | None) -> int:
     """Run the study named ``study`` (see ``_studies``) on ``inputs``, print its report, write
-    it under ``out`` when given and return the exit code. The study's input checks raise
-    ValueError, reported as a config error; a CFL violation stays a numerical failure, as in
-    simulate."""
+    it under ``out`` when given and return 0 if every verdict passes, else 3; errors go to main."""
     if out is not None:
         _check_out(out)
-    try:
-        report = _studies()[study](*inputs)
-    except CflViolationError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    report = _studies()[study](*inputs)
     text = report.to_text()
     if out is not None:
         out = Path(out)
@@ -156,16 +149,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command of ``argv``: the one place that maps an exception to an exit code."""
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1
     except OSError as exc:  # a config or snapshot that cannot be read is a ConfigError already
         sys.stderr.write(f"config error: cannot write outputs: {exc}\n")
         return 1
-    except (NumericalFailureError, CflViolationError) as exc:
+    except NumericalFailureError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
 

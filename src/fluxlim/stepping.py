@@ -54,10 +54,6 @@ _NEG_TOL = 1e-13  # roundoff allowance of a step's negatives, relative to the me
 _DENSE = 31  # cyclic reduction leaves at most this many unknowns to a dense inverse
 
 
-class CflViolationError(ValueError):
-    """Explicit step attempted with dt above the stability ceiling."""
-
-
 class NumericalFailureError(RuntimeError):
     """A step produced non-finite or impossibly negative values. ``row`` is the failing
     member's position in its batch; ``march`` sets the ``member`` it names, the ``step``
@@ -73,6 +69,11 @@ class NumericalFailureError(RuntimeError):
         if self.step is None:
             return text
         return f"{text} (member {self.member}, step {self.step}, t = {self.time!r})"
+
+
+class CflViolationError(NumericalFailureError):
+    """An explicit step asked for with dt above the stability ceiling: a numerical failure
+    (exit 2 on the command line), raised before any step is taken."""
 
 
 class PicardDivergenceError(NumericalFailureError):

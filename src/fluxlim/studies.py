@@ -50,6 +50,9 @@ _MONOTONE_C = (0.1, 1.0, 10.0)
 _MAX_SAMPLES = 10**7
 # Most viscosities of one sweep: the pair table grows with the square of their number
 _MAX_EPS_LIST = 100
+# A diag_stride that no run reaches, for the runs read only at their ends: records at t = 0
+# and at the last step alone
+_ENDS_ONLY = 10**9
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,7 @@ def viscosity_study(base: RunConfig) -> StudyReport:
     shared = replace(controls, dt=dt)
 
     trajectories = run([initial] * n, [Params(base.chi, e) for e in eps_list], shared,
-                       [base.t_end] * n, base.diag_stride, initial_records=[first] * n)
+                       [base.t_end] * n, _ENDS_ONLY, initial_records=[first] * n)
     finals = [t.final for t in trajectories]
 
     # the pairs (i, j) of one j share the floor sigma_j, so each j is one probe block
@@ -319,7 +322,7 @@ def smoothing_study(cfg: RunConfig) -> StudyReport:
 
     spikes = [poly_spike(grid, w, p, center=_center(cfg), p_norm=cfg.ic_pnorm) for w in widths]
     trajectories = run(spikes * 2, [Params(cfg.chi)] * n + [Params(0.0)] * n, shared, t_ends,
-                       [stride] * n + [10**9] * n)
+                       [stride] * n + [_ENDS_ONLY] * n)
     limited = trajectories[:n]
     heat = [traj.records[-1] for traj in trajectories[n:]]
 
@@ -378,7 +381,7 @@ def steady_study(cfg: RunConfig) -> StudyReport:
     grad = gradient_norm(field)
     resid = np.abs(grad - cfg.chi * field.values)  # the eikonal residual | |grad rho| - chi rho |
     t_probe = min(cfg.t_end, 0.05) if cfg.t_end > 0 else 0.05
-    traj, = run([field], [Params(cfg.chi, cfg.eps)], build_controls(cfg), [t_probe], diag_stride=10**9)
+    traj, = run([field], [Params(cfg.chi, cfg.eps)], build_controls(cfg), [t_probe], diag_stride=_ENDS_ONLY)
     drift = l1_distance(traj.final, field) / t_probe
 
     sup = float(field.values.max())

@@ -174,6 +174,16 @@ class TestSimulate:
         res = cli("simulate", "--config", str(tmp_path / "nope.cfg"), cwd=tmp_path)
         assert res.returncode == 1
 
+    def test_undecodable_config_exit_1(self, tmp_path, capsys):
+        # a config that is not UTF-8 escaped as a UnicodeDecodeError
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(BASE_CFG.encode() + b"ic_mass = 1\xff\n")
+        code = cli_module.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: cannot read config {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert not (tmp_path / "o").exists()
+
     def test_cfl_violation_exit_2(self, tmp_path):
         path = tmp_path / "cfl.cfg"
         path.write_text(BASE_CFG + "dt = 0.1\n")
@@ -299,6 +309,16 @@ class TestUnwritableOutputs:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"config error: cannot write outputs: {tmp_path / 'file'} is not a directory\n"
+
+    @pytest.mark.parametrize("command", [["simulate"], ["study", "viscosity"]])
+    def test_out_with_nul_byte(self, tmp_path, capsys, command):
+        # the OS refuses such a path with a ValueError, which escaped as a traceback
+        cfg = tmp_path / "nul.cfg"
+        cfg.write_text(BASE_CFG + f"out = {tmp_path / 'o'}\0ut\n")
+        code = cli_module.main([*command, "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: embedded null byte\n"
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestStudies:

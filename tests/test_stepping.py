@@ -112,8 +112,9 @@ class TestStepExplicit:
     def test_cfl_violation_raises(self, grid1d):
         f = gaussian_bump(grid1d, 1.0, mass=1.0)
         too_big = 2.0 * cfl_dt(grid1d, 0.0)
-        with pytest.raises(CflViolationError):
+        with pytest.raises(CflViolationError) as err:
             explicit_step(f, Params(chi=1.0), too_big)
+        assert isinstance(err.value, NumericalFailureError)  # so the CLI exits 2 by its class
 
     def test_positivity_on_random_data(self, grid1d):
         rng = np.random.default_rng(11)
@@ -1006,6 +1007,14 @@ def test_semi_implicit_1d_structure(case):
     assert np.sum(out**2) <= np.sum(f.values**2) * (1.0 + 1e-9)
 
 
+def even_decay(chi_h, factors):
+    """An even 1D profile about the centre face whose cells right of it are r = (1 - chi h/2)/(1 + chi h/2)
+    times their inner neighbour times their ``factors``: the centred discrete peak when every factor is 1."""
+    r = (1.0 - 0.5 * chi_h) / (1.0 + 0.5 * chi_h)
+    right = np.cumprod(np.concatenate([[1.0], r * factors]))
+    return np.concatenate([right[::-1], right])
+
+
 @st.composite
 def central_drift_cases(draw):
     # data even about the centre face, each cell to the right of it at most r = (1 - chi h/2)/(1 + chi h/2)
@@ -1013,10 +1022,8 @@ def central_drift_cases(draw):
     # D - clip(D, -a, a) is D + a right of the centre and D - a left of it, and the flow is linear
     grid = make_grid(1, 5.0, 2 * draw(st.integers(4, 100)))
     chi_h = draw(st.floats(0.01, 1.9))
-    r = (1.0 - 0.5 * chi_h) / (1.0 + 0.5 * chi_h)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    right = np.cumprod(np.concatenate([[1.0], r * rng.uniform(0.5, 1.0, grid.shape[0] // 2 - 1)]))
-    return Field.density(grid, np.concatenate([right[::-1], right])), chi_h
+    return Field.density(grid, even_decay(chi_h, rng.uniform(0.5, 1.0, grid.shape[0] // 2 - 1))), chi_h
 
 
 def central_drift_operator(n, chi_h):
@@ -1050,6 +1057,43 @@ def test_both_schemes_match_the_linear_central_drift(case):
         for _, state in march([f], [params], [factor * dt], [5], controls):
             expected = np.linalg.solve(matrix, expected)
             assert np.abs(state[0] - expected).max() <= 5.0 * controls.picard_tol * sup
+
+
+@st.composite
+def relaxation_cases(draw):
+    # class data as in central_drift_cases at chi L <= 5 on the box [-5, 5], where the second even
+    # eigenvalue chi^2/4 + (2 pi/L)^2 is at least 2.8 times the first, so the faster modes fade fast
+    grid = make_grid(1, 5.0, 2 * draw(st.integers(3, 100)))
+    chi = draw(st.floats(0.1, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return Field.density(grid, even_decay(chi * grid.h, rng.uniform(0.5, 1.0, grid.shape[0] // 2 - 1))), chi
+
+
+@settings(max_examples=60, deadline=None)
+@given(relaxation_cases())
+def test_semi_implicit_relaxation_rate(case):
+    # on class data the flow is the linear central-drift scheme, whose backward Euler step takes the
+    # slowest even mode to the centred discrete peak by 1/(1 + lambda_h dt) and the faster ones by
+    # less, by q = (1 + lambda_h dt)/(1 + lambda_2 dt) relative to it; once q^k is below picard_tol,
+    # the L1 distance to the peak falls by exactly that factor, up to each step's sweep tolerance
+    f, chi = case
+    m, h = f.grid.shape[0] // 2, f.grid.h
+    operator = central_drift_operator(2 * m, chi * h) / h**2
+    even = operator[m:, m:] + operator[m:, :m][:, ::-1]  # the operator on even vectors, by their right half
+    lam = np.sort(np.linalg.eigvals(-even).real)  # 0 (the peak), lambda_h, lambda_2, ...
+    dt = 0.1 / lam[1]
+    factor = 1.0 + lam[1] * dt
+    controls = StepControls("semi_implicit", picard_tol=1e-12)
+    settle = int(np.ceil(np.log(controls.picard_tol) / np.log(factor / (1.0 + lam[2] * dt))))
+    peak = even_decay(chi * h, np.ones(m - 1))
+    peak *= f.values.sum() / peak.sum()
+    distance = np.abs(f.values - peak).sum()
+    for k, state in march([f], [Params(chi=chi)], [dt], [settle + 10], controls):
+        before, distance = distance, np.abs(state[0] - peak).sum()
+        if k > settle:
+            # a step is within picard_tol of its solution relative in L2, so sqrt(n) times that in L1
+            allowed = factor * np.sqrt(2 * m) * controls.picard_tol * np.linalg.norm(state[0])
+            assert abs(factor * distance - before) <= allowed
 
 
 @st.composite
@@ -1106,6 +1150,54 @@ class TestComparisonPrinciple:
         fields = [Field.density(grid, x) for x in (u, v)]
         ((_, state),) = march(fields, [Params(chi=0.5)] * 2, [cfl_dt(grid, 0.0)] * 2, [1, 1])
         assert (state[0] - state[1]).max() > 1e-5
+
+
+@st.composite
+def unordered_pairs(draw):
+    # two independent 200-cell fields, 30% vacuum each, at chi h <= 0.15, inside the monotone range
+    grid = make_grid(1, draw(st.sampled_from([1.0, 5.0])), 200)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    fields = []
+    for _ in range(2):
+        vals = rng.uniform(0.0, 1.0, grid.shape) * scale
+        vals[rng.uniform(size=grid.shape) < 0.3] = 0.0
+        fields.append(Field.density(grid, vals))
+    return fields, Params(chi=draw(st.sampled_from([0.5, 1.0, 3.0])))
+
+
+def positive_part(x):
+    return np.maximum(x, 0.0).sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(unordered_pairs())
+def test_1d_entropy_inequalities(case):
+    # at eps = 0 both integrals never increase step by step: Kruzhkov's family of (rho - k)_+ at
+    # levels k of the data, and Kato's pair form (u - v)_+, which holds order preservation and L1
+    # contraction at once. Explicit steps keep them to roundoff. The exact backward Euler step J
+    # keeps them as an order-preserving L1 contraction (Crandall & Tartar, Proc. AMS 78, 1980). A
+    # semi-implicit step returns w = T(z), |w - z| <= picard_tol |w| in L2, which solves it with the
+    # flux linearized at z: w = J(rho + r), r being dt/h^2 times the divergence of the linearization's
+    # error, at most (1 + chi h/2)(|dw_i| + |dw_i+1|) per face for dw = w - z. So w lies within
+    # |r|_1 <= dt/h^2 (4 + 2 chi h) |dw|_1 <= dt/h^2 (4 + 2 chi h) sqrt(n) picard_tol |w|_2 of J(rho)
+    fields, params = case
+    grid = fields[0].grid
+    levels = np.quantile(fields[0].values, [0.0, 0.2, 0.5, 0.8, 0.95, 1.0])
+    semi_implicit, cfl = StepControls("semi_implicit", picard_tol=1e-12), cfl_dt(grid, 0.0)
+    for controls, dt in ((StepControls(), cfl), (semi_implicit, 10.0 * cfl), (semi_implicit, 1e3 * cfl)):
+        before = np.stack([f.values for f in fields])
+        for _, state in march(fields, [params] * 2, [dt] * 2, [5, 5], controls):
+            slack = 8.0 * np.finfo(float).eps * before.sum(axis=1)
+            if controls.scheme == "semi_implicit":
+                slack += (dt / grid.h**2 * (4.0 + 2.0 * params.chi * grid.h) * np.sqrt(grid.shape[0])
+                          * controls.picard_tol * np.linalg.norm(state, axis=1))
+            for w, b, s in zip(state, before, slack):
+                for k in levels:
+                    assert positive_part(w - k) <= positive_part(b - k) + s
+            for i in (0, 1):
+                assert positive_part(state[i] - state[1 - i]) <= positive_part(before[i] - before[1 - i]) + slack.sum()
+            before = state.copy()
 
 
 class TestRun:

@@ -77,6 +77,22 @@ class TestViscosityStudy:
         for row in rep.rows:
             assert row[3] >= 0.0 and row[4] >= -1e-12
 
+    def test_records_only_the_final_states(self, monkeypatch):
+        # the sweep reads its members' final states alone, so diag_stride = 5 records nothing
+        # between: the one record per member is its last, and build_problem's t = 0 record is reused
+        from fluxlim import stepping
+
+        calls, record = [], stepping.record
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("time"))
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(stepping, "record", counted)
+        cfg = small_bump_cfg(eps_list=(0.1, 0.05, 0.0))
+        viscosity_study(cfg)
+        assert calls == [cfg.t_end] * 3
+
     @pytest.mark.parametrize("scheme,dt", [("explicit", None), ("semi_implicit", 2.5e-3)],
                              ids=["explicit", "semi_implicit"])
     def test_batch_matches_separate_runs(self, pair_probe, scheme, dt):
