@@ -23,7 +23,10 @@ Each checkout runs the same command matrix with its own ``src/`` and ``configs/`
     of width 0.25, which the script writes (``non_square_snapshot``);
   * ``steady check`` on a 1D ``multi_peak`` of two peaks at chi 2 on 400 cells;
   * a 2D ``simulate`` of a ``factorized`` peak at 48^2 cells to ``t_end = 0.05``;
-  * a ``simulate`` of a ``uniform`` field of amplitude 0, the empty box.
+  * a ``simulate`` of a ``uniform`` field of amplitude 0, the empty box;
+  * 2D ``study contraction`` on the a/b pair at 32^2 cells, a batch of two 2D members;
+  * 2D ``study viscosity`` at 32^2 cells to ``t_end = 0.1``, a batch of four 2D members, some
+    with eps > 0 (its verdicts fail, so it exits 3; the exit codes are compared all the same).
 
 Every command runs in a fresh directory of its own, with relative paths, so stdout and
 stderr name no path of either run (a run directory that appears anyway is masked). The
@@ -130,6 +133,12 @@ def matrix(configs: Path) -> list[tuple[str, list[str], dict[str, str]]]:
          {"a.cfg": edit("", dim="2", cells="48", ic="factorized", t_end="0.05", diag_stride="5")}),
         ("uniform at amplitude 0", ["simulate", "--config", "a.cfg"],
          {"a.cfg": edit("", ic="uniform", ic_amplitude="0.0")}),
+        ("contraction_a.cfg + contraction_b.cfg 2D 32^2",
+         ["study", "contraction", "--config", "a.cfg", "--config2", "b.cfg"],
+         {"a.cfg": edit(text.get("contraction_a.cfg", ""), dim="2", cells="32"),
+          "b.cfg": edit(text.get("contraction_b.cfg", ""), dim="2", cells="32")}),
+        ("viscosity.cfg 2D 32^2", ["study", "viscosity", "--config", "a.cfg"],
+         {"a.cfg": edit(viscosity, dim="2", cells="32", t_end="0.1")}),
     ]
     return cases
 

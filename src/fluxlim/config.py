@@ -4,9 +4,10 @@ The format is deliberately small: UTF-8 text, one assignment per line,
 ``#`` starts a comment, keys are known in advance and may appear once.
 Unknown keys and malformed lines are hard errors so a typo cannot silently
 fall back to a default, and so are keys the initial condition would ignore:
-an ``ic_*`` key that the chosen ``ic`` kind does not read (``_IC_KEYS``), or
-``ic_amplitude`` beside ``ic_mass``. The stationary peaks are initial data like
-the others, built by ``profiles``. The stepping tolerances that no run varies,
+an ``ic_*`` key that the chosen ``ic`` kind does not read (``_IC_KEYS``), a
+grid key beside ``ic = snapshot`` (``_GRID_KEYS``), or ``ic_amplitude`` beside
+``ic_mass``. The stationary peaks are initial data like the others, built by
+``profiles``. The stepping tolerances that no run varies,
 the CFL safety factor and the Picard sweep cap, are constants of ``stepping``; the
 diagnostics' fixed columns and exponents are ``COLUMNS`` of ``diagnostics``, and the
 relative-entropy floor of the studies is ``_SIGMA_REL`` of ``studies``.
@@ -38,6 +39,8 @@ _IC_KEYS = {
     "factorized": ("ic_mass", "ic_amplitude", "ic_center"),
     "snapshot": ("ic_path",),
 }
+# The keys of the grid, which ic = snapshot does not read: a snapshot brings its own grid
+_GRID_KEYS = ("dim", "cells", "box_halfwidth")
 # Work-size guard, per batch of runs: 64x the cells of the largest shipped run
 # (512^2), which bounds the memory of a batch, and over 100x its cells x time steps (7.8e7).
 _MAX_CELLS = 4096**2
@@ -186,7 +189,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: cannot parse value for '{key}': {exc}") from None
     cfg = replace(RunConfig(), **seen)
     _validate(cfg)
-    unread = [key for key in seen if key.startswith("ic_") and key not in _IC_KEYS[cfg.ic]]
+    unread = [key for key in seen if key.startswith("ic_") and key not in _IC_KEYS[cfg.ic]
+              or cfg.ic == "snapshot" and key in _GRID_KEYS]
     if unread:
         raise ConfigError(f"invalid value for '{unread[0]}': ic = {cfg.ic} does not read it")
     return cfg

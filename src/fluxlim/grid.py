@@ -7,8 +7,8 @@ neglected tail sits far below the discretization error.
 
 Layout conventions:
   * cell values are stored row-major with one array axis per space axis;
-  * interior faces along axis k sit between consecutive cells of that axis,
-    so face arrays are one element shorter along k;
+  * interior faces along axis k sit between consecutive cells of that axis;
+    the steppers keep face arrays cell-sized, the face above cell i at i;
   * boundary faces always carry zero flux; the steppers store them as the
     zeros of a padded face array, so that a divergence is one subtraction
     per axis;

@@ -1,12 +1,12 @@
 """Time advancement of the viscous flux-limited diffusion equation.
 
-One spatial discretization: in 1D the face flux in clip form, (D - clip(D, -a, a))/h + eps D/h
-for the cell difference D and the threshold a = chi h rho_face, its shifted passes running over a
-batch's members end to end (``_face_flux``); in 2D a limiter coefficient per face,
-from the cell difference and sum across the face, times the normal difference quotient
-(``_coefficient_fluxes``). Both come scaled by h, in the buffers of
-``_buffers``, whose zero-padded face arrays make the divergence one subtraction
-per axis (``_divergence``).
+One spatial discretization, on one buffer layout for every axis (``_buffers``): cell-sized
+faces, the face above cell i at i, whose cell differences D (and in 2D sums P) are contiguous
+passes over a batch's members end to end. In 1D the face flux is in clip form,
+(D - clip(D, -a, a))/h + eps D/h for the threshold a = chi h rho_face (``_face_flux``); in 2D a
+limiter coefficient per face, from D, P and the tangential central difference of P, times D/h
+(``_coefficient_fluxes``). Both come scaled by h, in zero-padded flux arrays that make the
+divergence one subtraction per axis (``_divergence``).
 
 ``march`` steps a batch of members on one grid, each with its own chi, eps, dt
 and step count, by the scheme of its ``StepControls``; ``run`` steps through it.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -132,42 +131,32 @@ def time_mesh(t_end: float, dt_req: float) -> tuple[float, int]:
     return t_end / n_steps, n_steps
 
 
-@lru_cache(maxsize=None)
-def _stencil(grid: Grid) -> tuple[tuple[int, tuple, tuple], ...]:
-    """Per space axis of arrays with a leading member axis: the array axis and the
-    slices of the cells below and above each interior face."""
-    n = grid.dim + 1
-    return tuple((a, along(n, a, slice(None, -1)), along(n, a, slice(1, None))) for a in range(1, n))
-
-
-def _buffers(grid: Grid, size: int) -> list[tuple[np.ndarray, ...]]:
-    """Work buffers of a batch of ``size`` members, per space axis: a cell-sized scratch
-    array, two face arrays, the axis's flux, and the fluxes through every cell's
-    upper and lower face. The last two are cell-sized views, one cell apart along the
-    axis, of one zero-padded array; the flux is the interior of the upper one, and the
-    rest reads the boundary faces' zero flux. In 1D the members' faces lie end to end in it, a
-    zero face between members, and the face arrays are cell-sized, the face above cell i at i
-    (0 above the last cell); the one axis then ends with the flat views of ``_face_flux``'s
-    contiguous passes (the scratch without its last and its first cell, the upper fluxes and D
-    without the last face), made here once. The axes share the buffers, so an axis's fluxes
-    must be used before the next axis's are built."""
+def _buffers(grid: Grid, size: int) -> list[tuple]:
+    """Work buffers of a batch of ``size`` members, one tuple per space axis: the array axis, the
+    flat step of one cell along it, a cell-sized scratch array, two cell-sized face arrays (D and
+    P, the face above cell i at i), the fluxes through every cell's upper and lower face, the
+    index of the faces above each line's last cell, the face-shaped upper fluxes of the interior
+    faces, and the flat views of the kernels' contiguous passes (the scratch without its last and
+    its first step; the upper fluxes, D and P without their last step), made here once. The upper
+    and lower fluxes are cell-sized views, one step apart, of one zero-padded array, whose padding
+    and the faces above each line's last cell (which the kernels set to 0) carry zero flux. The
+    axes share the buffers, so an axis's fluxes must be used before the next axis's are built."""
     cells = np.empty((size, *grid.shape))
-    stride = [math.prod(grid.shape[a:]) for a in range(1, grid.dim + 1)]  # one cell along each axis
-    store = np.zeros(stride[0] + cells.size)
-    upper = store[stride[0]:].reshape(cells.shape)
-    faces = np.zeros((2, cells.size))
+    steps = [math.prod(grid.shape[a:]) for a in range(1, grid.dim + 1)]  # one cell along each axis
+    store = np.zeros(steps[0] + cells.size)
+    upper = store[steps[0]:].reshape(cells.shape)
+    diff, pair = faces = np.zeros((2, *cells.shape))
+    flat, (diffs, pairs) = cells.reshape(-1), faces.reshape(2, -1)
     bufs = []
-    for (_, lo, _), step in zip(_stencil(grid), stride):
-        shape = (upper if grid.dim == 1 else upper[lo]).shape
-        lower = store[stride[0] - step:][: cells.size].reshape(cells.shape)
-        bufs.append((cells, *(f[: math.prod(shape)].reshape(shape) for f in faces), upper[lo], upper, lower))
-    if grid.dim == 1:
-        flat = cells.reshape(-1)
-        bufs[0] += (flat[:-1], flat[1:], store[1:-1], faces[0][:-1])
+    for axis, step in enumerate(steps, 1):
+        lower = store[steps[0] - step:][: cells.size].reshape(cells.shape)
+        ends, interior = (along(cells.ndim, axis, i) for i in (-1, slice(None, -1)))
+        bufs.append((axis, step, cells, diff, pair, upper, lower, ends, upper[interior],
+                     flat[:-step], flat[step:], store[steps[0]:-step], diffs[:-step], pairs[:-step]))
     return bufs
 
 
-def _coefficient_fluxes(values: np.ndarray, stencil, half_chi_h, eps, bufs):
+def _coefficient_fluxes(values: np.ndarray, half_chi_h, eps, bufs):
     """Yield the (upper, lower) face fluxes (see ``_buffers``) of every 2D axis in turn,
     h times the flux ((1 - chi rho_face/|g|)_+ + eps) g_normal.
 
@@ -176,54 +165,58 @@ def _coefficient_fluxes(values: np.ndarray, stencil, half_chi_h, eps, bufs):
     differences) is, by linearity, T = ``central_gradient(P, other, 2)``. So
     N = sqrt(T^2 + D^2) is h |g| and the flux is (``limiter(P, N, chi h/2)`` + eps) D.
     ``half_chi_h`` (chi h/2) and ``eps`` (None: no viscous term) are scalars or
-    per-member columns. T, N and D^2 use face-shaped views of the cell scratch and of the
-    upper fluxes, whose boundary faces are reset to 0 afterwards."""
-    for (axis, lo, hi), (other, _, _), (cells, diff, pair, flux, upper, lower) in zip(
-            stencil, stencil[::-1], bufs):
-        norm, square = (a.reshape(-1)[: diff.size].reshape(diff.shape) for a in (cells, upper))
-        np.subtract(values[hi], values[lo], out=diff)
-        np.add(values[lo], values[hi], out=pair)
+    per-member columns. D and P are one contiguous pass each, which runs past each line's end
+    into the next line or member, ignoring overflow as ``_face_flux`` does; they are set to 0
+    there before any square, and the limiter's 0/0 then gives those faces exactly zero flux.
+    T, N, the limiter and the flux run on whole cell-shaped arrays."""
+    v = values.reshape(-1)
+    for (_, step, norm, diff, pair, upper, lower, ends, *_, diffs, pairs), (other, *_) in zip(
+            bufs, bufs[::-1]):
+        with np.errstate(over="ignore"):
+            np.subtract(v[step:], v[:-step], out=diffs)
+            np.add(v[:-step], v[step:], out=pairs)
+        diff[ends] = pair[ends] = 0.0
         central_gradient(pair, other, 2.0, out=norm)
         np.multiply(norm, norm, out=norm)
-        np.add(norm, np.multiply(diff, diff, out=square), out=norm)
+        np.add(norm, np.multiply(diff, diff, out=upper), out=norm)
         np.sqrt(norm, out=norm)
         limiter(pair, norm, half_chi_h, out=pair)
         if eps is not None:
             np.add(pair, eps, out=pair)
-        np.multiply(pair, diff, out=flux)
-        upper[along(upper.ndim, axis, -1)] = 0.0
+        np.multiply(pair, diff, out=upper)
         yield upper, lower
 
 
-def _face_flux(values: np.ndarray, half_chi_h, eps, out) -> np.ndarray:
+def _face_flux(values: np.ndarray, half_chi_h, eps, bufs) -> tuple:
     """h times the 1D face flux of every member row, in clip form, over the members end to end.
 
     For the cell difference D, g = D/h and the threshold a = chi h rho_face,
     h ((1 - chi rho_face/|g|)_+ + eps) g = D - clip(D, -a, a) + eps D, which needs no square,
     root, division or sign; it is nonzero exactly on the limiter's active set |D| > a.
     ``half_chi_h`` (chi h/2) and ``eps`` (None: no viscous term) are
-    scalars, per-member columns or per-cell rows (see ``march``). ``out`` is the one axis of
-    ``_buffers``, whose flat views make the threshold and D one contiguous pass over the batch,
-    the faces between members included, whose flux is then reset to 0. D stays in its buffer.
+    scalars, per-member columns or per-cell rows (see ``march``). The flat views of ``bufs``
+    (see ``_buffers``) make the threshold and D one contiguous pass over the batch, the faces
+    between members included, whose flux is then reset to 0. Returns the one axis's (upper,
+    lower) fluxes; D stays in its buffer.
     Overflow is ignored, so a face between members warns of nothing its members alone do not:
     the threshold is summed from scaled cells, so it overflows only where it exceeds every finite
     |D| and clips nothing, and an overflowing eps D makes a non-finite flux. The clip passes NaN
     on to ``_finalize``.
     """
-    cells, diff, clipped, flux, upper, _, below, above, sums, diffs = out
+    (_, step, cells, diff, clipped, upper, lower, ends, _, below, above, sums, diffs, _), = bufs
     v = values.reshape(-1)
     with np.errstate(over="ignore"):
         np.multiply(values, half_chi_h, out=cells)
         np.add(below, above, out=sums)
-        np.subtract(v[1:], v[:-1], out=diffs)
+        np.subtract(v[step:], v[:-step], out=diffs)
         np.minimum(diff, upper, out=clipped)
         np.negative(upper, out=upper)
         np.maximum(clipped, upper, out=clipped)
         np.subtract(diff, clipped, out=upper)
         if eps is not None:
             np.add(upper, np.multiply(diff, eps, out=clipped), out=upper)
-    upper[:, -1] = 0.0
-    return flux
+    upper[ends] = 0.0
+    return ((upper, lower),)
 
 
 def _divergence(fluxes, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -297,40 +290,33 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
     # divergence is scaled by dt/h^2
     h = grid.h
     half_chi_h, scale = 0.5 * h * chi, dt / (h * h)
-    state, stencil = np.stack([f.values for f in initials]), _stencil(grid)
+    state = np.stack([f.values for f in initials])
+    kernel = _face_flux if grid.dim == 1 else _coefficient_fluxes
     k = 0
     for live in range(len(n_steps), 0, -1):
         if n_steps[live - 1] == k:
             continue
         bufs = _buffers(grid, live)
-        cur, nxt = state[:live], np.empty_like(state[:live])
+        cur, nxt, scratch = state[:live], np.empty_like(state[:live]), bufs[0][2]
         c, e = half_chi_h[:live], eps[:live] if absorbs else None
         d, de = scale[:live], dt_eps[:live]
-        if implicit:
-            last = None  # the batch's last linearization
-        elif grid.dim == 1:
+        last = None  # the batch's last semi-implicit linearization
+        if grid.dim == 1 and not implicit:
             c, e, d, de = (x if x is None else np.repeat(x, cur.shape[1], axis=1) for x in (c, e, d, de))
-            faces = (bufs[0][4:6],)
-
-            def fluxes(v):
-                _face_flux(v, c, e, bufs[0])
-                return faces
-        else:
-            fluxes = lambda v: _coefficient_fluxes(v, stencil, c, e, bufs)
         while k < n_steps[live - 1]:
             k += 1
             try:
                 if implicit:
                     _, _, last = step_semi_implicit(cur, chi[:live], eps[:live], dt[:live], h, controls,
-                                                    bufs[0], last, nxt)
+                                                    bufs, last, nxt)
                 else:
-                    _divergence(fluxes(cur), nxt, bufs[0][0])
+                    _divergence(kernel(cur, c, e, bufs), nxt, scratch)
                     # (rho + dt*div) - (dt*eps)*rho in this order, so every member is
                     # bitwise a lone run; with all eps = 0 the last term is +0.0, a no-op
                     np.multiply(d, nxt, out=nxt)
                     np.add(cur, nxt, out=nxt)
                     if absorbs:
-                        np.subtract(nxt, np.multiply(de, cur, out=bufs[0][0]), out=nxt)
+                        np.subtract(nxt, np.multiply(de, cur, out=scratch), out=nxt)
                 cur, nxt = _finalize(nxt), cur
             except NumericalFailureError as exc:
                 exc.member, exc.step, exc.time = members[exc.row], k, k * dts[exc.row]
@@ -473,12 +459,13 @@ def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepCo
     the traces. A step that starts at the points of ``last``, as one does after a step whose
     last sweep confirmed its solution, takes its faces and reduction for the first sweep
     without a face flux; the check is at the first sweep only, and ``last`` keeps the step's
-    own array of points. ``bufs`` is the one axis of the members' ``_buffers``. A failure is
+    own array of points. ``bufs`` are the members' ``_buffers``. A failure is
     raised for the first failing member of a sweep, its position as ``row``; ``march`` checks
     the solutions, in which the exact solve of an M-matrix leaves no solver-tolerance negatives.
     """
     out = np.empty_like(rho) if out is None else out
     point, half_chi_h = rho.copy(), 0.5 * h * chi  # the points, written over by the members still running
+    flux = bufs[0][8]  # the face-shaped fluxes of _face_flux
     accepted, image = np.empty_like(rho), [None] * len(rho)  # each member's z, and T(z) as solved
     theta, traces, running = [1.0] * len(rho), [[] for _ in rho], range(len(rho))
     reuse = last is not None and (last[0] == rho).all()  # the first sweep is at the last one's points
@@ -486,7 +473,8 @@ def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepCo
     solved = None  # the reduction solved for rho in this step, and its solutions
     while running:
         if not reuse:
-            new = _faces(_face_flux(point, half_chi_h, None, bufs))
+            _face_flux(point, half_chi_h, None, bufs)
+            new = _faces(flux)
             if faces is None or not (new == faces).all():
                 faces, reduction = new, _active_set_matrix(new, chi, eps, dt, h)
         reuse = False

@@ -74,6 +74,10 @@ class TestParseConfig:
         ("ic_amplitudes = 3 4", "'ic_amplitudes': ic = gaussian"),
         ("ic = spike\nic_mass = 2", "'ic_mass': ic = spike"),
         ("ic = snapshot\nic_path = s.txt\nic_center = 1", "'ic_center': ic = snapshot"),
+        # nor a grid key beside a snapshot, which brings its own grid
+        ("ic = snapshot\nic_path = s.txt\ndim = 2", "'dim': ic = snapshot does not read it"),
+        ("cells = 64\nic = snapshot\nic_path = s.txt", "'cells': ic = snapshot does not read it"),
+        ("ic = snapshot\nic_path = s.txt\nbox_halfwidth = 100", "'box_halfwidth': ic = snapshot"),
         # the diagnostics exponents are constants: a config that sets them names an unknown key
         ("grad_p_set = inf", "grad_p_set"),
         ("p_set = 0.5", "p_set"),

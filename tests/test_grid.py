@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from fluxlim import stepping
 from fluxlim.diagnostics import record
-from fluxlim.grid import Field, Grid, central_gradient, integrate, load_snapshot, make_grid, save_snapshot
+from fluxlim.grid import Field, Grid, along, central_gradient, integrate, load_snapshot, make_grid, save_snapshot
 from fluxlim.limiter import limiter
-from fluxlim.stepping import _buffers, _coefficient_fluxes, _divergence, _face_flux, _stencil
+from fluxlim.stepping import _buffers, _coefficient_fluxes, _divergence, _face_flux
 
 
 class TestMakeGrid:
@@ -76,19 +76,19 @@ class TestField:
 def face_norms(field):
     """The face-gradient norms of the step kernels, one array per axis: in 2D N/h for the
     h-scaled norm N that ``_coefficient_fluxes`` hands the limiter, in 1D D/h from the D
-    that ``_face_flux`` leaves."""
+    that ``_face_flux`` leaves; each at the interior faces, below each line's last cell."""
     grid, values, bufs = field.grid, field.values[None], _buffers(field.grid, 1)
     if grid.dim == 1:
-        _face_flux(values, 0.0, None, bufs[0])
-        return [bufs[0][1][0, :-1] / grid.h]
+        _face_flux(values, 0.0, None, bufs)
+        return [bufs[0][3][0, :-1] / grid.h]
     norms = []
 
     def spy(rho, grad_norm, chi, out=None):
-        norms.append(grad_norm[0] / grid.h)
+        norms.append(grad_norm[0][along(grid.dim, len(norms), slice(None, -1))] / grid.h)
         return limiter(rho, grad_norm, chi, out=out)
 
     with mock.patch.object(stepping, "limiter", spy):
-        for _ in _coefficient_fluxes(values, _stencil(grid), 0.5, None, bufs):
+        for _ in _coefficient_fluxes(values, 0.5, None, bufs):
             pass
     return norms
 
@@ -162,7 +162,8 @@ def divergence(values, grid, coeffs):
     cell's upper and lower face, and summed by the steppers' ``_divergence``."""
     u = np.asarray(values, dtype=float)[None]
     pairs = []
-    for c, (a, lo, hi) in zip(coeffs, _stencil(grid)):
+    for a, c in enumerate(coeffs, 1):
+        lo, hi = (along(u.ndim, a, s) for s in (slice(None, -1), slice(1, None)))
         flux = c[None] * ((u[hi] - u[lo]) / grid.h) / grid.h
         pad = [(0, 0)] * u.ndim
         pairs.append(tuple(np.pad(flux, pad[:a] + [side] + pad[a + 1:]) for side in ((0, 1), (1, 0))))

@@ -40,7 +40,7 @@ def implicit_solve(field, params, dt, controls=StepControls("semi_implicit")):
     """The solve of one backward-Euler step of a lone member, before ``march`` checks it,
     with its residual trace."""
     (out,), (trace,), _ = step_semi_implicit(field.values[None], params.chi, params.eps, dt,
-                                             field.grid.h, controls, stepping._buffers(field.grid, 1)[0])
+                                             field.grid.h, controls, stepping._buffers(field.grid, 1))
     return out, trace
 
 
@@ -396,10 +396,11 @@ class TestBatchedKernel:
     def test_non_finite_threshold_is_not_clamped_away(self):
         # chi = 0 beside an inf cell makes the threshold inf*0 = NaN; the clamp keeps it
         vals = np.array([[1.0, np.inf, 0.0]])
-        bufs = stepping._buffers(make_grid(1, 1.0, 3), 1)[0]
+        bufs = stepping._buffers(make_grid(1, 1.0, 3), 1)
         with np.errstate(invalid="ignore"):
-            flux = stepping._face_flux(vals, 0.0, None, bufs)
-        assert np.isnan(flux).all() and np.isnan(bufs[2][:, :-1]).all()
+            stepping._face_flux(vals, 0.0, None, bufs)
+        flux, clipped = bufs[0][8], bufs[0][4]  # the interior fluxes, and the clip in P's buffer
+        assert np.isnan(flux).all() and np.isnan(clipped[:, :-1]).all()
 
     @pytest.mark.parametrize("scheme,big", [("explicit", 1e300), ("semi_implicit", 1e150)])
     def test_members_apart_across_huge_jumps(self, scheme, big, monkeypatch):
@@ -415,7 +416,7 @@ class TestBatchedKernel:
 
         def flux(values, half_chi_h, eps, out):
             result = face_flux(values, half_chi_h, eps, out)
-            between.append(out[4][:-1, -1].copy())
+            between.append(out[0][5][:-1, -1].copy())
             return result
 
         monkeypatch.setattr(stepping, "_face_flux", flux)
@@ -430,11 +431,13 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("first,second,chi,eps", [
         ([0.0, 0.0, 0.0, 1.5e308], [1.5e308, 0.0, 0.0, 0.0], 4.0, 0.0),  # threshold 3e308
         ([1e10] * 4, [0.0] * 4, 1.0, 1e299),  # eps |D| = 1e309
+        # 2D on 12^2: the 2D kernel's passes run across the member boundary too, where D^2 is 1e310
+        (np.full((12, 12), 1e155), 1e-3 * np.linspace(0.0, 1.0, 144).reshape(12, 12) ** 2, 1.0, 0.0),
     ])
     def test_members_apart_without_warning(self, first, second, chi, eps):
-        # the face between the members overflows (h = 0.5, so chi 4 makes chi h/2 = 1), but
-        # each member alone overflows nowhere, so the batch must not warn either
-        grid, p = make_grid(1, 1.0, 4), Params(chi=chi, eps=eps)
+        # the face between the members overflows (in 1D h = 0.5, so chi 4 makes chi h/2 = 1),
+        # but each member alone overflows nowhere, so the batch must not warn either
+        grid, p = make_grid(np.ndim(first), 1.0, len(first)), Params(chi=chi, eps=eps)
         fields, dt = [Field.density(grid, np.array(v)) for v in (first, second)], cfl_dt(grid, eps)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -497,8 +500,9 @@ class TestBatchedKernel:
 
 def inviscid_flux(z, chi, h):
     """The face fluxes that ``_face_flux`` gives one state with no viscous term."""
-    bufs = stepping._buffers(make_grid(1, 1.0, z.size), 1)[0]
-    return stepping._face_flux(z[None], 0.5 * h * chi, None, bufs)[0]
+    bufs = stepping._buffers(make_grid(1, 1.0, z.size), 1)
+    stepping._face_flux(z[None], 0.5 * h * chi, None, bufs)
+    return bufs[0][8][0]
 
 
 def linearized_operator(u, flux, chi, eps, dt, h):
@@ -749,7 +753,7 @@ class TestStepSemiImplicit:
         # signs, is not reused
         grid = make_grid(1, 5.0, 200)
         rho, h = gaussian_bump(grid, 0.5, mass=1.0).values[None], grid.h
-        dt, bufs = 10.0 * cfl_dt(grid, 0.0), stepping._buffers(grid, 1)[0]
+        dt, bufs = 10.0 * cfl_dt(grid, 0.0), stepping._buffers(grid, 1)
         faces = stepping._faces(inviscid_flux(rho[0], 1.0, h))[None]
         assert (faces != 2.0).any()
         flipped = np.where(faces == 2.0, 2.0, -faces)
@@ -766,7 +770,7 @@ class TestStepSemiImplicit:
         # in the step, where z + (T(z) - z) would round T(z) off.
         grid = make_grid(1, 5.0, 200)
         rho, h = gaussian_bump(grid, 0.2, mass=1.0).values[None], grid.h
-        dt, bufs = 10.0 * cfl_dt(grid, 0.0), stepping._buffers(grid, 1)[0]
+        dt, bufs = 10.0 * cfl_dt(grid, 0.0), stepping._buffers(grid, 1)
         u, _, last = step_semi_implicit(rho, 1.0, 0.0, dt, h, StepControls(), bufs)
         assert np.array_equal(last[0], u)
         fresh, (trace,), _ = step_semi_implicit(u, 1.0, 0.0, dt, h, StepControls(), bufs)
@@ -949,7 +953,7 @@ class TestStepSemiImplicit:
         n = len(fields)
         out, traces, _ = step_semi_implicit(np.stack([f.values for f in fields]), np.full((n, 1), params.chi),
                                             np.zeros((n, 1)), np.full((n, 1), dt), h, StepControls(),
-                                            stepping._buffers(grid, n)[0])
+                                            stepping._buffers(grid, n))
         sweeps, face_flux = [], stepping._face_flux
 
         def flux(*args):
