@@ -19,6 +19,8 @@ Each checkout runs the same command matrix with its own ``src/`` and ``configs/`
   * a semi-implicit ``simulate`` that backtracks (halves its relaxation): five steps of
     300x the CFL step at chi 3 from a 60-cell snapshot on [-5, 5] with vacuum, which the
     script writes (``vacuum_snapshot``);
+  * ``study viscosity`` from that snapshot at chi 2 to ``t_end = 0.05``, whose report names
+    the snapshot's 60 cells (its verdicts fail, so it exits 3);
   * a 2D ``simulate`` with ``snapshot_stride = 5`` from a non-square snapshot, 40 x 24 cells
     of width 0.25, which the script writes (``non_square_snapshot``);
   * ``steady check`` on a 1D ``multi_peak`` of two peaks at chi 2 on 400 cells;
@@ -122,6 +124,9 @@ def matrix(configs: Path) -> list[tuple[str, list[str], dict[str, str]]]:
         ("vacuum snapshot semi-implicit, backtracking", ["simulate", "--config", "a.cfg"],
          {"a.cfg": edit("", ic="snapshot", ic_path="vacuum.txt", chi="3", scheme="semi_implicit",
                         dt=repr(VACUUM_DT), t_end=repr(5 * VACUUM_DT), diag_stride="1"),
+          "vacuum.txt": vacuum_snapshot()}),
+        ("vacuum snapshot study viscosity", ["study", "viscosity", "--config", "a.cfg"],
+         {"a.cfg": edit("", ic="snapshot", ic_path="vacuum.txt", chi="2", t_end="0.05"),
           "vacuum.txt": vacuum_snapshot()}),
         ("non-square 2D snapshot", ["simulate", "--config", "a.cfg"],
          {"a.cfg": edit("", ic="snapshot", ic_path="non_square.txt", chi="3", eps="0.1", t_end="0.1",

@@ -61,8 +61,10 @@ def _studies() -> dict:
 
 
 def _check_out(out: str) -> None:
-    """Refuse an ``out`` that cannot be a directory, before a study runs, creating nothing: its
-    first existing path, walking up, must be a directory."""
+    """Refuse an ``out`` that cannot be a directory, before a study runs, creating nothing: it holds
+    no NUL byte (``Path.exists`` is False for one), and its first existing path up is a directory."""
+    if "\0" in out:
+        raise ConfigError("embedded null byte")
     path = Path(out)
     while not path.exists():
         path = path.parent

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, central_gradient, gradient_norm, radius_squared
+from .grid import Field, Grid, central_gradient, gradient_norm, integrate, radius_squared
 from .limiter import limiter
 
 __all__ = [
@@ -63,16 +63,14 @@ class DiagnosticsRecord:
 
 def record(field: Field, time: float = 0.0) -> DiagnosticsRecord:
     """Evaluate every tracked functional of a nonnegative field."""
-    v = field.values
-    vol = field.grid.cell_volume
+    v, vol = field.values, field.grid.cell_volume
     if v.min(initial=0.0) < 0.0:
         raise ValueError("diagnostics expect a nonnegative field")
 
     def lp(x: np.ndarray, p: float) -> float:
         return float(np.sum(x**p) * vol) ** (1.0 / p)
 
-    mass = float(np.sum(v) * vol)
-    sup = float(v.max(initial=0.0))
+    mass = integrate(field)  # also the L1 norm of a nonnegative field
     moment2 = float(np.sum(v * (1.0 + radius_squared(field.grid))) * vol)
 
     pos = v > 0.0
@@ -89,10 +87,10 @@ def record(field: Field, time: float = 0.0) -> DiagnosticsRecord:
     return DiagnosticsRecord(
         time=float(time),
         mass=mass,
-        l1=lp(v, 1.0),
+        l1=mass,
         l2=lp(v, 2.0),
         l4=lp(v, 4.0),
-        sup_norm=sup,
+        sup_norm=float(v.max(initial=0.0)),
         second_moment=moment2,
         entropy=entropy,
         entropy_abs=entropy_abs,

@@ -135,12 +135,11 @@ def _buffers(grid: Grid, size: int) -> list[tuple]:
     """Work buffers of a batch of ``size`` members, one tuple per space axis: the array axis, the
     flat step of one cell along it, a cell-sized scratch array, two cell-sized face arrays (D and
     P, the face above cell i at i), the fluxes through every cell's upper and lower face, the
-    index of the faces above each line's last cell, the face-shaped upper fluxes of the interior
-    faces, and the flat views of the kernels' contiguous passes (the scratch without its last and
-    its first step; the upper fluxes, D and P without their last step), made here once. The upper
-    and lower fluxes are cell-sized views, one step apart, of one zero-padded array, whose padding
-    and the faces above each line's last cell (which the kernels set to 0) carry zero flux. The
-    axes share the buffers, so an axis's fluxes must be used before the next axis's are built."""
+    index of the faces above each line's last cell, and the flat views of the kernels' contiguous
+    passes (the scratch without its last and first step; the upper fluxes, D and P without their
+    last step), all made once. The upper and lower fluxes are cell-sized views, one step apart, of
+    one zero-padded array, whose padding and the faces above each line's last cell (set to 0 by
+    the kernels) carry zero flux. The axes share the buffers: use an axis's fluxes first."""
     cells = np.empty((size, *grid.shape))
     steps = [math.prod(grid.shape[a:]) for a in range(1, grid.dim + 1)]  # one cell along each axis
     store = np.zeros(steps[0] + cells.size)
@@ -150,8 +149,7 @@ def _buffers(grid: Grid, size: int) -> list[tuple]:
     bufs = []
     for axis, step in enumerate(steps, 1):
         lower = store[steps[0] - step:][: cells.size].reshape(cells.shape)
-        ends, interior = (along(cells.ndim, axis, i) for i in (-1, slice(None, -1)))
-        bufs.append((axis, step, cells, diff, pair, upper, lower, ends, upper[interior],
+        bufs.append((axis, step, cells, diff, pair, upper, lower, along(cells.ndim, axis, -1),
                      flat[:-step], flat[step:], store[steps[0]:-step], diffs[:-step], pairs[:-step]))
     return bufs
 
@@ -203,7 +201,7 @@ def _face_flux(values: np.ndarray, half_chi_h, eps, bufs) -> tuple:
     |D| and clips nothing, and an overflowing eps D makes a non-finite flux. The clip passes NaN
     on to ``_finalize``.
     """
-    (_, step, cells, diff, clipped, upper, lower, ends, _, below, above, sums, diffs, _), = bufs
+    (_, step, cells, diff, clipped, upper, lower, ends, below, above, sums, diffs, _), = bufs
     v = values.reshape(-1)
     with np.errstate(over="ignore"):
         np.multiply(values, half_chi_h, out=cells)
@@ -459,13 +457,13 @@ def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepCo
     the traces. A step that starts at the points of ``last``, as one does after a step whose
     last sweep confirmed its solution, takes its faces and reduction for the first sweep
     without a face flux; the check is at the first sweep only, and ``last`` keeps the step's
-    own array of points. ``bufs`` are the members' ``_buffers``. A failure is
+    own array of points. ``bufs`` are the members' ``_buffers``; a sweep's ``_faces`` are those of
+    the upper fluxes that ``_face_flux`` returns, less each row's boundary face. A failure is
     raised for the first failing member of a sweep, its position as ``row``; ``march`` checks
     the solutions, in which the exact solve of an M-matrix leaves no solver-tolerance negatives.
     """
     out = np.empty_like(rho) if out is None else out
     point, half_chi_h = rho.copy(), 0.5 * h * chi  # the points, written over by the members still running
-    flux = bufs[0][8]  # the face-shaped fluxes of _face_flux
     accepted, image = np.empty_like(rho), [None] * len(rho)  # each member's z, and T(z) as solved
     theta, traces, running = [1.0] * len(rho), [[] for _ in rho], range(len(rho))
     reuse = last is not None and (last[0] == rho).all()  # the first sweep is at the last one's points
@@ -473,8 +471,8 @@ def step_semi_implicit(rho: np.ndarray, chi, eps, dt, h: float, controls: StepCo
     solved = None  # the reduction solved for rho in this step, and its solutions
     while running:
         if not reuse:
-            _face_flux(point, half_chi_h, None, bufs)
-            new = _faces(flux)
+            (upper, _), = _face_flux(point, half_chi_h, None, bufs)
+            new = _faces(upper[:, :-1])
             if faces is None or not (new == faces).all():
                 faces, reduction = new, _active_set_matrix(new, chi, eps, dt, h)
         reuse = False

@@ -166,8 +166,9 @@ def viscosity_study(base: RunConfig) -> StudyReport:
     ]
     return StudyReport(
         kind="viscosity",
-        inputs=[("eps_list", _fmt_list(eps_list)), ("t_end", repr(base.t_end)),
-                ("dt", repr(dt)), ("cells", str(base.cells)), ("chi", repr(base.chi))],
+        inputs=[("eps_list", _fmt_list(eps_list)), ("t_end", repr(base.t_end)), ("dt", repr(dt)),
+                ("cells", " ".join(map(str, grid.shape[:1] if len(set(grid.shape)) == 1 else grid.shape))),
+                ("chi", repr(base.chi))],
         columns=("eps_a", "eps_b", "eps_sum", "l1", "H"),
         rows=rows,
         verdicts=verdicts,

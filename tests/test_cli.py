@@ -310,12 +310,23 @@ class TestUnwritableOutputs:
         err = capsys.readouterr().err
         assert err == f"config error: cannot write outputs: {tmp_path / 'file'} is not a directory\n"
 
-    @pytest.mark.parametrize("command", [["simulate"], ["study", "viscosity"]])
-    def test_out_with_nul_byte(self, tmp_path, capsys, command):
-        # the OS refuses such a path with a ValueError, which escaped as a traceback
-        cfg = tmp_path / "nul.cfg"
-        cfg.write_text(BASE_CFG + f"out = {tmp_path / 'o'}\0ut\n")
-        code = cli_module.main([*command, "--config", str(cfg)])
+    @pytest.mark.parametrize("command", [["simulate"], ["study", "viscosity"], ["study", "contraction"],
+                                         ["study", "smoothing"], ["steady", "check"], ["check", "monotonicity"]])
+    def test_out_with_nul_byte(self, tmp_path, capsys, monkeypatch, command):
+        # the OS refuses such a path with a ValueError, which escaped as a traceback; Path.exists()
+        # is False for it, so a study ran to its end before its output directory failed
+        from fluxlim import studies
+
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        for name in ("viscosity_study", "contraction_study", "smoothing_study", "steady_study",
+                     "monotonicity_test"):
+            monkeypatch.setattr(studies, name, no_study)
+        out, cfg = f"{tmp_path / 'o'}\0ut", tmp_path / "nul.cfg"
+        cfg.write_text(BASE_CFG + f"out = {out}\n")
+        args = ["--out", out] if command[0] == "check" else ["--config", str(cfg)]
+        code = cli_module.main([*command, *args])
         assert code == 1
         assert capsys.readouterr().err == "config error: embedded null byte\n"
         assert list(tmp_path.iterdir()) == [cfg]
@@ -354,6 +365,22 @@ ic_mass = 1.0
                   cwd=tmp_path)
         assert res.returncode == 3
         assert "FAIL" in res.stdout
+
+    @pytest.mark.parametrize("shape,cells", [((60,), "60"), ((40, 24), "40 24")])
+    def test_viscosity_on_snapshot_reports_its_cells(self, tmp_path, shape, cells):
+        # the report named the unread default cells = 512, not the snapshot's grid (the verdicts
+        # of these short runs fail, exit 3)
+        from fluxlim.grid import Field, Grid, save_snapshot
+
+        rng, h = np.random.default_rng(4), 10.0 / shape[0]
+        values = rng.random(shape) * (rng.random(shape) >= 0.3)  # 30% vacuum
+        grid = Grid(dim=len(shape), shape=shape, h=h, origin=tuple(-0.5 * n * h for n in shape))
+        save_snapshot(Field(grid, values), tmp_path / "snap.txt")
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(f"ic = snapshot\nic_path = {tmp_path / 'snap.txt'}\nchi = 2\nt_end = 0.05\n")
+        code = cli_module.main(["study", "viscosity", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert f"\ninput cells = {cells}\n" in (tmp_path / "o" / "report.txt").read_text()
 
     def test_smoothing_wiring(self, tmp_path):
         cfg = tmp_path / "sm.cfg"

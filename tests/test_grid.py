@@ -75,12 +75,13 @@ class TestField:
 
 def face_norms(field):
     """The face-gradient norms of the step kernels, one array per axis: in 2D N/h for the
-    h-scaled norm N that ``_coefficient_fluxes`` hands the limiter, in 1D D/h from the D
-    that ``_face_flux`` leaves; each at the interior faces, below each line's last cell."""
+    h-scaled norm N that ``_coefficient_fluxes`` hands the limiter, in 1D D/h from the flux
+    that ``_face_flux`` returns at chi = 0, which is D itself; each at the interior faces, below
+    each line's last cell."""
     grid, values, bufs = field.grid, field.values[None], _buffers(field.grid, 1)
     if grid.dim == 1:
-        _face_flux(values, 0.0, None, bufs)
-        return [bufs[0][3][0, :-1] / grid.h]
+        (upper, _), = _face_flux(values, 0.0, None, bufs)
+        return [upper[0, :-1] / grid.h]
     norms = []
 
     def spy(rho, grad_norm, chi, out=None):
