@@ -29,6 +29,8 @@ Each checkout runs the same command matrix with its own ``src/`` and ``configs/`
   * 2D ``study contraction`` on the a/b pair at 32^2 cells, a batch of two 2D members;
   * 2D ``study viscosity`` at 32^2 cells to ``t_end = 0.1``, a batch of four 2D members, some
     with eps > 0 (its verdicts fail, so it exits 3; the exit codes are compared all the same).
+  * explicit ``study contraction`` on the a/b pair at 401 cells to ``t_end = 0.05``, a 1D batch
+    whose cells are not a multiple of the 8 doubles of a 64-byte cache line.
 
 Every command runs in a fresh directory of its own, with relative paths, so stdout and
 stderr name no path of either run (a run directory that appears anyway is masked). The
@@ -144,6 +146,10 @@ def matrix(configs: Path) -> list[tuple[str, list[str], dict[str, str]]]:
           "b.cfg": edit(text.get("contraction_b.cfg", ""), dim="2", cells="32")}),
         ("viscosity.cfg 2D 32^2", ["study", "viscosity", "--config", "a.cfg"],
          {"a.cfg": edit(viscosity, dim="2", cells="32", t_end="0.1")}),
+        ("contraction_a.cfg + contraction_b.cfg 401 cells",
+         ["study", "contraction", "--config", "a.cfg", "--config2", "b.cfg"],
+         {"a.cfg": edit(text.get("contraction_a.cfg", ""), cells="401", t_end="0.05"),
+          "b.cfg": edit(text.get("contraction_b.cfg", ""), cells="401", t_end="0.05")}),
     ]
     return cases
 

@@ -1,5 +1,6 @@
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -174,6 +175,83 @@ class TestFinalizePolicy:
         else:
             assert out is values
         assert values.tobytes() == raw.tobytes()
+
+
+def on_a_line(a: np.ndarray) -> bool:
+    """Whether ``a`` starts on a 64-byte cache line."""
+    return a.ctypes.data % 64 == 0
+
+
+@st.composite
+def kernel_inputs(draw, dim):
+    """A grid, a batch of member values with vacuum, and per-member chi columns."""
+    grid = make_grid(dim, draw(st.sampled_from([1.0, 3.0])), draw(st.integers(3, 40 if dim == 1 else 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = draw(st.integers(1, 4))
+    values = rng.uniform(0.0, 1.0, (members, *grid.shape)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    values[rng.uniform(size=values.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    chi = [draw(st.sampled_from([0.0, 0.4, 1.0, 3.0])) for _ in range(members)]
+    return grid, values, np.array(chi).reshape((-1,) + (1,) * dim)
+
+
+class TestAlignedBuffers:
+    @pytest.mark.parametrize("grid, members", [
+        (make_grid(1, 5.0, 1000), 1), (make_grid(1, 5.0, 1024), 6),
+        (make_grid(1, 5.0, 121), 3),  # 363 doubles: not a whole number of lines
+        (make_grid(2, 5.0, 128), 1), (Grid(dim=2, shape=(40, 24), h=0.25, origin=(-5.0, -3.0)), 2),
+    ], ids=["1d-1x1000", "1d-6x1024", "1d-3x121", "2d-128^2", "2d-2x40x24"])
+    def test_written_buffers_start_a_line(self, grid, members):
+        # numpy aligns to 16 bytes only, and its vector loops store to an output off a 64-byte
+        # line at about twice the cost: every buffer a step writes starts on a line
+        for _, _, cells, diff, pair, upper, *_, sums, _, _ in stepping._buffers(grid, members):
+            assert all(on_a_line(a) for a in (cells, upper, sums, diff, pair))
+        rng = np.random.default_rng(5)
+        fields = [Field.density(grid, rng.uniform(0.5, 1.0, grid.shape)) for _ in range(members)]
+        params = [Params(chi=1.0, eps=0.1 * i) for i in range(members)]
+        dts = [cfl_dt(grid, p.eps) for p in params]
+        ns = list(range(members + 1, 1, -1))  # each member ends its own block
+        for scheme in ("explicit", "semi_implicit") if grid.dim == 1 else ("explicit",):
+            for _, state in march(fields, params, dts, ns, StepControls(scheme)):
+                assert on_a_line(state)
+
+    @pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
+    def test_clamped_state_stays_on_a_line(self, scheme, monkeypatch):
+        # march takes the copy in which _finalize clamps a roundoff negative as its state, and
+        # one swap later as the buffer its steps write: the copy starts on a line too
+        grid = make_grid(1, 5.0, 400)
+        f, finalize = gaussian_bump(grid, 0.5, mass=1.0), stepping._finalize
+
+        def negative_edge(values):
+            values[0, 0] = -1e-30  # within the roundoff floor
+            out = finalize(values)
+            assert out is not values
+            return out
+
+        monkeypatch.setattr(stepping, "_finalize", negative_edge)
+        dt = cfl_dt(grid, 0.0) * (10.0 if scheme == "semi_implicit" else 1.0)
+        for _, state in march([f], [Params(chi=1.0)], [dt], [5], StepControls(scheme)):
+            assert state[0, 0] == 0.0 and on_a_line(state)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bits_do_not_depend_on_the_address(self, dim, eps, data):
+        # the kernels and the divergence are elementwise IEEE arithmetic: the same layout
+        # 8 bytes past a line gives the same bits
+        grid, values, chi = data.draw(kernel_inputs(dim))
+        kernel = stepping._face_flux if dim == 1 else stepping._coefficient_fluxes
+        half_chi_h, e = 0.5 * grid.h * chi, eps * np.ones_like(chi) if eps else None
+        aligned, seen = stepping._aligned, []
+        for make in (aligned, lambda shape, offset=0: aligned(shape, offset - 1)):
+            with mock.patch.object(stepping, "_aligned", make):
+                bufs = stepping._buffers(grid, len(values))
+            v, out = make(values.shape), make(values.shape)
+            v[...] = values
+            stepping._divergence(kernel(v, half_chi_h, e, bufs), out, bufs[0][2])
+            seen.append((bufs[0][5].ctypes.data % 64, out.tobytes(), bufs[0][5].tobytes()))
+        (line, *bits), (off, *shifted_bits) = seen
+        assert (line, off) == (0, 8) and bits == shifted_bits
 
 
 def coefficient_divergence(v, g, chi, eps):
