@@ -30,7 +30,9 @@ Each checkout runs the same command matrix with its own ``src/`` and ``configs/`
   * 2D ``study viscosity`` at 32^2 cells to ``t_end = 0.1``, a batch of four 2D members, some
     with eps > 0 (its verdicts fail, so it exits 3; the exit codes are compared all the same).
   * explicit ``study contraction`` on the a/b pair at 401 cells to ``t_end = 0.05``, a 1D batch
-    whose cells are not a multiple of the 8 doubles of a 64-byte cache line.
+    whose cells are not a multiple of the 8 doubles of a 64-byte cache line;
+  * four config errors, ``simulate`` on ``bump.cfg`` with ``scheme = rk4``, ``chi = -1``,
+    ``dt = 0`` or ``dim = 3``: each exits 1, and its stderr names the key.
 
 Every command runs in a fresh directory of its own, with relative paths, so stdout and
 stderr name no path of either run (a run directory that appears anyway is masked). The
@@ -151,6 +153,8 @@ def matrix(configs: Path) -> list[tuple[str, list[str], dict[str, str]]]:
          {"a.cfg": edit(text.get("contraction_a.cfg", ""), cells="401", t_end="0.05"),
           "b.cfg": edit(text.get("contraction_b.cfg", ""), cells="401", t_end="0.05")}),
     ]
+    cases += [(f"bump.cfg {key} = {value}", ["simulate", "--config", "a.cfg"], {"a.cfg": edit(bump, **{key: value})})
+              for key, value in (("scheme", "rk4"), ("chi", "-1"), ("dt", "0"), ("dim", "3"))]
     return cases
 
 

@@ -10,7 +10,10 @@ grid key beside ``ic = snapshot`` (``_GRID_KEYS``), or ``ic_amplitude`` beside
 ``profiles``. The stepping tolerances that no run varies,
 the CFL safety factor and the Picard sweep cap, are constants of ``stepping``; the
 diagnostics' fixed columns and exponents are ``COLUMNS`` of ``diagnostics``, and the
-relative-entropy floor of the studies is ``_SIGMA_REL`` of ``studies``.
+relative-entropy floor of the studies is ``_SIGMA_REL`` of ``studies``. Each value rule has
+one owner, ``Params`` (chi, eps), ``StepControls`` (scheme, dt, picard_tol), the grid module
+(dim, h) or ``cfl_dt`` (a CFL step that underflows), whose ``ValueError`` is worded as
+config's own; ``parse_config`` raises it as ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ import numpy as np
 from .diagnostics import COLUMNS, DiagnosticsRecord, record
 from .grid import Field, Grid, load_snapshot, make_grid
 from .profiles import factorized, gaussian_bump, multi_peak, poly_spike, single_peak
-from .stepping import _SCHEMES, StepControls, cfl_dt
+from .limiter import Params
+from .stepping import StepControls, cfl_dt
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "build_problem", "build_controls",
-           "check_cell_steps", "STATIONARY_KINDS"]
+           "check_cell_steps", "center_of", "STATIONARY_KINDS"]
 
 # The exponential peaks, exact or O(h) fixed points of the inviscid flow: the kinds of steady check
 STATIONARY_KINDS = ("single_peak", "multi_peak", "factorized")
@@ -97,22 +101,12 @@ def _validate(cfg: RunConfig) -> None:
     def bad(key: str, why: str):
         return ConfigError(f"invalid value for '{key}': {why}")
 
-    if cfg.dim not in (1, 2):
-        raise bad("dim", f"must be 1 or 2, got {cfg.dim}")
     if cfg.cells < 3:
         raise bad("cells", "need at least 3 cells per axis")
-    if not (np.isfinite(cfg.chi) and cfg.chi >= 0.0):
-        raise bad("chi", f"must be finite and >= 0, got {cfg.chi}")
+    Params(cfg.chi, cfg.eps)  # before the box: its default half-width reads chi
     if not 0.0 < 2.0 * _half_width(cfg) / cfg.cells < np.inf:
         raise bad("box_halfwidth", "must be positive, with a finite cell width 2*box_halfwidth/cells")
-    if not (np.isfinite(cfg.eps) and cfg.eps >= 0.0):
-        raise bad("eps", f"must be finite and >= 0, got {cfg.eps}")
-    if cfg.scheme not in _SCHEMES:
-        raise bad("scheme", f"must be one of {_SCHEMES}")
-    if cfg.dt is not None and not (np.isfinite(cfg.dt) and cfg.dt > 0.0):
-        raise bad("dt", "must be finite and positive")
-    if not cfg.picard_tol > 0.0:
-        raise bad("picard_tol", "must be positive")
+    build_controls(cfg)
     if not (np.isfinite(cfg.t_end) and cfg.t_end >= 0.0):
         raise bad("t_end", "must be finite and >= 0")
     if cfg.diag_stride < 1:
@@ -151,8 +145,8 @@ def _validate(cfg: RunConfig) -> None:
         if not w > 0.0:
             raise bad("spike_widths", "widths must be positive")
     if cfg.ic != "snapshot":  # a snapshot brings its own grid, checked by build_problem
-        dt = cfg.dt or cfl_dt(make_grid(cfg.dim, _half_width(cfg), cfg.cells), cfg.eps)
-        check_cell_steps(cfg.cells**cfg.dim, cfg.t_end, dt)
+        ceiling = cfl_dt(make_grid(cfg.dim, _half_width(cfg), cfg.cells), cfg.eps)
+        check_cell_steps(cfg.cells**cfg.dim, cfg.t_end, cfg.dt or ceiling)
 
 
 def check_cell_steps(cells: int, t_end: float, dt: float, runs: int = 1) -> None:
@@ -188,7 +182,10 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: cannot parse value for '{key}': {exc}") from None
     cfg = replace(RunConfig(), **seen)
-    _validate(cfg)
+    try:
+        _validate(cfg)
+    except ValueError as exc:  # the owners of a rule raise ValueError, in config's wording
+        raise ConfigError(*exc.args) from None
     unread = [key for key in seen if key.startswith("ic_") and key not in _IC_KEYS[cfg.ic]
               or cfg.ic == "snapshot" and key in _GRID_KEYS]
     if unread:
@@ -200,7 +197,8 @@ def build_controls(cfg: RunConfig) -> StepControls:
     return StepControls(scheme=cfg.scheme, dt=cfg.dt, picard_tol=cfg.picard_tol)
 
 
-def _center(cfg: RunConfig) -> tuple[float, ...]:
+def center_of(cfg: RunConfig) -> tuple[float, ...]:
+    """The config's ``ic_center``, one coordinate per axis: a single coordinate broadcasts."""
     c = cfg.ic_center
     if len(c) == 1 and cfg.dim > 1:
         c = c * cfg.dim
@@ -212,8 +210,8 @@ def _center(cfg: RunConfig) -> tuple[float, ...]:
 def build_problem(cfg: RunConfig) -> tuple[Grid, Field, DiagnosticsRecord]:
     """Materialize the grid and initial field described by a config, with the t = 0
     diagnostics record that it checks. Builder failures (say, a missing snapshot), the
-    semi-implicit scheme on a 2D grid, a CFL step of 0, work over the cell-step budget
-    and initial diagnostics that overflow raise ``ConfigError``."""
+    semi-implicit scheme on a 2D grid, work over the cell-step budget and initial diagnostics
+    that overflow raise ``ConfigError``, and a CFL step of 0 the ``ValueError`` of ``cfl_dt``."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             grid, field = _build_problem(cfg)
@@ -225,9 +223,6 @@ def build_problem(cfg: RunConfig) -> tuple[Grid, Field, DiagnosticsRecord]:
     if cfg.scheme == "semi_implicit" and grid.dim != 1:
         raise ConfigError(f"invalid value for 'scheme': semi_implicit is 1D only, the grid is {grid.dim}D")
     ceiling = cfl_dt(grid, cfg.eps)
-    if not ceiling > 0.0:
-        raise ConfigError(f"the CFL step safety*h^2/(2d(1+eps)) underflows to 0 "
-                          f"(h = {grid.h}, eps = {cfg.eps})")
     check_cell_steps(field.values.size, cfg.t_end, cfg.dt or ceiling)
     overflow = [name for name, value in zip(COLUMNS, vars(initial).values()) if not np.isfinite(value)]
     if overflow:
@@ -246,7 +241,7 @@ def _build_problem(cfg: RunConfig) -> tuple[Grid, Field]:
         return field.grid, field
 
     grid = make_grid(cfg.dim, _half_width(cfg), cfg.cells)
-    center = _center(cfg)
+    center = center_of(cfg)
 
     if cfg.ic == "uniform":
         value = 1.0 if cfg.ic_amplitude is None else cfg.ic_amplitude

@@ -34,6 +34,14 @@ __all__ = [
     "load_snapshot",
 ]
 
+_DIMS = (1, 2)  # the space dimensions of a grid, checked by _dim (ROADMAP, Direction 3)
+
+
+def _dim(dim: int) -> int:
+    if dim not in _DIMS:
+        raise ValueError(f"invalid value for 'dim': must be 1 or 2, got {dim}")
+    return dim
+
 
 def _frozen(values: np.ndarray) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True)
@@ -63,9 +71,7 @@ class Grid:
     origin: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise ValueError(f"invalid dimension: d must be 1 or 2, got {self.dim}")
-        if not (len(self.shape) == len(self.origin) == self.dim):
+        if not (_dim(self.dim) == len(self.shape) == len(self.origin)):
             raise ValueError("shape and origin must both have dim entries")
         for n in self.shape:
             if int(n) != n or n < 3:
@@ -138,18 +144,14 @@ def make_grid(dim: int, extent: float, cells: int) -> Grid:
     Parameters
     ----------
     dim : int
-        1 or 2.
+        1 or 2, checked before it sizes the shape.
     extent : float
-        Half-width L; positive.
+        Half-width L; positive, with a positive and finite h (``Grid`` checks h).
     cells : int
-        Cell count per axis; >= 3.
+        Cell count per axis; >= 3 (``Grid`` checks it, below 1 too: h divides by max(cells, 1)).
     """
-    if dim not in (1, 2):
-        raise ValueError(f"invalid dimension: d must be 1 or 2, got {dim}")
     L, n = float(extent), int(cells)
-    if not (math.isfinite(L) and L > 0.0):
-        raise ValueError(f"invalid extent: half-width must be positive, got {L}")
-    return Grid(dim=dim, shape=(n,) * dim, h=2.0 * L / n, origin=(-L,) * dim)
+    return Grid(dim=dim, shape=(n,) * _dim(dim), h=2.0 * L / max(n, 1), origin=(-L,) * dim)
 
 
 def along(ndim: int, axis: int, index) -> tuple:
@@ -214,7 +216,7 @@ def load_snapshot(path) -> Field:
         if not head:
             raise ValueError(f"{path}: empty snapshot file")
         dim = int(head[0])
-        if dim not in (1, 2) or len(head) != 1 + 3 * dim:
+        if dim not in _DIMS or len(head) != 1 + 3 * dim:
             raise ValueError(f"{path}: malformed snapshot header")
         shape = tuple(int(t) for t in head[1 : 1 + dim])
         h, *spacings = (float(t) for t in head[1 + dim : 1 + 2 * dim])

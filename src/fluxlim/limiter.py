@@ -43,9 +43,9 @@ class Params:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.chi) and self.chi >= 0.0):
-            raise ValueError(f"chi must be finite and >= 0, got {self.chi}")
+            raise ValueError(f"invalid value for 'chi': must be finite and >= 0, got {self.chi}")
         if not (np.isfinite(self.eps) and self.eps >= 0.0):
-            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
+            raise ValueError(f"invalid value for 'eps': must be finite and >= 0, got {self.eps}")
 
 
 def limiter(rho, grad_norm, chi, out=None):

@@ -95,11 +95,11 @@ class StepControls:
 
     def __post_init__(self) -> None:
         if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(f"invalid value for 'scheme': must be one of {_SCHEMES}")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ValueError("invalid value for 'dt': must be finite and positive")
         if not self.picard_tol > 0.0:
-            raise ValueError("picard_tol must be positive")
+            raise ValueError("invalid value for 'picard_tol': must be positive")
 
 
 @dataclass(frozen=True)
@@ -118,11 +118,15 @@ def cfl_dt(grid: Grid, eps: float) -> float:
     """Explicit stability ceiling safety * h^2 / (2 d (1 + eps)), safety = ``_CFL_SAFETY``.
 
     The face coefficients never exceed 1 + eps, so the constant-coefficient
-    heat bound dominates every admissible state.
+    heat bound dominates every admissible state. Every CFL step is taken here, so only
+    here does a step that underflows to 0 (tiny h, or 1 + eps overflowing) raise ``ValueError``.
     """
     if not (np.isfinite(eps) and eps >= 0.0):
-        raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    return _CFL_SAFETY * grid.h * grid.h / (2.0 * grid.dim * (1.0 + eps))
+        raise ValueError(f"invalid value for 'eps': must be finite and >= 0, got {eps}")
+    dt = _CFL_SAFETY * grid.h * grid.h / (2.0 * grid.dim * (1.0 + eps))
+    if not dt > 0.0:
+        raise ValueError(f"the CFL step safety*h^2/(2d(1+eps)) underflows to 0 (h = {grid.h}, eps = {eps})")
+    return dt
 
 
 def time_mesh(t_end: float, dt_req: float) -> tuple[float, int]:
@@ -292,8 +296,8 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
     if implicit and grid.dim != 1:
         raise ValueError(f"the semi-implicit scheme is 1D only, got a {grid.dim}D grid")
     for name, p, dt in zip(members, params, dts):
-        ceiling = cfl_dt(grid, p.eps)
-        if not implicit and dt > ceiling * (1.0 + 1e-9):
+        ceiling = math.inf if implicit else cfl_dt(grid, p.eps)  # the semi-implicit scheme has none
+        if dt > ceiling * (1.0 + 1e-9):
             raise CflViolationError(f"dt = {dt} exceeds the CFL ceiling {ceiling} (member {name})")
     col = (-1,) + (1,) * grid.dim
     chi, eps, dt = (np.array(x, dtype=float).reshape(col)

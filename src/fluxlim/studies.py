@@ -17,7 +17,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .config import STATIONARY_KINDS, RunConfig, _center, build_controls, build_problem, check_cell_steps
+from .config import STATIONARY_KINDS, RunConfig, build_controls, build_problem, center_of, check_cell_steps
 from .diagnostics import l1_distance, pair_terms
 from .grid import gradient_norm, integrate
 from .limiter import Params, monotone_gap, unclamped_gap
@@ -126,8 +126,6 @@ def viscosity_study(base: RunConfig) -> StudyReport:
     grid, initial, first = build_problem(base)
     controls = build_controls(base)
     dt = controls.dt if controls.dt is not None else cfl_dt(grid, max(eps_list))
-    if not dt > 0.0:
-        raise ValueError(f"the CFL step for eps = {max(eps_list)!r} underflows to 0")
     check_cell_steps(initial.values.size, base.t_end, dt, runs=n)
     shared = replace(controls, dt=dt)
 
@@ -321,7 +319,7 @@ def smoothing_study(cfg: RunConfig) -> StudyReport:
     t_ends = [cfg.t_end] * n + [w * w for w in widths]
     check_cell_steps(spike.values.size, sum(t_ends) / (2 * n), dt, runs=2 * n)  # the 2n members, one budget
 
-    spikes = [poly_spike(grid, w, p, center=_center(cfg), p_norm=cfg.ic_pnorm) for w in widths]
+    spikes = [poly_spike(grid, w, p, center=center_of(cfg), p_norm=cfg.ic_pnorm) for w in widths]
     trajectories = run(spikes * 2, [Params(cfg.chi)] * n + [Params(0.0)] * n, shared, t_ends,
                        [stride] * n + [_ENDS_ONLY] * n)
     limited = trajectories[:n]

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -33,6 +34,13 @@ def cli(*args, cwd):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "fluxlim.cli", *args], cwd=cwd,
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def with_override(override: str) -> str:
+    """BASE_CFG with the lines of ``override`` in place of those of its keys."""
+    keys = {line.split("=")[0].strip() for line in override.splitlines()}
+    kept = [line for line in BASE_CFG.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + override + "\n"
 
 
 @pytest.fixture()
@@ -110,10 +118,8 @@ class TestSimulate:
         "ic = uniform\nic_mass = 3.0",  # a key the uniform field does not read
     ])
     def test_bad_value_is_config_error(self, tmp_path, override):
-        keys = {line.split("=")[0].strip() for line in override.splitlines()}
-        kept = [line for line in BASE_CFG.splitlines() if line.split("=")[0].strip() not in keys]
         bad = tmp_path / "bad.cfg"
-        bad.write_text("\n".join(kept) + "\n" + override + "\n")
+        bad.write_text(with_override(override))
         res = cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert res.returncode == 1
         assert res.stderr.startswith("config error:") and "Traceback" not in res.stderr
@@ -224,8 +230,6 @@ class TestSimulate:
 
     def test_runtime_imports_are_stdlib_or_numpy(self):
         # numpy is the one runtime dependency, in the imports and in pyproject.toml
-        import ast
-
         tomllib = pytest.importorskip("tomllib")
 
         root = Path(__file__).resolve().parents[1]
@@ -241,6 +245,14 @@ class TestSimulate:
         project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
         assert [d.partition(">")[0].strip() for d in project["dependencies"]] == ["numpy"]
 
+    def test_no_module_imports_a_private_name(self):
+        # a rule lives behind its module: another module reads only its public names
+        found = []
+        for path in sorted((Path(SRC) / "fluxlim").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    found += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+        assert found == []
 
     def test_initial_record_computed_once(self, tmp_path, capsys, monkeypatch):
         # build_problem checks the t = 0 record and the run writes it: one record per row
@@ -259,6 +271,36 @@ class TestSimulate:
         assert cli_module.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         rows = (tmp_path / "o" / "diagnostics.csv").read_text().splitlines()[1:]
         assert len(calls) == len(rows) > 2 and calls.count(0.0) == 1
+
+
+CFL_UNDERFLOW = "the CFL step safety*h^2/(2d(1+eps)) underflows to 0 (h = 0.08333333333333333, eps = 1e+308)"
+
+
+class TestConfigErrorMessages:
+    # each rule is checked by its owner (Params, StepControls, the grid module, cfl_dt) in
+    # config's wording, which names the key; the exact texts are pinned, so that moving a
+    # rule from one module to another cannot change what the command line prints
+    @pytest.mark.parametrize("command,override,message", [
+        ("simulate", "chi = -1", "invalid value for 'chi': must be finite and >= 0, got -1.0"),
+        ("simulate", "chi = nan", "invalid value for 'chi': must be finite and >= 0, got nan"),
+        ("simulate", "eps = -0.5", "invalid value for 'eps': must be finite and >= 0, got -0.5"),
+        ("simulate", "eps = inf", "invalid value for 'eps': must be finite and >= 0, got inf"),
+        ("simulate", "scheme = rk4", "invalid value for 'scheme': must be one of ('explicit', 'semi_implicit')"),
+        ("simulate", "dt = 0", "invalid value for 'dt': must be finite and positive"),
+        ("simulate", "dt = nan", "invalid value for 'dt': must be finite and positive"),
+        ("simulate", "picard_tol = 0", "invalid value for 'picard_tol': must be positive"),
+        ("simulate", "picard_tol = nan", "invalid value for 'picard_tol': must be positive"),
+        ("simulate", "eps = 1e308", CFL_UNDERFLOW),
+        ("simulate", "dim = 3", "invalid value for 'dim': must be 1 or 2, got 3"),
+        ("simulate", "box_halfwidth = -1",
+         "invalid value for 'box_halfwidth': must be positive, with a finite cell width 2*box_halfwidth/cells"),
+        ("study viscosity", "eps_list = 1e308 0", CFL_UNDERFLOW),
+    ])
+    def test_exit_1_and_message(self, tmp_path, capsys, command, override, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(with_override(override))
+        code = cli_module.main([*command.split(), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert (code, capsys.readouterr().err) == (1, f"config error: {message}\n")
 
 
 class TestArgumentErrors:

@@ -25,18 +25,20 @@ class TestMakeGrid:
         assert g.shape == (256, 256)
 
     def test_invalid_dimension(self):
-        with pytest.raises(ValueError, match="invalid dimension"):
+        with pytest.raises(ValueError, match="invalid value for 'dim'"):
             make_grid(3, 1.0, 10)
 
     def test_invalid_extent(self):
-        with pytest.raises(ValueError, match="invalid extent"):
+        with pytest.raises(ValueError, match="cell width h"):
             make_grid(1, -1.0, 10)
-        with pytest.raises(ValueError, match="invalid extent"):
+        with pytest.raises(ValueError, match="cell width h"):
             make_grid(1, 0.0, 10)
 
     def test_too_few_cells(self):
         with pytest.raises(ValueError, match="cell count"):
             make_grid(1, 1.0, 2)
+        with pytest.raises(ValueError, match="cell count"):  # not a division of the extent by 0
+            make_grid(1, 1.0, 0)
 
     def test_measures(self):
         g = Grid(dim=2, shape=(6, 12), h=0.5, origin=(-1.5, -3.0))

@@ -70,6 +70,12 @@ class TestCflDt:
         with pytest.raises(ValueError, match="eps"):
             cfl_dt(g, eps)
 
+    @pytest.mark.parametrize("extent,eps", [(1e-168, 0.0), (1.0, 1e308)])
+    def test_underflowing_step_rejected(self, extent, eps):
+        # h^2 underflows to 0, or 1 + eps overflows to inf
+        with pytest.raises(ValueError, match=r"^the CFL step .* underflows to 0 \(h = "):
+            cfl_dt(make_grid(1, extent, 10), eps)
+
 
 class TestStepControls:
     def test_defaults(self):
@@ -418,6 +424,12 @@ class TestBatchedKernel:
             assert [r.time for r in traj.records] == [r.time for r in alone.records]
             assert [r.sup_norm for r in traj.records] == [r.sup_norm for r in alone.records]
             assert np.array_equal(traj.final.values, alone.final.values)
+
+    def test_run_refuses_an_underflowing_cfl_step(self):
+        # run took the step of 0 into time_mesh, which divided t_end by it
+        grid = make_grid(1, 1e-168, 10)
+        with pytest.raises(ValueError, match="underflows to 0"):
+            run([Field.density(grid, np.ones(10))], [Params(1.0)], StepControls(), [1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_member_named(self, bad, monkeypatch):
