@@ -31,6 +31,10 @@ Each checkout runs the same command matrix with its own ``src/`` and ``configs/`
     with eps > 0 (its verdicts fail, so it exits 3; the exit codes are compared all the same).
   * explicit ``study contraction`` on the a/b pair at 401 cells to ``t_end = 0.05``, a 1D batch
     whose cells are not a multiple of the 8 doubles of a 64-byte cache line;
+  * ``simulate`` on ``bump.cfg`` in 2D at 256^2 cells to ``t_end = 0.02``, and 2D ``study
+    contraction`` on the a/b pair at 192^2 cells to ``t_end = 0.01`` (2 x 36,864 cells): batches
+    of at least ``stepping._THREADED_CELLS`` cells, which step their two axes on two threads on
+    a host with two CPUs;
   * four config errors, ``simulate`` on ``bump.cfg`` with ``scheme = rk4``, ``chi = -1``,
     ``dt = 0`` or ``dim = 3``: each exits 1, and its stderr names the key.
 
@@ -152,6 +156,12 @@ def matrix(configs: Path) -> list[tuple[str, list[str], dict[str, str]]]:
          ["study", "contraction", "--config", "a.cfg", "--config2", "b.cfg"],
          {"a.cfg": edit(text.get("contraction_a.cfg", ""), cells="401", t_end="0.05"),
           "b.cfg": edit(text.get("contraction_b.cfg", ""), cells="401", t_end="0.05")}),
+        ("bump.cfg 2D 256^2", ["simulate", "--config", "a.cfg"],
+         {"a.cfg": edit(bump, dim="2", cells="256", t_end="0.02")}),
+        ("contraction_a.cfg + contraction_b.cfg 2D 192^2",
+         ["study", "contraction", "--config", "a.cfg", "--config2", "b.cfg"],
+         {"a.cfg": edit(text.get("contraction_a.cfg", ""), dim="2", cells="192", t_end="0.01"),
+          "b.cfg": edit(text.get("contraction_b.cfg", ""), dim="2", cells="192", t_end="0.01")}),
     ]
     cases += [(f"bump.cfg {key} = {value}", ["simulate", "--config", "a.cfg"], {"a.cfg": edit(bump, **{key: value})})
               for key, value in (("scheme", "rk4"), ("chi", "-1"), ("dt", "0"), ("dim", "3"))]

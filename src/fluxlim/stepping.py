@@ -10,6 +10,12 @@ divergence one subtraction per axis (``_divergence``).
 
 ``march`` steps a batch of members on one grid, each with its own chi, eps, dt
 and step count, by the scheme of its ``StepControls``; ``run`` steps through it.
+A 2D batch of at least ``_THREADED_CELLS`` (2^16) cells, where the process may run on two
+CPUs, computes its second axis's fluxes on a second thread while the first thread computes
+the first axis's, with the same operations and bits: numpy releases the GIL in its array
+loops, and on a two-CPU Xeon a 512^2 step went from 5.0 to 3.3 ms, a 256^2 one from 1.0 to
+0.76 ms. Below the threshold the handoff costs more than it saves: a 128^2 step took 300
+against 250 us, and at 192^2 the gain (480 against 520 us) lay within the runs' spread.
 
   * explicit: forward Euler under the diffusive CFL restriction (``cfl_dt``, the
     fraction ``_CFL_SAFETY`` of the stability bound). The effective face
@@ -34,7 +40,10 @@ The boundary is the no-flux box of the grid module; the absorption term
 from __future__ import annotations
 
 import math
+import os
+from contextvars import copy_context
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -51,6 +60,7 @@ _CFL_SAFETY = 0.45  # the explicit step's fraction of the heat-equation stabilit
 _PICARD_MAX_ITER = 200  # accepted sweeps of one semi-implicit step before it fails
 _NEG_TOL = 1e-13  # roundoff allowance of a step's negatives, relative to the member's sup norm
 _DENSE = 31  # cyclic reduction leaves at most this many unknowns to a dense inverse
+_THREADED_CELLS = 1 << 16  # a 2D batch of this many cells or more steps its axes on two threads
 
 
 class NumericalFailureError(RuntimeError):
@@ -98,8 +108,8 @@ class StepControls:
             raise ValueError(f"invalid value for 'scheme': must be one of {_SCHEMES}")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("invalid value for 'dt': must be finite and positive")
-        if not self.picard_tol > 0.0:
-            raise ValueError("invalid value for 'picard_tol': must be positive")
+        if not (np.isfinite(self.picard_tol) and self.picard_tol > 0.0):
+            raise ValueError("invalid value for 'picard_tol': must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -145,7 +155,7 @@ def _aligned(shape: tuple, offset: int = 0) -> np.ndarray:
     return raw[start:start + size].reshape(shape)
 
 
-def _buffers(grid: Grid, size: int) -> list[tuple]:
+def _buffers(grid: Grid, size: int, threaded: bool = False) -> list[tuple]:
     """Work buffers of a batch of ``size`` members, one tuple per space axis: the array axis, the
     flat step of one cell along it, a cell-sized scratch array, two cell-sized face arrays (D and
     P, the face above cell i at i), the fluxes through every cell's upper and lower face, the
@@ -153,24 +163,50 @@ def _buffers(grid: Grid, size: int) -> list[tuple]:
     passes (the scratch without its last and first step; the upper fluxes, D and P without their
     last step), all made once. The upper and lower fluxes are cell-sized views, one step apart, of
     one zero-padded array, whose padding and the faces above each line's last cell (set to 0 by
-    the kernels) carry zero flux. The axes share the buffers: use an axis's fluxes first.
-    Every array the kernels write starts on a 64-byte line (``_aligned``): the scratch, D and P,
-    and the upper fluxes, which the 1D threshold sums share."""
-    cells = _aligned((size, *grid.shape))
+    the kernels) carry zero flux. The axes share the buffers, so use an axis's fluxes first;
+    a ``threaded`` batch, whose 2D axes run on two threads at once (see ``march``), gives each
+    axis its own. Only a threaded batch does: shared buffers stay in L2 where per-axis ones
+    do not, which made a serial 192^2 step 10% slower. Every array the kernels write starts on
+    a 64-byte line (``_aligned``): the scratch, D and P, and the upper fluxes, which the 1D
+    threshold sums share."""
+    shape = (size, *grid.shape)
     steps = [math.prod(grid.shape[a:]) for a in range(1, grid.dim + 1)]  # one cell along each axis
-    store = _aligned((steps[0] + cells.size,), steps[0])
-    upper = store[steps[0]:].reshape(cells.shape)
-    diff, pair = _aligned(cells.shape), _aligned(cells.shape)
-    flat, diffs, pairs = cells.reshape(-1), diff.reshape(-1), pair.reshape(-1)
+    pad, cells = steps[0], math.prod(shape)
+
+    def arrays():  # the scratch, D, P and the padded flux array
+        return _aligned(shape), _aligned(shape), _aligned(shape), _aligned((pad + cells,), pad)
+
+    owned = [arrays() for _ in steps] if threaded else [arrays()] * len(steps)
     bufs = []
-    for axis, step in enumerate(steps, 1):
-        lower = store[steps[0] - step:][: cells.size].reshape(cells.shape)
-        bufs.append((axis, step, cells, diff, pair, upper, lower, along(cells.ndim, axis, -1),
-                     flat[:-step], flat[step:], store[steps[0]:-step], diffs[:-step], pairs[:-step]))
+    for axis, (step, (scratch, diff, pair, store)) in enumerate(zip(steps, owned), 1):
+        upper, lower = store[pad:].reshape(shape), store[pad - step:][:cells].reshape(shape)
+        flat, diffs, pairs = scratch.reshape(-1), diff.reshape(-1), pair.reshape(-1)
+        bufs.append((axis, step, scratch, diff, pair, upper, lower, along(len(shape), axis, -1),
+                     flat[:-step], flat[step:], store[pad:-step], diffs[:-step], pairs[:-step]))
     return bufs
 
 
-def _coefficient_fluxes(values: np.ndarray, half_chi_h, eps, bufs):
+def _axis_fluxes(values: np.ndarray, half_chi_h, eps, buf: tuple, other: int) -> tuple:
+    """The (upper, lower) face fluxes of one 2D axis, in its buffers ``buf`` (see ``_buffers``),
+    whose tangential differences run along the array axis ``other``; see ``_coefficient_fluxes``."""
+    _, step, norm, diff, pair, upper, lower, ends, *_, diffs, pairs = buf
+    v = values.reshape(-1)
+    with np.errstate(over="ignore"):
+        np.subtract(v[step:], v[:-step], out=diffs)
+        np.add(v[:-step], v[step:], out=pairs)
+    diff[ends] = pair[ends] = 0.0
+    central_gradient(pair, other, 2.0, out=norm)
+    np.multiply(norm, norm, out=norm)
+    np.add(norm, np.multiply(diff, diff, out=upper), out=norm)
+    np.sqrt(norm, out=norm)
+    limiter(pair, norm, half_chi_h, out=pair)
+    if eps is not None:
+        np.add(pair, eps, out=pair)
+    np.multiply(pair, diff, out=upper)
+    return upper, lower
+
+
+def _coefficient_fluxes(values: np.ndarray, half_chi_h, eps, bufs, worker=None):
     """Yield the (upper, lower) face fluxes (see ``_buffers``) of every 2D axis in turn,
     h times the flux ((1 - chi rho_face/|g|)_+ + eps) g_normal.
 
@@ -182,23 +218,15 @@ def _coefficient_fluxes(values: np.ndarray, half_chi_h, eps, bufs):
     per-member columns. D and P are one contiguous pass each, which runs past each line's end
     into the next line or member, ignoring overflow as ``_face_flux`` does; they are set to 0
     there before any square, and the limiter's 0/0 then gives those faces exactly zero flux.
-    T, N, the limiter and the flux run on whole cell-shaped arrays."""
-    v = values.reshape(-1)
-    for (_, step, norm, diff, pair, upper, lower, ends, *_, diffs, pairs), (other, *_) in zip(
-            bufs, bufs[::-1]):
-        with np.errstate(over="ignore"):
-            np.subtract(v[step:], v[:-step], out=diffs)
-            np.add(v[:-step], v[step:], out=pairs)
-        diff[ends] = pair[ends] = 0.0
-        central_gradient(pair, other, 2.0, out=norm)
-        np.multiply(norm, norm, out=norm)
-        np.add(norm, np.multiply(diff, diff, out=upper), out=norm)
-        np.sqrt(norm, out=norm)
-        limiter(pair, norm, half_chi_h, out=pair)
-        if eps is not None:
-            np.add(pair, eps, out=pair)
-        np.multiply(pair, diff, out=upper)
-        yield upper, lower
+    T, N, the limiter and the flux run on whole cell-shaped arrays, one axis at a time
+    (``_axis_fluxes``). Given a ``worker`` (an executor of one thread), the second axis runs on
+    it, in the caller's context, while the first is computed and used; then the axes must not
+    share buffers (``_buffers`` threaded). Either way every operation and bit is the same."""
+    first, second = bufs
+    later = None if worker is None else worker.submit(
+        copy_context().run, _axis_fluxes, values, half_chi_h, eps, second, first[0])
+    yield _axis_fluxes(values, half_chi_h, eps, first, second[0])
+    yield _axis_fluxes(values, half_chi_h, eps, second, first[0]) if later is None else later.result()
 
 
 def _face_flux(values: np.ndarray, half_chi_h, eps, bufs) -> tuple:
@@ -287,7 +315,13 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
     per-member operands (chi h/2, dt/h^2, and eps and dt*eps when some member absorbs) into
     per-cell rows once; 2D blocks and the semi-implicit sweep keep (members, 1) columns. Both
     give the same products bit for bit. In cache a row multiplies faster than a column, past
-    it slower (see the README on batches).
+    it slower (see the README on batches). A 2D block of at least ``_THREADED_CELLS`` cells
+    (live members times cells), where the process may run on two CPUs (``_cpus``), computes
+    its second axis's fluxes on a worker thread, under the caller's context (``np.errstate``
+    included), while the calling thread computes the first axis's and their divergence
+    (``_coefficient_fluxes``); the rest of the step follows as in a serial block. The thread
+    starts with the first such block and stops when the march ends, however it ends
+    (exhausted, closed early or failed); 1D, semi-implicit and smaller blocks start none.
     """
     if any(b > a for a, b in zip(n_steps, n_steps[1:])):
         raise ValueError("members must come in non-increasing n_steps order")
@@ -311,37 +345,51 @@ def march(initials, params, dts, n_steps, controls: StepControls = StepControls(
     for row, f in zip(state, initials):
         row[...] = f.values
     kernel = _face_flux if grid.dim == 1 else _coefficient_fluxes
-    k = 0
-    for live in range(len(n_steps), 0, -1):
-        if n_steps[live - 1] == k:
-            continue
-        bufs = _buffers(grid, live)
-        cur, nxt, scratch = state[:live], _aligned(state[:live].shape), bufs[0][2]
-        c, e = half_chi_h[:live], eps[:live] if absorbs else None
-        d, de = scale[:live], dt_eps[:live]
-        last = None  # the batch's last semi-implicit linearization
-        if grid.dim == 1 and not implicit:
-            c, e, d, de = (x if x is None else np.repeat(x, cur.shape[1], axis=1) for x in (c, e, d, de))
-        while k < n_steps[live - 1]:
-            k += 1
-            try:
-                if implicit:
-                    _, _, last = step_semi_implicit(cur, chi[:live], eps[:live], dt[:live], h, controls,
-                                                    bufs, last, nxt)
-                else:
-                    _divergence(kernel(cur, c, e, bufs), nxt, scratch)
-                    # (rho + dt*div) - (dt*eps)*rho in this order, so every member is
-                    # bitwise a lone run; with all eps = 0 the last term is +0.0, a no-op
-                    np.multiply(d, nxt, out=nxt)
-                    np.add(cur, nxt, out=nxt)
-                    if absorbs:
-                        np.subtract(nxt, np.multiply(de, cur, out=scratch), out=nxt)
-                cur, nxt = _finalize(nxt), cur
-            except NumericalFailureError as exc:
-                exc.member, exc.step, exc.time = members[exc.row], k, k * dts[exc.row]
-                raise
-            yield k, cur
-        state = cur
+    k, worker = 0, None  # the second axis's thread, started by the first threaded block
+    try:
+        for live in range(len(n_steps), 0, -1):
+            if n_steps[live - 1] == k:
+                continue
+            threaded = grid.dim > 1 and state[:live].size >= _THREADED_CELLS and _cpus() > 1
+            if threaded and worker is None:
+                from concurrent.futures import ThreadPoolExecutor  # pulls in logging: only when used
+                worker = ThreadPoolExecutor(1)
+            fluxes = partial(kernel, worker=worker) if threaded else kernel
+            bufs = _buffers(grid, live, threaded)
+            cur, nxt, scratch = state[:live], _aligned(state[:live].shape), bufs[0][2]
+            c, e = half_chi_h[:live], eps[:live] if absorbs else None
+            d, de = scale[:live], dt_eps[:live]
+            last = None  # the batch's last semi-implicit linearization
+            if grid.dim == 1 and not implicit:
+                c, e, d, de = (x if x is None else np.repeat(x, cur.shape[1], axis=1) for x in (c, e, d, de))
+            while k < n_steps[live - 1]:
+                k += 1
+                try:
+                    if implicit:
+                        _, _, last = step_semi_implicit(cur, chi[:live], eps[:live], dt[:live], h, controls,
+                                                        bufs, last, nxt)
+                    else:
+                        _divergence(fluxes(cur, c, e, bufs), nxt, scratch)
+                        # (rho + dt*div) - (dt*eps)*rho in this order, so every member is
+                        # bitwise a lone run; with all eps = 0 the last term is +0.0, a no-op
+                        np.multiply(d, nxt, out=nxt)
+                        np.add(cur, nxt, out=nxt)
+                        if absorbs:
+                            np.subtract(nxt, np.multiply(de, cur, out=scratch), out=nxt)
+                    cur, nxt = _finalize(nxt), cur
+                except NumericalFailureError as exc:
+                    exc.member, exc.step, exc.time = members[exc.row], k, k * dts[exc.row]
+                    raise
+                yield k, cur
+            state = cur
+    finally:  # exhausted, closed early or failed: no thread outlives the march
+        if worker is not None:
+            worker.shutdown()
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class _Reduction:

@@ -119,7 +119,7 @@ def viscosity_study(base: RunConfig) -> StudyReport:
         raise ValueError(f"invalid value for 'eps_list': needs at least two entries and at most "
                          f"{_MAX_EPS_LIST} ({_MAX_EPS_LIST * (_MAX_EPS_LIST - 1) // 2} pairs), got {n}")
     if any(not (np.isfinite(e) and e >= 0.0) for e in eps_list):
-        raise ValueError("viscosities must be finite and >= 0")
+        raise ValueError("invalid value for 'eps_list': viscosities must be finite and >= 0")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing (no duplicates)")
 

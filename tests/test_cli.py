@@ -288,13 +288,15 @@ class TestConfigErrorMessages:
         ("simulate", "scheme = rk4", "invalid value for 'scheme': must be one of ('explicit', 'semi_implicit')"),
         ("simulate", "dt = 0", "invalid value for 'dt': must be finite and positive"),
         ("simulate", "dt = nan", "invalid value for 'dt': must be finite and positive"),
-        ("simulate", "picard_tol = 0", "invalid value for 'picard_tol': must be positive"),
-        ("simulate", "picard_tol = nan", "invalid value for 'picard_tol': must be positive"),
+        ("simulate", "picard_tol = 0", "invalid value for 'picard_tol': must be finite and positive"),
+        ("simulate", "picard_tol = nan", "invalid value for 'picard_tol': must be finite and positive"),
+        ("simulate", "picard_tol = inf", "invalid value for 'picard_tol': must be finite and positive"),
         ("simulate", "eps = 1e308", CFL_UNDERFLOW),
         ("simulate", "dim = 3", "invalid value for 'dim': must be 1 or 2, got 3"),
         ("simulate", "box_halfwidth = -1",
          "invalid value for 'box_halfwidth': must be positive, with a finite cell width 2*box_halfwidth/cells"),
         ("study viscosity", "eps_list = 1e308 0", CFL_UNDERFLOW),
+        ("study viscosity", "eps_list = 0.1 -0.1", "invalid value for 'eps_list': viscosities must be finite and >= 0"),
     ])
     def test_exit_1_and_message(self, tmp_path, capsys, command, override, message):
         cfg = tmp_path / "bad.cfg"

@@ -1,4 +1,7 @@
+import contextlib
 import re
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -85,7 +88,7 @@ class TestStepControls:
         assert c.picard_tol == 1e-10
 
     @pytest.mark.parametrize("kw", [dict(dt=-1.0), dict(scheme="magic"), dict(dt=np.inf),
-                                    dict(picard_tol=0.0), dict(scheme="rk4", dt=1e-3)])
+                                    dict(picard_tol=0.0), dict(picard_tol=np.inf), dict(scheme="rk4", dt=1e-3)])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
             StepControls(**kw)
@@ -188,6 +191,11 @@ def on_a_line(a: np.ndarray) -> bool:
     return a.ctypes.data % 64 == 0
 
 
+def threaded_axes():
+    """A patch under which every 2D batch steps its second axis on a worker thread, on any host."""
+    return mock.patch.multiple(stepping, _THREADED_CELLS=0, _cpus=lambda: 2)
+
+
 @st.composite
 def kernel_inputs(draw, dim):
     """A grid, a batch of member values with vacuum, and per-member chi columns."""
@@ -201,24 +209,32 @@ def kernel_inputs(draw, dim):
 
 
 class TestAlignedBuffers:
-    @pytest.mark.parametrize("grid, members", [
-        (make_grid(1, 5.0, 1000), 1), (make_grid(1, 5.0, 1024), 6),
-        (make_grid(1, 5.0, 121), 3),  # 363 doubles: not a whole number of lines
-        (make_grid(2, 5.0, 128), 1), (Grid(dim=2, shape=(40, 24), h=0.25, origin=(-5.0, -3.0)), 2),
-    ], ids=["1d-1x1000", "1d-6x1024", "1d-3x121", "2d-128^2", "2d-2x40x24"])
-    def test_written_buffers_start_a_line(self, grid, members):
+    @pytest.mark.parametrize("grid, members, threaded", [
+        (make_grid(1, 5.0, 1000), 1, False), (make_grid(1, 5.0, 1024), 6, False),
+        (make_grid(1, 5.0, 121), 3, False),  # 363 doubles: not a whole number of lines
+        (make_grid(2, 5.0, 128), 1, False), (Grid(dim=2, shape=(40, 24), h=0.25, origin=(-5.0, -3.0)), 2, False),
+        (make_grid(2, 5.0, 128), 1, True), (Grid(dim=2, shape=(40, 24), h=0.25, origin=(-5.0, -3.0)), 2, True),
+    ], ids=["1d-1x1000", "1d-6x1024", "1d-3x121", "2d-128^2", "2d-2x40x24", "2d-128^2-threaded",
+            "2d-2x40x24-threaded"])
+    def test_written_buffers_start_a_line(self, grid, members, threaded):
         # numpy aligns to 16 bytes only, and its vector loops store to an output off a 64-byte
-        # line at about twice the cost: every buffer a step writes starts on a line
-        for _, _, cells, diff, pair, upper, *_, sums, _, _ in stepping._buffers(grid, members):
-            assert all(on_a_line(a) for a in (cells, upper, sums, diff, pair))
+        # line at about twice the cost: every buffer a step writes starts on a line, the
+        # per-axis buffers of a threaded batch too
+        written = [(cells, upper, sums, diff, pair)
+                   for _, _, cells, diff, pair, upper, *_, sums, _, _ in stepping._buffers(grid, members, threaded)]
+        assert all(on_a_line(a) for axis in written for a in axis)
+        if threaded:
+            first, second = written
+            assert not any(np.shares_memory(a, b) for a in first for b in second)
         rng = np.random.default_rng(5)
         fields = [Field.density(grid, rng.uniform(0.5, 1.0, grid.shape)) for _ in range(members)]
         params = [Params(chi=1.0, eps=0.1 * i) for i in range(members)]
         dts = [cfl_dt(grid, p.eps) for p in params]
         ns = list(range(members + 1, 1, -1))  # each member ends its own block
         for scheme in ("explicit", "semi_implicit") if grid.dim == 1 else ("explicit",):
-            for _, state in march(fields, params, dts, ns, StepControls(scheme)):
-                assert on_a_line(state)
+            with threaded_axes() if threaded else contextlib.nullcontext():
+                for _, state in march(fields, params, dts, ns, StepControls(scheme)):
+                    assert on_a_line(state)
 
     @pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
     def test_clamped_state_stays_on_a_line(self, scheme, monkeypatch):
@@ -258,6 +274,134 @@ class TestAlignedBuffers:
             seen.append((bufs[0][5].ctypes.data % 64, out.tobytes(), bufs[0][5].tobytes()))
         (line, *bits), (off, *shifted_bits) = seen
         assert (line, off) == (0, 8) and bits == shifted_bits
+
+
+class TestThreadedAxes:
+    # a 2D batch of at least _THREADED_CELLS cells, on a host with two CPUs, computes its second
+    # axis's fluxes on a worker thread while the caller computes the first
+
+    @staticmethod
+    def marched(fields, params, ns, counts):
+        """Copies of every state ``march`` yields, and the threads alive at each, in ``counts``."""
+        dts = [cfl_dt(fields[0].grid, p.eps) for p in params]
+        seen = []
+        for k, state in march(fields, params, dts, ns):
+            counts.append(threading.active_count())
+            seen.append((k, state.tobytes()))
+        return seen
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 14), st.integers(3, 14), st.booleans(), st.integers(1, 3), st.data())
+    def test_threaded_march_equals_serial(self, n1, n2, square, members, data):
+        h = 5.0 / n1
+        shape = (n1, n1 if square else n2)
+        grid = Grid(dim=2, shape=shape, h=h, origin=(-2.5, -0.5 * h * shape[1]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = rng.uniform(0.0, 1.0, (members, *shape))
+        values[rng.uniform(size=values.shape) < 0.3] = 0.0
+        fields = [Field.density(grid, v) for v in values]
+        params = [Params(chi=data.draw(st.sampled_from([0.0, 1.0, 3.0])), eps=data.draw(st.sampled_from([0.0, 0.3])))
+                  for _ in range(members)]
+        ns = sorted(data.draw(st.lists(st.integers(1, 4), min_size=members, max_size=members)), reverse=True)
+        base, serial, threaded = threading.active_count(), [], []
+        alone = self.marched(fields, params, ns, serial)
+        with threaded_axes():
+            both = self.marched(fields, params, ns, threaded)
+        assert both == alone
+        assert set(serial) == {base} and set(threaded) == {base + 1}
+        assert threading.active_count() == base
+
+    def test_concurrent_marches_stay_apart(self):
+        # more marching threads than CPUs, each with its own worker, switching every microsecond:
+        # a buffer or state that two marches or two axes shared would change some march's bits
+        grid = Grid(dim=2, shape=(12, 9), h=0.5, origin=(-3.0, -2.25))
+        rng = np.random.default_rng(11)
+        runs = [([Field.density(grid, rng.uniform(0.0, 1.0, grid.shape)) for _ in range(2)],
+                 [Params(chi=1.0), Params(chi=3.0, eps=0.3)], [6, 4]) for _ in range(4)]
+        serial = [self.marched(*run, []) for run in runs]
+        threaded = [None] * len(runs)
+
+        def go(i):
+            threaded[i] = self.marched(*runs[i], [])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with threaded_axes():
+                threads = [threading.Thread(target=go, args=(i,)) for i in range(len(runs))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert threaded == serial
+
+    def test_no_thread_outlives_march(self, monkeypatch):
+        grid = make_grid(2, 5.0, 16)
+        f, p, dt = gaussian_bump(grid, 1.0, mass=1.0), Params(chi=1.0), cfl_dt(grid, 0.0)
+        base = threading.active_count()
+        with threaded_axes():
+            assert len(list(march([f], [p], [dt], [5]))) == 5  # exhausted
+            assert threading.active_count() == base
+            steps = march([f], [p], [dt], [5])
+            next(steps)
+            assert threading.active_count() == base + 1
+            steps.close()  # closed early
+            assert threading.active_count() == base
+            finalize, calls = stepping._finalize, []
+
+            def failing(values):
+                calls.append(None)
+                if len(calls) == 3:
+                    raise stepping._failure("non-finite value produced by a time step", 0)
+                return finalize(values)
+
+            monkeypatch.setattr(stepping, "_finalize", failing)
+            with pytest.raises(NumericalFailureError, match=r"\(member 0, step 3, "):  # failed mid-march
+                for _ in march([f], [p], [dt], [5]):
+                    assert threading.active_count() == base + 1
+            assert threading.active_count() == base
+
+    @pytest.mark.parametrize("grid, members, threads", [
+        (make_grid(2, 5.0, 128), 3, 0),  # 49,152 cells
+        (make_grid(2, 5.0, 192), 1, 0),  # 36,864 cells
+        (make_grid(2, 5.0, 256), 1, 1),  # 65,536 cells, the threshold
+        (make_grid(2, 5.0, 192), 2, 1),  # 73,728 cells
+        (make_grid(1, 5.0, 1 << 16), 2, 0),  # the 1D kernel has one axis
+    ], ids=["2d-3x128^2", "2d-192^2", "2d-256^2", "2d-2x192^2", "1d-2x65536"])
+    def test_threshold(self, grid, members, threads, monkeypatch):
+        monkeypatch.setattr(stepping, "_cpus", lambda: 2)  # as on a host with two CPUs
+        f, base = gaussian_bump(grid, 1.0, mass=1.0), threading.active_count()
+        params = [Params(chi=1.0)] * members
+        for scheme in ("explicit", "semi_implicit") if grid.dim == 1 else ("explicit",):
+            counts = []
+            for _ in march([f] * members, params, [cfl_dt(grid, 0.0)] * members, [2] * members,
+                           StepControls(scheme)):
+                counts.append(threading.active_count())
+            assert counts == [base + threads] * 2
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(stepping, "_cpus", lambda: 1)
+        grid = make_grid(2, 5.0, 256)
+        f, base = gaussian_bump(grid, 1.0, mass=1.0), threading.active_count()
+        for _ in march([f], [Params(chi=1.0)], [cfl_dt(grid, 0.0)], [1]):
+            assert threading.active_count() == base
+
+    def test_worker_runs_in_the_callers_context(self):
+        # np.errstate lives in a context variable, which a new thread starts without: the
+        # worker's axis runs under the caller's, as the serial path does
+        grid = make_grid(2, 5.0, 8)
+        f, seen = gaussian_bump(grid, 1.0, mass=1.0), []
+
+        def spy(*args, **kwargs):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["under"]))
+            return limiter(*args, **kwargs)
+
+        with threaded_axes(), mock.patch.object(stepping, "limiter", spy), np.errstate(under="warn"):
+            list(march([f], [Params(chi=1.0)], [cfl_dt(grid, 0.0)], [1]))
+        assert sorted(seen) == [(False, "warn"), (True, "warn")]
 
 
 def coefficient_divergence(v, g, chi, eps):
