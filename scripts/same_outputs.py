@@ -36,7 +36,10 @@ Each checkout runs the same command matrix with its own ``src/`` and ``configs/`
     of at least ``stepping._THREADED_CELLS`` cells, which step their two axes on two threads on
     a host with two CPUs;
   * four config errors, ``simulate`` on ``bump.cfg`` with ``scheme = rk4``, ``chi = -1``,
-    ``dt = 0`` or ``dim = 3``: each exits 1, and its stderr names the key.
+    ``dt = 0`` or ``dim = 3``: each exits 1, and its stderr names the key;
+  * ``simulate`` on ``bump.cfg`` with ``dim = 2``, ``scheme = semi_implicit`` and ``dt = 0.01``,
+    which exits 1 with the ``scheme`` text, and with ``dt = 0.1``, above the CFL ceiling, which
+    exits 2: neither writes an output.
 
 Every command runs in a fresh directory of its own, with relative paths, so stdout and
 stderr name no path of either run (a run directory that appears anyway is masked). The
@@ -165,6 +168,10 @@ def matrix(configs: Path) -> list[tuple[str, list[str], dict[str, str]]]:
     ]
     cases += [(f"bump.cfg {key} = {value}", ["simulate", "--config", "a.cfg"], {"a.cfg": edit(bump, **{key: value})})
               for key, value in (("scheme", "rk4"), ("chi", "-1"), ("dt", "0"), ("dim", "3"))]
+    cases += [("bump.cfg 2D semi-implicit", ["simulate", "--config", "a.cfg"],
+               {"a.cfg": edit(bump, dim="2", scheme="semi_implicit", dt="0.01")}),
+              ("bump.cfg dt = 0.1 above the CFL ceiling", ["simulate", "--config", "a.cfg"],
+               {"a.cfg": edit(bump, dt="0.1")})]
     return cases
 
 

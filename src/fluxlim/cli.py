@@ -10,9 +10,10 @@ Subcommands:
 
 Every study, the steady check included, is a ``studies`` function of its
 configs that returns a ``StudyReport``; this module only reads the configs,
-writes the outputs and maps errors to exit codes. The ``studies`` module is
-loaded only by the commands that run a study or a check, so ``simulate``
-never loads it.
+writes the outputs and maps errors to exit codes. Every command checks its ``out`` with
+``_check_out`` before it runs and makes it only after the run succeeds: a failing command
+leaves no directory. The ``studies`` module is loaded only by the commands that run a study
+or a check, so ``simulate`` never loads it.
 
 Exit codes, mapped in ``main`` alone by exception class: 0 all verdicts pass;
 1 configuration error, a ``ValueError`` or ``OSError`` (bad config or command
@@ -61,7 +62,7 @@ def _studies() -> dict:
 
 
 def _check_out(out: str) -> None:
-    """Refuse an ``out`` that cannot be a directory, before a study runs, creating nothing: it holds
+    """Refuse an ``out`` that cannot be a directory, before a command runs, creating nothing: it holds
     no NUL byte (``Path.exists`` is False for one), and its first existing path up is a directory."""
     if "\0" in out:
         raise ConfigError("embedded null byte")
@@ -90,11 +91,12 @@ def _report(study: str, inputs, out: str | None) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, args)
+    _check_out(cfg.out)
     _, initial, first = build_problem(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     traj, = run([initial], [Params(cfg.chi, cfg.eps)], build_controls(cfg), [cfg.t_end],
                 diag_stride=cfg.diag_stride, snapshot_stride=cfg.snapshot_stride, initial_records=[first])
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     lines = [",".join(COLUMNS)] + [csv_row(rec) for rec in traj.records]
     (out / "diagnostics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     save_snapshot(traj.snapshots[0][1], out / "snapshot_initial.txt")

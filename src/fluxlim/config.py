@@ -13,7 +13,8 @@ diagnostics' fixed columns and exponents are ``COLUMNS`` of ``diagnostics``, and
 relative-entropy floor of the studies is ``_SIGMA_REL`` of ``studies``. Each value rule has
 one owner, ``Params`` (chi, eps), ``StepControls`` (scheme, dt, picard_tol), the grid module
 (dim, h) or ``cfl_dt`` (a CFL step that underflows), whose ``ValueError`` is worded as
-config's own; ``parse_config`` raises it as ``ConfigError``.
+config's own; ``parse_config`` raises it as ``ConfigError``. Their study checks ``eps_list``
+and ``spike_widths``, and ``march`` refuses a semi-implicit 2D run.
 """
 
 from __future__ import annotations
@@ -141,22 +142,20 @@ def _validate(cfg: RunConfig) -> None:
             raise bad("ic_centers", "multi_peak needs ic_centers and ic_amplitudes")
         if len(cfg.ic_centers) != len(cfg.ic_amplitudes):
             raise bad("ic_amplitudes", "must match ic_centers in length")
-    for w in cfg.spike_widths:
-        if not w > 0.0:
-            raise bad("spike_widths", "widths must be positive")
     if cfg.ic != "snapshot":  # a snapshot brings its own grid, checked by build_problem
         ceiling = cfl_dt(make_grid(cfg.dim, _half_width(cfg), cfg.cells), cfg.eps)
-        check_cell_steps(cfg.cells**cfg.dim, cfg.t_end, cfg.dt or ceiling)
+        check_cell_steps(cfg.cells**cfg.dim, cfg.dt or ceiling, [cfg.t_end])
 
 
-def check_cell_steps(cells: int, t_end: float, dt: float, runs: int = 1) -> None:
-    """Raise ``ConfigError`` if a batch of ``runs`` runs of ``cells`` cells exceeds the cell
-    limit, or, to ``t_end`` by ``dt``, the cell-step budget."""
+def check_cell_steps(cells: int, dt: float, t_ends) -> None:
+    """Raise ``ConfigError`` if a batch of runs of ``cells`` cells, one per horizon in ``t_ends``,
+    exceeds the cell limit, or, each stepping to its horizon by ``dt`` > 0, the cell-step budget."""
+    runs, steps = len(t_ends), sum(t / dt for t in t_ends)
     if runs * cells > _MAX_CELLS:
         raise ConfigError(f"invalid value for 'cells': {runs} x {cells} cells exceed the limit of {_MAX_CELLS}")
-    if dt > 0.0 and runs * cells * (t_end / dt) > _MAX_CELL_STEPS:
-        raise ConfigError(f"invalid value for 't_end': {runs} x {cells} cells x {t_end / dt:.3g} time "
-                          f"steps exceed the budget of {_MAX_CELL_STEPS:.0e} cell-steps")
+    if cells * steps > _MAX_CELL_STEPS:
+        raise ConfigError(f"invalid value for 't_end': {runs} run(s) of {cells} cells, {steps:.3g} time "
+                          f"steps in all, exceed the budget of {_MAX_CELL_STEPS:.0e} cell-steps")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -209,9 +208,10 @@ def center_of(cfg: RunConfig) -> tuple[float, ...]:
 
 def build_problem(cfg: RunConfig) -> tuple[Grid, Field, DiagnosticsRecord]:
     """Materialize the grid and initial field described by a config, with the t = 0
-    diagnostics record that it checks. Builder failures (say, a missing snapshot), the
-    semi-implicit scheme on a 2D grid, work over the cell-step budget and initial diagnostics
-    that overflow raise ``ConfigError``, and a CFL step of 0 the ``ValueError`` of ``cfl_dt``."""
+    diagnostics record that it checks. Builder failures (say, a missing snapshot), work over
+    the cell-step budget and initial diagnostics that overflow raise ``ConfigError``, and a
+    CFL step of 0 the ``ValueError`` of ``cfl_dt``. The scheme is not checked against the grid
+    here: ``march`` alone refuses a semi-implicit 2D run."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             grid, field = _build_problem(cfg)
@@ -220,10 +220,8 @@ def build_problem(cfg: RunConfig) -> tuple[Grid, Field, DiagnosticsRecord]:
         raise
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot build the initial condition: {exc}") from None
-    if cfg.scheme == "semi_implicit" and grid.dim != 1:
-        raise ConfigError(f"invalid value for 'scheme': semi_implicit is 1D only, the grid is {grid.dim}D")
     ceiling = cfl_dt(grid, cfg.eps)
-    check_cell_steps(field.values.size, cfg.t_end, cfg.dt or ceiling)
+    check_cell_steps(field.values.size, cfg.dt or ceiling, [cfg.t_end])
     overflow = [name for name, value in zip(COLUMNS, vars(initial).values()) if not np.isfinite(value)]
     if overflow:
         raise ConfigError(f"initial diagnostics are not finite ({', '.join(overflow)}); "

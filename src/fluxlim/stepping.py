@@ -140,7 +140,10 @@ def cfl_dt(grid: Grid, eps: float) -> float:
 
 
 def time_mesh(t_end: float, dt_req: float) -> tuple[float, int]:
-    """Step and step count hitting ``t_end`` exactly: ``dt_req`` shrunk to a divisor."""
+    """Step and step count hitting ``t_end`` exactly: ``dt_req`` shrunk to a divisor. Every run
+    and study takes its mesh here. A horizon of 0 takes no step: ``(dt_req, 0)``."""
+    if t_end == 0.0:
+        return dt_req, 0
     n_steps = max(1, math.ceil(t_end / dt_req - 1e-9))
     return t_end / n_steps, n_steps
 
@@ -300,37 +303,37 @@ def _finalize(values: np.ndarray) -> np.ndarray:
 def march(initials, params, dts, n_steps, controls: StepControls = StepControls(), members=None):
     """Advance member runs on one grid as one batch of ``controls.scheme`` steps.
 
-    Member i takes ``n_steps[i]`` steps of ``dts[i]`` with ``params[i]``; members
-    must come in non-increasing ``n_steps`` order. An explicit step is the update
-    rho + dt*div((a+eps) grad rho) - dt*eps*rho of every member at once, and a dt
-    above any member's CFL ceiling raises ``CflViolationError`` up front. A
-    semi-implicit step (1D only) solves all members at once by ``step_semi_implicit``,
-    handing on the previous step's last linearization. Yields ``(k, state)`` after
-    every step k, where ``state`` stacks the members still running, which are always
-    a prefix; it is a work buffer that the next step overwrites. The states, as every array
-    the kernels write, start on a 64-byte line (see ``_aligned``). Every step is checked
-    for finiteness and negativity. A failing step raises ``NumericalFailureError``
-    tagged with its step, its member's time and the member, named by ``members``
-    (default: their positions), as a CFL violation is. A 1D explicit block repeats its
-    per-member operands (chi h/2, dt/h^2, and eps and dt*eps when some member absorbs) into
+    Member i takes ``n_steps[i]`` steps of ``dts[i]`` with ``params[i]``; members must come in
+    non-increasing ``n_steps`` order. An explicit step is the update
+    rho + dt*div((a+eps) grad rho) - dt*eps*rho of every member at once, and a dt above the CFL
+    ceiling of a member that takes a step raises ``CflViolationError`` up front; a member of no
+    steps binds none. A semi-implicit step (1D only: here alone a 2D grid raises ``ValueError``)
+    solves all members at once by ``step_semi_implicit``, handing on the previous step's last
+    linearization. Yields ``(k, state)`` after every step k, where ``state`` stacks the members
+    still running, which are always a prefix; it is a work buffer that the next step overwrites.
+    The states, as every array the kernels write, start on a 64-byte line (see ``_aligned``).
+    Every step is checked for finiteness and negativity. A failing step raises
+    ``NumericalFailureError`` tagged with its step, its member's time and the member, named by
+    ``members`` (default: their positions), as a CFL violation is. A 1D explicit block repeats
+    its per-member operands (chi h/2, dt/h^2, and eps and dt*eps when some member absorbs) into
     per-cell rows once; 2D blocks and the semi-implicit sweep keep (members, 1) columns. Both
-    give the same products bit for bit. In cache a row multiplies faster than a column, past
-    it slower (see the README on batches). A 2D block of at least ``_THREADED_CELLS`` cells
-    (live members times cells), where the process may run on two CPUs (``_cpus``), computes
-    its second axis's fluxes on a worker thread, under the caller's context (``np.errstate``
-    included), while the calling thread computes the first axis's and their divergence
+    give the same products bit for bit. In cache a row multiplies faster than a column, past it
+    slower (see the README on batches). A 2D block of at least ``_THREADED_CELLS`` cells (live
+    members times cells), where the process may run on two CPUs (``_cpus``), computes its second
+    axis's fluxes on a worker thread, under the caller's context (``np.errstate`` included),
+    while the calling thread computes the first axis's and their divergence
     (``_coefficient_fluxes``); the rest of the step follows as in a serial block. The thread
-    starts with the first such block and stops when the march ends, however it ends
-    (exhausted, closed early or failed); 1D, semi-implicit and smaller blocks start none.
+    starts with the first such block and stops when the march ends, however it ends (exhausted,
+    closed early or failed); 1D, semi-implicit and smaller blocks start none.
     """
     if any(b > a for a, b in zip(n_steps, n_steps[1:])):
         raise ValueError("members must come in non-increasing n_steps order")
     grid, implicit = initials[0].grid, controls.scheme == "semi_implicit"
     members = range(len(initials)) if members is None else members
     if implicit and grid.dim != 1:
-        raise ValueError(f"the semi-implicit scheme is 1D only, got a {grid.dim}D grid")
-    for name, p, dt in zip(members, params, dts):
-        ceiling = math.inf if implicit else cfl_dt(grid, p.eps)  # the semi-implicit scheme has none
+        raise ValueError(f"invalid value for 'scheme': semi_implicit is 1D only, the grid is {grid.dim}D")
+    for name, p, dt, n in zip(members, params, dts, n_steps):
+        ceiling = math.inf if implicit or not n else cfl_dt(grid, p.eps)  # the semi-implicit scheme has none
         if dt > ceiling * (1.0 + 1e-9):
             raise CflViolationError(f"dt = {dt} exceeds the CFL ceiling {ceiling} (member {name})")
     col = (-1,) + (1,) * grid.dim
@@ -579,14 +582,12 @@ def run(initials, params, controls: StepControls, t_ends, diag_stride=10, snapsh
     diagnostics; one trajectory per member, whose outputs do not depend on the others.
 
     Member i starts from ``initials[i]`` with ``params[i]``; ``diag_stride`` is
-    one stride or one per member. The requested dt (or the member's CFL step when
-    unset) is shrunk to the nearest divisor of its t_end, so that time is hit
-    exactly. Diagnostics are recorded at t = 0, every ``diag_stride`` steps, and
-    at the final step; snapshots keep the initial and final states plus every
-    ``snapshot_stride``-th step when that stride is positive. All members step as
-    one ``march`` batch. ``initial_records``, when given, are the
-    members' t = 0 records, which are then not computed again. Deterministic given
-    its inputs.
+    one stride or one per member. The requested dt (or the member's CFL step when unset)
+    and its t_end give the member's ``time_mesh``. Diagnostics are recorded at t = 0, every
+    ``diag_stride`` steps, and at the final step; snapshots keep the initial and final states
+    plus every ``snapshot_stride``-th step when that stride is positive. All members, those
+    of no steps too, go to one ``march`` batch. ``initial_records``, when given, are the
+    members' t = 0 records, which are then not computed again. Deterministic given its inputs.
     """
     initials, t_ends = list(initials), [float(t) for t in t_ends]
     strides = list(diag_stride) if np.ndim(diag_stride) else [diag_stride] * len(initials)
@@ -604,9 +605,7 @@ def run(initials, params, controls: StepControls, t_ends, diag_stride=10, snapsh
 
     records = [[rec] for rec in initial_records or [record(f) for f in initials]]
     snapshots = [[(0.0, f)] for f in initials]
-    meshes = [time_mesh(t, controls.dt or cfl_dt(grid, p.eps)) if t > 0.0
-              else (0.0, 0) for p, t in zip(params, t_ends)]
-    dts, ns = [dt for dt, _ in meshes], [n for _, n in meshes]
+    dts, ns = zip(*(time_mesh(t, controls.dt or cfl_dt(grid, p.eps)) for p, t in zip(params, t_ends)))
 
     def observe(i: int, k: int, values) -> None:
         last = k == ns[i]
@@ -620,12 +619,11 @@ def run(initials, params, controls: StepControls, t_ends, diag_stride=10, snapsh
             if snap:
                 snapshots[i].append((t, field))
 
-    order = [i for i in sorted(range(len(ns)), key=lambda i: -ns[i]) if ns[i] > 0]
+    order = sorted(range(len(ns)), key=lambda i: -ns[i])
     period = math.gcd(*strides, snapshot_stride)  # a member observes only at its multiples or last step
-    if order:
-        batch = [[seq[i] for i in order] for seq in (initials, params, dts, ns)]
-        for k, state in march(*batch, controls, members=order):
-            if k % period == 0 or k in ns:
-                for i, values in zip(order, state):
-                    observe(i, k, values)
+    batch = [[seq[i] for i in order] for seq in (initials, params, dts, ns)]
+    for k, state in march(*batch, controls, members=order):
+        if k % period == 0 or k in ns:
+            for i, values in zip(order, state):
+                observe(i, k, values)
     return [Trajectory(snapshots=tuple(s), records=tuple(r)) for s, r in zip(snapshots, records)]

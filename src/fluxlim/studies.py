@@ -121,13 +121,12 @@ def viscosity_study(base: RunConfig) -> StudyReport:
     if any(not (np.isfinite(e) and e >= 0.0) for e in eps_list):
         raise ValueError("invalid value for 'eps_list': viscosities must be finite and >= 0")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing (no duplicates)")
+        raise ValueError("invalid value for 'eps_list': must be strictly decreasing (no duplicates)")
 
     grid, initial, first = build_problem(base)
-    controls = build_controls(base)
-    dt = controls.dt if controls.dt is not None else cfl_dt(grid, max(eps_list))
-    check_cell_steps(initial.values.size, base.t_end, dt, runs=n)
-    shared = replace(controls, dt=dt)
+    dt = base.dt or cfl_dt(grid, max(eps_list))
+    check_cell_steps(initial.values.size, dt, [base.t_end] * n)
+    shared = replace(build_controls(base), dt=dt)
 
     trajectories = run([initial] * n, [Params(base.chi, e) for e in eps_list], shared,
                        [base.t_end] * n, _ENDS_ONLY, initial_records=[first] * n)
@@ -164,7 +163,8 @@ def viscosity_study(base: RunConfig) -> StudyReport:
     ]
     return StudyReport(
         kind="viscosity",
-        inputs=[("eps_list", _fmt_list(eps_list)), ("t_end", repr(base.t_end)), ("dt", repr(dt)),
+        inputs=[("eps_list", _fmt_list(eps_list)), ("t_end", repr(base.t_end)),
+                ("dt", repr(time_mesh(base.t_end, dt)[0])),
                 ("cells", " ".join(map(str, grid.shape[:1] if len(set(grid.shape)) == 1 else grid.shape))),
                 ("chi", repr(base.chi))],
         columns=("eps_a", "eps_b", "eps_sum", "l1", "H"),
@@ -190,7 +190,7 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig) -> StudyReport:
     so there the L1 distance's worst rise is a note, not a verdict.
     """
     if cfg1.eps != 0.0 or cfg2.eps != 0.0:
-        raise ValueError("contraction study requires eps = 0 in both runs")
+        raise ValueError("invalid value for 'eps': the contraction study runs inviscid, so eps must be 0")
     for key in (f.name for f in fields(RunConfig)):
         first, second = getattr(cfg1, key), getattr(cfg2, key)
         if first != second and not (key in ("ic", "out") or key.startswith("ic_")):
@@ -206,7 +206,7 @@ def contraction_study(cfg1: RunConfig, cfg2: RunConfig) -> StudyReport:
     controls = build_controls(cfg1)
     t_end = cfg1.t_end
     dt, n_steps = time_mesh(t_end, controls.dt or cfl_dt(grid1, 0.0))
-    check_cell_steps(u.values.size, t_end, dt, runs=2)
+    check_cell_steps(u.values.size, dt, [t_end] * 2)
     params = Params(cfg1.chi)
     stride = cfg1.diag_stride
     sigma = _SIGMA_REL * float(v.values.max())
@@ -292,12 +292,14 @@ def smoothing_study(cfg: RunConfig) -> StudyReport:
     of -d/(2p). Both families run as one batch, each member to its own horizon.
     """
     p, widths = float(cfg.ic_p), tuple(float(w) for w in cfg.spike_widths)
+    if not all(w > 0.0 for w in widths):  # each width, so that a NaN is refused too
+        raise ValueError("invalid value for 'spike_widths': widths must be positive")
     if len(widths) < 2:
-        raise ValueError("need at least two spike widths")
+        raise ValueError("invalid value for 'spike_widths': need at least two widths")
     if any(w2 >= w1 for w1, w2 in zip(widths, widths[1:])):
-        raise ValueError("spike widths must be strictly decreasing")
+        raise ValueError("invalid value for 'spike_widths': must be strictly decreasing")
     if cfg.eps != 0.0:
-        raise ValueError("smoothing study runs with eps = 0")
+        raise ValueError("invalid value for 'eps': the smoothing study runs inviscid, so eps must be 0")
     if not cfg.t_end > 0.0:
         raise ValueError("invalid value for 't_end': the smoothing study needs t_end > 0")
     if cfg.ic != "spike":
@@ -310,14 +312,13 @@ def smoothing_study(cfg: RunConfig) -> StudyReport:
     d = grid.dim
     exp_main = d / (2.0 * p)
     exp_alt = (d + 2.0) / (2.0 * p)
-    controls = build_controls(cfg)
     ceiling = cfl_dt(grid, 0.0)
-    dt = controls.dt if controls.dt is not None else ceiling
-    shared = replace(controls, dt=dt)
+    dt = cfg.dt or ceiling
+    shared = replace(build_controls(cfg), dt=dt)
     stride = max(1, round(cfg.diag_stride * ceiling / dt))  # C_hat is read at a CFL-step run's times
     n = len(widths)
     t_ends = [cfg.t_end] * n + [w * w for w in widths]
-    check_cell_steps(spike.values.size, sum(t_ends) / (2 * n), dt, runs=2 * n)  # the 2n members, one budget
+    check_cell_steps(spike.values.size, dt, t_ends)
 
     spikes = [poly_spike(grid, w, p, center=center_of(cfg), p_norm=cfg.ic_pnorm) for w in widths]
     trajectories = run(spikes * 2, [Params(cfg.chi)] * n + [Params(0.0)] * n, shared, t_ends,
@@ -353,7 +354,7 @@ def smoothing_study(cfg: RunConfig) -> StudyReport:
     return StudyReport(
         kind="smoothing",
         inputs=[("p", repr(p)), ("widths", _fmt_list(widths)), ("t_end", repr(cfg.t_end)),
-                ("dt", repr(dt)), ("chi", repr(cfg.chi)), ("cells", str(cfg.cells))],
+                ("dt", repr(time_mesh(cfg.t_end, dt)[0])), ("chi", repr(cfg.chi)), ("cells", str(cfg.cells))],
         columns=("phase", "width", "time", "sup"),
         rows=rows,
         verdicts=verdicts,

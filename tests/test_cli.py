@@ -277,8 +277,8 @@ CFL_UNDERFLOW = "the CFL step safety*h^2/(2d(1+eps)) underflows to 0 (h = 0.0833
 
 
 class TestConfigErrorMessages:
-    # each rule is checked by its owner (Params, StepControls, the grid module, cfl_dt) in
-    # config's wording, which names the key; the exact texts are pinned, so that moving a
+    # each rule is checked by its owner (Params, StepControls, the grid module, cfl_dt, a study)
+    # in config's wording, which names the key; the exact texts are pinned, so that moving a
     # rule from one module to another cannot change what the command line prints
     @pytest.mark.parametrize("command,override,message", [
         ("simulate", "chi = -1", "invalid value for 'chi': must be finite and >= 0, got -1.0"),
@@ -297,6 +297,20 @@ class TestConfigErrorMessages:
          "invalid value for 'box_halfwidth': must be positive, with a finite cell width 2*box_halfwidth/cells"),
         ("study viscosity", "eps_list = 1e308 0", CFL_UNDERFLOW),
         ("study viscosity", "eps_list = 0.1 -0.1", "invalid value for 'eps_list': viscosities must be finite and >= 0"),
+        ("study viscosity", "eps_list = 0.05 0.1",
+         "invalid value for 'eps_list': must be strictly decreasing (no duplicates)"),
+        ("study contraction", "eps = 0.1",
+         "invalid value for 'eps': the contraction study runs inviscid, so eps must be 0"),
+        ("study smoothing", "ic = spike\nspike_widths = 0.4 0.2\neps = 0.1",
+         "invalid value for 'eps': the smoothing study runs inviscid, so eps must be 0"),
+        ("study smoothing", "ic = spike\nspike_widths = 0.4",
+         "invalid value for 'spike_widths': need at least two widths"),
+        ("study smoothing", "ic = spike\nspike_widths = 0.2 0.4",
+         "invalid value for 'spike_widths': must be strictly decreasing"),
+        ("study smoothing", "ic = spike\nspike_widths = 0.4 -0.2",
+         "invalid value for 'spike_widths': widths must be positive"),
+        ("study smoothing", "ic = spike\nspike_widths = 0.4 nan",  # a NaN fails every comparison
+         "invalid value for 'spike_widths': widths must be positive"),
     ])
     def test_exit_1_and_message(self, tmp_path, capsys, command, override, message):
         cfg = tmp_path / "bad.cfg"
@@ -338,6 +352,27 @@ class TestUnwritableOutputs:
         res = cli(*argv, "--out", str(tmp_path / out), cwd=tmp_path)
         assert res.returncode == 1
         assert res.stderr.startswith("config error: cannot write outputs:") and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_simulate_not_run(self, tmp_path, cfg_file, monkeypatch, capsys, out):
+        # simulate made its directory before it ran and printed the OS's text: [Errno 17] File
+        # exists for "file", [Errno 20] Not a directory for "file/sub"
+        def no_build(*args, **kwargs):
+            raise AssertionError("simulate built its problem")
+
+        monkeypatch.setattr(cli_module, "build_problem", no_build)
+        (tmp_path / "file").write_text("")
+        code = cli_module.main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert (code, err) == (1, f"config error: cannot write outputs: {tmp_path / 'file'} is not a directory\n")
+
+    def test_numerical_failure_leaves_no_directory(self, tmp_path, capsys):
+        # simulate made its output directory before it ran, so a failing run left it empty
+        cfg = tmp_path / "cfl.cfg"
+        cfg.write_text(BASE_CFG + "dt = 0.1\n")  # above the CFL ceiling
+        code = cli_module.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o" / "sub")])
+        assert code == 2 and capsys.readouterr().err.startswith("numerical failure:")
+        assert not (tmp_path / "o").exists()
 
     def test_study_not_run(self, tmp_path, cfg_file, monkeypatch, capsys):
         # the study stepped all its members before the output directory failed
@@ -616,6 +651,50 @@ ic_p = 4
         assert code == 1
         assert err.startswith("config error:") and "t_end" in err
 
+    @pytest.mark.parametrize("command", [["study", "contraction"], ["simulate"]])
+    @pytest.mark.parametrize("dt", ["", "dt = 1.0\n"])  # 1.0 is far above the CFL ceiling
+    def test_zero_horizon_takes_no_step(self, tmp_path, capsys, command, dt):
+        # the contraction study took one step of 0.0 at t_end = 0 (steps = 1, two equal rows),
+        # where simulate took none; the ceiling binds no member that takes no step
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text(with_override("t_end = 0") + dt)
+        code = cli_module.main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert code == 0
+        if command[0] == "study":
+            assert "input steps = 0\n" in out
+            assert [line for line in out.splitlines() if line.startswith("row ")] == ["row 0.0,0.0,0.0,0.0"]
+            assert (tmp_path / "o" / "study.csv").read_text() == "time,H,D1,D2\n0.0,0.0,0.0,0.0\n"
+        else:
+            assert len((tmp_path / "o" / "diagnostics.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("kind,extra,members", [
+        ("viscosity", "eps_list = 0.1 0.05 0\n", 3),
+        ("viscosity", "eps_list = 0.1 0.05 0\ndt = 0.0013\n", 3),
+        ("smoothing", "ic = spike\nspike_widths = 2 1\n", 2),  # the limited family; the heat controls
+        ("smoothing", "ic = spike\nspike_widths = 2 1\ndt = 0.0013\n", 2),  # run to t = w^2
+    ])
+    def test_input_dt_is_the_stepped_step(self, tmp_path, monkeypatch, capsys, kind, extra, members):
+        # the reports printed the requested step, which time_mesh shrinks to a divisor of t_end
+        from fluxlim import stepping
+
+        meshes, march = [], stepping.march
+
+        def recording(initials, params, dts, n_steps, *args, **kwargs):
+            meshes.extend(zip(dts, n_steps))
+            return march(initials, params, dts, n_steps, *args, **kwargs)
+
+        monkeypatch.setattr(stepping, "march", recording)
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(with_override(extra.strip()))
+        cli_module.main(["study", kind, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        inputs = dict(line[len("input "):].split(" = ") for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("input "))
+        dt, t_end = float(inputs["dt"]), float(inputs["t_end"])
+        n = round(t_end / dt)
+        assert dt == t_end / n
+        assert meshes.count((dt, n)) == members
+
     @pytest.mark.parametrize("kind", ["contraction", "viscosity"])
     def test_cfl_violation_exit_2(self, tmp_path, kind):
         path = tmp_path / "cfl.cfg"
@@ -623,6 +702,7 @@ ic_p = 4
         res = cli("study", kind, "--config", str(path), "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert res.returncode == 2
         assert res.stderr.startswith("numerical failure:") and "CFL ceiling" in res.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_report_grep_stable_verdicts(self, tmp_path):
         res = cli("check", "monotonicity", "--samples", "2000", "--seed", "1", cwd=tmp_path)

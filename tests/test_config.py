@@ -100,6 +100,11 @@ class TestParseConfig:
         assert cfg.eps_list == (0.2, 0.1, 0.05)
         assert cfg.spike_widths == (2.0, 1.0, 0.5)
 
+    def test_study_lists_are_checked_by_their_study(self):
+        # config kept a copy of the spike_widths positivity rule that smoothing_study owns
+        cfg = parse_config("eps_list = 0.1 0.1\nspike_widths = -1 nan\n")
+        assert cfg.eps_list == (0.1, 0.1) and cfg.spike_widths[0] == -1.0
+
     def test_multi_peak_requires_centers(self):
         with pytest.raises(ConfigError, match="ic_centers"):
             parse_config("ic = multi_peak\n")

@@ -25,6 +25,7 @@ from fluxlim.stepping import (
     march,
     run,
     step_semi_implicit,
+    time_mesh,
 )
 
 
@@ -1445,6 +1446,27 @@ class TestRun:
         assert len(traj.snapshots) == 1
         assert len(traj.records) == 1
         assert traj.records[0].time == 0.0
+
+    @pytest.mark.parametrize("t_end,dt,mesh", [(0.0, 1e-3, (1e-3, 0)), (0.0, 1.0, (1.0, 0)), (1e-20, 1.0, (1e-20, 1))])
+    def test_time_mesh_of_zero_horizon(self, t_end, dt, mesh):
+        # the mesh took one step of 0.0 at t_end = 0, where run took none; any other horizon steps
+        assert time_mesh(t_end, dt) == mesh
+
+    def test_members_of_no_steps_bind_no_ceiling(self, grid1d):
+        # a member of no steps, whatever its dt, does not stop the others
+        f = gaussian_bump(grid1d, 1.0, mass=1.0)
+        dt = cfl_dt(grid1d, 0.0)
+        steps = list(march([f, f], [Params(chi=1.0)] * 2, [dt, 1.0], [3, 0]))
+        assert [k for k, _ in steps] == [1, 2, 3] and all(len(state) == 1 for _, state in steps)
+        assert list(march([f], [Params(chi=1.0)], [1.0], [0])) == []
+        with pytest.raises(CflViolationError, match="member 0"):
+            next(march([f], [Params(chi=1.0)], [1.0], [1]))
+
+    def test_semi_implicit_2d_refused_without_steps(self):
+        # march alone refuses the scheme on a 2D grid, so a run of no steps is refused too
+        f = gaussian_bump(make_grid(2, 5.0, 12), 0.5, mass=1.0)
+        with pytest.raises(ValueError, match="^invalid value for 'scheme': semi_implicit is 1D only, the grid is 2D$"):
+            run([f], [Params(chi=1.0)], StepControls("semi_implicit", dt=0.01), [0.0])
 
     def test_times_strictly_increasing(self, grid1d):
         f = gaussian_bump(grid1d, 1.0, mass=1.0)
